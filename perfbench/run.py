@@ -2,15 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload tag-retrieve --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload tag-retrieve --seed 1 --seconds 35 --trace 0
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0`` the metrics
 are the end-to-end ones, measured with nothing wrapped; with ``--trace 1``
 the per-layer ones, from spans recorded around calls into segtool's
-modules.  Lines before it describe the environment, the inputs and every
-timing's sample count and tail.  Exit status 1 means an output check
-failed; 2 means segtool could not be found in the checkout.
+modules.  Lines before it describe the environment, the inputs, the model
+quality, the machine speed and every timing's sample count and tail.
+Exit status 1 means an output check failed; 2 means segtool could not be
+found in the checkout.
 """
 
 import argparse
@@ -32,12 +33,10 @@ END_TO_END_UNITS = {
     "peak_rss_mb": "MB",
     "train_tokens_per_s": "tok/s",
     "tag_tokens_per_s": "tok/s",
-    "heldout_f1": "ratio",
     "eval_s": "s",
     "index_build_s": "s",
     "io_s": "s",
-    "question_ms_tail": "ms",
-    "mrr_boosted": "ratio",
+    "question_ms_p50": "ms",
 }
 
 # layer metrics: self time per document through the tagger
@@ -129,33 +128,25 @@ def timing(values):
     return out
 
 
-def end_to_end(samples, setup_durations, setup_rates):
-    """Timings at the slow end of their samples: p90 of per-unit times,
-    p10 of per-unit rates.  The machine this was tuned on alternates
-    between two speeds about 2x apart, in stretches of seconds; most runs
-    spend some time in the slow one, but the share varies, so the median
-    jumps between runs while the slow end holds."""
-    import numpy
+def end_to_end(samples, setup_durations, speed):
+    """Medians of per-unit times and rates, scaled to the reference
+    loop's nominal speed: times by speed, rates by 1 / speed."""
 
-    from workloads import GATED_PERCENTILE
+    def time_at(values):
+        return statistics.median(values) * speed
 
-    def slow_time(values):
-        return float(numpy.percentile(values, GATED_PERCENTILE))
-
-    def slow_rate(values):
-        return float(numpy.percentile(values, 100 - GATED_PERCENTILE))
+    def rate_at(values):
+        return statistics.median(values) / speed
 
     return {
-        "setup_s": statistics.median(setup_durations),
+        "setup_s": time_at(setup_durations),
         "peak_rss_mb": samples["peak_rss_mb"],
-        "train_tokens_per_s": slow_rate(samples["train_tok_s"] or setup_rates),
-        "tag_tokens_per_s": slow_rate(samples["tag_tok_s"]),
-        "heldout_f1": samples["heldout_f1"],
-        "eval_s": slow_time(samples["eval_s"]),
-        "index_build_s": slow_time(samples["index_build_s"]),
-        "io_s": slow_time(samples["io_s"]),
-        "question_ms_tail": slow_time(samples["question_s"]) * 1000,
-        "mrr_boosted": samples["mrr_boosted"],
+        "train_tokens_per_s": rate_at(samples["train_tok_s"]),
+        "tag_tokens_per_s": rate_at(samples["tag_tok_s"]),
+        "eval_s": time_at(samples["eval_s"]),
+        "index_build_s": time_at(samples["index_build_s"]),
+        "io_s": time_at(samples["io_s"]),
+        "question_ms_p50": time_at(samples["question_s"]) * 1000,
     }
 
 
@@ -175,9 +166,8 @@ def per_layer(tracer, counters, n_setups):
     steps = calls("nn.adam.step")
     out = {f"{n}.self_ms_per_doc": ratio(self_ms(n), docs) for n in PER_DOC}
     out.update({f"{n}.self_ms_per_step": ratio(self_ms(n), steps) for n in PER_STEP})
-    out.update({
-        f"{n}.self_ms_per_query": ratio(self_ms(n), counters["queries"]) for n in PER_QUERY
-    })
+    queries = calls("retrieval.fielded_search")
+    out.update({f"{n}.self_ms_per_query": ratio(self_ms(n), queries) for n in PER_QUERY})
     out.update({f"{n}.self_ms_per_call": ratio(self_ms(n), calls(n)) for n in PER_CALL_SELF})
     out.update({
         f"{n}.ms_per_call": ratio(measured.get(n, (0, 0.0))[1] * 1000, calls(n))
@@ -216,6 +206,7 @@ def main(argv=None):
         print(f"error: segtool imported from {segtool.__file__}, not {src}", file=sys.stderr)
         return 2
     import workloads
+    from reference import NOMINAL_S, Reference
     from tracer import Tracer
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -239,25 +230,27 @@ def main(argv=None):
             tracer.phase = phase
 
     with tracer or contextlib.nullcontext():
-        setup_durations, setup_rates, inputs = [], [], None
-        while (len(setup_durations) < workloads.SETUP_REPEATS
-               or sum(setup_durations) < workloads.SETUP_MIN_S):
-            inputs = None  # drop the previous copy before building the next
-            t0 = time.perf_counter()
-            inputs = workloads.setup(args.workload, args.seed, args.toy)
-            setup_durations.append(time.perf_counter() - t0)
-            if inputs.setup_train_tok_s:
-                setup_rates.append(inputs.setup_train_tok_s)
+        reference = Reference()
+        t0 = time.perf_counter()
+        inputs = workloads.setup(args.workload, args.seed, args.toy)
+        setup_durations = [time.perf_counter() - t0]
+        reference.sample(force=True)
         # the inputs live for the whole run: keep the cyclic collector from
         # re-scanning them, so its pauses do not depend on how much set-up built
         gc.collect()
         gc.freeze()
         samples, counters, props = workloads.measure(
-            args.workload, inputs, args.seconds, ledger, set_phase
+            args.workload, args.seed, args.toy, inputs, args.seconds, ledger, set_phase,
+            setup_durations, reference,
         )
 
-    e2e = end_to_end(samples, setup_durations, setup_rates)
+    speed = reference.speed()
+    e2e = end_to_end(samples, setup_durations, speed)
     emit("properties", props)
+    emit("quality", {k: samples.pop(k) for k in ("heldout_f1", "mrr_boosted")})
+    emit("reference", {"n": len(reference.samples), "median_s": reference.median_s(),
+                       "nominal_s": NOMINAL_S, "speed": speed})
+    emit("end_to_end_unscaled", end_to_end(samples, setup_durations, 1.0))
     timings = {k: timing(v) for k, v in samples.items() if isinstance(v, list) and v}
     timings["setup_s"] = timing(setup_durations)
     timings["question_ms"] = timing([x * 1000 for x in samples.pop("question_s")])
@@ -282,7 +275,8 @@ def main(argv=None):
         other = None
     if other and other.get("run") == run_key:
         traced, plain = (e2e, other["end_to_end"]) if args.trace else (other["end_to_end"], e2e)
-        emit("tracing_overhead", {k: traced[k] / plain[k] - 1 for k in plain if plain[k]})
+        emit("tracing_overhead",
+             {k: traced[k] / plain[k] - 1 for k in plain if k in traced and plain[k]})
 
     if tracer:
         tracer.write(os.path.join(OUT_DIR, f"spans-{args.workload}.jsonl"))
