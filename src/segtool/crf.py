@@ -4,13 +4,13 @@ Exact log-partition via the forward recursion, gradients via
 forward-backward marginals, and Viterbi decoding with optional BIO
 well-formedness constraints.  All arithmetic is in log space with
 max-shifted logsumexp; documents in this domain run to ~900 tokens, so
-naive probability products would underflow.
+naive probability products would underflow.  Only the recursions loop
+over time; marginals and counts are whole-array operations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import BIO_TAGS, N_TAGS, TAG_INDEX
 
@@ -66,19 +66,32 @@ _BIO_START_MASK, _BIO_TRANS_MASK = bio_transition_mask()
 
 
 def tags_to_indices(tags):
-    return [t if isinstance(t, int) else TAG_INDEX[t] for t in tags]
+    """Tag names or integer tags (Python or numpy) -> list of int indices."""
+    return [int(t) if isinstance(t, (int, np.integer)) else TAG_INDEX[t] for t in tags]
+
+
+def _logsumexp(a, axis):
+    """log(sum(exp(a), axis)), shifted by the max along ``axis``."""
+    top = a.max(axis=axis, keepdims=True)
+    if np.isfinite(top).all():
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+    # A max of -inf shifts by 0, so an all -inf slice gives log(0) = -inf, not nan.
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
 
 
 def path_score(emissions, params, tags):
-    """Score of one tag path: start + emissions + transitions + stop,
-    summed left to right."""
+    """Score of one tag path: start + emissions + transitions + stop."""
     s = emissions.shape[0]
     if len(tags) != s:
         raise LengthMismatch(f"{len(tags)} tags for {s} emissions")
-    idx = tags_to_indices(tags)
-    total = params.start[idx[0]] + emissions[0, idx[0]]
-    for j in range(1, s):
-        total = total + params.transitions[idx[j - 1], idx[j]] + emissions[j, idx[j]]
+    return _score(emissions, params, np.asarray(tags_to_indices(tags), dtype=np.intp))
+
+
+def _score(emissions, params, idx):
+    total = params.start[idx[0]] + emissions[np.arange(len(idx)), idx].sum()
+    total = total + params.transitions[idx[:-1], idx[1:]].sum()
     return float(total + params.stop[idx[-1]])
 
 
@@ -87,10 +100,7 @@ def _forward(emissions, params):
     alphas = np.empty_like(emissions)
     alphas[0] = params.start + emissions[0]
     for j in range(1, s):
-        alphas[j] = (
-            logsumexp(alphas[j - 1][:, None] + params.transitions, axis=0)
-            + emissions[j]
-        )
+        alphas[j] = _logsumexp(alphas[j - 1][:, None] + params.transitions, 0) + emissions[j]
     return alphas
 
 
@@ -99,15 +109,13 @@ def _backward(emissions, params):
     betas = np.empty_like(emissions)
     betas[-1] = params.stop
     for j in range(s - 2, -1, -1):
-        betas[j] = logsumexp(
-            params.transitions + (emissions[j + 1] + betas[j + 1])[None, :], axis=1
-        )
+        betas[j] = _logsumexp(params.transitions + (emissions[j + 1] + betas[j + 1]), 1)
     return betas
 
 
 def log_partition(emissions, params):
     alphas = _forward(emissions, params)
-    return float(logsumexp(alphas[-1] + params.stop))
+    return float(_logsumexp(alphas[-1] + params.stop, 0))
 
 
 def nll_and_grads(emissions, params, gold_tags):
@@ -119,12 +127,12 @@ def nll_and_grads(emissions, params, gold_tags):
     s, n = emissions.shape
     if len(gold_tags) != s:
         raise LengthMismatch(f"{len(gold_tags)} tags for {s} emissions")
-    idx = tags_to_indices(gold_tags)
+    idx = np.asarray(tags_to_indices(gold_tags), dtype=np.intp)
 
     alphas = _forward(emissions, params)
     betas = _backward(emissions, params)
-    log_z = logsumexp(alphas[-1] + params.stop)
-    loss = log_z - path_score(emissions, params, idx)
+    log_z = _logsumexp(alphas[-1] + params.stop, 0)
+    loss = log_z - _score(emissions, params, idx)
 
     # Unary marginals.
     unary = np.exp(alphas + betas - log_z)
@@ -137,16 +145,15 @@ def nll_and_grads(emissions, params, gold_tags):
     d_stop = unary[-1].copy()
     d_stop[idx[-1]] -= 1.0
 
-    d_trans = np.zeros_like(params.transitions)
-    for j in range(s - 1):
-        pair = np.exp(
-            alphas[j][:, None]
-            + params.transitions
-            + (emissions[j + 1] + betas[j + 1])[None, :]
-            - log_z
-        )
-        d_trans += pair
-        d_trans[idx[j], idx[j + 1]] -= 1.0
+    # Pairwise marginals of every step j -> j+1 at once: (s-1, from, to).
+    pair = np.exp(
+        alphas[:-1, :, None]
+        + params.transitions
+        + (emissions[1:] + betas[1:])[:, None, :]
+        - log_z
+    )
+    d_trans = pair.sum(axis=0)
+    np.subtract.at(d_trans, (idx[:-1], idx[1:]), 1.0)
 
     grads = CrfParams(d_trans, d_start, d_stop)
     return float(loss), d_e, grads

@@ -116,49 +116,42 @@ class Gru(Component):
         cache = (x, hs, zs, rs, ns, hms, rec_mask)
         return hs[1:], cache
 
-    def backward(self, cache, d_h_seq, d_h_last=None):
+    def backward(self, cache, d_h_seq):
         x, hs, zs, rs, ns, hms, rec_mask = cache
         H = self.hidden
         s = x.shape[0]
         U = self.params["U"]
-        d_x = np.zeros_like(x)
-        d_W = self.grads["W"]
-        d_U = self.grads["U"]
-        d_b = self.grads["b"]
+        z, r, n, hm = (np.array(a).reshape(s, H) for a in (zs, rs, ns, hms))
+        U_zr_T = U[:, : 2 * H].T
+        U_n_T = U[:, 2 * H :].T
+        r_keep = r
+        if rec_mask is not None:
+            # The mask multiplies h on the gate inputs only, so it scales
+            # what flows back to h through them.
+            U_zr_T = U_zr_T * rec_mask
+            r_keep = r * rec_mask
+        # Everything that does not depend on d_h, per step: d_z_pre and d_n_pre
+        # are d_h times zn_scale; d_r_pre is d_rhm times r_scale.
+        zn_scale = np.stack([(n - hs[:-1]) * z * (1.0 - z), z * (1.0 - n * n)], axis=1)
+        r_scale = hm * r * (1.0 - r)
+        one_minus_z = 1.0 - z
+
+        d_pre = np.empty((s, 3, H), dtype=x.dtype)  # gate pre-activation grads, z r n
         d_h = np.zeros(H, dtype=x.dtype)
-        if d_h_last is not None:
-            d_h = d_h + d_h_last
         for t in range(s - 1, -1, -1):
             d_h = d_h + d_h_seq[t]
-            h_prev, hm = hs[t], hms[t]
-            z, r, n = zs[t], rs[t], ns[t]
-            d_z = d_h * (n - h_prev)
-            d_n = d_h * z
-            d_hprev = d_h * (1.0 - z)
-
-            d_n_pre = d_n * (1.0 - n * n)
-            d_z_pre = d_z * z * (1.0 - z)
+            d_pre[t, ::2] = d_h * zn_scale[t]
             # through n: inputs x W_n + (r*hm) U_n
-            d_rhm = d_n_pre @ U[:, 2 * H :].T
-            d_r = d_rhm * hm
-            d_hm = d_rhm * r
-            d_r_pre = d_r * r * (1.0 - r)
+            d_rhm = d_pre[t, 2] @ U_n_T
+            d_pre[t, 1] = d_rhm * r_scale[t]
+            d_h = d_h * one_minus_z[t] + d_rhm * r_keep[t] + d_pre[t, :2].ravel() @ U_zr_T
 
-            d_pre = np.concatenate([d_z_pre, d_r_pre, d_n_pre])
-            d_W += np.outer(x[t], d_pre)
-            d_b += d_pre
-            d_x[t] = d_pre @ self.params["W"].T
-
-            d_U[:, :H] += np.outer(hm, d_z_pre)
-            d_U[:, H : 2 * H] += np.outer(hm, d_r_pre)
-            d_U[:, 2 * H :] += np.outer(r * hm, d_n_pre)
-            d_hm = d_hm + d_z_pre @ U[:, :H].T + d_r_pre @ U[:, H : 2 * H].T
-            if rec_mask is not None:
-                d_hprev = d_hprev + d_hm * rec_mask
-            else:
-                d_hprev = d_hprev + d_hm
-            d_h = d_hprev
-        return d_x
+        d_pre = d_pre.reshape(s, 3 * H)
+        self.grads["W"] += x.T @ d_pre
+        self.grads["b"] += d_pre.sum(axis=0)
+        self.grads["U"][:, : 2 * H] += hm.T @ d_pre[:, : 2 * H]
+        self.grads["U"][:, 2 * H :] += (r * hm).T @ d_pre[:, 2 * H :]
+        return d_pre @ self.params["W"].T
 
 
 class Lstm(Component):
@@ -200,40 +193,36 @@ class Lstm(Component):
         cache = (x, hs, cs, gates)
         return hs[1:], cache
 
-    def backward(self, cache, d_h_seq, d_h_last=None):
+    def backward(self, cache, d_h_seq):
         x, hs, cs, gates = cache
         H = self.hidden
         s = x.shape[0]
-        U = self.params["U"]
-        d_x = np.zeros_like(x)
+        i, f, g, o = np.array(gates).reshape(s, 4, H).transpose(1, 0, 2)
+        U_T = self.params["U"].T
+        # Everything that does not depend on d_h or d_c, per step: the i, f, g
+        # pre-activation grads are d_c times c_scale, the o one is d_h times
+        # o_scale, and d_h reaches d_c through h_to_c.
+        tc = np.tanh(cs[1:])
+        c_scale = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+        o_scale = tc * o * (1.0 - o)
+        h_to_c = o * (1.0 - tc * tc)
+
+        d_pre = np.empty((s, 4, H), dtype=x.dtype)  # gate pre-activation grads, i f g o
         d_h = np.zeros(H, dtype=x.dtype)
         d_c = np.zeros(H, dtype=x.dtype)
-        if d_h_last is not None:
-            d_h = d_h + d_h_last
         for t in range(s - 1, -1, -1):
             d_h = d_h + d_h_seq[t]
-            i, f, g, o = gates[t]
-            tc = np.tanh(cs[t + 1])
-            d_o = d_h * tc
-            d_c = d_c + d_h * o * (1.0 - tc * tc)
-            d_i = d_c * g
-            d_g = d_c * i
-            d_f = d_c * cs[t]
-            d_c = d_c * f
-            d_pre = np.concatenate(
-                [
-                    d_i * i * (1.0 - i),
-                    d_f * f * (1.0 - f),
-                    d_g * (1.0 - g * g),
-                    d_o * o * (1.0 - o),
-                ]
-            )
-            self.grads["W"] += np.outer(x[t], d_pre)
-            self.grads["U"] += np.outer(hs[t], d_pre)
-            self.grads["b"] += d_pre
-            d_x[t] = d_pre @ self.params["W"].T
-            d_h = d_pre @ U.T
-        return d_x
+            d_c = d_c + d_h * h_to_c[t]
+            d_pre[t, :3] = d_c * c_scale[t]
+            d_pre[t, 3] = d_h * o_scale[t]
+            d_c = d_c * f[t]
+            d_h = d_pre[t].ravel() @ U_T
+
+        d_pre = d_pre.reshape(s, 4 * H)
+        self.grads["W"] += x.T @ d_pre
+        self.grads["U"] += hs[:-1].T @ d_pre
+        self.grads["b"] += d_pre.sum(axis=0)
+        return d_pre @ self.params["W"].T
 
 
 class _Bi:

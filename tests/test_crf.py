@@ -1,8 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from segtool.corpus import BIO_TAGS, N_TAGS, TAG_INDEX
 from segtool.crf import (
@@ -12,6 +14,7 @@ from segtool.crf import (
     log_partition,
     nll_and_grads,
     path_score,
+    tags_to_indices,
     viterbi,
 )
 
@@ -26,6 +29,41 @@ def score_oracle(e, p, path, start_mask=None, trans_mask=None):
         if trans_mask is not None:
             total += trans_mask[path[j - 1], path[j]]
     return total + p.stop[path[-1]]
+
+
+def nll_and_grads_oracle(e, p, idx):
+    """Step-by-step forward-backward with scipy's logsumexp: the gold
+    score, the alphas, the betas and the pairwise marginals are all
+    accumulated one position at a time."""
+    s = e.shape[0]
+    alphas = np.empty_like(e)
+    alphas[0] = p.start + e[0]
+    for j in range(1, s):
+        alphas[j] = logsumexp(alphas[j - 1][:, None] + p.transitions, axis=0) + e[j]
+    betas = np.empty_like(e)
+    betas[-1] = p.stop
+    for j in range(s - 2, -1, -1):
+        betas[j] = logsumexp(p.transitions + (e[j + 1] + betas[j + 1])[None, :], axis=1)
+    log_z = logsumexp(alphas[-1] + p.stop)
+    gold = p.start[idx[0]] + e[0, idx[0]]
+    for j in range(1, s):
+        gold = gold + p.transitions[idx[j - 1], idx[j]] + e[j, idx[j]]
+    loss = log_z - (gold + p.stop[idx[-1]])
+
+    unary = np.exp(alphas + betas - log_z)
+    d_e = unary.copy()
+    d_e[np.arange(s), idx] -= 1.0
+    d_start = unary[0].copy()
+    d_start[idx[0]] -= 1.0
+    d_stop = unary[-1].copy()
+    d_stop[idx[-1]] -= 1.0
+    d_trans = np.zeros_like(p.transitions)
+    for j in range(s - 1):
+        d_trans += np.exp(
+            alphas[j][:, None] + p.transitions + (e[j + 1] + betas[j + 1])[None, :] - log_z
+        )
+        d_trans[idx[j], idx[j + 1]] -= 1.0
+    return float(loss), d_e, CrfParams(d_trans, d_start, d_stop)
 
 
 def enumerate_paths(s, n=N_TAGS):
@@ -91,8 +129,6 @@ class TestLogPartition:
     def test_single_token_row(self):
         rng = np.random.default_rng(1)
         e = rng.standard_normal((1, N_TAGS))
-        from scipy.special import logsumexp
-
         assert log_partition(e, CrfParams.zeros()) == pytest.approx(
             float(logsumexp(e[0]))
         )
@@ -180,6 +216,53 @@ class TestNll:
                 flat[i] = old
                 fd = (lp - lm) / (2 * step)
                 assert abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])) < 1e-4
+
+
+    @pytest.mark.parametrize("s", [1, 2, 80, 900])
+    def test_matches_stepwise_oracle(self, s):
+        rng = np.random.default_rng(300 + s)
+        e = rng.standard_normal((s, N_TAGS)) * 5
+        p = CrfParams.random(rng)
+        gold = [int(t) for t in rng.integers(N_TAGS, size=s)]
+        loss, d_e, g = nll_and_grads(e, p, gold)
+        loss_ref, d_e_ref, g_ref = nll_and_grads_oracle(e, p, gold)
+        assert loss == pytest.approx(loss_ref, rel=1e-10)
+        np.testing.assert_allclose(d_e, d_e_ref, rtol=1e-10)
+        for name in ("transitions", "start", "stop"):
+            np.testing.assert_allclose(
+                getattr(g, name), getattr(g_ref, name), rtol=1e-10, err_msg=name
+            )
+
+    def test_masked_transitions_stay_finite(self):
+        # -inf transitions (the BIO mask, plus a tag that can be neither
+        # entered nor left) must not turn the recursions into nan or warn
+        rng = np.random.default_rng(9)
+        e = rng.standard_normal((6, N_TAGS))
+        start_mask, trans_mask = bio_transition_mask()
+        p = CrfParams(trans_mask.copy(), start_mask.copy(), np.zeros(N_TAGS))
+        dead = TAG_INDEX["B-SS"]
+        p.transitions[:, dead] = p.transitions[dead, :] = p.start[dead] = -np.inf
+        gold = [TAG_INDEX[t] for t in ["O", "B-CC", "I-CC", "O", "B-PU", "O"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, d_e, g = nll_and_grads(e, p, gold)
+        loss_ref, d_e_ref, _ = nll_and_grads_oracle(e, p, gold)
+        assert np.isfinite(loss) and loss == pytest.approx(loss_ref, rel=1e-10)
+        np.testing.assert_allclose(d_e, d_e_ref, rtol=1e-10)
+        assert np.all(np.isfinite(g.transitions))
+        assert np.all(d_e[:, dead] == 0.0)
+
+    def test_numpy_integer_tags(self):
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal((7, N_TAGS))
+        p = CrfParams.random(rng)
+        tags = list(rng.integers(N_TAGS, size=7))
+        assert tags_to_indices(tags) == [int(t) for t in tags]
+        loss, d_e, _ = nll_and_grads(e, p, tags)
+        loss_int, d_e_int, _ = nll_and_grads(e, p, [int(t) for t in tags])
+        assert loss == loss_int
+        assert np.array_equal(d_e, d_e_int)
+        assert path_score(e, p, tags) == path_score(e, p, [int(t) for t in tags])
 
 
 class TestViterbi:

@@ -110,6 +110,27 @@ class TestBiGruEncoder:
         checks = [("x", x, d_x)] + [(k, enc.params[k], enc.grads[k]) for k in enc.params]
         fd_check(checks, loss, rng)
 
+    def test_finite_difference_recurrent_dropout(self):
+        # the same recurrent mask on every loss call: reseed the dropout rng
+        rng = np.random.default_rng(7)
+        enc = BiGruEncoder(rng, 3, 4, recurrent_dropout_rate=0.5)
+        x = rng.standard_normal((6, 3))
+        w = rng.standard_normal((6, 8))
+
+        def encode():
+            return enc.encode(x, train=True, rng=np.random.default_rng(11))
+
+        def loss():
+            return float((encode()[0] * w).sum())
+
+        out, cache = encode()
+        rec_mask = cache[0][0][-1]
+        assert rec_mask is not None and np.any(rec_mask == 0) and np.any(rec_mask != 0)
+        enc.zero_grads()
+        d_x = enc.backward(cache, w)
+        checks = [("x", x, d_x)] + [(k, enc.params[k], enc.grads[k]) for k in enc.params]
+        fd_check(checks, loss, rng, samples=8)
+
 
 def attention_oracle(q, k, v):
     s, d = q.shape
