@@ -12,6 +12,7 @@ weights from per-token logits (dme) or from a tiny context biLSTM run
 over each projected stream (cdme).
 """
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -80,10 +81,6 @@ class LookupTable(nn.Component):
     def backward_sequence(self, idx, d_out):
         if self.trainable:
             np.add.at(self.grads["matrix"], idx, d_out)
-
-
-def lookup_embed(table, token):
-    return table.embed(token)
 
 
 def load_lookup_table(path, trainable=False):
@@ -185,13 +182,13 @@ class SubwordHashEmbedder(nn.Component):
                 np.add.at(self.grads["buckets"], ids, d / len(ids))
 
 
-def subword_embed(embedder, token):
-    return embedder.embed(token)
-
-
 class CharEncoder:
     """biLSTM over a token's code points; output is the concatenation of
-    the final forward and backward states (80-dim at the default width)."""
+    the final forward and backward states (80-dim at the default width).
+
+    ``forward_tokens`` encodes each distinct token once, and runs the
+    distinct tokens of one length as one (tokens, length, char_dim) batch.
+    """
 
     def __init__(self, rng, chars, char_dim=16, hidden=40, dtype=np.float64):
         vocab = {}
@@ -228,21 +225,44 @@ class CharEncoder:
         self.table.zero_grads()
         self.rnn.zero_grads()
 
-    def forward(self, token):
-        if not token:
+    def forward_tokens(self, tokens):
+        """(len(tokens), out_dim) encodings and the cache for
+        ``backward_tokens``."""
+        if not all(tokens):
             raise EmptyToken("cannot encode the empty token")
-        x, idx = self.table.embed_sequence(list(token))
-        out, cache = self.rnn.forward(x)
-        return self.rnn.final_states(out), (idx, cache, len(token))
+        distinct = sorted(dict.fromkeys(tokens), key=len)
+        row = {t: k for k, t in enumerate(distinct)}
+        vecs = np.empty((len(distinct), self.out_dim), dtype=self.table.params["matrix"].dtype)
+        groups = []  # (first row, token count, length, char rows, biLSTM cache)
+        start = 0
+        for length, group in itertools.groupby(distinct, key=len):
+            group = list(group)
+            x, idx = self.table.embed_sequence("".join(group))
+            out, cache = self.rnn.forward(x.reshape(len(group), length, -1))
+            vecs[start : start + len(group)] = self.rnn.final_states(out)
+            groups.append((start, len(group), length, idx, cache))
+            start += len(group)
+        where = np.array([row[t] for t in tokens], dtype=np.int64)
+        return vecs[where], (where, len(distinct), groups)
+
+    def backward_tokens(self, cache, d_vecs):
+        where, n_distinct, groups = cache
+        # a repeated token's gradients add up before its one LSTM backward
+        d_distinct = np.zeros((n_distinct, self.out_dim), dtype=d_vecs.dtype)
+        np.add.at(d_distinct, where, d_vecs)
+        for start, count, length, idx, rnn_cache in groups:
+            d_x = self.rnn.backward_from_final(
+                rnn_cache, d_distinct[start : start + count], length
+            )
+            self.table.backward_sequence(idx, d_x.reshape(count * length, -1))
+
+    def forward(self, token):
+        """One token: its (out_dim,) encoding and the cache for ``backward``."""
+        vecs, cache = self.forward_tokens([token])
+        return vecs[0], cache
 
     def backward(self, cache, d_vec):
-        idx, rnn_cache, s = cache
-        d_x = self.rnn.backward_from_final(rnn_cache, d_vec, s)
-        self.table.backward_sequence(idx, d_x)
-
-
-def char_encode(encoder, token):
-    return encoder.forward(token)[0]
+        self.backward_tokens(cache, d_vec[None])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +334,8 @@ def load_streams(path, doc_token_counts=None):
             arr = np.frombuffer(data, dtype="<f4", count=count * d, offset=off)
             arrays.append(arr.reshape(count, d).astype(np.float64))
             off += size
+        if doc_id in vectors:
+            raise FormatError(f"duplicate doc id {doc_id!r}")
         if doc_token_counts is not None:
             expected = doc_token_counts.get(doc_id)
             if expected is not None and expected != count:
@@ -404,25 +426,20 @@ class MetaCombiner:
         a, b = self._params["a"], self._params["b"]
         if self.mode == "dme":
             logits = proj @ a + b  # (n, s)
-            ctx_caches, hs = None, None
+            ctx_cache, hs = None, None
         else:
-            ctx_caches, hs = [], []
-            for i in range(n):
-                h, cache = self.context.forward(proj[i])
-                hs.append(h)
-                ctx_caches.append(cache)
-            hs = np.stack(hs)  # (n, s, 2m)
+            hs, ctx_cache = self.context.forward(proj)  # (n, s, 2m)
             logits = hs @ a + b
         alphas = nn.softmax(logits, axis=0)  # (n, s)
         out = np.einsum("ns,nsd->sd", alphas, proj)
-        cache = (streams, proj, alphas, hs, ctx_caches)
+        cache = (streams, proj, alphas, hs, ctx_cache)
         return out, alphas, cache
 
     def backward(self, cache, d_out):
         if self.mode == "concat":
             dims = np.cumsum([0] + self.dims)
             return [d_out[:, dims[i] : dims[i + 1]] for i in range(len(self.dims))]
-        streams, proj, alphas, hs, ctx_caches = cache
+        streams, proj, alphas, hs, ctx_cache = cache
 
         n, s, _ = proj.shape
         a = self._params["a"]
@@ -436,8 +453,7 @@ class MetaCombiner:
         else:
             self._grads["a"] += np.einsum("ns,nsh->h", d_logits, hs)
             d_h = d_logits[:, :, None] * a[None, None, :]
-            for i in range(n):
-                d_proj[i] += self.context.backward(ctx_caches[i], d_h[i])
+            d_proj += self.context.backward(ctx_cache, d_h)
 
         d_streams = []
         for i in range(n):

@@ -5,7 +5,8 @@ and accumulates gradients of the same shapes in ``self.grads``.
 ``forward`` returns (output, cache); ``backward`` consumes the cache and
 the upstream gradient, accumulates parameter gradients, and returns the
 gradient with respect to the input.  Sequences are arrays of shape
-(time, features).
+(time, features); the LSTM also takes (..., time, features), whose
+leading axes are independent sequences of one length run in lockstep.
 """
 
 import numpy as np
@@ -99,29 +100,26 @@ class Gru(Component):
         xw = x @ self.params["W"] + self.params["b"]
         U = self.params["U"]
         hs = np.zeros((s + 1, H), dtype=dtype)
-        zs, rs, ns, hms = [], [], [], []
-        h = hs[0]
+        zr = np.empty((s, 2 * H), dtype=dtype)
+        n = np.empty((s, H), dtype=dtype)
+        # h as the gates see it: h itself, or h times the recurrent mask
+        hm = hs[:-1] if rec_mask is None else np.empty((s, H), dtype=dtype)
         for t in range(s):
-            hm = h * rec_mask if rec_mask is not None else h
-            hu = hm @ U
-            z = _sigmoid(xw[t, :H] + hu[:H])
-            r = _sigmoid(xw[t, H : 2 * H] + hu[H : 2 * H])
-            n = np.tanh(xw[t, 2 * H :] + (r * hm) @ U[:, 2 * H :])
-            h = (1.0 - z) * h + z * n
-            hs[t + 1] = h
-            zs.append(z)
-            rs.append(r)
-            ns.append(n)
-            hms.append(hm)
-        cache = (x, hs, zs, rs, ns, hms, rec_mask)
+            if rec_mask is not None:
+                hm[t] = hs[t] * rec_mask
+            hu = hm[t] @ U
+            zr[t] = _sigmoid(xw[t, : 2 * H] + hu[: 2 * H])
+            z, r = zr[t, :H], zr[t, H:]
+            n[t] = np.tanh(xw[t, 2 * H :] + (r * hm[t]) @ U[:, 2 * H :])
+            hs[t + 1] = (1.0 - z) * hs[t] + z * n[t]
+        cache = (x, hs, zr[:, :H], zr[:, H:], n, hm, rec_mask)
         return hs[1:], cache
 
     def backward(self, cache, d_h_seq):
-        x, hs, zs, rs, ns, hms, rec_mask = cache
+        x, hs, z, r, n, hm, rec_mask = cache
         H = self.hidden
         s = x.shape[0]
         U = self.params["U"]
-        z, r, n, hm = (np.array(a).reshape(s, H) for a in (zs, rs, ns, hms))
         U_zr_T = U[:, : 2 * H].T
         U_n_T = U[:, 2 * H :].T
         r_keep = r
@@ -155,7 +153,8 @@ class Gru(Component):
 
 
 class Lstm(Component):
-    """Single-direction LSTM scanning a (s, d_in) sequence.
+    """Single-direction LSTM scanning (..., s, d_in) input: the leading axes
+    are independent sequences of length s, run in lockstep.
 
     Gate order: input i, forget f, cell g, output o.
     """
@@ -174,54 +173,58 @@ class Lstm(Component):
 
     def forward(self, x):
         H = self.hidden
-        s = x.shape[0]
+        *lead, s, _ = x.shape
+        lead = tuple(lead)
         dtype = self.params["W"].dtype
         xw = x @ self.params["W"] + self.params["b"]
         U = self.params["U"]
-        hs = np.zeros((s + 1, H), dtype=dtype)
-        cs = np.zeros((s + 1, H), dtype=dtype)
-        gates = []
+        hs = np.zeros(lead + (s + 1, H), dtype=dtype)
+        cs = np.zeros(lead + (s + 1, H), dtype=dtype)
+        gates = np.empty(lead + (s, 4, H), dtype=dtype)
         for t in range(s):
-            pre = xw[t] + hs[t] @ U
-            i = _sigmoid(pre[:H])
-            f = _sigmoid(pre[H : 2 * H])
-            g = np.tanh(pre[2 * H : 3 * H])
-            o = _sigmoid(pre[3 * H :])
-            cs[t + 1] = f * cs[t] + i * g
-            hs[t + 1] = o * np.tanh(cs[t + 1])
-            gates.append((i, f, g, o))
+            pre = (xw[..., t, :] + hs[..., t, :] @ U).reshape(lead + (4, H))
+            gt = gates[..., t, :, :]
+            gt[...] = _sigmoid(pre)
+            gt[..., 2, :] = np.tanh(pre[..., 2, :])
+            i, f, g, o = (gt[..., k, :] for k in range(4))
+            cs[..., t + 1, :] = f * cs[..., t, :] + i * g
+            hs[..., t + 1, :] = o * np.tanh(cs[..., t + 1, :])
         cache = (x, hs, cs, gates)
-        return hs[1:], cache
+        return hs[..., 1:, :], cache
 
     def backward(self, cache, d_h_seq):
         x, hs, cs, gates = cache
         H = self.hidden
-        s = x.shape[0]
-        i, f, g, o = np.array(gates).reshape(s, 4, H).transpose(1, 0, 2)
+        *lead, s, _ = x.shape
+        lead = tuple(lead)
+        i, f, g, o = np.moveaxis(gates, -2, 0)
         U_T = self.params["U"].T
         # Everything that does not depend on d_h or d_c, per step: the i, f, g
         # pre-activation grads are d_c times c_scale, the o one is d_h times
         # o_scale, and d_h reaches d_c through h_to_c.
-        tc = np.tanh(cs[1:])
-        c_scale = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+        tc = np.tanh(cs[..., 1:, :])
+        c_scale = np.stack(
+            [g * i * (1.0 - i), cs[..., :-1, :] * f * (1.0 - f), i * (1.0 - g * g)], axis=-2
+        )
         o_scale = tc * o * (1.0 - o)
         h_to_c = o * (1.0 - tc * tc)
 
-        d_pre = np.empty((s, 4, H), dtype=x.dtype)  # gate pre-activation grads, i f g o
-        d_h = np.zeros(H, dtype=x.dtype)
-        d_c = np.zeros(H, dtype=x.dtype)
+        d_pre = np.empty(lead + (s, 4, H), dtype=x.dtype)  # gate pre-activation grads, i f g o
+        d_h = np.zeros(lead + (H,), dtype=x.dtype)
+        d_c = np.zeros(lead + (H,), dtype=x.dtype)
         for t in range(s - 1, -1, -1):
-            d_h = d_h + d_h_seq[t]
-            d_c = d_c + d_h * h_to_c[t]
-            d_pre[t, :3] = d_c * c_scale[t]
-            d_pre[t, 3] = d_h * o_scale[t]
-            d_c = d_c * f[t]
-            d_h = d_pre[t].ravel() @ U_T
+            d_h = d_h + d_h_seq[..., t, :]
+            d_c = d_c + d_h * h_to_c[..., t, :]
+            d_pre[..., t, :3, :] = d_c[..., None, :] * c_scale[..., t, :, :]
+            d_pre[..., t, 3, :] = d_h * o_scale[..., t, :]
+            d_c = d_c * f[..., t, :]
+            d_h = d_pre[..., t, :, :].reshape(lead + (4 * H,)) @ U_T
 
-        d_pre = d_pre.reshape(s, 4 * H)
-        self.grads["W"] += x.T @ d_pre
-        self.grads["U"] += hs[:-1].T @ d_pre
-        self.grads["b"] += d_pre.sum(axis=0)
+        d_pre = d_pre.reshape(lead + (s, 4 * H))
+        d_flat = d_pre.reshape(-1, 4 * H)
+        self.grads["W"] += x.reshape(-1, x.shape[-1]).T @ d_flat
+        self.grads["U"] += hs[..., :-1, :].reshape(-1, H).T @ d_flat
+        self.grads["b"] += d_flat.sum(axis=0)
         return d_pre @ self.params["W"].T
 
 
@@ -254,27 +257,28 @@ class _Bi:
 
     def forward(self, x, **kw):
         hf, cf = self.f.forward(x, **kw)
-        hb_rev, cb = self.b.forward(x[::-1], **kw)
-        out = np.concatenate([hf, hb_rev[::-1]], axis=1)
+        hb_rev, cb = self.b.forward(x[..., ::-1, :], **kw)
+        out = np.concatenate([hf, hb_rev[..., ::-1, :]], axis=-1)
         return out, (cf, cb)
 
     def backward(self, cache, d_out):
         cf, cb = cache
         H = self.hidden
-        d_x = self.f.backward(cf, d_out[:, :H])
-        d_x = d_x + self.b.backward(cb, d_out[::-1, H:])[::-1]
+        d_x = self.f.backward(cf, d_out[..., :H])
+        d_x = d_x + self.b.backward(cb, d_out[..., ::-1, H:])[..., ::-1, :]
         return d_x
 
     def final_states(self, out):
         """Concatenated last forward and last backward states (the
         backward cell's last state sits at position 0 of its block)."""
-        return np.concatenate([out[-1, : self.hidden], out[0, self.hidden :]])
+        H = self.hidden
+        return np.concatenate([out[..., -1, :H], out[..., 0, H:]], axis=-1)
 
     def backward_from_final(self, cache, d_final, seq_len):
         H = self.hidden
-        d_out = np.zeros((seq_len, 2 * H), dtype=d_final.dtype)
-        d_out[-1, :H] = d_final[:H]
-        d_out[0, H:] = d_final[H:]
+        d_out = np.zeros(d_final.shape[:-1] + (seq_len, 2 * H), dtype=d_final.dtype)
+        d_out[..., -1, :H] = d_final[..., :H]
+        d_out[..., 0, H:] = d_final[..., H:]
         return self.backward(cache, d_out)
 
 

@@ -8,6 +8,7 @@ whole-document statistics, so with all boosts at 1 the fielded query
 ranks identically to the whole-question query.
 """
 
+import functools
 import gzip
 import json
 import math
@@ -67,8 +68,9 @@ class FieldedIndex:
     def n_docs(self):
         return len(self.doc_lengths)
 
-    @property
+    @functools.cached_property
     def avg_len(self):
+        # computed once: an index is not changed after it is built or loaded
         return sum(self.doc_lengths.values()) / self.n_docs
 
     def idf(self, term):

@@ -209,13 +209,8 @@ class SegModel:
             cols.append(out)
             caches["subword"] = idx
         if self.char is not None:
-            vecs, ch_caches = [], []
-            for t in toks:
-                v, c = self.char.forward(t)
-                vecs.append(v)
-                ch_caches.append(c)
-            cols.append(np.stack(vecs))
-            caches["char"] = ch_caches
+            out, caches["char"] = self.char.forward_tokens(toks)
+            cols.append(out)
         if self.combiner is not None:
             arrs = self._doc_streams(doc, streams)
             out, _, c_cache = self.combiner.forward(arrs)
@@ -240,9 +235,7 @@ class SegModel:
         if self.subword is not None:
             self.subword.backward_sequence(caches["subword"], col())
         if self.char is not None:
-            d_col = col()
-            for c, d in zip(caches["char"], d_col):
-                self.char.backward(c, d)
+            self.char.backward_tokens(caches["char"], col())
         if self.combiner is not None:
             self.combiner.backward(caches["comb"], col())
 
@@ -533,16 +526,17 @@ def _check_gru(rng, probes):
 
 def _check_char(rng, probes):
     enc = CharEncoder(rng, "abcxyz/.-", char_dim=4, hidden=5)
-    token = "xy/z.a"
+    # two lengths, one token repeated, one unknown char ("q")
+    tokens = ["xy/z.a", "ab", "xy/z.a", "q.", "zzcaby"]
     holder = {}
 
     def forward():
-        v, cache = enc.forward(token)
+        v, cache = enc.forward_tokens(tokens)
         holder["cache"] = cache
         return v
 
     def backward(r):
-        enc.backward(holder["cache"], r)
+        enc.backward_tokens(holder["cache"], r)
 
     return _weighted_sum_check(enc, None, rng, probes, forward, backward)
 

@@ -5,6 +5,7 @@ import pytest
 from segtool import synth
 from segtool.cli import main
 from segtool.corpus import save_corpus
+from segtool.embeddings import save_streams
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,19 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json}\n")
         assert main(["stats", "--corpus", str(bad)]) == 2
+
+    def test_duplicate_stream_doc_is_data_error(self, tmp_path, capsys):
+        docs = synth.gen_corpus(n_docs=2, seed=1)
+        cfile = tmp_path / "c.jsonl"
+        save_corpus(docs, cfile)
+        sfile = tmp_path / "s.bin"
+        streams = synth.gen_streams(docs, seed=1)
+        save_streams(streams, sfile)
+        data = sfile.read_bytes()
+        header = 5 + 4 + 4 * streams.n  # magic, stream count, dims
+        sfile.write_bytes(data + data[header:])  # every document twice
+        assert main(["train", "--corpus", str(cfile), "--streams", str(sfile)]) == 2
+        assert repr(docs[0].id) in capsys.readouterr().err
 
 
 class TestStatsAndAgree:

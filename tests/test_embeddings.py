@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segtool import synth
 from segtool.embeddings import (
     CharEncoder,
     ContextualStreamSet,
@@ -19,6 +20,7 @@ from segtool.embeddings import (
     save_streams,
     token_ngrams,
 )
+from segtool.trainer import SegModel, TrainConfig
 
 
 def cosine(a, b):
@@ -120,22 +122,22 @@ class TestCharEncoder:
     def test_output_dim_default(self):
         rng = np.random.default_rng(0)
         enc = CharEncoder(rng, "abc")
-        vec, _ = enc.forward("cab")
+        vec = enc.forward_tokens(["cab"])[0][0]
         assert vec.shape == (80,)
 
     def test_unknown_chars_fall_back(self):
         rng = np.random.default_rng(1)
         enc = CharEncoder(rng, "ab", char_dim=4, hidden=3)
         # "xy" and "zq" are all-unknown, same length: identical encodings
-        v1, _ = enc.forward("xy")
-        v2, _ = enc.forward("zq")
+        v1 = enc.forward_tokens(["xy"])[0][0]
+        v2 = enc.forward_tokens(["zq"])[0][0]
         assert np.array_equal(v1, v2)
 
     def test_direction_sensitivity(self):
         rng = np.random.default_rng(2)
         enc = CharEncoder(rng, "ab", char_dim=4, hidden=3)
-        v_ab, _ = enc.forward("ab")
-        v_ba, _ = enc.forward("ba")
+        v_ab = enc.forward_tokens(["ab"])[0][0]
+        v_ba = enc.forward_tokens(["ba"])[0][0]
         assert not np.array_equal(v_ab, v_ba)
 
     def test_gradcheck(self):
@@ -145,12 +147,12 @@ class TestCharEncoder:
         token = "abdca"
 
         def loss():
-            vec, _ = enc.forward(token)
+            vec = enc.forward_tokens([token])[0][0]
             return float(w @ vec)
 
-        vec, cache = enc.forward(token)
+        _, cache = enc.forward_tokens([token])
         enc.zero_grads()
-        enc.backward(cache, w)
+        enc.backward_tokens(cache, w[None])
         step = 1e-5
         for name, p in enc.params.items():
             flat = p.reshape(-1)
@@ -164,6 +166,115 @@ class TestCharEncoder:
                 flat[i] = old
                 fd = (lp - lm) / (2 * step)
                 assert abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i])) < 1e-4, name
+
+
+def char_forward_oracle(enc, token):
+    """One biLSTM call per token (the encoder before it batched tokens)."""
+    x, idx = enc.table.embed_sequence(list(token))
+    out, cache = enc.rnn.forward(x)
+    return enc.rnn.final_states(out), (idx, cache, len(token))
+
+
+def char_backward_oracle(enc, cache, d_vec):
+    idx, rnn_cache, s = cache
+    d_x = enc.rnn.backward_from_final(rnn_cache, d_vec, s)
+    enc.table.backward_sequence(idx, d_x)
+
+
+class PerTokenCharEncoder(CharEncoder):
+    """Encodes and back-propagates token by token with the oracle above."""
+
+    def forward_tokens(self, tokens):
+        vecs, caches = zip(*(char_forward_oracle(self, t) for t in tokens))
+        return np.stack(vecs), caches
+
+    def backward_tokens(self, caches, d_vecs):
+        for c, d in zip(caches, d_vecs):
+            char_backward_oracle(self, c, d)
+
+
+class PerStreamContext:
+    """The cdme context biLSTM run once per stream (the combiner before it
+    batched its streams); parameters and gradients are the wrapped one's."""
+
+    def __init__(self, rnn):
+        self.rnn = rnn
+
+    def __getattr__(self, name):
+        return getattr(self.rnn, name)
+
+    def forward(self, proj):
+        outs, caches = zip(*(self.rnn.forward(p) for p in proj))
+        return np.stack(outs), caches
+
+    def backward(self, caches, d_h):
+        return np.stack([self.rnn.backward(c, d) for c, d in zip(caches, d_h)])
+
+
+# lengths 1, 2 and 5; repeated tokens; "q", "x" and "z" are not in the vocabulary
+TOKENS = ["ab", "a", "abcde", "ab", "qz", "a", "xbcqa", "abcde", "q"]
+
+
+class TestBatchedCharEncoder:
+    def test_matches_per_token_oracle(self):
+        batched = CharEncoder(np.random.default_rng(9), "abcde", char_dim=4, hidden=3)
+        oracle = PerTokenCharEncoder(np.random.default_rng(9), "abcde", char_dim=4, hidden=3)
+        d_vecs = np.random.default_rng(10).standard_normal((len(TOKENS), batched.out_dim))
+        out = []
+        for enc in (batched, oracle):
+            vecs, cache = enc.forward_tokens(TOKENS)
+            enc.zero_grads()
+            enc.backward_tokens(cache, d_vecs)
+            out.append(vecs)
+        np.testing.assert_allclose(out[0], out[1], rtol=1e-10)
+        for k in batched.params:
+            np.testing.assert_allclose(batched.grads[k], oracle.grads[k], rtol=1e-10, err_msg=k)
+        # the one-token call gives the same encoding
+        np.testing.assert_allclose(
+            batched.forward("xbcqa")[0], out[0][TOKENS.index("xbcqa")], rtol=1e-10
+        )
+
+    def test_empty_token(self):
+        enc = CharEncoder(np.random.default_rng(0), "ab")
+        with pytest.raises(EmptyToken):
+            enc.forward_tokens(["ab", ""])
+
+
+class SegModel64(SegModel):
+    DTYPE = np.float64
+
+
+def test_model_matches_per_token_per_stream_oracle():
+    # the whole model, float64: batching the char biLSTM over tokens and the
+    # cdme context biLSTM over streams leaves loss and gradients unchanged
+    docs = synth.gen_corpus(n_docs=6, seed=4)
+    streams = synth.gen_streams(docs, seed=4)
+    tokens = [t for d in docs for t in d.token_texts()]
+    assert len({len(t) for t in tokens}) > 1 and len(set(tokens)) < len(tokens)
+    chars = "".join(sorted({c for t in tokens for c in t}))
+    cfg = TrainConfig(
+        hidden=6, lookup_dim=4, use_char=True, char_dim=3, char_hidden=4,
+        combiner_mode="cdme", d_prime=5, attention_mode="weighted", attention_dim=4,
+        dropout=0.0,
+    )
+    batched = SegModel64(cfg, tokens, chars, streams.dims)
+    oracle = SegModel64(cfg, tokens, chars, streams.dims)
+    oracle.char.__class__ = PerTokenCharEncoder
+    oracle.combiner.context = PerStreamContext(oracle.combiner.context)
+    batched.zero_grads()
+    oracle.zero_grads()
+    for doc in docs:
+        loss = batched.doc_loss(doc, streams, train=True, scale=0.5)
+        assert loss == pytest.approx(oracle.doc_loss(doc, streams, train=True, scale=0.5),
+                                     rel=1e-10, abs=0)
+    expected = oracle.named_grads()
+    for k, g in batched.named_grads().items():
+        if k == "comb.b":
+            # softmax over streams ignores a shift shared by all logits, so
+            # this gradient is zero up to round-off in both
+            assert abs(g) < 1e-14 and abs(expected[k]) < 1e-14
+            continue
+        np.testing.assert_allclose(g, expected[k], rtol=1e-10, err_msg=k)
 
 
 def make_streams(rng, dims, docs):
@@ -210,6 +321,16 @@ class TestStreamFiles:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE!123")
         with pytest.raises(FormatError):
+            load_streams(path)
+
+    def test_duplicate_doc_id(self, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "s.bin"
+        save_streams(make_streams(rng, [4], [("a", 2)]), path)
+        data = path.read_bytes()
+        header = 5 + 4 + 4  # magic, stream count, one dim
+        path.write_bytes(data + data[header:])
+        with pytest.raises(FormatError, match="'a'"):
             load_streams(path)
 
     def test_truncated(self, tmp_path):

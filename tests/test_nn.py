@@ -134,3 +134,30 @@ def test_backward_accumulates(cls):
     cell.backward(cache, d_h_seq)
     for k, g in cell.grads.items():
         np.testing.assert_allclose(g, 2 * once[k], rtol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("s", [1, 5])
+def test_lstm_batch_matches_per_sequence(B, s):
+    # (B, s, d) input runs B independent sequences in lockstep: outputs,
+    # input gradients and summed parameter gradients equal a per-sequence loop
+    rng = np.random.default_rng(40 + 10 * B + s)
+    cell = Lstm(rng, 6, 5)
+    x = rng.standard_normal((B, s, 6))
+    d_h_seq = rng.standard_normal((B, s, 5))
+
+    outs, d_xs = [], []
+    cell.zero_grads()
+    for b in range(B):
+        h, cache = cell.forward(x[b])
+        outs.append(h)
+        d_xs.append(cell.backward(cache, d_h_seq[b]))
+    grads_ref = {k: g.copy() for k, g in cell.grads.items()}
+
+    cell.zero_grads()
+    h, cache = cell.forward(x)
+    d_x = cell.backward(cache, d_h_seq)
+    np.testing.assert_allclose(h, np.stack(outs), rtol=1e-10)
+    np.testing.assert_allclose(d_x, np.stack(d_xs), rtol=1e-10)
+    for k in cell.params:
+        np.testing.assert_allclose(cell.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
