@@ -7,7 +7,6 @@ verification).  All randomness is controlled by --seed.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -70,13 +69,6 @@ def _load_train_config(args):
     return cfg
 
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -131,10 +123,10 @@ def _cmd_predict(args):
     docs = corpus.load_corpus(args.corpus)
     model = trainer.SegModel.load(args.model)
     streams = _load_streams_arg(args, docs)
-    pred = _pmap(lambda d: trainer.predict(model, d, streams), docs, args.jobs)
-    out = []
-    for doc, spans in zip(docs, pred):
-        out.append(corpus.AnnotatedDocument(doc.id, doc.text, doc.tokens, spans))
+    out = [
+        corpus.AnnotatedDocument(d.id, d.text, d.tokens, trainer.predict(model, d, streams))
+        for d in docs
+    ]
     corpus.save_corpus(out, args.out)
     print(f"wrote {len(out)} documents to {args.out}")
     return 0
@@ -322,7 +314,6 @@ def build_parser():
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
         return sp
 
     sp = add("stats", _cmd_stats, help="corpus statistics")

@@ -5,7 +5,9 @@ forward-backward marginals, and Viterbi decoding with optional BIO
 well-formedness constraints.  All arithmetic is in log space with
 max-shifted logsumexp; documents in this domain run to ~900 tokens, so
 naive probability products would underflow.  Only the recursions loop
-over time; marginals and counts are whole-array operations.
+over time; marginals and counts are whole-array operations.  The
+likelihood also takes a zero-padded batch of sequences, (..., s, n), and
+runs the recursions of all of them in lockstep.
 """
 
 from dataclasses import dataclass
@@ -86,30 +88,49 @@ def path_score(emissions, params, tags):
     s = emissions.shape[0]
     if len(tags) != s:
         raise LengthMismatch(f"{len(tags)} tags for {s} emissions")
-    return _score(emissions, params, np.asarray(tags_to_indices(tags), dtype=np.intp))
+    return float(_score(emissions, params, np.asarray(tags_to_indices(tags), dtype=np.intp)))
 
 
-def _score(emissions, params, idx):
-    total = params.start[idx[0]] + emissions[np.arange(len(idx)), idx].sum()
-    total = total + params.transitions[idx[:-1], idx[1:]].sum()
-    return float(total + params.stop[idx[-1]])
+def _score(emissions, params, idx, lengths=None, valid=None):
+    """Gold path scores of (..., s) tag indices, each summed over its own
+    length."""
+    gold_e = np.take_along_axis(emissions, idx[..., None], axis=-1)[..., 0]
+    trans = params.transitions[idx[..., :-1], idx[..., 1:]]
+    if valid is None:
+        last = idx[..., -1]
+    else:
+        gold_e = np.where(valid, gold_e, 0.0)
+        trans = np.where(valid[..., 1:], trans, 0.0)
+        last = np.take_along_axis(idx, lengths[..., None] - 1, axis=-1)[..., 0]
+    total = params.start[idx[..., 0]] + gold_e.sum(axis=-1)
+    total = total + trans.sum(axis=-1)
+    return total + params.stop[last]
 
 
-def _forward(emissions, params):
-    s = emissions.shape[0]
+def _forward(emissions, params, valid=None):
+    s = emissions.shape[-2]
     alphas = np.empty_like(emissions)
-    alphas[0] = params.start + emissions[0]
+    alphas[..., 0, :] = params.start + emissions[..., 0, :]
     for j in range(1, s):
-        alphas[j] = _logsumexp(alphas[j - 1][:, None] + params.transitions, 0) + emissions[j]
+        a = _logsumexp(alphas[..., j - 1, :, None] + params.transitions, -2) + emissions[..., j, :]
+        if valid is not None:
+            # a sequence that has ended carries its last alphas through the padding
+            a = np.where(valid[..., j, None], a, alphas[..., j - 1, :])
+        alphas[..., j, :] = a
     return alphas
 
 
-def _backward(emissions, params):
-    s = emissions.shape[0]
+def _backward(emissions, params, valid=None):
+    s = emissions.shape[-2]
     betas = np.empty_like(emissions)
-    betas[-1] = params.stop
+    betas[..., -1, :] = params.stop
     for j in range(s - 2, -1, -1):
-        betas[j] = _logsumexp(params.transitions + (emissions[j + 1] + betas[j + 1]), 1)
+        nxt = emissions[..., j + 1, None, :] + betas[..., j + 1, None, :]
+        b = _logsumexp(params.transitions + nxt, -1)
+        if valid is not None:
+            # the stop scores stand at every position from a sequence's last on
+            b = np.where(valid[..., j + 1, None], b, betas[..., j + 1, :])
+        betas[..., j, :] = b
     return betas
 
 
@@ -118,45 +139,64 @@ def log_partition(emissions, params):
     return float(_logsumexp(alphas[-1] + params.stop, 0))
 
 
-def nll_and_grads(emissions, params, gold_tags):
+def nll_and_grads(emissions, params, gold_tags, lengths=None):
     """Negative log-likelihood of the gold path and its exact gradients.
 
     Gradients are model expectations (forward-backward marginals) minus
-    empirical counts.
+    empirical counts.  ``emissions`` is (s, n) for one sequence, or
+    (..., s, n) for a batch of sequences zero-padded after their
+    ``lengths`` (all s when None), with (..., s) gold tag indices.  Returns
+    the loss per sequence (a float for one sequence), the emission
+    gradients (zero at padded positions) and the parameter gradients
+    summed over the batch.
     """
-    s, n = emissions.shape
-    if len(gold_tags) != s:
-        raise LengthMismatch(f"{len(gold_tags)} tags for {s} emissions")
-    idx = np.asarray(tags_to_indices(gold_tags), dtype=np.intp)
+    s, n = emissions.shape[-2:]
+    idx = np.asarray(gold_tags)
+    if idx.dtype.kind not in "iu":
+        idx = np.asarray(tags_to_indices(gold_tags), dtype=np.intp)
+    if idx.shape != emissions.shape[:-1]:
+        raise LengthMismatch(f"{idx.shape} tags for {emissions.shape[:-1]} emissions")
+    valid = None
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != idx.shape[:-1] or lengths.min() < 1 or lengths.max() > s:
+            raise LengthMismatch(f"lengths {lengths} for {emissions.shape[:-1]} emissions")
+        valid = np.arange(s) < lengths[..., None]
+    if s == 0:
+        raise LengthMismatch("empty sequence")
 
-    alphas = _forward(emissions, params)
-    betas = _backward(emissions, params)
-    log_z = _logsumexp(alphas[-1] + params.stop, 0)
-    loss = log_z - _score(emissions, params, idx)
+    alphas = _forward(emissions, params, valid)
+    betas = _backward(emissions, params, valid)
+    # the alphas of a padded sequence end on those of its last position
+    log_z = _logsumexp(alphas[..., -1, :] + params.stop, -1)
+    loss = log_z - _score(emissions, params, idx, lengths, valid)
 
-    # Unary marginals.
-    unary = np.exp(alphas + betas - log_z)
+    # Unary marginals; at padded positions they repeat the last position's.
+    unary = np.exp(alphas + betas - log_z[..., None, None])
+    gold = idx[..., None] == np.arange(n)
 
-    d_e = unary.copy()
-    d_e[np.arange(s), idx] -= 1.0
+    d_e = unary - gold
+    if valid is not None:
+        d_e = np.where(valid[..., None], d_e, 0.0)
+    d_start = (unary[..., 0, :] - gold[..., 0, :]).reshape(-1, n).sum(axis=0)
+    last_gold = gold[..., -1, :] if valid is None else np.take_along_axis(
+        gold, lengths[..., None, None] - 1, axis=-2
+    )[..., 0, :]
+    d_stop = (unary[..., -1, :] - last_gold).reshape(-1, n).sum(axis=0)
 
-    d_start = unary[0].copy()
-    d_start[idx[0]] -= 1.0
-    d_stop = unary[-1].copy()
-    d_stop[idx[-1]] -= 1.0
-
-    # Pairwise marginals of every step j -> j+1 at once: (s-1, from, to).
-    pair = np.exp(
-        alphas[:-1, :, None]
-        + params.transitions
-        + (emissions[1:] + betas[1:])[:, None, :]
-        - log_z
-    )
-    d_trans = pair.sum(axis=0)
-    np.subtract.at(d_trans, (idx[:-1], idx[1:]), 1.0)
+    # Pairwise marginals of every step j -> j+1 at once: (..., s-1, from, to).
+    pair = alphas[..., :-1, :, None] + params.transitions
+    pair += (emissions[..., 1:, :] + betas[..., 1:, :])[..., None, :]
+    pair -= log_z[..., None, None, None]
+    if valid is not None:
+        pair[~valid[..., 1:]] = -np.inf
+    d_trans = np.exp(pair, out=pair).reshape(-1, n, n).sum(axis=0)
+    pairs = (idx[..., :-1] * n + idx[..., 1:]).ravel()
+    weights = None if valid is None else valid[..., 1:].ravel()
+    d_trans -= np.bincount(pairs, weights, minlength=n * n).reshape(n, n)
 
     grads = CrfParams(d_trans, d_start, d_stop)
-    return float(loss), d_e, grads
+    return (float(loss) if loss.ndim == 0 else loss), d_e, grads
 
 
 def viterbi(emissions, params, constrain_bio=False):

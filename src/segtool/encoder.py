@@ -45,22 +45,35 @@ class BiGruEncoder:
     def zero_grads(self):
         self.rnn.zero_grads()
 
-    def encode(self, x, train=False, rng=None):
-        """x: (s, input_dim) -> (s, 2H).  Dropout is applied only when
-        train=True; the recurrent mask is shared across time steps."""
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimMismatch(f"expected (s, {self.input_dim}), got {x.shape}")
+    def encode(self, x, train=False, rng=None, lengths=None):
+        """x: (..., s, input_dim) -> (..., s, 2H).  The leading axes hold
+        sequences zero-padded after their ``lengths`` (all s when None).
+        Dropout is applied only when train=True, drawn per sequence in
+        order: its (length, input_dim) input mask, then its recurrent mask,
+        which is shared across time steps."""
+        if x.ndim < 2 or x.shape[-1] != self.input_dim:
+            raise DimMismatch(f"expected (..., s, {self.input_dim}), got {x.shape}")
+        lead, s = x.shape[:-2], x.shape[-2]
         in_mask = None
         rec_mask = None
         if train and rng is not None:
+            keep_in = 1.0 - self.dropout_rate
+            keep_rec = 1.0 - self.recurrent_dropout_rate
+            # masks in the features' dtype, so float32 stays float32
             if self.dropout_rate > 0:
-                keep = 1.0 - self.dropout_rate
-                in_mask = (rng.random(x.shape) < keep) / keep
-                x = x * in_mask
+                in_mask = np.zeros(x.shape, dtype=x.dtype)
             if self.recurrent_dropout_rate > 0:
-                keep = 1.0 - self.recurrent_dropout_rate
-                rec_mask = (rng.random(self.hidden) < keep) / keep
-        out, cache = self.rnn.forward(x, rec_mask=rec_mask)
+                rec_mask = np.empty(lead + (self.hidden,), dtype=x.dtype)
+            n_valid = np.broadcast_to(s if lengths is None else lengths, lead)
+            for b in np.ndindex(lead):
+                if in_mask is not None:
+                    n = n_valid[b]
+                    in_mask[b][:n] = (rng.random((n, x.shape[-1])) < keep_in) / keep_in
+                if rec_mask is not None:
+                    rec_mask[b] = (rng.random(self.hidden) < keep_rec) / keep_rec
+            if in_mask is not None:
+                x = x * in_mask
+        out, cache = self.rnn.forward(x, lengths=lengths, rec_mask=rec_mask)
         return out, (cache, in_mask)
 
     def backward(self, cache, d_out):
@@ -71,24 +84,28 @@ class BiGruEncoder:
         return d_x
 
 
-def scaled_dot_attention(q, k, v):
-    """softmax(QK^T/sqrt(d)) V with row-wise softmax.  Returns the output
-    and a cache for the backward pass."""
-    d = q.shape[1]
-    scores = q @ k.T / np.sqrt(d)
-    attn = nn.softmax(scores, axis=1)
+def scaled_dot_attention(q, k, v, lengths=None):
+    """softmax(QK^T/sqrt(d)) V with row-wise softmax over (..., s, d)
+    inputs; with ``lengths``, keys past each sequence's length get weight 0.
+    Returns the output and a cache for the backward pass."""
+    d = q.shape[-1]
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(d)
+    if lengths is not None:
+        padded = np.arange(k.shape[-2]) >= np.asarray(lengths)[..., None, None]
+        scores = np.where(padded, -np.inf, scores)
+    attn = nn.softmax(scores, axis=-1)
     out = attn @ v
     return out, attn, (q, k, v, attn)
 
 
 def scaled_dot_attention_backward(cache, d_out):
     q, k, v, attn = cache
-    d = q.shape[1]
-    d_v = attn.T @ d_out
-    d_attn = d_out @ v.T
-    d_scores = nn.softmax_backward(attn, d_attn, axis=1)
+    d = q.shape[-1]
+    d_v = np.swapaxes(attn, -1, -2) @ d_out
+    d_attn = d_out @ np.swapaxes(v, -1, -2)
+    d_scores = nn.softmax_backward(attn, d_attn, axis=-1)
     d_q = d_scores @ k / np.sqrt(d)
-    d_k = d_scores.T @ q / np.sqrt(d)
+    d_k = np.swapaxes(d_scores, -1, -2) @ q / np.sqrt(d)
     return d_q, d_k, d_v
 
 
@@ -117,16 +134,17 @@ class AttentionLayer:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def forward(self, h):
-        if h.ndim != 2 or h.shape[1] != self.d_model:
-            raise DimMismatch(f"expected (s, {self.d_model}), got {h.shape}")
+    def forward(self, h, lengths=None):
+        """h: (..., s, d_model); ``lengths`` as in scaled_dot_attention."""
+        if h.ndim < 2 or h.shape[-1] != self.d_model:
+            raise DimMismatch(f"expected (..., s, {self.d_model}), got {h.shape}")
         if self.mode == "unweighted":
-            out, attn, cache = scaled_dot_attention(h, h, h)
+            out, attn, cache = scaled_dot_attention(h, h, h, lengths)
             return out, (cache, None)
         q = h @ self.params["Wq"]
         k = h @ self.params["Wk"]
         v = h @ self.params["Wv"]
-        out, attn, cache = scaled_dot_attention(q, k, v)
+        out, attn, cache = scaled_dot_attention(q, k, v, lengths)
         return out, (cache, h)
 
     def backward(self, cache, d_out):
@@ -134,9 +152,10 @@ class AttentionLayer:
         d_q, d_k, d_v = scaled_dot_attention_backward(sdp_cache, d_out)
         if self.mode == "unweighted":
             return d_q + d_k + d_v
-        self.grads["Wq"] += h.T @ d_q
-        self.grads["Wk"] += h.T @ d_k
-        self.grads["Wv"] += h.T @ d_v
+        h_rows = h.reshape(-1, h.shape[-1]).T
+        self.grads["Wq"] += h_rows @ d_q.reshape(-1, d_q.shape[-1])
+        self.grads["Wk"] += h_rows @ d_k.reshape(-1, d_k.shape[-1])
+        self.grads["Wv"] += h_rows @ d_v.reshape(-1, d_v.shape[-1])
         return (
             d_q @ self.params["Wq"].T
             + d_k @ self.params["Wk"].T

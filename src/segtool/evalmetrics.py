@@ -102,26 +102,51 @@ def span_set_coverage(spans, spans_prime):
     return sum(span_coverage(s, sp) for s in spans for sp in spans_prime)
 
 
-def _pr(gold, pred):
+def _label_coverages(gold, pred):
+    """One document's coverage sums per label: label -> (coverage of the
+    predictions by gold, coverage of gold by the predictions, #pred,
+    #gold).  Spans of different labels cover each other 0."""
+    by_label = {}
+    for sp in gold:
+        by_label.setdefault(sp.label, ([], []))[0].append(sp)
+    for sp in pred:
+        by_label.setdefault(sp.label, ([], []))[1].append(sp)
+    return {
+        lab: (
+            sum(span_coverage(s, sp) for s in g for sp in p),
+            sum(span_coverage(sp, s) for sp in p for s in g),
+            len(p),
+            len(g),
+        )
+        for lab, (g, p) in by_label.items()
+    }
+
+
+def _total(docs, labels=None):
+    """(coverage of pred, coverage of gold, #pred, #gold) summed over
+    documents and over ``labels`` (all when None)."""
+    cov_p = cov_g = 0.0
+    n_p = n_g = 0
+    for doc in docs:
+        for lab in doc if labels is None else labels:
+            cp, cg, npred, ngold = doc.get(lab, (0.0, 0.0, 0, 0))
+            cov_p, cov_g, n_p, n_g = cov_p + cp, cov_g + cg, n_p + npred, n_g + ngold
+    return cov_p, cov_g, n_p, n_g
+
+
+def _prf(cov_p, cov_g, n_p, n_g):
     # Empty-set conventions: precision is vacuously 1 with no predictions,
     # recall vacuously 1 with no gold.
-    if not pred:
-        p = 1.0
-    else:
-        p = span_set_coverage(gold, pred) / len(pred)
-    if not gold:
-        r = 1.0
-    else:
-        r = span_set_coverage(pred, gold) / len(gold)
-    return PRF(p, r)
+    return PRF(1.0 if n_p == 0 else cov_p / n_p, 1.0 if n_g == 0 else cov_g / n_g)
 
 
 def soft_pr(gold_sets, pred_sets, macro=False):
     """Evaluate predicted span sets against gold, one pair per document.
 
     Accepts either a single pair of span lists or parallel lists of
-    per-document span lists.  Micro pools spans across documents before
-    scoring; macro averages per-document P/R.
+    per-document span lists.  Micro scores pool spans across documents;
+    macro averages per-document P/R.  Spans of different documents never
+    overlap, so the pooled coverages are sums of per-document ones.
     """
     gold_sets, pred_sets = _normalize(gold_sets, pred_sets)
     if len(gold_sets) != len(pred_sets):
@@ -129,50 +154,22 @@ def soft_pr(gold_sets, pred_sets, macro=False):
     for g, p in zip(gold_sets, pred_sets):
         _check_disjoint(g)
         _check_disjoint(p)
+    docs = [_label_coverages(g, p) for g, p in zip(gold_sets, pred_sets)]
 
-    # Pool with per-document offsets so spans from different documents
-    # never intersect.
-    pooled_g, pooled_p = [], []
-    offset = 0
-    for g, p in zip(gold_sets, pred_sets):
-        hi = max([s.end_token for s in g + p], default=0)
-        pooled_g += [_shift(s, offset) for s in g]
-        pooled_p += [_shift(s, offset) for s in p]
-        offset += hi
-
-    if macro:
-        prs = [_pr(g, p) for g, p in zip(gold_sets, pred_sets)]
-        micro = PRF(
+    def score(labels):
+        if not macro:
+            return _prf(*_total(docs, labels))
+        prs = [_prf(*_total([doc], labels)) for doc in docs]
+        return PRF(
             sum(x.precision for x in prs) / len(prs),
             sum(x.recall for x in prs) / len(prs),
         )
-    else:
-        micro = _pr(pooled_g, pooled_p)
 
-    per_label = {}
-    for lab in LABELS:
-        if macro:
-            prs = [
-                _pr([s for s in g if s.label == lab], [s for s in p if s.label == lab])
-                for g, p in zip(gold_sets, pred_sets)
-            ]
-            per_label[lab] = PRF(
-                sum(x.precision for x in prs) / len(prs),
-                sum(x.recall for x in prs) / len(prs),
-            )
-        else:
-            per_label[lab] = _pr(
-                [s for s in pooled_g if s.label == lab],
-                [s for s in pooled_p if s.label == lab],
-            )
-
+    micro = score(None)
+    per_label = {lab: score([lab]) for lab in LABELS}
     n_gold = sum(len(g) for g in gold_sets)
     n_pred = sum(len(p) for p in pred_sets)
     return EvalReport(micro, per_label, n_gold, n_pred)
-
-
-def _shift(span, offset):
-    return type(span)(span.start_token + offset, span.end_token + offset, span.label)
 
 
 def exact_match_pr(gold_sets, pred_sets):

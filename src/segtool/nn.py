@@ -5,8 +5,12 @@ and accumulates gradients of the same shapes in ``self.grads``.
 ``forward`` returns (output, cache); ``backward`` consumes the cache and
 the upstream gradient, accumulates parameter gradients, and returns the
 gradient with respect to the input.  Sequences are arrays of shape
-(time, features); the LSTM also takes (..., time, features), whose
-leading axes are independent sequences of one length run in lockstep.
+(..., time, features): the leading axes are independent sequences run in
+lockstep, so a mini-batch of documents is one zero-padded (B, T, d)
+array.  Padding trails each sequence, so it never feeds a valid step
+forward; the bidirectional wrapper reverses each sequence within its own
+length for the same reason, and a zero upstream gradient at the padded
+positions keeps them out of every gradient.
 """
 
 import numpy as np
@@ -68,17 +72,21 @@ class Linear(Component):
 
     def backward(self, cache, d_out):
         x = cache
-        self.grads["W"] += x.T @ d_out
-        self.grads["b"] += d_out.sum(axis=0)
+        d_flat = d_out.reshape(-1, d_out.shape[-1])
+        self.grads["W"] += x.reshape(-1, x.shape[-1]).T @ d_flat
+        self.grads["b"] += d_flat.sum(axis=0)
         return d_out @ self.params["W"].T
 
 
 class Gru(Component):
-    """Single-direction GRU scanning a (s, d_in) sequence.
+    """Single-direction GRU scanning (..., s, d_in) input: the leading axes
+    are independent sequences of length s, run in lockstep.
 
     Gate order: update z, reset r, candidate n.  An optional recurrent
-    dropout mask (shape (hidden,), same mask at every step) multiplies the
-    previous hidden state on the gate inputs only.
+    dropout mask, one (hidden,) row per sequence (shape (..., hidden),
+    the same mask at every step), multiplies the previous hidden state on
+    the gate inputs only.  The states are kept time-major, (s, ..., H),
+    so every step reads and writes contiguous rows.
     """
 
     def __init__(self, rng, d_in, hidden, dtype=np.float64):
@@ -95,61 +103,70 @@ class Gru(Component):
 
     def forward(self, x, rec_mask=None):
         H = self.hidden
-        s = x.shape[0]
+        s = x.shape[-2]
+        lead = x.shape[:-2]
         dtype = self.params["W"].dtype
-        xw = x @ self.params["W"] + self.params["b"]
+        xw = np.moveaxis(x, -2, 0) @ self.params["W"] + self.params["b"]
+        xw_zr, xw_n = xw[..., : 2 * H], xw[..., 2 * H :]
         U = self.params["U"]
-        hs = np.zeros((s + 1, H), dtype=dtype)
-        zr = np.empty((s, 2 * H), dtype=dtype)
-        n = np.empty((s, H), dtype=dtype)
+        U_zr, U_n = np.ascontiguousarray(U[:, : 2 * H]), np.ascontiguousarray(U[:, 2 * H :])
+        hs = np.zeros((s + 1,) + lead + (H,), dtype=dtype)
+        zr = np.empty((s,) + lead + (2 * H,), dtype=dtype)
+        z, r = zr[..., :H], zr[..., H:]
+        n = np.empty((s,) + lead + (H,), dtype=dtype)
         # h as the gates see it: h itself, or h times the recurrent mask
-        hm = hs[:-1] if rec_mask is None else np.empty((s, H), dtype=dtype)
+        hm = hs[:-1] if rec_mask is None else np.empty((s,) + lead + (H,), dtype=dtype)
         for t in range(s):
             if rec_mask is not None:
                 hm[t] = hs[t] * rec_mask
-            hu = hm[t] @ U
-            zr[t] = _sigmoid(xw[t, : 2 * H] + hu[: 2 * H])
-            z, r = zr[t, :H], zr[t, H:]
-            n[t] = np.tanh(xw[t, 2 * H :] + (r * hm[t]) @ U[:, 2 * H :])
-            hs[t + 1] = (1.0 - z) * hs[t] + z * n[t]
-        cache = (x, hs, zr[:, :H], zr[:, H:], n, hm, rec_mask)
-        return hs[1:], cache
+            zr[t] = _sigmoid(xw_zr[t] + hm[t] @ U_zr)
+            n[t] = np.tanh(xw_n[t] + (r[t] * hm[t]) @ U_n)
+            hs[t + 1] = hs[t] + z[t] * (n[t] - hs[t])
+        cache = (x, hs, z, r, n, hm, rec_mask)
+        return np.moveaxis(hs[1:], 0, -2), cache
 
     def backward(self, cache, d_h_seq):
         x, hs, z, r, n, hm, rec_mask = cache
         H = self.hidden
-        s = x.shape[0]
+        s = x.shape[-2]
+        lead = x.shape[:-2]
         U = self.params["U"]
-        U_zr_T = U[:, : 2 * H].T
-        U_n_T = U[:, 2 * H :].T
-        r_keep = r
-        if rec_mask is not None:
-            # The mask multiplies h on the gate inputs only, so it scales
-            # what flows back to h through them.
-            U_zr_T = U_zr_T * rec_mask
-            r_keep = r * rec_mask
+        U_zr_T = np.ascontiguousarray(U[:, : 2 * H].T)
+        U_n_T = np.ascontiguousarray(U[:, 2 * H :].T)
         # Everything that does not depend on d_h, per step: d_z_pre and d_n_pre
-        # are d_h times zn_scale; d_r_pre is d_rhm times r_scale.
-        zn_scale = np.stack([(n - hs[:-1]) * z * (1.0 - z), z * (1.0 - n * n)], axis=1)
+        # are d_h times z_scale and n_scale; d_r_pre is d_rhm times r_scale.
+        z_scale = (n - hs[:-1]) * z * (1.0 - z)
+        n_scale = z * (1.0 - n * n)
         r_scale = hm * r * (1.0 - r)
         one_minus_z = 1.0 - z
+        d_h_seq = np.moveaxis(d_h_seq, -2, 0)
 
-        d_pre = np.empty((s, 3, H), dtype=x.dtype)  # gate pre-activation grads, z r n
-        d_h = np.zeros(H, dtype=x.dtype)
+        # gate pre-activation grads, z r n; the loop indexes views by t only
+        d_pre = np.empty((s,) + lead + (3, H), dtype=x.dtype)
+        d_z, d_r, d_n = (d_pre[..., k, :] for k in range(3))
+        d_zr = d_pre[..., :2, :].reshape((s,) + lead + (2 * H,))
+        d_h = np.zeros(lead + (H,), dtype=x.dtype)
         for t in range(s - 1, -1, -1):
             d_h = d_h + d_h_seq[t]
-            d_pre[t, ::2] = d_h * zn_scale[t]
+            d_z[t] = d_h * z_scale[t]
+            d_n[t] = d_h * n_scale[t]
             # through n: inputs x W_n + (r*hm) U_n
-            d_rhm = d_pre[t, 2] @ U_n_T
-            d_pre[t, 1] = d_rhm * r_scale[t]
-            d_h = d_h * one_minus_z[t] + d_rhm * r_keep[t] + d_pre[t, :2].ravel() @ U_zr_T
+            d_rhm = d_n[t] @ U_n_T
+            d_r[t] = d_rhm * r_scale[t]
+            d_hm = d_rhm * r[t] + d_zr[t] @ U_zr_T
+            if rec_mask is not None:
+                # the mask multiplies h on the gate inputs only
+                d_hm *= rec_mask
+            d_h = d_h * one_minus_z[t] + d_hm
 
-        d_pre = d_pre.reshape(s, 3 * H)
-        self.grads["W"] += x.T @ d_pre
+        d_pre = d_pre.reshape(-1, 3 * H)
+        x_rows = np.moveaxis(x, -2, 0).reshape(-1, x.shape[-1])
+        self.grads["W"] += x_rows.T @ d_pre
         self.grads["b"] += d_pre.sum(axis=0)
-        self.grads["U"][:, : 2 * H] += hm.T @ d_pre[:, : 2 * H]
-        self.grads["U"][:, 2 * H :] += (r * hm).T @ d_pre[:, 2 * H :]
-        return d_pre @ self.params["W"].T
+        self.grads["U"][:, : 2 * H] += hm.reshape(-1, H).T @ d_pre[:, : 2 * H]
+        self.grads["U"][:, 2 * H :] += (r * hm).reshape(-1, H).T @ d_pre[:, 2 * H :]
+        d_x = (d_pre @ self.params["W"].T).reshape((s,) + lead + (x.shape[-1],))
+        return np.moveaxis(d_x, 0, -2)
 
 
 class Lstm(Component):
@@ -228,9 +245,31 @@ class Lstm(Component):
         return d_pre @ self.params["W"].T
 
 
+def _reversal(s, lengths):
+    """Per sequence, the index that reverses its first lengths[b] positions
+    and keeps the padding after them in place; None without lengths (a
+    plain reversal)."""
+    if lengths is None:
+        return None
+    t = np.arange(s)
+    lengths = np.asarray(lengths)[..., None]
+    return np.where(t < lengths, lengths - 1 - t, t)
+
+
+def _reverse(a, rev):
+    if rev is None:
+        return a[..., ::-1, :]
+    return np.take_along_axis(a, rev[..., None], axis=-2)
+
+
 class _Bi:
     """Two independent recurrent cells, one scanning forward and one over
-    the reversed sequence; outputs are concatenated per position."""
+    the reversed sequence; outputs are concatenated per position.
+
+    With ``lengths`` the leading axes hold zero-padded sequences, valid in
+    their first lengths[...] positions; each is reversed within its own
+    length, so the backward cell, too, meets the padding only after every
+    valid step."""
 
     cell_cls = None
 
@@ -255,17 +294,18 @@ class _Bi:
         self.f.zero_grads()
         self.b.zero_grads()
 
-    def forward(self, x, **kw):
+    def forward(self, x, lengths=None, **kw):
+        rev = _reversal(x.shape[-2], lengths)
         hf, cf = self.f.forward(x, **kw)
-        hb_rev, cb = self.b.forward(x[..., ::-1, :], **kw)
-        out = np.concatenate([hf, hb_rev[..., ::-1, :]], axis=-1)
-        return out, (cf, cb)
+        hb_rev, cb = self.b.forward(_reverse(x, rev), **kw)
+        out = np.concatenate([hf, _reverse(hb_rev, rev)], axis=-1)
+        return out, (cf, cb, rev)
 
     def backward(self, cache, d_out):
-        cf, cb = cache
+        cf, cb, rev = cache
         H = self.hidden
         d_x = self.f.backward(cf, d_out[..., :H])
-        d_x = d_x + self.b.backward(cb, d_out[..., ::-1, H:])[..., ::-1, :]
+        d_x = d_x + _reverse(self.b.backward(cb, _reverse(d_out[..., H:], rev)), rev)
         return d_x
 
     def final_states(self, out):

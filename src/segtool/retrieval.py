@@ -269,8 +269,10 @@ def save_index(index, path):
         "doc_lengths": index.doc_lengths,
         "postings": {t: p for t, p in index.postings.items()},
     }
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+    # one string, one gzip stream: json.dump into a text wrapper would make
+    # tens of thousands of small writes
+    with gzip.open(path, "wb", compresslevel=6) as fh:
+        fh.write(json.dumps(obj).encode("utf-8"))
 
 
 def load_index(path):

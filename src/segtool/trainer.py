@@ -1,6 +1,10 @@
 """End-to-end segmentation model: embedding providers -> biGRU ->
 optional attention -> CRF, with a mini-batch Adam training loop,
 checkpointing, and a finite-difference gradient verification harness.
+
+Features are computed per document; a mini-batch then runs through the
+biGRU, attention, emission layer and CRF as one zero-padded (B, T, .)
+batch with a vector of document lengths.
 """
 
 import copy
@@ -12,9 +16,18 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import nn
-from .corpus import BIO_TAGS, bio_to_spans, spans_to_bio
+from .corpus import (
+    BIO_TAGS,
+    LABELS,
+    AnnotatedDocument,
+    SegmentSpan,
+    bio_to_spans,
+    spans_to_bio,
+    tokenize,
+)
 from .embeddings import (
     CharEncoder,
+    ContextualStreamSet,
     LookupTable,
     MetaCombiner,
     SubwordHashEmbedder,
@@ -197,7 +210,7 @@ class SegModel:
             arrs = [arrs[i] for i in self.cfg.stream_indices]
         return [np.asarray(a, dtype=self.DTYPE) for a in arrs]
 
-    def _features(self, doc, streams, train=False, rng=None):
+    def _features(self, doc, streams):
         toks = doc.token_texts()
         cols, caches = [], {}
         if self.lookup is not None:
@@ -239,35 +252,54 @@ class SegModel:
         if self.combiner is not None:
             self.combiner.backward(caches["comb"], col())
 
-    def emissions(self, doc, streams=None, train=False, rng=None):
-        x, f_caches = self._features(doc, streams, train, rng)
-        h, e_cache = self.encoder.encode(x, train=train, rng=rng)
+    def emissions(self, docs, streams=None, train=False, rng=None):
+        """Emission scores of a mini-batch of non-empty documents: a
+        float64 (B, T, n_tags) array zero-padded to the longest document,
+        and the caches for ``backward``."""
+        feats = [self._features(doc, streams) for doc in docs]
+        lengths = np.array([len(x) for x, _ in feats])
+        x = np.zeros((len(docs), lengths.max(), feats[0][0].shape[1]), dtype=self.DTYPE)
+        for row, (xb, _) in zip(x, feats):
+            row[: len(xb)] = xb
+        ragged = _ragged(lengths)
+        h, e_cache = self.encoder.encode(x, train=train, rng=rng, lengths=ragged)
         a_cache = None
         if self.attention is not None:
-            h, a_cache = self.attention.forward(h)
+            h, a_cache = self.attention.forward(h, ragged)
         e, l_cache = self.emit.forward(h)
-        return e.astype(np.float64), (f_caches, e_cache, a_cache, l_cache)
+        f_caches = [c for _, c in feats]
+        return e.astype(np.float64), (f_caches, lengths, e_cache, a_cache, l_cache)
 
     def backward(self, caches, d_e):
-        f_caches, e_cache, a_cache, l_cache = caches
+        f_caches, lengths, e_cache, a_cache, l_cache = caches
         d_h = self.emit.backward(l_cache, d_e.astype(self.DTYPE))
         if self.attention is not None:
             d_h = self.attention.backward(a_cache, d_h)
         d_x = self.encoder.backward(e_cache, d_h)
-        self._features_backward(f_caches, d_x)
+        for f_cache, d_xb, n in zip(f_caches, d_x, lengths):
+            self._features_backward(f_cache, d_xb[:n])
 
-    def doc_loss(self, doc, streams=None, train=False, rng=None, scale=1.0):
-        """NLL of the gold tags; accumulates scaled gradients when
-        train=True."""
-        gold = spans_to_bio(doc)
-        e, caches = self.emissions(doc, streams, train=train, rng=rng)
-        loss, d_e, crf_g = crf_mod.nll_and_grads(e, self._crf64(), gold)
+    def batch_loss(self, docs, streams=None, train=False, rng=None, scale=1.0):
+        """NLL of each document's gold tags, as a (B,) array, computed for
+        the mini-batch at once; accumulates gradients scaled by ``scale``
+        when train=True."""
+        e, caches = self.emissions(docs, streams, train=train, rng=rng)
+        lengths = caches[1]
+        gold = np.zeros(e.shape[:2], dtype=np.intp)
+        for row, doc, n in zip(gold, docs, lengths):
+            row[:n] = crf_mod.tags_to_indices(spans_to_bio(doc))
+        losses, d_e, crf_g = crf_mod.nll_and_grads(e, self._crf64(), gold, _ragged(lengths))
         if train:
             self.backward(caches, d_e * scale)
             self.crf_grads.transitions += (crf_g.transitions * scale).astype(self.DTYPE)
             self.crf_grads.start += (crf_g.start * scale).astype(self.DTYPE)
             self.crf_grads.stop += (crf_g.stop * scale).astype(self.DTYPE)
-        return loss
+        return losses
+
+    def doc_loss(self, doc, streams=None, train=False, rng=None, scale=1.0):
+        """NLL of one document's gold tags; accumulates scaled gradients
+        when train=True."""
+        return float(self.batch_loss([doc], streams, train, rng, scale)[0])
 
     def _crf64(self):
         return crf_mod.CrfParams(
@@ -315,6 +347,11 @@ class SegModel:
         return model
 
 
+def _ragged(lengths):
+    """The lengths of a batch, or None when no document is padded."""
+    return lengths if lengths.min() < lengths.max() else None
+
+
 def _vocab_rows(vocab):
     # tokens ordered by their row index (row 0 is unk, not listed)
     return [t for t, _ in sorted(vocab.items(), key=lambda kv: kv[1])]
@@ -325,8 +362,8 @@ def predict(model, doc, streams=None):
     Viterbi)."""
     if not doc.tokens:
         return []
-    e, _ = model.emissions(doc, streams)
-    tags, _ = crf_mod.viterbi(e, model._crf64(), constrain_bio=True)
+    e, _ = model.emissions([doc], streams)
+    tags, _ = crf_mod.viterbi(e[0], model._crf64(), constrain_bio=True)
     return bio_to_spans(tags)
 
 
@@ -352,8 +389,8 @@ def evaluate_model(model, docs, streams=None, macro=False):
 
 
 def _batches(docs, batch_size, rng):
-    # bucket by length so padding-free per-doc processing stays balanced,
-    # then visit buckets in shuffled order
+    # bucket by length, so each batch pads its documents to about the same
+    # length, then visit buckets in shuffled order
     order = sorted(range(len(docs)), key=lambda i: (len(docs[i].tokens), i))
     chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     rng.shuffle(chunks)
@@ -385,13 +422,11 @@ def train(train_docs, val_docs, streams, cfg):
             if not batch:
                 continue
             model.zero_grads()
-            scale = 1.0 / len(batch)
-            for doc in batch:
-                loss = model.doc_loss(doc, streams, train=True, rng=rng, scale=scale)
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(epoch, step)
-                total_nll += loss
-                n_docs += 1
+            losses = model.batch_loss(batch, streams, train=True, rng=rng, scale=1.0 / len(batch))
+            if not np.all(np.isfinite(losses)):
+                raise NonFiniteLoss(epoch, step)
+            total_nll += float(losses.sum())
+            n_docs += len(batch)
             grads = model.named_grads()
             nn.clip_global_norm(list(grads.values()), cfg.clip_norm)
             opt.step(model.named_params(), grads)
@@ -589,6 +624,41 @@ def _check_combiner(rng, probes, mode="cdme"):
     return _fd_probe(params, analytic, loss, rng, probes)
 
 
+class _SegModel64(SegModel):
+    DTYPE = np.float64
+
+
+def _check_model(rng, probes):
+    """The composed model's batched loss (lookup, char, cdme and weighted
+    attention; no dropout) over a ragged batch of 1, 4 and 7 tokens."""
+    docs = []
+    for i, n in enumerate((1, 4, 7)):
+        text = " ".join(rng.choice(["ab", "c.d", "xyz", "q", "zz-a"], size=n))
+        end = int(rng.integers(1, n + 1))
+        spans = [SegmentSpan(int(rng.integers(end)), end, LABELS[i])]
+        docs.append(AnnotatedDocument(f"d{i}", text, tokenize(text), spans))
+    dims = [3, 4]
+    streams = ContextualStreamSet(
+        dims, {d.id: [rng.standard_normal((len(d.tokens), k)) for k in dims] for d in docs}
+    )
+    cfg = TrainConfig(
+        hidden=4, lookup_dim=3, use_char=True, char_dim=3, char_hidden=3,
+        combiner_mode="cdme", d_prime=4, attention_mode="weighted", attention_dim=3,
+        dropout=0.0, seed=int(rng.integers(1 << 16)),
+    )
+    tokens = [t for d in docs for t in d.token_texts()]
+    model = _SegModel64(cfg, tokens, "".join(sorted(set("".join(tokens)))), dims)
+    params = model.named_params()
+    for k in ("crf.transitions", "crf.start", "crf.stop"):
+        params[k][...] = rng.standard_normal(params[k].shape)
+    model.zero_grads()
+    model.batch_loss(docs, streams, train=True)
+    return _fd_probe(
+        params, model.named_grads(), lambda: float(np.sum(model.batch_loss(docs, streams))),
+        rng, probes, step=1e-5,
+    )
+
+
 def _check_logreg(rng, probes):
     from .baselines import logreg_loss_and_grad
 
@@ -615,6 +685,7 @@ _CHECKS = {
     "dme": lambda rng, p: _check_combiner(rng, p, "dme"),
     "cdme": lambda rng, p: _check_combiner(rng, p, "cdme"),
     "logreg": _check_logreg,
+    "model": _check_model,
 }
 
 

@@ -90,6 +90,12 @@ class TestGradcheck:
         assert main(["gradcheck", "--component", "crf", "--trials", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_model_below_1e6(self, capsys):
+        argv = ["gradcheck", "--component", "model", "--trials", "10", "--tolerance", "1e-6"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("model") and "PASS" in out
+
     def test_unknown_component(self, capsys):
         assert main(["gradcheck", "--component", "nope"]) == 2
 

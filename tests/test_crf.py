@@ -265,6 +265,47 @@ class TestNll:
         assert path_score(e, p, tags) == path_score(e, p, [int(t) for t in tags])
 
 
+class TestBatchedNll:
+    def test_matches_per_document_oracle(self):
+        # lengths 1, 80 and 2 zero-padded into one (3, 80, n) batch; the
+        # padded emissions and tags hold junk that must not matter
+        rng = np.random.default_rng(400)
+        lengths = np.array([1, 80, 2])
+        e = rng.standard_normal((3, 80, N_TAGS)) * 5
+        gold = rng.integers(N_TAGS, size=(3, 80))
+        p = CrfParams.random(rng)
+        losses, d_e, g = nll_and_grads(e, p, gold, lengths)
+        assert losses.shape == (3,)
+        g_ref = CrfParams.zeros()
+        for b, n in enumerate(lengths):
+            loss_ref, d_e_ref, g_b = nll_and_grads_oracle(e[b, :n], p, gold[b, :n])
+            assert losses[b] == pytest.approx(loss_ref, rel=1e-10)
+            np.testing.assert_allclose(d_e[b, :n], d_e_ref, rtol=1e-10)
+            assert np.all(d_e[b, n:] == 0.0)
+            for name in ("transitions", "start", "stop"):
+                getattr(g_ref, name)[...] += getattr(g_b, name)
+        for name in ("transitions", "start", "stop"):
+            np.testing.assert_allclose(
+                getattr(g, name), getattr(g_ref, name), rtol=1e-10, err_msg=name
+            )
+
+    def test_full_lengths_equal_no_lengths(self):
+        rng = np.random.default_rng(401)
+        e = rng.standard_normal((2, 6, N_TAGS))
+        gold = rng.integers(N_TAGS, size=(2, 6))
+        p = CrfParams.random(rng)
+        a = nll_and_grads(e, p, gold)
+        b = nll_and_grads(e, p, gold, [6, 6])
+        np.testing.assert_allclose(a[0], b[0], rtol=1e-12)
+        np.testing.assert_allclose(a[1], b[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [3]])
+    def test_bad_lengths(self, lengths):
+        e = np.zeros((2, 3, N_TAGS))
+        with pytest.raises(LengthMismatch):
+            nll_and_grads(e, CrfParams.zeros(), np.zeros((2, 3), dtype=int), lengths)
+
+
 class TestViterbi:
     def test_dominant_emissions(self):
         e = np.zeros((2, N_TAGS))

@@ -207,6 +207,35 @@ class TestAttention:
         checks = [("h", h, d_h)] + [(k, layer.params[k], layer.grads[k]) for k in layer.params]
         fd_check(checks, loss, rng)
 
+    @pytest.mark.parametrize("mode", ["weighted", "unweighted"])
+    def test_masked_rows_match_unpadded(self, mode):
+        # padded keys get weight 0: the valid rows of a zero-padded batch,
+        # and every gradient, equal per-sequence calls on the unpadded rows
+        rng = np.random.default_rng(8)
+        layer = AttentionLayer(rng, mode, 4, d_a=3)
+        lengths = np.array([2, 5, 1])
+        h = rng.standard_normal((3, 5, 4))
+        d_out = rng.standard_normal((3, 5, layer.out_dim))
+        for b, n in enumerate(lengths):
+            d_out[b, n:] = 0.0
+        layer.zero_grads()
+        outs, d_hs = [], []
+        for b, n in enumerate(lengths):
+            out, cache = layer.forward(h[b, :n])
+            outs.append(out)
+            d_hs.append(layer.backward(cache, d_out[b, :n]))
+        grads_ref = {k: g.copy() for k, g in layer.grads.items()}
+
+        layer.zero_grads()
+        out, cache = layer.forward(h, lengths)
+        d_h = layer.backward(cache, d_out)
+        for b, n in enumerate(lengths):
+            np.testing.assert_allclose(out[b, :n], outs[b], rtol=1e-10)
+            np.testing.assert_allclose(d_h[b, :n], d_hs[b], rtol=1e-10)
+            assert np.all(d_h[b, n:] == 0.0)
+        for k in layer.params:
+            np.testing.assert_allclose(layer.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
+
     def test_attend_helper(self):
         rng = np.random.default_rng(7)
         layer = AttentionLayer(rng, "unweighted", 3)

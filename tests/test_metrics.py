@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segtool.corpus import SegmentLabel, SegmentSpan
+from segtool.corpus import LABELS, SegmentLabel, SegmentSpan
 from segtool.evalmetrics import (
+    PRF,
     OverlapWithinSet,
     exact_match_pr,
     soft_pr,
@@ -17,6 +19,41 @@ CO = SegmentLabel.CO
 
 def sp(s, e, lab):
     return SegmentSpan(s, e, lab)
+
+
+def _pr_oracle(gold, pred):
+    p = 1.0 if not pred else span_set_coverage(gold, pred) / len(pred)
+    r = 1.0 if not gold else span_set_coverage(pred, gold) / len(gold)
+    return PRF(p, r)
+
+
+def soft_pr_pooled_oracle(gold_sets, pred_sets, macro=False):
+    """The pooled soft P/R: every document's spans are shifted past the
+    previous documents' tokens, and micro scores come from one coverage
+    over all span pairs of the corpus (quadratic in its span count).
+    Takes parallel lists of per-document span lists."""
+    pooled_g, pooled_p = [], []
+    offset = 0
+    for g, p in zip(gold_sets, pred_sets):
+        hi = max([s.end_token for s in g + p], default=0)
+        pooled_g += [sp(s.start_token + offset, s.end_token + offset, s.label) for s in g]
+        pooled_p += [sp(s.start_token + offset, s.end_token + offset, s.label) for s in p]
+        offset += hi
+
+    def score(keep):
+        if not macro:
+            return _pr_oracle([s for s in pooled_g if keep(s)], [s for s in pooled_p if keep(s)])
+        prs = [
+            _pr_oracle([s for s in g if keep(s)], [s for s in p if keep(s)])
+            for g, p in zip(gold_sets, pred_sets)
+        ]
+        return PRF(
+            sum(x.precision for x in prs) / len(prs), sum(x.recall for x in prs) / len(prs)
+        )
+
+    micro = score(lambda s: True)
+    per_label = {lab: score(lambda s, lab=lab: s.label == lab) for lab in LABELS}
+    return micro, per_label
 
 
 class TestSpanCoverage:
@@ -129,3 +166,18 @@ class TestProperties:
         b = soft_pr(list(reversed(s)), list(reversed(s_hat)))
         assert a.micro.precision == pytest.approx(b.micro.precision, abs=1e-12)
         assert a.micro.recall == pytest.approx(b.micro.recall, abs=1e-12)
+
+
+class TestAgainstPooledOracle:
+    @given(st.lists(st.tuples(span_sets(), span_sets()), min_size=1, max_size=6),
+           st.booleans())
+    @settings(max_examples=150)
+    def test_per_document_sums_match_pooling(self, docs, macro):
+        gold = [g for g, _ in docs]
+        pred = [p for _, p in docs]
+        rep = soft_pr(gold, pred, macro=macro)
+        micro, per_label = soft_pr_pooled_oracle(gold, pred, macro=macro)
+        for got, want in [(rep.micro, micro)] + [(rep.per_label[lab], per_label[lab])
+                                                for lab in LABELS]:
+            assert got.precision == pytest.approx(want.precision, rel=1e-12, abs=0)
+            assert got.recall == pytest.approx(want.recall, rel=1e-12, abs=0)

@@ -1,4 +1,5 @@
-"""The GRU and LSTM backward passes against per-step oracles.
+"""The GRU and LSTM backward passes against per-step oracles, and the
+batched (..., s, d) paths against per-sequence loops.
 
 The oracles are the straightforward backward loops: every parameter
 gradient is accumulated as an outer product inside the time loop.  The
@@ -10,7 +11,7 @@ to float64 round-off.
 import numpy as np
 import pytest
 
-from segtool.nn import Gru, Lstm
+from segtool.nn import BiGru, BiLstm, Gru, Lstm
 
 
 def gru_backward_oracle(cell, cache, d_h_seq):
@@ -136,28 +137,83 @@ def test_backward_accumulates(cls):
         np.testing.assert_allclose(g, 2 * once[k], rtol=1e-12, err_msg=k)
 
 
-@pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("s", [1, 5])
-def test_lstm_batch_matches_per_sequence(B, s):
-    # (B, s, d) input runs B independent sequences in lockstep: outputs,
-    # input gradients and summed parameter gradients equal a per-sequence loop
-    rng = np.random.default_rng(40 + 10 * B + s)
-    cell = Lstm(rng, 6, 5)
-    x = rng.standard_normal((B, s, 6))
-    d_h_seq = rng.standard_normal((B, s, 5))
+def _mask_kw(rec_mask, b=Ellipsis):
+    """Keyword arguments passing sequence b's row of a recurrent mask (all
+    rows by default), or none without a mask."""
+    return {} if rec_mask is None else {"rec_mask": rec_mask[b]}
 
+
+def _assert_batch_matches_loop(cell, x, d_h_seq, rec_mask=None):
+    """(B, s, d) input runs B independent sequences in lockstep: outputs,
+    input gradients and summed parameter gradients equal a per-sequence
+    loop (with that sequence's row of ``rec_mask``)."""
     outs, d_xs = [], []
     cell.zero_grads()
-    for b in range(B):
-        h, cache = cell.forward(x[b])
+    for b in range(len(x)):
+        h, cache = cell.forward(x[b], **_mask_kw(rec_mask, b))
         outs.append(h)
         d_xs.append(cell.backward(cache, d_h_seq[b]))
     grads_ref = {k: g.copy() for k, g in cell.grads.items()}
 
     cell.zero_grads()
-    h, cache = cell.forward(x)
+    h, cache = cell.forward(x, **_mask_kw(rec_mask))
     d_x = cell.backward(cache, d_h_seq)
     np.testing.assert_allclose(h, np.stack(outs), rtol=1e-10)
     np.testing.assert_allclose(d_x, np.stack(d_xs), rtol=1e-10)
     for k in cell.params:
         np.testing.assert_allclose(cell.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("s", [1, 5])
+def test_lstm_batch_matches_per_sequence(B, s):
+    rng = np.random.default_rng(40 + 10 * B + s)
+    cell = Lstm(rng, 6, 5)
+    x = rng.standard_normal((B, s, 6))
+    _assert_batch_matches_loop(cell, x, rng.standard_normal((B, s, 5)))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("B", [1, 3])
+def test_gru_batch_matches_per_sequence(B, masked):
+    # one recurrent-dropout row per sequence
+    rng = np.random.default_rng(60 + 10 * B + masked)
+    cell = Gru(rng, 6, 5)
+    x = rng.standard_normal((B, 7, 6))
+    rec_mask = (rng.random((B, 5)) < 0.5) / 0.5 if masked else None
+    _assert_batch_matches_loop(cell, x, rng.standard_normal((B, 7, 5)), rec_mask)
+
+
+@pytest.mark.parametrize("cls, masked", [(BiGru, False), (BiGru, True), (BiLstm, False)])
+def test_bi_ragged_matches_per_sequence(cls, masked):
+    # zero-padded sequences of lengths 1, 7 and 4: the backward cell sees
+    # each reversed within its own length, so the valid outputs and all
+    # gradients equal unpadded per-sequence calls, and the padded inputs
+    # get no gradient
+    rng = np.random.default_rng(70 + masked)
+    bi = cls(rng, 6, 5)
+    lengths = np.array([1, 7, 4])
+    x = rng.standard_normal((3, 7, 6))
+    d_out = rng.standard_normal((3, 7, 10))
+    for b, n in enumerate(lengths):
+        x[b, n:] = 0.0
+        d_out[b, n:] = 0.0
+    rec_mask = (rng.random((3, 5)) < 0.5) / 0.5 if masked else None
+
+    outs, d_xs = [], []
+    bi.zero_grads()
+    for b, n in enumerate(lengths):
+        h, cache = bi.forward(x[b, :n], **_mask_kw(rec_mask, b))
+        outs.append(h)
+        d_xs.append(bi.backward(cache, d_out[b, :n]))
+    grads_ref = {k: g.copy() for k, g in bi.grads.items()}
+
+    bi.zero_grads()
+    h, cache = bi.forward(x, lengths=lengths, **_mask_kw(rec_mask))
+    d_x = bi.backward(cache, d_out)
+    for b, n in enumerate(lengths):
+        np.testing.assert_allclose(h[b, :n], outs[b], rtol=1e-10)
+        np.testing.assert_allclose(d_x[b, :n], d_xs[b], rtol=1e-10)
+        assert np.all(d_x[b, n:] == 0.0)
+    for k in bi.params:
+        np.testing.assert_allclose(bi.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)

@@ -228,6 +228,26 @@ class TestPersistence:
         q = question("q", "wireless iwconfig")
         assert unfielded_search(loaded, q, k=3) == unfielded_search(index, q, k=3)
 
+    def test_streamed_level9_file_loads(self, index, tmp_path):
+        # files written before save_index built the JSON in one string
+        # (json.dump streamed through a text wrapper at gzip level 9) load
+        # to the same index as a file written now
+        import gzip, json
+
+        old, new = tmp_path / "old.json.gz", tmp_path / "new.json.gz"
+        obj = {
+            "version": 1, "k1": index.k1, "b": index.b,
+            "doc_lengths": index.doc_lengths, "postings": dict(index.postings),
+        }
+        with gzip.open(old, "wt", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        save_index(index, new)
+        a, b = load_index(old), load_index(new)
+        assert a.postings == b.postings == index.postings
+        assert a.doc_lengths == b.doc_lengths
+        assert (a.k1, a.b) == (b.k1, b.b)
+        assert gzip.decompress(old.read_bytes()) == gzip.decompress(new.read_bytes())
+
     def test_version_check(self, index, tmp_path):
         import gzip, json
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from segtool import nn, synth
-from segtool.corpus import AnnotatedDocument, split_corpus, tokenize
+from segtool import crf, nn, synth
+from segtool.corpus import (
+    AnnotatedDocument,
+    SegmentLabel,
+    SegmentSpan,
+    spans_to_bio,
+    split_corpus,
+    tokenize,
+)
 from segtool.trainer import (
     MissingStreams,
     SegModel,
@@ -13,6 +20,7 @@ from segtool.trainer import (
     predict,
     train,
 )
+from test_embeddings import SegModel64
 
 
 def small_cfg(**kw):
@@ -145,14 +153,84 @@ class TestPredictAndCheckpoint:
         assert 0.0 <= rep.micro.f1 <= 1.0
 
 
+def per_document_loss(model, doc, streams, rng, scale):
+    """The per-document path the batched model replaced: every layer runs
+    on one unpadded (s, d) document, and gradients accumulate scaled."""
+    x, f_cache = model._features(doc, streams)
+    h, e_cache = model.encoder.encode(x, train=True, rng=rng)
+    a_cache = None
+    if model.attention is not None:
+        h, a_cache = model.attention.forward(h)
+    e, l_cache = model.emit.forward(h)
+    loss, d_e, crf_g = crf.nll_and_grads(e, model._crf64(), spans_to_bio(doc))
+    d_h = model.emit.backward(l_cache, d_e * scale)
+    if model.attention is not None:
+        d_h = model.attention.backward(a_cache, d_h)
+    model._features_backward(f_cache, model.encoder.backward(e_cache, d_h))
+    for name in ("transitions", "start", "stop"):
+        getattr(model.crf_grads, name)[...] += getattr(crf_g, name) * scale
+    return loss
+
+
+class TestBatchedModel:
+    def test_step_matches_per_document_oracle(self):
+        # one training step on a ragged batch (85, 1, 47 and 67 tokens), with input
+        # and recurrent dropout: the dropout masks come from the rng in the
+        # per-document order, so loss and every gradient equal the sum over
+        # documents
+        docs = synth.gen_corpus(n_docs=4, seed=7)
+        one = AnnotatedDocument("one", "ls", tokenize("ls"), [SegmentSpan(0, 1, SegmentLabel.CC)])
+        batch = [docs[0], one, docs[1], docs[2]]
+        assert len({len(d.tokens) for d in batch}) == len(batch)
+        streams = synth.gen_streams(batch, seed=7)
+        tokens = [t for d in docs for t in d.token_texts()]
+        chars = "".join(sorted({c for t in tokens for c in t}))
+        cfg = TrainConfig(
+            hidden=5, lookup_dim=4, use_char=True, char_dim=3, char_hidden=3,
+            combiner_mode="cdme", d_prime=4, attention_mode="weighted", attention_dim=3,
+            dropout=0.3, recurrent_dropout=0.4,
+        )
+        batched = SegModel64(cfg, tokens, chars, streams.dims)
+        oracle = SegModel64(cfg, tokens, chars, streams.dims)
+        rng = np.random.default_rng(1)
+        for k, v in batched.named_params().items():
+            if k.startswith("crf."):
+                v[...] = rng.standard_normal(v.shape)
+                oracle.named_params()[k][...] = v
+
+        batched.zero_grads()
+        oracle.zero_grads()
+        losses = batched.batch_loss(batch, streams, train=True, rng=np.random.default_rng(3),
+                                    scale=0.25)
+        oracle_rng = np.random.default_rng(3)
+        expected = [per_document_loss(oracle, d, streams, oracle_rng, 0.25) for d in batch]
+        np.testing.assert_allclose(losses, expected, rtol=1e-10)
+        for k, g in batched.named_grads().items():
+            ref = oracle.named_grads()[k]
+            if k == "comb.b":
+                # softmax over streams ignores a shift shared by all logits, so
+                # this gradient is zero up to round-off in both
+                assert abs(g) < 1e-12 and abs(ref) < 1e-12
+                continue
+            # Relative to the array's largest entry: an entry that sums
+            # per-document terms of opposite sign keeps only the absolute
+            # round-off of the batched matrix products (~1e-16 of the scale).
+            assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref)), k
+
+
 class TestGradCheck:
     def test_all_components_pass(self):
         report = gradcheck("all", trials=5, seed=0)
         assert report.passed
         names = {e.component for e in report.entries}
-        assert {"crf", "gru", "char", "attention", "dme", "cdme", "logreg"} <= names
+        assert {"crf", "gru", "char", "attention", "dme", "cdme", "logreg", "model"} <= names
         for line in report.lines():
             assert line.endswith("PASS")
+
+    def test_model_below_1e6(self):
+        # the composed float64 model over a ragged batch of 1, 4 and 7 tokens
+        report = gradcheck("model", trials=30, tolerance=1e-6, seed=1)
+        assert report.passed, report.lines()
 
     def test_unknown_component(self):
         with pytest.raises(TrainerError):
