@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory() as tmp:
     model.save(path)
     reloaded = SegModel.load(path)
     same = all(
-        v.tobytes() == reloaded.named_params()[k].tobytes()
-        for k, v in model.named_params().items()
+        v.tobytes() == reloaded.params[k].tobytes()
+        for k, v in model.params.items()
     )
     print(f"\ncheckpoint round trip bit-identical: {same}")

@@ -14,15 +14,11 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import minimize
 
-from .corpus import LABELS, Break, SegmentLabel, SegmentSpan, token_labels
-from .embeddings import TokenCountMismatch
+from .corpus import CLASS_NAMES, Break, SegmentLabel, SegmentSpan, token_labels
+from .embeddings import MissingStreams, TokenCountMismatch
 
 
 class BaselineError(Exception):
-    pass
-
-
-class MissingStreams(BaselineError):
     pass
 
 
@@ -73,7 +69,7 @@ def pool_features(unit, doc_vectors, units=None, context=0):
     """Mean of the unit's per-token vectors; with context=1, concatenated
     with the previous and next units' means (zeros at the edges)."""
     if doc_vectors.shape[0] == 0:
-        raise MissingStreams("document has no stream vectors")
+        raise MissingStreams()
 
     def mean_of(u):
         if u is None:
@@ -91,9 +87,6 @@ def pool_features(unit, doc_vectors, units=None, context=0):
     prev = units[k - 1] if k > 0 else None
     nxt = units[k + 1] if k + 1 < len(units) else None
     return np.concatenate([mean_of(prev), own, mean_of(nxt)])
-
-
-CLASS_NAMES = ["O"] + [l.value for l in LABELS]
 
 
 def unit_labels(doc, units):
@@ -198,7 +191,7 @@ def run_baseline(train_docs, test_docs, doc_vectors, context=0, lam=1e-3):
     for doc in train_docs:
         vecs = doc_vectors.get(doc.id)
         if vecs is None:
-            raise MissingStreams(f"no vectors for document {doc.id!r}")
+            raise MissingStreams(doc.id)
         units = sentence_segment(doc)
         for u, y in zip(units, unit_labels(doc, units)):
             feats.append(pool_features(u, vecs, units, context))
@@ -208,7 +201,7 @@ def run_baseline(train_docs, test_docs, doc_vectors, context=0, lam=1e-3):
     for doc in test_docs:
         vecs = doc_vectors.get(doc.id)
         if vecs is None:
-            raise MissingStreams(f"no vectors for document {doc.id!r}")
+            raise MissingStreams(doc.id)
         units = sentence_segment(doc)
         if not units:
             out.append([])

@@ -239,7 +239,7 @@ def _cmd_synth(args):
 
 # -- experiment grids -------------------------------------------------------
 
-def _recipe_cells(recipe, base, stream_count):
+def _recipe_cells(recipe, stream_count):
     if recipe == "table2":
         return [
             ("lookup", {"use_lookup": True, "use_subword": False}),
@@ -273,7 +273,7 @@ def run_experiment(recipe, train_docs, val_docs, test_docs, streams, base_cfg, o
     os.makedirs(out_dir, exist_ok=True)
     stream_count = streams.n if streams is not None else 0
     rows = []
-    for name, overrides in _recipe_cells(recipe, base_cfg, stream_count):
+    for name, overrides in _recipe_cells(recipe, stream_count):
         cfg = trainer.TrainConfig(**{**asdict(base_cfg), **overrides})
         model, _ = trainer.train(train_docs, val_docs, streams, cfg)
         report = trainer.evaluate_model(model, test_docs, streams)

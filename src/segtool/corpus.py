@@ -35,9 +35,11 @@ class ParseError(CorpusError):
 
 
 class SchemaError(CorpusError):
-    def __init__(self, missing_field, line_no=None):
+    """A field that is missing, or (with ``problem``) holds a bad value."""
+
+    def __init__(self, missing_field, line_no=None, problem="missing field"):
         where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"missing field {missing_field!r}{where}")
+        super().__init__(f"{problem} {missing_field!r}{where}")
         self.missing_field = missing_field
         self.line_no = line_no
 
@@ -72,6 +74,9 @@ class SegmentLabel(str, Enum):
 
 
 LABELS = list(SegmentLabel)
+
+# Word-level classes: O, then the segment labels
+CLASS_NAMES = ["O"] + [l.value for l in LABELS]
 
 # Fixed tag order; index 0 is O so that zero-score ties decode to O.
 BIO_TAGS = ["O"] + [f"{p}-{l.value}" for l in LABELS for p in ("B", "I")]
@@ -130,7 +135,7 @@ class CorpusStats:
 class AgreementReport:
     kappa: float
     confusion: np.ndarray  # 7x7, rows = annotator a, cols = annotator b
-    class_names: list = field(default_factory=lambda: ["O"] + [l.value for l in LABELS])
+    class_names: list = field(default_factory=lambda: list(CLASS_NAMES))
 
 
 def _check_no_overlap(spans):
@@ -232,6 +237,13 @@ def doc_to_json(doc):
 _DOC_FIELDS = ("id", "text", "tokens", "spans")
 
 
+def _enum_field(enum, obj, key, name, line_no):
+    try:
+        return enum(obj[key])
+    except ValueError:
+        raise SchemaError(name, line_no, f"bad value {obj[key]!r} for field") from None
+
+
 def doc_from_json(obj, line_no=None):
     for f in _DOC_FIELDS:
         if f not in obj:
@@ -241,13 +253,15 @@ def doc_from_json(obj, line_no=None):
         for f in ("t", "s", "e", "brk"):
             if f not in t:
                 raise SchemaError(f"tokens.{f}", line_no)
-        tokens.append(Token(t["t"], t["s"], t["e"], Break(t["brk"])))
+        brk = _enum_field(Break, t, "brk", "tokens.brk", line_no)
+        tokens.append(Token(t["t"], t["s"], t["e"], brk))
     spans = []
     for s in obj["spans"]:
         for f in ("st", "et", "label"):
             if f not in s:
                 raise SchemaError(f"spans.{f}", line_no)
-        spans.append(SegmentSpan(s["st"], s["et"], SegmentLabel(s["label"])))
+        label = _enum_field(SegmentLabel, s, "label", "spans.label", line_no)
+        spans.append(SegmentSpan(s["st"], s["et"], label))
     doc = AnnotatedDocument(obj["id"], obj["text"], tokens, spans)
     doc.validate()
     return doc
@@ -332,9 +346,8 @@ def kappa_from_confusion(confusion):
 def agreement(docs_a, docs_b):
     """Word-level agreement between two annotations of the same questions."""
     by_id = {d.id: d for d in docs_b}
-    classes = ["O"] + [l.value for l in LABELS]
-    idx = {c: i for i, c in enumerate(classes)}
-    confusion = np.zeros((7, 7), dtype=np.int64)
+    idx = {c: i for i, c in enumerate(CLASS_NAMES)}
+    confusion = np.zeros((len(CLASS_NAMES),) * 2, dtype=np.int64)
     for da in docs_a:
         db = by_id.get(da.id)
         if db is None:
@@ -345,4 +358,4 @@ def agreement(docs_a, docs_b):
             confusion[idx[x], idx[y]] += 1
     if len(docs_a) != len(docs_b):
         raise MismatchedDocuments("annotation lists differ in length")
-    return AgreementReport(kappa_from_confusion(confusion), confusion, classes)
+    return AgreementReport(kappa_from_confusion(confusion), confusion)

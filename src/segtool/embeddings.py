@@ -43,6 +43,13 @@ class StreamCountMismatch(EmbeddingsError):
     pass
 
 
+class MissingStreams(EmbeddingsError):
+    def __init__(self, doc_id=None):
+        where = "" if doc_id is None else f" for document {doc_id!r}"
+        super().__init__(f"no contextual streams{where}")
+        self.doc_id = doc_id
+
+
 class LookupTable(nn.Component):
     """token -> fixed row, with a shared unk row for out-of-vocabulary
     tokens."""
@@ -182,7 +189,7 @@ class SubwordHashEmbedder(nn.Component):
                 np.add.at(self.grads["buckets"], ids, d / len(ids))
 
 
-class CharEncoder:
+class CharEncoder(nn.Component):
     """biLSTM over a token's code points; output is the concatenation of
     the final forward and backward states (80-dim at the default width).
 
@@ -191,6 +198,7 @@ class CharEncoder:
     """
 
     def __init__(self, rng, chars, char_dim=16, hidden=40, dtype=np.float64):
+        super().__init__()
         vocab = {}
         for c in chars:
             if c not in vocab:
@@ -204,26 +212,12 @@ class CharEncoder:
             trainable=True,
         )
         self.rnn = nn.BiLstm(rng, char_dim, hidden, dtype)
+        self._add_child("table_", self.table)
+        self._add_child("rnn_", self.rnn)
 
     @property
     def out_dim(self):
         return 2 * self.hidden
-
-    @property
-    def params(self):
-        out = {f"table_{k}": v for k, v in self.table.params.items()}
-        out.update({f"rnn_{k}": v for k, v in self.rnn.params.items()})
-        return out
-
-    @property
-    def grads(self):
-        out = {f"table_{k}": v for k, v in self.table.grads.items()}
-        out.update({f"rnn_{k}": v for k, v in self.rnn.grads.items()})
-        return out
-
-    def zero_grads(self):
-        self.table.zero_grads()
-        self.rnn.zero_grads()
 
     def forward_tokens(self, tokens):
         """(len(tokens), out_dim) encodings and the cache for
@@ -347,60 +341,38 @@ def load_streams(path, doc_token_counts=None):
 # ---------------------------------------------------------------------------
 # Meta-combiner
 
-class MetaCombiner:
+class MetaCombiner(nn.Component):
     """Fuse n per-token streams: concatenation, or a learned softmax-
     weighted sum of linear projections (dme / cdme)."""
 
     M_CONTEXT = 2  # context biLSTM width per direction
 
     def __init__(self, rng, mode, dims, d_prime=256, dtype=np.float64):
+        super().__init__()
         if mode not in ("concat", "dme", "cdme"):
             raise EmbeddingsError(f"unknown combiner mode {mode!r}")
         self.mode = mode
         self.dims = list(dims)
         self.d_prime = d_prime
-        self.projections = []
-        self._params = {}
-        self._grads = {}
         if mode == "concat":
             return
         for i, d in enumerate(self.dims):
-            self._add(f"P{i}", nn.glorot(rng, (d, d_prime), dtype))
-            self._add(f"b{i}", np.zeros(d_prime, dtype=dtype))
+            self._add_param(f"P{i}", nn.glorot(rng, (d, d_prime), dtype))
+            self._add_param(f"b{i}", np.zeros(d_prime, dtype=dtype))
         if mode == "dme":
-            self._add("a", (rng.standard_normal(d_prime) * 0.1).astype(dtype))
+            self._add_param("a", (rng.standard_normal(d_prime) * 0.1).astype(dtype))
         else:
+            # built before ``a`` is drawn (the RNG order), listed after
+            # ``a`` and ``b`` (the parameter-name order)
             self.context = nn.BiLstm(rng, d_prime, self.M_CONTEXT, dtype)
-            self._add("a", (rng.standard_normal(2 * self.M_CONTEXT) * 0.1).astype(dtype))
-        self._add("b", np.zeros((), dtype=dtype))
-
-    def _add(self, name, value):
-        self._params[name] = value
-        self._grads[name] = np.zeros_like(value)
+            self._add_param("a", (rng.standard_normal(2 * self.M_CONTEXT) * 0.1).astype(dtype))
+        self._add_param("b", np.zeros((), dtype=dtype))
+        if mode == "cdme":
+            self._add_child("ctx_", self.context)
 
     @property
     def out_dim(self):
         return sum(self.dims) if self.mode == "concat" else self.d_prime
-
-    @property
-    def params(self):
-        out = dict(self._params)
-        if self.mode == "cdme":
-            out.update({f"ctx_{k}": v for k, v in self.context.params.items()})
-        return out
-
-    @property
-    def grads(self):
-        out = dict(self._grads)
-        if self.mode == "cdme":
-            out.update({f"ctx_{k}": v for k, v in self.context.grads.items()})
-        return out
-
-    def zero_grads(self):
-        for g in self._grads.values():
-            g[...] = 0.0
-        if self.mode == "cdme":
-            self.context.zero_grads()
 
     def forward(self, streams):
         """streams: list of (s, d_i) arrays for one document.  Returns
@@ -419,11 +391,11 @@ class MetaCombiner:
         s = streams[0].shape[0]
         proj = np.stack(
             [
-                streams[i] @ self._params[f"P{i}"] + self._params[f"b{i}"]
+                streams[i] @ self.params[f"P{i}"] + self.params[f"b{i}"]
                 for i in range(n)
             ]
         )  # (n, s, d')
-        a, b = self._params["a"], self._params["b"]
+        a, b = self.params["a"], self.params["b"]
         if self.mode == "dme":
             logits = proj @ a + b  # (n, s)
             ctx_cache, hs = None, None
@@ -442,28 +414,22 @@ class MetaCombiner:
         streams, proj, alphas, hs, ctx_cache = cache
 
         n, s, _ = proj.shape
-        a = self._params["a"]
+        a = self.params["a"]
         d_proj = alphas[:, :, None] * d_out[None, :, :]  # weighted-sum path
         d_alpha = np.einsum("sd,nsd->ns", d_out, proj)
         d_logits = nn.softmax_backward(alphas, d_alpha, axis=0)
-        self._grads["b"] += d_logits.sum()
+        self.grads["b"] += d_logits.sum()
         if self.mode == "dme":
-            self._grads["a"] += np.einsum("ns,nsd->d", d_logits, proj)
+            self.grads["a"] += np.einsum("ns,nsd->d", d_logits, proj)
             d_proj = d_proj + d_logits[:, :, None] * a[None, None, :]
         else:
-            self._grads["a"] += np.einsum("ns,nsh->h", d_logits, hs)
+            self.grads["a"] += np.einsum("ns,nsh->h", d_logits, hs)
             d_h = d_logits[:, :, None] * a[None, None, :]
             d_proj += self.context.backward(ctx_cache, d_h)
 
         d_streams = []
         for i in range(n):
-            self._grads[f"P{i}"] += streams[i].T @ d_proj[i]
-            self._grads[f"b{i}"] += d_proj[i].sum(axis=0)
-            d_streams.append(d_proj[i] @ self._params[f"P{i}"].T)
+            self.grads[f"P{i}"] += streams[i].T @ d_proj[i]
+            self.grads[f"b{i}"] += d_proj[i].sum(axis=0)
+            d_streams.append(d_proj[i] @ self.params[f"P{i}"].T)
         return d_streams
-
-
-def combine(combiner, streams):
-    """Fused per-token vectors for one document."""
-    out, _, _ = combiner.forward(streams)
-    return out

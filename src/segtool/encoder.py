@@ -19,9 +19,10 @@ class DimMismatch(EncoderError):
     pass
 
 
-class BiGruEncoder:
+class BiGruEncoder(nn.Component):
     def __init__(self, rng, input_dim, hidden, dropout_rate=0.0,
                  recurrent_dropout_rate=0.0, dtype=np.float64):
+        super().__init__()
         if not (0 <= dropout_rate < 1 and 0 <= recurrent_dropout_rate < 1):
             raise EncoderError("dropout rates must lie in [0, 1)")
         self.input_dim = input_dim
@@ -29,21 +30,11 @@ class BiGruEncoder:
         self.dropout_rate = dropout_rate
         self.recurrent_dropout_rate = recurrent_dropout_rate
         self.rnn = nn.BiGru(rng, input_dim, hidden, dtype)
+        self._add_child("", self.rnn)
 
     @property
     def out_dim(self):
         return 2 * self.hidden
-
-    @property
-    def params(self):
-        return self.rnn.params
-
-    @property
-    def grads(self):
-        return self.rnn.grads
-
-    def zero_grads(self):
-        self.rnn.zero_grads()
 
     def encode(self, x, train=False, rng=None, lengths=None):
         """x: (..., s, input_dim) -> (..., s, 2H).  The leading axes hold
@@ -109,30 +100,24 @@ def scaled_dot_attention_backward(cache, d_out):
     return d_q, d_k, d_v
 
 
-class AttentionLayer:
+class AttentionLayer(nn.Component):
     """mode: "unweighted" (Q=K=V=H) or "weighted" (learned projections of
     width d_a)."""
 
     def __init__(self, rng, mode, d_model, d_a=None, dtype=np.float64):
+        super().__init__()
         if mode not in ("weighted", "unweighted"):
             raise EncoderError(f"unknown attention mode {mode!r}")
         self.mode = mode
         self.d_model = d_model
         self.d_a = d_a or d_model
-        self.params = {}
-        self.grads = {}
         if mode == "weighted":
             for name in ("Wq", "Wk", "Wv"):
-                self.params[name] = nn.glorot(rng, (d_model, self.d_a), dtype)
-                self.grads[name] = np.zeros_like(self.params[name])
+                self._add_param(name, nn.glorot(rng, (d_model, self.d_a), dtype))
 
     @property
     def out_dim(self):
         return self.d_model if self.mode == "unweighted" else self.d_a
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def forward(self, h, lengths=None):
         """h: (..., s, d_model); ``lengths`` as in scaled_dot_attention."""
@@ -161,7 +146,3 @@ class AttentionLayer:
             + d_k @ self.params["Wk"].T
             + d_v @ self.params["Wv"].T
         )
-
-
-def attend(layer, h):
-    return layer.forward(h)[0]

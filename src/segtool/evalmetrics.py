@@ -9,14 +9,10 @@ label.
 import json
 from dataclasses import dataclass, field
 
-from .corpus import LABELS
+from .corpus import LABELS, _check_no_overlap
 
 
 class MetricsError(Exception):
-    pass
-
-
-class OverlapWithinSet(MetricsError):
     pass
 
 
@@ -89,16 +85,9 @@ def span_coverage(s, s_prime):
     return inter / (s_prime.end_token - s_prime.start_token)
 
 
-def _check_disjoint(spans):
-    ordered = sorted(spans, key=lambda s: s.start_token)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.start_token < a.end_token:
-            raise OverlapWithinSet(f"{a} overlaps {b}")
-
-
 def span_set_coverage(spans, spans_prime):
-    _check_disjoint(spans)
-    _check_disjoint(spans_prime)
+    _check_no_overlap(spans)
+    _check_no_overlap(spans_prime)
     return sum(span_coverage(s, sp) for s in spans for sp in spans_prime)
 
 
@@ -152,8 +141,8 @@ def soft_pr(gold_sets, pred_sets, macro=False):
     if len(gold_sets) != len(pred_sets):
         raise MetricsError("gold and predicted lists must be parallel")
     for g, p in zip(gold_sets, pred_sets):
-        _check_disjoint(g)
-        _check_disjoint(p)
+        _check_no_overlap(g)
+        _check_no_overlap(p)
     docs = [_label_coverages(g, p) for g, p in zip(gold_sets, pred_sets)]
 
     def score(labels):
@@ -171,20 +160,3 @@ def soft_pr(gold_sets, pred_sets, macro=False):
     n_pred = sum(len(p) for p in pred_sets)
     return EvalReport(micro, per_label, n_gold, n_pred)
 
-
-def exact_match_pr(gold_sets, pred_sets):
-    """Exact span match P/R (a lower bound on the soft scores)."""
-    gold_sets, pred_sets = _normalize(gold_sets, pred_sets)
-    tp = sum(
-        len(set(map(_key, g)) & set(map(_key, p)))
-        for g, p in zip(gold_sets, pred_sets)
-    )
-    n_pred = sum(len(p) for p in pred_sets)
-    n_gold = sum(len(g) for g in gold_sets)
-    p = 1.0 if n_pred == 0 else tp / n_pred
-    r = 1.0 if n_gold == 0 else tp / n_gold
-    return PRF(p, r)
-
-
-def _key(s):
-    return (s.start_token, s.end_token, s.label)

@@ -1,7 +1,11 @@
 """Small numpy building blocks with hand-written backward passes.
 
 Each component keeps its parameters in ``self.params`` (name -> array)
-and accumulates gradients of the same shapes in ``self.grads``.
+and accumulates gradients of the same shapes in ``self.grads``.  A
+component built from others lists their arrays in its own two dicts
+under a name prefix (``_add_child``): the same array objects, so a
+model's ``params``/``grads`` are one live, flat view of its whole tree,
+and every update, the optimizer's included, happens in place.
 ``forward`` returns (output, cache); ``backward`` consumes the cache and
 the upstream gradient, accumulates parameter gradients, and returns the
 gradient with respect to the input.  Sequences are arrays of shape
@@ -56,9 +60,15 @@ class Component:
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
 
+    def _add_child(self, prefix, child):
+        """List a child's arrays (not copies) here as prefix + name."""
+        for name, value in child.params.items():
+            self.params[prefix + name] = value
+            self.grads[prefix + name] = child.grads[name]
+
     def zero_grads(self):
         for g in self.grads.values():
-            g[:] = 0.0
+            g[...] = 0.0
 
 
 class Linear(Component):
@@ -262,7 +272,7 @@ def _reverse(a, rev):
     return np.take_along_axis(a, rev[..., None], axis=-2)
 
 
-class _Bi:
+class _Bi(Component):
     """Two independent recurrent cells, one scanning forward and one over
     the reversed sequence; outputs are concatenated per position.
 
@@ -274,25 +284,12 @@ class _Bi:
     cell_cls = None
 
     def __init__(self, rng, d_in, hidden, dtype=np.float64):
+        super().__init__()
         self.hidden = hidden
         self.f = self.cell_cls(rng, d_in, hidden, dtype)
         self.b = self.cell_cls(rng, d_in, hidden, dtype)
-
-    @property
-    def params(self):
-        out = {f"f_{k}": v for k, v in self.f.params.items()}
-        out.update({f"b_{k}": v for k, v in self.b.params.items()})
-        return out
-
-    @property
-    def grads(self):
-        out = {f"f_{k}": v for k, v in self.f.grads.items()}
-        out.update({f"b_{k}": v for k, v in self.b.grads.items()})
-        return out
-
-    def zero_grads(self):
-        self.f.zero_grads()
-        self.b.zero_grads()
+        self._add_child("f_", self.f)
+        self._add_child("b_", self.b)
 
     def forward(self, x, lengths=None, **kw):
         rev = _reversal(x.shape[-2], lengths)
@@ -340,20 +337,21 @@ def clip_global_norm(grad_arrays, max_norm):
 
 
 class Adam:
-    def __init__(self, named_params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in named_params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in named_params.items()}
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, named_params, named_grads):
+    def step(self, params, grads):
+        """Update every array of ``params`` in place."""
         self.t += 1
         b1t = 1.0 - self.b1**self.t
         b2t = 1.0 - self.b2**self.t
-        for k, p in named_params.items():
-            g = named_grads[k]
+        for k, p in params.items():
+            g = grads[k]
             m = self.m[k]
             v = self.v[k]
             m *= self.b1

@@ -14,14 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .corpus import LABELS, SegmentLabel, token_labels, tokenize
+from .corpus import CLASS_NAMES, EmptyCorpus, token_labels, tokenize
 
 
 class RetrievalError(Exception):
-    pass
-
-
-class EmptyCorpus(RetrievalError):
     pass
 
 
@@ -38,7 +34,6 @@ class UnknownGoldId(RetrievalError):
 
 
 INDEX_VERSION = 1
-BOOST_CLASSES = ["O"] + [l.value for l in LABELS]
 
 
 def terms_of(text):
@@ -161,7 +156,7 @@ def question_segments(doc):
 
 @dataclass
 class BoostProfile:
-    weights: dict = field(default_factory=lambda: {c: 1.0 for c in BOOST_CLASSES})
+    weights: dict = field(default_factory=lambda: {c: 1.0 for c in CLASS_NAMES})
 
     def __getitem__(self, class_name):
         return self.weights.get(class_name, 1.0)
@@ -171,7 +166,7 @@ class BoostProfile:
 
     @classmethod
     def from_json_obj(cls, obj):
-        w = {c: 1.0 for c in BOOST_CLASSES}
+        w = {c: 1.0 for c in CLASS_NAMES}
         w.update({k: float(v) for k, v in obj.items()})
         for v in w.values():
             if not (v > 0 and math.isfinite(v)):
@@ -213,7 +208,7 @@ def estimate_boosts(questions, gold_answers, clamp=(0.25, 4.0)):
     weights are normalized to mean 1 over observed labels and clamped.
     Labels never observed stay at the neutral 1.
     """
-    overlaps = {c: [] for c in BOOST_CLASSES}
+    overlaps = {c: [] for c in CLASS_NAMES}
     n_pairs = 0
     for q in questions:
         ans_text = gold_answers.get(q.id)
@@ -231,7 +226,7 @@ def estimate_boosts(questions, gold_answers, clamp=(0.25, 4.0)):
         raise NoLabeledPairs("no question has a known correct answer")
     means = {c: (sum(v) / len(v)) for c, v in overlaps.items() if v}
     grand = sum(means.values()) / len(means)
-    weights = {c: 1.0 for c in BOOST_CLASSES}
+    weights = {c: 1.0 for c in CLASS_NAMES}
     lo, hi = clamp
     for c, m in means.items():
         if grand > 0:
@@ -302,10 +297,13 @@ def load_qrels(path):
     """Qrels TSV: question_id <tab> answer_id."""
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            qid, aid = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise RetrievalError(f"{path}:{line_no}: expected question_id<TAB>answer_id")
+            qid, aid = fields
             out[qid] = aid
     return out

@@ -10,7 +10,7 @@ question's error-message segments.
 
 import numpy as np
 
-from .corpus import LABELS, AnnotatedDocument, SegmentSpan, tokenize
+from .corpus import CLASS_NAMES, LABELS, AnnotatedDocument, SegmentSpan, tokenize
 from .embeddings import ContextualStreamSet
 from .retrieval import AnswerDoc
 
@@ -86,7 +86,6 @@ def gen_streams(docs, seed=0, noise=0.3):
     from .corpus import token_labels
 
     rng = np.random.default_rng(seed + 17)
-    classes = ["O"] + [l.value for l in LABELS]
     vectors = {}
     for doc in docs:
         labels = token_labels(doc)
@@ -95,7 +94,7 @@ def gen_streams(docs, seed=0, noise=0.3):
             arr = rng.standard_normal((len(labels), STREAM_DIM)) * noise
             for j, lab in enumerate(labels):
                 if lab in subset or lab == "O":
-                    arr[j, classes.index(lab)] += 2.0
+                    arr[j, CLASS_NAMES.index(lab)] += 2.0
             arrays.append(arr.astype(np.float32))
         vectors[doc.id] = arrays
     return ContextualStreamSet([STREAM_DIM] * len(STREAM_SUBSETS), vectors)

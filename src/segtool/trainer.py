@@ -7,7 +7,6 @@ biGRU, attention, emission layer and CRF as one zero-padded (B, T, .)
 batch with a vector of document lengths.
 """
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -30,6 +29,7 @@ from .embeddings import (
     ContextualStreamSet,
     LookupTable,
     MetaCombiner,
+    MissingStreams,
     SubwordHashEmbedder,
 )
 from .encoder import AttentionLayer, BiGruEncoder
@@ -38,12 +38,6 @@ from .evalmetrics import soft_pr
 
 class TrainerError(Exception):
     pass
-
-
-class MissingStreams(TrainerError):
-    def __init__(self, doc_id):
-        super().__init__(f"no contextual streams for document {doc_id!r}")
-        self.doc_id = doc_id
 
 
 class NonFiniteLoss(TrainerError):
@@ -97,13 +91,17 @@ class TrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-class SegModel:
+class SegModel(nn.Component):
     """All parameters of the segmentation network, assembled from a
-    TrainConfig plus the training vocabulary."""
+    TrainConfig plus the training vocabulary.  ``params``/``grads`` list
+    every array of the network once, named "<part>.<name>" in the order
+    the parts run (checkpoint keys and the gradient-norm sum follow it).
+    """
 
     DTYPE = np.float32
 
     def __init__(self, cfg, token_vocab=(), char_vocab="", stream_dims=()):
+        super().__init__()
         cfg.validate()
         self.cfg = cfg
         self.stream_dims = list(stream_dims)
@@ -153,50 +151,17 @@ class SegModel:
         self.crf = crf_mod.CrfParams.zeros(dtype=dt)
         self.crf_grads = crf_mod.CrfParams.zeros(dtype=dt)
 
-    # -- parameter plumbing -------------------------------------------------
-
-    def _components(self):
-        out = {}
-        if self.lookup is not None:
-            out["lookup"] = self.lookup
-        if self.subword is not None:
-            out["subword"] = self.subword
-        if self.char is not None:
-            out["char"] = self.char
-        if self.combiner is not None:
-            out["comb"] = self.combiner
-        out["gru"] = self.encoder
-        if self.attention is not None:
-            out["attn"] = self.attention
-        out["emit"] = self.emit
-        return out
-
-    def named_params(self):
-        out = {}
-        for prefix, comp in self._components().items():
-            for k, v in comp.params.items():
-                out[f"{prefix}.{k}"] = v
-        out["crf.transitions"] = self.crf.transitions
-        out["crf.start"] = self.crf.start
-        out["crf.stop"] = self.crf.stop
-        return out
-
-    def named_grads(self):
-        out = {}
-        for prefix, comp in self._components().items():
-            for k, v in comp.grads.items():
-                out[f"{prefix}.{k}"] = v
-        out["crf.transitions"] = self.crf_grads.transitions
-        out["crf.start"] = self.crf_grads.start
-        out["crf.stop"] = self.crf_grads.stop
-        return out
-
-    def zero_grads(self):
-        for comp in self._components().values():
-            comp.zero_grads()
-        self.crf_grads.transitions[...] = 0.0
-        self.crf_grads.start[...] = 0.0
-        self.crf_grads.stop[...] = 0.0
+        parts = (
+            ("lookup.", self.lookup), ("subword.", self.subword), ("char.", self.char),
+            ("comb.", self.combiner), ("gru.", self.encoder), ("attn.", self.attention),
+            ("emit.", self.emit),
+        )
+        for prefix, part in parts:
+            if part is not None:
+                self._add_child(prefix, part)
+        for name in ("transitions", "start", "stop"):
+            self.params[f"crf.{name}"] = getattr(self.crf, name)
+            self.grads[f"crf.{name}"] = getattr(self.crf_grads, name)
 
     # -- forward / backward -------------------------------------------------
 
@@ -291,9 +256,8 @@ class SegModel:
         losses, d_e, crf_g = crf_mod.nll_and_grads(e, self._crf64(), gold, _ragged(lengths))
         if train:
             self.backward(caches, d_e * scale)
-            self.crf_grads.transitions += (crf_g.transitions * scale).astype(self.DTYPE)
-            self.crf_grads.start += (crf_g.start * scale).astype(self.DTYPE)
-            self.crf_grads.stop += (crf_g.stop * scale).astype(self.DTYPE)
+            for name in ("transitions", "start", "stop"):
+                self.grads[f"crf.{name}"] += (getattr(crf_g, name) * scale).astype(self.DTYPE)
         return losses
 
     def doc_loss(self, doc, streams=None, train=False, rng=None, scale=1.0):
@@ -321,7 +285,7 @@ class SegModel:
             "char_vocab": "".join(_vocab_rows(self.char.char_vocab)) if self.char else "",
         }
         arrays = {
-            k.replace(".", "__"): v.astype("<f4") for k, v in self.named_params().items()
+            k.replace(".", "__"): v.astype("<f4") for k, v in self.params.items()
         }
         np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
@@ -341,8 +305,7 @@ class SegModel:
                 char_vocab=meta["char_vocab"],
                 stream_dims=meta["stream_dims"],
             )
-            params = model.named_params()
-            for k, v in params.items():
+            for k, v in model.params.items():
                 v[...] = data[k.replace(".", "__")].astype(cls.DTYPE)
         return model
 
@@ -412,7 +375,7 @@ def train(train_docs, val_docs, streams, cfg):
     model = SegModel(cfg, tokens, chars, stream_dims)
 
     rng = np.random.default_rng(cfg.seed + 1)
-    opt = nn.Adam(model.named_params(), lr=cfg.learning_rate)
+    opt = nn.Adam(model.params, lr=cfg.learning_rate)
     logs = []
     best_f1, best_state, best_age = -1.0, None, 0
     for epoch in range(cfg.epochs):
@@ -427,9 +390,8 @@ def train(train_docs, val_docs, streams, cfg):
                 raise NonFiniteLoss(epoch, step)
             total_nll += float(losses.sum())
             n_docs += len(batch)
-            grads = model.named_grads()
-            nn.clip_global_norm(list(grads.values()), cfg.clip_norm)
-            opt.step(model.named_params(), grads)
+            nn.clip_global_norm(list(model.grads.values()), cfg.clip_norm)
+            opt.step(model.params, model.grads)
         report = evaluate_model(model, val_docs, streams) if val_docs else None
         f1 = report.micro.f1 if report else 0.0
         logs.append(
@@ -443,17 +405,14 @@ def train(train_docs, val_docs, streams, cfg):
         )
         if f1 > best_f1:
             best_f1 = f1
-            best_state = copy.deepcopy(
-                {k: v.copy() for k, v in model.named_params().items()}
-            )
+            best_state = {k: v.copy() for k, v in model.params.items()}
             best_age = 0
         else:
             best_age += 1
             if val_docs and best_age >= cfg.patience:
                 break
     if best_state is not None:
-        params = model.named_params()
-        for k, v in params.items():
+        for k, v in model.params.items():
             v[...] = best_state[k]
     return model, logs
 
@@ -525,7 +484,10 @@ def _check_crf(rng, probes):
     return _fd_probe(params, analytic, lambda: C.nll_and_grads(e, p, gold)[0], rng, probes)
 
 
-def _weighted_sum_check(component, x, rng, probes, forward, backward):
+def _weighted_sum_check(component, inputs, rng, probes, forward, backward):
+    """Probe the loss sum(forward() * r) over the component's parameters
+    and ``inputs``, a list of (input, input-gradient) pairs whose gradient
+    arrays ``backward(r)`` fills."""
     out0 = forward()
     r = rng.standard_normal(out0.shape)
 
@@ -536,8 +498,8 @@ def _weighted_sum_check(component, x, rng, probes, forward, backward):
     backward(r)
     params = dict(component.params)
     analytic = dict(component.grads)
-    if x is not None:
-        params["__x__"], analytic["__x__"] = x
+    for i, (x, d_x) in enumerate(inputs):
+        params[f"__x{i}__"], analytic[f"__x{i}__"] = x, d_x
     return _fd_probe(params, analytic, loss, rng, probes)
 
 
@@ -556,7 +518,7 @@ def _check_gru(rng, probes):
     def backward(r):
         d_x[...] = enc.backward(holder["cache"], r)
 
-    return _weighted_sum_check(enc, (x, d_x), rng, probes, forward, backward)
+    return _weighted_sum_check(enc, [(x, d_x)], rng, probes, forward, backward)
 
 
 def _check_char(rng, probes):
@@ -573,7 +535,7 @@ def _check_char(rng, probes):
     def backward(r):
         enc.backward_tokens(holder["cache"], r)
 
-    return _weighted_sum_check(enc, None, rng, probes, forward, backward)
+    return _weighted_sum_check(enc, [], rng, probes, forward, backward)
 
 
 def _check_attention(rng, probes, mode="weighted"):
@@ -591,7 +553,7 @@ def _check_attention(rng, probes, mode="weighted"):
     def backward(r):
         d_x[...] = layer.backward(holder["cache"], r)
 
-    return _weighted_sum_check(layer, (x, d_x), rng, probes, forward, backward)
+    return _weighted_sum_check(layer, [(x, d_x)], rng, probes, forward, backward)
 
 
 def _check_combiner(rng, probes, mode="cdme"):
@@ -605,23 +567,15 @@ def _check_combiner(rng, probes, mode="cdme"):
         holder["cache"] = cache
         return out
 
+    d_streams = [np.zeros_like(st) for st in streams]
+
     def backward(r):
-        holder["d_streams"] = comb.backward(holder["cache"], r)
+        for d, g in zip(d_streams, comb.backward(holder["cache"], r)):
+            d[...] = g
 
-    out0 = forward()
-    r = rng.standard_normal(out0.shape)
-
-    def loss():
-        return float(np.sum(forward() * r))
-
-    comb.zero_grads()
-    forward()
-    backward(r)
-    params = dict(comb.params)
-    analytic = dict(comb.grads)
-    for i, (st, ds) in enumerate(zip(streams, holder["d_streams"])):
-        params[f"__s{i}__"], analytic[f"__s{i}__"] = st, ds
-    return _fd_probe(params, analytic, loss, rng, probes)
+    return _weighted_sum_check(
+        comb, list(zip(streams, d_streams)), rng, probes, forward, backward
+    )
 
 
 class _SegModel64(SegModel):
@@ -648,13 +602,12 @@ def _check_model(rng, probes):
     )
     tokens = [t for d in docs for t in d.token_texts()]
     model = _SegModel64(cfg, tokens, "".join(sorted(set("".join(tokens)))), dims)
-    params = model.named_params()
     for k in ("crf.transitions", "crf.start", "crf.stop"):
-        params[k][...] = rng.standard_normal(params[k].shape)
+        model.params[k][...] = rng.standard_normal(model.params[k].shape)
     model.zero_grads()
     model.batch_loss(docs, streams, train=True)
     return _fd_probe(
-        params, model.named_grads(), lambda: float(np.sum(model.batch_loss(docs, streams))),
+        model.params, model.grads, lambda: float(np.sum(model.batch_loss(docs, streams))),
         rng, probes, step=1e-5,
     )
 
@@ -689,14 +642,12 @@ _CHECKS = {
 }
 
 
-def gradcheck(component_selector="all", trials=20, tolerance=1e-4, seed=0,
-              _tamper=None):
+def gradcheck(component_selector="all", trials=20, tolerance=1e-4, seed=0):
     """Verify analytic gradients against central finite differences.
 
     component_selector: one check name, a list of names, or "all".  Each
     selected component gets `trials` random parameter probes spread over
-    freshly sampled instances.  ``_tamper`` is a test hook that perturbs
-    the recorded error.
+    freshly sampled instances.
     """
     if tolerance <= 0:
         raise TrainerError("tolerance must be positive")
@@ -717,8 +668,6 @@ def gradcheck(component_selector="all", trials=20, tolerance=1e-4, seed=0,
             p, w = _CHECKS[name](rng, min(per_instance, trials - total_probes))
             total_probes += p
             worst = max(worst, w)
-        if _tamper is not None:
-            worst = _tamper(name, worst)
         report.entries.append(
             GradCheckEntry(name, total_probes, worst, worst < tolerance)
         )

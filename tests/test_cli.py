@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import segtool
 from segtool import synth
 from segtool.cli import main
-from segtool.corpus import save_corpus
+from segtool.corpus import doc_to_json, save_corpus
 from segtool.embeddings import save_streams
 
 
@@ -44,6 +48,65 @@ class TestExitCodes:
         sfile.write_bytes(data + data[header:])  # every document twice
         assert main(["train", "--corpus", str(cfile), "--streams", str(sfile)]) == 2
         assert repr(docs[0].id) in capsys.readouterr().err
+
+
+def _corpus_file(tmp_path, mutate=lambda obj: None):
+    """A two-document corpus whose second line ``mutate`` edits."""
+    objs = [doc_to_json(d) for d in synth.gen_corpus(n_docs=2, seed=5)]
+    mutate(objs[1])
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    return path
+
+
+def _bad_brk(tmp_path):
+    def mutate(obj):
+        obj["tokens"][0]["brk"] = "tab"
+
+    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+
+
+def _bad_label(tmp_path):
+    def mutate(obj):
+        obj["spans"].append({"st": 0, "et": 1, "label": "XX"})
+
+    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+
+
+def _bad_qrels(second_line):
+    def case(tmp_path):
+        answers = tmp_path / "a.jsonl"
+        answers.write_text(json.dumps({"id": "a0", "text": "ls -la"}) + "\n")
+        qrels = tmp_path / "q.tsv"
+        qrels.write_text(f"q0000\ta0\n{second_line}\n")
+        argv = ["boosts", "--corpus", str(_corpus_file(tmp_path)), "--answers", str(answers),
+                "--qrels", str(qrels), "--out", str(tmp_path / "b.json")]
+        return argv, f"{qrels}:2:"
+
+    return case
+
+
+# malformed input -> (argv, where the error message must point)
+MALFORMED = {
+    "brk-not-in-enum": _bad_brk,
+    "label-not-in-enum": _bad_label,
+    "qrels-no-tab": _bad_qrels("q0001 a0"),
+    "qrels-two-tabs": _bad_qrels("q0001\ta0\tx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_data_error(case, tmp_path):
+    argv, where = MALFORMED[case](tmp_path)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(segtool.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "segtool.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert where in proc.stderr, proc.stderr
 
 
 class TestStatsAndAgree:

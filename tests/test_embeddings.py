@@ -12,7 +12,6 @@ from segtool.embeddings import (
     StreamCountMismatch,
     SubwordHashEmbedder,
     TokenCountMismatch,
-    combine,
     fnv1a,
     load_lookup_table,
     load_streams,
@@ -267,8 +266,8 @@ def test_model_matches_per_token_per_stream_oracle():
         loss = batched.doc_loss(doc, streams, train=True, scale=0.5)
         assert loss == pytest.approx(oracle.doc_loss(doc, streams, train=True, scale=0.5),
                                      rel=1e-10, abs=0)
-    expected = oracle.named_grads()
-    for k, g in batched.named_grads().items():
+    expected = oracle.grads
+    for k, g in batched.grads.items():
         if k == "comb.b":
             # softmax over streams ignores a shift shared by all logits, so
             # this gradient is zero up to round-off in both
@@ -378,7 +377,7 @@ class TestCombiner:
     def test_zero_logits_alpha_half(self):
         rng = np.random.default_rng(2)
         c = MetaCombiner(rng, "dme", [3, 3], d_prime=4)
-        c._params["a"][:] = 0.0
+        c.params["a"][:] = 0.0
         _, alphas, _ = c.forward([rng.standard_normal((5, 3))] * 2)
         assert np.allclose(alphas, 0.5)
 
@@ -389,10 +388,10 @@ class TestCombiner:
         out, alphas, _ = c.forward(streams)
         exp_out, exp_alphas = dense_dme_oracle(
             streams,
-            [c._params[f"P{i}"] for i in range(3)],
-            [c._params[f"b{i}"] for i in range(3)],
-            c._params["a"],
-            float(c._params["b"]),
+            [c.params[f"P{i}"] for i in range(3)],
+            [c.params[f"b{i}"] for i in range(3)],
+            c.params["a"],
+            float(c.params["b"]),
         )
         assert np.allclose(out, exp_out, atol=1e-6)
         assert np.allclose(alphas, exp_alphas, atol=1e-6)
@@ -458,9 +457,3 @@ class TestCombiner:
                 flat[i] = old
                 fd = (lp - lm) / (2 * step)
                 assert abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])) < 1e-4, name
-
-    def test_combine_helper(self):
-        rng = np.random.default_rng(8)
-        c = MetaCombiner(rng, "concat", [2, 2])
-        streams = [rng.standard_normal((3, 2)) for _ in range(2)]
-        assert np.array_equal(combine(c, streams), np.hstack(streams))

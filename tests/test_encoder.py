@@ -6,7 +6,6 @@ from segtool.encoder import (
     BiGruEncoder,
     DimMismatch,
     EncoderError,
-    attend,
     scaled_dot_attention,
 )
 
@@ -235,9 +234,3 @@ class TestAttention:
             assert np.all(d_h[b, n:] == 0.0)
         for k in layer.params:
             np.testing.assert_allclose(layer.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
-
-    def test_attend_helper(self):
-        rng = np.random.default_rng(7)
-        layer = AttentionLayer(rng, "unweighted", 3)
-        h = rng.standard_normal((4, 3))
-        assert np.array_equal(attend(layer, h), layer.forward(h)[0])

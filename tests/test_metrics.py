@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segtool.corpus import LABELS, SegmentLabel, SegmentSpan
+from segtool.corpus import LABELS, OverlappingSpans, SegmentLabel, SegmentSpan
 from segtool.evalmetrics import (
     PRF,
-    OverlapWithinSet,
-    exact_match_pr,
     soft_pr,
     span_coverage,
     span_set_coverage,
@@ -25,6 +23,14 @@ def _pr_oracle(gold, pred):
     p = 1.0 if not pred else span_set_coverage(gold, pred) / len(pred)
     r = 1.0 if not gold else span_set_coverage(pred, gold) / len(gold)
     return PRF(p, r)
+
+
+def exact_match_pr(gold, pred):
+    """Exact span match P/R of one document (a lower bound on the soft
+    scores)."""
+    keys = [{(s.start_token, s.end_token, s.label) for s in spans} for spans in (gold, pred)]
+    tp = len(keys[0] & keys[1])
+    return PRF(1.0 if not pred else tp / len(pred), 1.0 if not gold else tp / len(gold))
 
 
 def soft_pr_pooled_oracle(gold_sets, pred_sets, macro=False):
@@ -82,7 +88,7 @@ class TestSpanSetCoverage:
         assert span_set_coverage([sp(0, 10, ES)], [sp(0, 5, ES), sp(5, 10, CO)]) == 1.0
 
     def test_overlap_within_set_rejected(self):
-        with pytest.raises(OverlapWithinSet):
+        with pytest.raises(OverlappingSpans):
             span_set_coverage([sp(0, 5, ES), sp(3, 8, ES)], [])
 
 

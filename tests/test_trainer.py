@@ -68,8 +68,8 @@ class TestTraining:
         tr, va, _ = tiny_corpus
         m1, l1 = train(tr, va, None, small_cfg())
         m2, l2 = train(tr, va, None, small_cfg())
-        for k, v in m1.named_params().items():
-            assert np.array_equal(v, m2.named_params()[k]), k
+        for k, v in m1.params.items():
+            assert np.array_equal(v, m2.params[k]), k
         assert [l.line() for l in l1] == [l.line() for l in l2]
 
     def test_loss_improves(self, tiny_corpus):
@@ -123,7 +123,7 @@ class TestPredictAndCheckpoint:
         path = tmp_path / "model.npz"
         model.save(path)
         loaded = SegModel.load(path)
-        orig, back = model.named_params(), loaded.named_params()
+        orig, back = model.params, loaded.params
         assert set(orig) == set(back)
         for k in orig:
             assert orig[k].dtype == back[k].dtype == np.float32
@@ -193,10 +193,10 @@ class TestBatchedModel:
         batched = SegModel64(cfg, tokens, chars, streams.dims)
         oracle = SegModel64(cfg, tokens, chars, streams.dims)
         rng = np.random.default_rng(1)
-        for k, v in batched.named_params().items():
+        for k, v in batched.params.items():
             if k.startswith("crf."):
                 v[...] = rng.standard_normal(v.shape)
-                oracle.named_params()[k][...] = v
+                oracle.params[k][...] = v
 
         batched.zero_grads()
         oracle.zero_grads()
@@ -205,8 +205,8 @@ class TestBatchedModel:
         oracle_rng = np.random.default_rng(3)
         expected = [per_document_loss(oracle, d, streams, oracle_rng, 0.25) for d in batch]
         np.testing.assert_allclose(losses, expected, rtol=1e-10)
-        for k, g in batched.named_grads().items():
-            ref = oracle.named_grads()[k]
+        for k, g in batched.grads.items():
+            ref = oracle.grads[k]
             if k == "comb.b":
                 # softmax over streams ignores a shift shared by all logits, so
                 # this gradient is zero up to round-off in both
@@ -216,6 +216,72 @@ class TestBatchedModel:
             # per-document terms of opposite sign keeps only the absolute
             # round-off of the batched matrix products (~1e-16 of the scale).
             assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref)), k
+
+
+# lookup + subword + char + cdme over three streams + weighted attention
+FULL_CFG = dict(
+    hidden=4, lookup_dim=3, use_subword=True, subword_dim=3, subword_buckets=16,
+    use_char=True, char_dim=3, char_hidden=3, combiner_mode="cdme", d_prime=4,
+    attention_mode="weighted", attention_dim=3,
+)
+
+# Parameter names in order: the checkpoint keys, and the order in which the
+# clipping norm sums the gradients.
+FULL_NAMES = [
+    "lookup.matrix", "subword.buckets", "char.table_matrix",
+    "char.rnn_f_W", "char.rnn_f_U", "char.rnn_f_b", "char.rnn_b_W", "char.rnn_b_U",
+    "char.rnn_b_b",
+    "comb.P0", "comb.b0", "comb.P1", "comb.b1", "comb.P2", "comb.b2", "comb.a", "comb.b",
+    "comb.ctx_f_W", "comb.ctx_f_U", "comb.ctx_f_b", "comb.ctx_b_W", "comb.ctx_b_U",
+    "comb.ctx_b_b",
+    "gru.f_W", "gru.f_U", "gru.f_b", "gru.b_W", "gru.b_U", "gru.b_b",
+    "attn.Wq", "attn.Wk", "attn.Wv", "emit.W", "emit.b",
+    "crf.transitions", "crf.start", "crf.stop",
+]
+
+
+def full_model():
+    return SegModel(TrainConfig(**FULL_CFG), ["ab", "c"], "abc", [2, 3, 2])
+
+
+class TestParameterTree:
+    def test_names_and_order(self, tmp_path):
+        model = full_model()
+        assert list(model.params) == FULL_NAMES
+        assert list(model.grads) == FULL_NAMES
+        model.save(tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            keys = [k for k in data.keys() if k != "__meta__"]
+        assert keys == [k.replace(".", "__") for k in FULL_NAMES]
+
+    def test_model_arrays_are_the_parts_own(self):
+        model = full_model()
+        parts = {
+            "lookup": model.lookup, "subword": model.subword, "char": model.char,
+            "comb": model.combiner, "gru": model.encoder, "attn": model.attention,
+            "emit": model.emit,
+        }
+        for k, v in model.params.items():
+            part, name = k.split(".", 1)
+            if part == "crf":
+                assert v is getattr(model.crf, name)
+                assert model.grads[k] is getattr(model.crf_grads, name)
+            else:
+                assert v is parts[part].params[name], k
+                assert model.grads[k] is parts[part].grads[name], k
+        # down to the leaf cells
+        assert model.params["char.rnn_f_W"] is model.char.rnn.f.params["W"]
+        assert model.params["comb.ctx_b_U"] is model.combiner.context.b.params["U"]
+        assert model.grads["gru.b_b"] is model.encoder.rnn.b.grads["b"]
+
+    def test_zero_grads_clears_every_gradient(self):
+        model = full_model()
+        assert model.grads["comb.b"].ndim == 0
+        for g in model.grads.values():
+            g[...] = 1.0
+        model.zero_grads()
+        for k, g in model.grads.items():
+            assert not g.any(), k
 
 
 class TestGradCheck:
@@ -240,9 +306,19 @@ class TestGradCheck:
         with pytest.raises(TrainerError):
             gradcheck("crf", trials=1, tolerance=0.0)
 
-    def test_corrupted_gradient_fails(self):
-        # the tamper hook injects a large error, standing in for a broken
-        # backward pass
-        report = gradcheck("gru", trials=5, _tamper=lambda name, worst: worst + 1.0)
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        # a broken backward pass: every gradient the GRU produces, for its
+        # parameters and for its input, comes out doubled
+        backward = nn.Gru.backward
+
+        def doubled(cell, cache, d_h_seq):
+            before = {k: g.copy() for k, g in cell.grads.items()}
+            d_x = backward(cell, cache, d_h_seq)
+            for k, g in cell.grads.items():
+                g += g - before[k]
+            return 2.0 * d_x
+
+        monkeypatch.setattr(nn.Gru, "backward", doubled)
+        report = gradcheck("gru", trials=5)
         assert not report.passed
         assert report.lines()[0].endswith("FAIL")
