@@ -38,17 +38,23 @@ def _parse_config_file(path):
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in by_name:
                 raise trainer.TrainerError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _coerce(key, val, by_name[key].type)
+            try:
+                values[key] = _coerce(val, by_name[key].type)
+            except ValueError:
+                raise trainer.TrainerError(
+                    f"{path}:{line_no}: bad value {val!r} for {key}"
+                ) from None
     return values
 
 
-def _coerce(key, val, typ):
+def _coerce(val, typ):
+    """``val`` parsed as ``typ``; ValueError when it is no such value."""
     if typ in ("bool", bool):
         if val.lower() in ("true", "1", "yes"):
             return True
         if val.lower() in ("false", "0", "no"):
             return False
-        raise trainer.TrainerError(f"bad boolean for {key}: {val!r}")
+        raise ValueError(val)
     if typ in ("int", int):
         return int(val)
     if typ in ("float", float):

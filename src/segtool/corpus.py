@@ -235,33 +235,43 @@ def doc_to_json(doc):
 
 
 _DOC_FIELDS = ("id", "text", "tokens", "spans")
+_TOKEN_FIELDS = (("t", str), ("s", int), ("e", int), ("brk", Break))
+_SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
 
-def _enum_field(enum, obj, key, name, line_no):
+def _values(obj, prefix, fields, line_no):
+    """obj's values of ``fields``, (key, kind) pairs, in order: each made
+    into its Enum kind, or already exactly of its kind (a bool is no int)."""
+    vals = []
+    for key, kind in fields:
+        if key not in obj:
+            raise SchemaError(prefix + key, line_no)
+        val = obj[key]
+        if issubclass(kind, Enum) and val in [m.value for m in kind]:
+            val = kind(val)
+        if type(val) is not kind:
+            raise SchemaError(prefix + key, line_no, f"bad value {val!r} for field")
+        vals.append(val)
+    return vals
+
+
+def _tokens(items, line_no):
+    # the common case in one pass; _values names the first bad field
     try:
-        return enum(obj[key])
-    except ValueError:
-        raise SchemaError(name, line_no, f"bad value {obj[key]!r} for field") from None
+        tokens = [Token(t["t"], t["s"], t["e"], Break(t["brk"])) for t in items]
+        if all(type(t.text) is str and type(t.start) is type(t.end) is int for t in tokens):
+            return tokens
+    except (KeyError, TypeError, ValueError):
+        pass
+    return [Token(*_values(t, "tokens.", _TOKEN_FIELDS, line_no)) for t in items]
 
 
 def doc_from_json(obj, line_no=None):
     for f in _DOC_FIELDS:
         if f not in obj:
             raise SchemaError(f, line_no)
-    tokens = []
-    for t in obj["tokens"]:
-        for f in ("t", "s", "e", "brk"):
-            if f not in t:
-                raise SchemaError(f"tokens.{f}", line_no)
-        brk = _enum_field(Break, t, "brk", "tokens.brk", line_no)
-        tokens.append(Token(t["t"], t["s"], t["e"], brk))
-    spans = []
-    for s in obj["spans"]:
-        for f in ("st", "et", "label"):
-            if f not in s:
-                raise SchemaError(f"spans.{f}", line_no)
-        label = _enum_field(SegmentLabel, s, "label", "spans.label", line_no)
-        spans.append(SegmentSpan(s["st"], s["et"], label))
+    tokens = _tokens(obj["tokens"], line_no)
+    spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS, line_no)) for s in obj["spans"]]
     doc = AnnotatedDocument(obj["id"], obj["text"], tokens, spans)
     doc.validate()
     return doc

@@ -343,7 +343,10 @@ def load_streams(path, doc_token_counts=None):
 
 class MetaCombiner(nn.Component):
     """Fuse n per-token streams: concatenation, or a learned softmax-
-    weighted sum of linear projections (dme / cdme)."""
+    weighted sum of linear projections (dme / cdme).  Streams are
+    (..., s, d_i) arrays, zero-padded after their ``lengths`` as in ``nn``:
+    the softmax over the streams is per position, and the cdme context
+    biLSTM reverses each sequence within its length."""
 
     M_CONTEXT = 2  # context biLSTM width per direction
 
@@ -374,62 +377,58 @@ class MetaCombiner(nn.Component):
     def out_dim(self):
         return sum(self.dims) if self.mode == "concat" else self.d_prime
 
-    def forward(self, streams):
-        """streams: list of (s, d_i) arrays for one document.  Returns
-        (output, alphas, cache); alphas is (n, s) or None for concat."""
+    def forward(self, streams, lengths=None):
+        """streams: list of n (..., s, d_i) arrays.  Returns (output,
+        alphas, cache): output is (..., s, out_dim), alphas (n, ..., s), or
+        None for concat."""
         if len(streams) != len(self.dims):
             raise StreamCountMismatch(
                 f"expected {len(self.dims)} streams, got {len(streams)}"
             )
         for arr, d in zip(streams, self.dims):
-            if arr.shape[1] != d:
-                raise StreamCountMismatch(f"stream dim {arr.shape[1]} != {d}")
+            if arr.shape[-1] != d:
+                raise StreamCountMismatch(f"stream dim {arr.shape[-1]} != {d}")
         if self.mode == "concat":
-            return np.concatenate(streams, axis=1), None, None
+            return np.concatenate(streams, axis=-1), None, None
 
-        n = len(streams)
-        s = streams[0].shape[0]
         proj = np.stack(
-            [
-                streams[i] @ self.params[f"P{i}"] + self.params[f"b{i}"]
-                for i in range(n)
-            ]
-        )  # (n, s, d')
+            [st @ self.params[f"P{i}"] + self.params[f"b{i}"] for i, st in enumerate(streams)]
+        )  # (n, ..., s, d')
         a, b = self.params["a"], self.params["b"]
         if self.mode == "dme":
-            logits = proj @ a + b  # (n, s)
+            logits = proj @ a + b  # (n, ..., s)
             ctx_cache, hs = None, None
         else:
-            hs, ctx_cache = self.context.forward(proj)  # (n, s, 2m)
+            if lengths is not None:
+                lengths = np.broadcast_to(lengths, proj.shape[:-2])
+            hs, ctx_cache = self.context.forward(proj, lengths)  # (n, ..., s, 2m)
             logits = hs @ a + b
-        alphas = nn.softmax(logits, axis=0)  # (n, s)
-        out = np.einsum("ns,nsd->sd", alphas, proj)
+        alphas = nn.softmax(logits, axis=0)
+        out = np.einsum("n...,n...d->...d", alphas, proj)
         cache = (streams, proj, alphas, hs, ctx_cache)
         return out, alphas, cache
 
     def backward(self, cache, d_out):
         if self.mode == "concat":
-            dims = np.cumsum([0] + self.dims)
-            return [d_out[:, dims[i] : dims[i + 1]] for i in range(len(self.dims))]
+            return np.split(d_out, np.cumsum(self.dims)[:-1], axis=-1)
         streams, proj, alphas, hs, ctx_cache = cache
 
-        n, s, _ = proj.shape
         a = self.params["a"]
-        d_proj = alphas[:, :, None] * d_out[None, :, :]  # weighted-sum path
-        d_alpha = np.einsum("sd,nsd->ns", d_out, proj)
+        d_proj = alphas[..., None] * d_out  # weighted-sum path
+        d_alpha = np.einsum("...d,n...d->n...", d_out, proj)
         d_logits = nn.softmax_backward(alphas, d_alpha, axis=0)
         self.grads["b"] += d_logits.sum()
         if self.mode == "dme":
-            self.grads["a"] += np.einsum("ns,nsd->d", d_logits, proj)
-            d_proj = d_proj + d_logits[:, :, None] * a[None, None, :]
+            self.grads["a"] += d_logits.reshape(-1) @ proj.reshape(-1, self.d_prime)
+            d_proj += d_logits[..., None] * a
         else:
-            self.grads["a"] += np.einsum("ns,nsh->h", d_logits, hs)
-            d_h = d_logits[:, :, None] * a[None, None, :]
-            d_proj += self.context.backward(ctx_cache, d_h)
+            self.grads["a"] += d_logits.reshape(-1) @ hs.reshape(-1, hs.shape[-1])
+            d_proj += self.context.backward(ctx_cache, d_logits[..., None] * a)
 
         d_streams = []
-        for i in range(n):
-            self.grads[f"P{i}"] += streams[i].T @ d_proj[i]
-            self.grads[f"b{i}"] += d_proj[i].sum(axis=0)
+        for i, st in enumerate(streams):
+            d_rows = d_proj[i].reshape(-1, self.d_prime)
+            self.grads[f"P{i}"] += st.reshape(-1, st.shape[-1]).T @ d_rows
+            self.grads[f"b{i}"] += d_rows.sum(axis=0)
             d_streams.append(d_proj[i] @ self.params[f"P{i}"].T)
         return d_streams

@@ -85,12 +85,6 @@ def span_coverage(s, s_prime):
     return inter / (s_prime.end_token - s_prime.start_token)
 
 
-def span_set_coverage(spans, spans_prime):
-    _check_no_overlap(spans)
-    _check_no_overlap(spans_prime)
-    return sum(span_coverage(s, sp) for s in spans for sp in spans_prime)
-
-
 def _label_coverages(gold, pred):
     """One document's coverage sums per label: label -> (coverage of the
     predictions by gold, coverage of gold by the predictions, #pred,

@@ -2,9 +2,10 @@
 optional attention -> CRF, with a mini-batch Adam training loop,
 checkpointing, and a finite-difference gradient verification harness.
 
-Features are computed per document; a mini-batch then runs through the
-biGRU, attention, emission layer and CRF as one zero-padded (B, T, .)
-batch with a vector of document lengths.
+A mini-batch runs as one zero-padded (B, T, .) batch with a vector of
+document lengths, from the features on: each embedding provider runs once
+over the batch's tokens, the combiner once over its padded streams, and
+then the biGRU, attention, emission layer and CRF.
 """
 
 import hashlib
@@ -129,6 +130,9 @@ class SegModel(nn.Component):
         if cfg.combiner_mode != "none":
             dims = self.stream_dims
             if cfg.stream_indices is not None:
+                for i in cfg.stream_indices:
+                    if not 0 <= i < len(dims):
+                        raise TrainerError(f"stream index {i} invalid for {len(dims)} streams")
                 dims = [dims[i] for i in cfg.stream_indices]
             self.combiner = MetaCombiner(
                 rng, cfg.combiner_mode, dims, d_prime=cfg.d_prime, dtype=dt
@@ -166,8 +170,6 @@ class SegModel(nn.Component):
     # -- forward / backward -------------------------------------------------
 
     def _doc_streams(self, doc, streams):
-        if self.combiner is None:
-            return None
         if streams is None or doc.id not in streams.vectors:
             raise MissingStreams(doc.id)
         arrs = streams.for_doc(doc.id)
@@ -175,74 +177,66 @@ class SegModel(nn.Component):
             arrs = [arrs[i] for i in self.cfg.stream_indices]
         return [np.asarray(a, dtype=self.DTYPE) for a in arrs]
 
-    def _features(self, doc, streams):
-        toks = doc.token_texts()
-        cols, caches = [], {}
+    def _token_parts(self):
+        """(forward, backward) of each per-token provider, in column order."""
+        parts = []
         if self.lookup is not None:
-            out, idx = self.lookup.embed_sequence(toks)
-            cols.append(out)
-            caches["lookup"] = idx
+            parts.append((self.lookup.embed_sequence, self.lookup.backward_sequence))
         if self.subword is not None:
-            out, idx = self.subword.embed_sequence(toks)
-            cols.append(out)
-            caches["subword"] = idx
+            parts.append((self.subword.embed_sequence, self.subword.backward_sequence))
         if self.char is not None:
-            out, caches["char"] = self.char.forward_tokens(toks)
-            cols.append(out)
+            parts.append((self.char.forward_tokens, self.char.backward_tokens))
+        return parts
+
+    def _features(self, docs, streams):
+        """The zero-padded (B, T, d) input of a mini-batch, its lengths and
+        the caches for ``_features_backward``.  Each per-token provider runs
+        once over the batch's tokens; the combiner runs on padded streams."""
+        lengths = np.array([len(doc.tokens) for doc in docs])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        toks = [t for doc in docs for t in doc.token_texts()]
+        cols, caches = [], []
+        for forward, _ in self._token_parts():
+            out, cache = forward(toks)
+            cols.append(_pad(out, valid))
+            caches.append(cache)
         if self.combiner is not None:
-            arrs = self._doc_streams(doc, streams)
-            out, _, c_cache = self.combiner.forward(arrs)
+            per_doc = [self._doc_streams(doc, streams) for doc in docs]
+            padded = [_pad(np.concatenate(arrs), valid) for arrs in zip(*per_doc)]
+            out, _, cache = self.combiner.forward(padded, _ragged(lengths))
             cols.append(out.astype(self.DTYPE))
-            caches["comb"] = c_cache
-        x = np.concatenate(cols, axis=1)
-        caches["widths"] = [c.shape[1] for c in cols]
-        return x, caches
+            caches.append(cache)
+        widths = [c.shape[-1] for c in cols]
+        return np.concatenate(cols, axis=-1), lengths, (valid, widths, caches)
 
-    def _features_backward(self, caches, d_x):
-        offs = np.cumsum([0] + caches["widths"])
-        k = 0
-
-        def col():
-            nonlocal k
-            sl = d_x[:, offs[k] : offs[k + 1]]
-            k += 1
-            return sl
-
-        if self.lookup is not None:
-            self.lookup.backward_sequence(caches["lookup"], col())
-        if self.subword is not None:
-            self.subword.backward_sequence(caches["subword"], col())
-        if self.char is not None:
-            self.char.backward_tokens(caches["char"], col())
+    def _features_backward(self, f_cache, d_x):
+        # d_x is exactly zero at the padding: the combiner takes its column as is
+        valid, widths, caches = f_cache
+        d_cols = np.split(d_x, np.cumsum(widths)[:-1], axis=-1)
+        for (_, backward), cache, d_col in zip(self._token_parts(), caches, d_cols):
+            backward(cache, d_col[valid])
         if self.combiner is not None:
-            self.combiner.backward(caches["comb"], col())
+            self.combiner.backward(caches[-1], d_cols[-1])
 
     def emissions(self, docs, streams=None, train=False, rng=None):
         """Emission scores of a mini-batch of non-empty documents: a
         float64 (B, T, n_tags) array zero-padded to the longest document,
         and the caches for ``backward``."""
-        feats = [self._features(doc, streams) for doc in docs]
-        lengths = np.array([len(x) for x, _ in feats])
-        x = np.zeros((len(docs), lengths.max(), feats[0][0].shape[1]), dtype=self.DTYPE)
-        for row, (xb, _) in zip(x, feats):
-            row[: len(xb)] = xb
+        x, lengths, f_cache = self._features(docs, streams)
         ragged = _ragged(lengths)
         h, e_cache = self.encoder.encode(x, train=train, rng=rng, lengths=ragged)
         a_cache = None
         if self.attention is not None:
             h, a_cache = self.attention.forward(h, ragged)
         e, l_cache = self.emit.forward(h)
-        f_caches = [c for _, c in feats]
-        return e.astype(np.float64), (f_caches, lengths, e_cache, a_cache, l_cache)
+        return e.astype(np.float64), (f_cache, lengths, e_cache, a_cache, l_cache)
 
     def backward(self, caches, d_e):
-        f_caches, lengths, e_cache, a_cache, l_cache = caches
+        f_cache, _, e_cache, a_cache, l_cache = caches
         d_h = self.emit.backward(l_cache, d_e.astype(self.DTYPE))
         if self.attention is not None:
             d_h = self.attention.backward(a_cache, d_h)
-        d_x = self.encoder.backward(e_cache, d_h)
-        for f_cache, d_xb, n in zip(f_caches, d_x, lengths):
-            self._features_backward(f_cache, d_xb[:n])
+        self._features_backward(f_cache, self.encoder.backward(e_cache, d_h))
 
     def batch_loss(self, docs, streams=None, train=False, rng=None, scale=1.0):
         """NLL of each document's gold tags, as a (B,) array, computed for
@@ -308,6 +302,14 @@ class SegModel(nn.Component):
             for k, v in model.params.items():
                 v[...] = data[k.replace(".", "__")].astype(cls.DTYPE)
         return model
+
+
+def _pad(rows, valid):
+    """Scatter the (N, d) rows of a batch's tokens, in document order, into
+    a zero-padded (B, T, d) array; ``valid`` marks the (B, T) real slots."""
+    out = np.zeros(valid.shape + rows.shape[1:], dtype=rows.dtype)
+    out[valid] = rows
+    return out
 
 
 def _ragged(lengths):
@@ -485,96 +487,49 @@ def _check_crf(rng, probes):
 
 
 def _weighted_sum_check(component, inputs, rng, probes, forward, backward):
-    """Probe the loss sum(forward() * r) over the component's parameters
-    and ``inputs``, a list of (input, input-gradient) pairs whose gradient
-    arrays ``backward(r)`` fills."""
-    out0 = forward()
-    r = rng.standard_normal(out0.shape)
-
-    def loss():
-        return float(np.sum(forward() * r))
-
+    """Probe the loss sum(out * r) over the component's parameters and the
+    arrays of ``inputs``: forward() returns (out, cache), and
+    backward(cache, r) returns the gradients of ``inputs``, in order."""
+    out, cache = forward()
+    r = rng.standard_normal(out.shape)
     component.zero_grads()
-    backward(r)
-    params = dict(component.params)
-    analytic = dict(component.grads)
-    for i, (x, d_x) in enumerate(inputs):
-        params[f"__x{i}__"], analytic[f"__x{i}__"] = x, d_x
-    return _fd_probe(params, analytic, loss, rng, probes)
+    d_inputs = backward(cache, r)
+    params, analytic = dict(component.params), dict(component.grads)
+    for i, x in enumerate(inputs):
+        params[f"__x{i}__"], analytic[f"__x{i}__"] = x, d_inputs[i]
+    return _fd_probe(params, analytic, lambda: float(np.sum(forward()[0] * r)), rng, probes)
 
 
 def _check_gru(rng, probes):
     enc = BiGruEncoder(rng, 5, 4)
     x = rng.standard_normal((6, 5))
-    holder = {}
-
-    def forward():
-        out, cache = enc.encode(x)
-        holder["cache"] = cache
-        return out
-
-    d_x = np.zeros_like(x)
-
-    def backward(r):
-        d_x[...] = enc.backward(holder["cache"], r)
-
-    return _weighted_sum_check(enc, [(x, d_x)], rng, probes, forward, backward)
+    return _weighted_sum_check(
+        enc, [x], rng, probes, lambda: enc.encode(x), lambda c, r: [enc.backward(c, r)]
+    )
 
 
 def _check_char(rng, probes):
     enc = CharEncoder(rng, "abcxyz/.-", char_dim=4, hidden=5)
     # two lengths, one token repeated, one unknown char ("q")
     tokens = ["xy/z.a", "ab", "xy/z.a", "q.", "zzcaby"]
-    holder = {}
-
-    def forward():
-        v, cache = enc.forward_tokens(tokens)
-        holder["cache"] = cache
-        return v
-
-    def backward(r):
-        enc.backward_tokens(holder["cache"], r)
-
-    return _weighted_sum_check(enc, [], rng, probes, forward, backward)
+    return _weighted_sum_check(
+        enc, [], rng, probes, lambda: enc.forward_tokens(tokens), enc.backward_tokens
+    )
 
 
 def _check_attention(rng, probes, mode="weighted"):
     layer = AttentionLayer(rng, mode, 6, d_a=4 if mode == "weighted" else None)
     x = rng.standard_normal((5, 6))
-    holder = {}
-
-    def forward():
-        out, cache = layer.forward(x)
-        holder["cache"] = cache
-        return out
-
-    d_x = np.zeros_like(x)
-
-    def backward(r):
-        d_x[...] = layer.backward(holder["cache"], r)
-
-    return _weighted_sum_check(layer, [(x, d_x)], rng, probes, forward, backward)
+    return _weighted_sum_check(
+        layer, [x], rng, probes, lambda: layer.forward(x), lambda c, r: [layer.backward(c, r)]
+    )
 
 
 def _check_combiner(rng, probes, mode="cdme"):
-    dims = [4, 3, 5]
-    comb = MetaCombiner(rng, mode, dims, d_prime=6)
-    streams = [rng.standard_normal((5, d)) for d in dims]
-    holder = {}
-
-    def forward():
-        out, _, cache = comb.forward(streams)
-        holder["cache"] = cache
-        return out
-
-    d_streams = [np.zeros_like(st) for st in streams]
-
-    def backward(r):
-        for d, g in zip(d_streams, comb.backward(holder["cache"], r)):
-            d[...] = g
-
-    return _weighted_sum_check(
-        comb, list(zip(streams, d_streams)), rng, probes, forward, backward
+    comb = MetaCombiner(rng, mode, [4, 3, 5], d_prime=6)
+    streams = [rng.standard_normal((5, d)) for d in comb.dims]
+    return _weighted_sum_check(  # forward: (output, cache), without the alphas
+        comb, streams, rng, probes, lambda: comb.forward(streams)[::2], comb.backward
     )
 
 

@@ -73,6 +73,37 @@ def _bad_label(tmp_path):
     return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
 
 
+def _bad_span_index(tmp_path):
+    def mutate(obj):
+        obj["spans"][0]["st"] = "a"
+
+    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+
+
+def _null_token_offset(tmp_path):
+    def mutate(obj):
+        obj["tokens"][0]["s"] = None
+
+    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+
+
+def _bad_config_int(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("hidden=8\nepochs=abc\n")
+    argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--config", str(cfg)]
+    return argv, f"{cfg}:2:"
+
+
+def _stream_index_out_of_range(tmp_path):
+    streams = tmp_path / "s.bin"
+    save_streams(synth.gen_streams(synth.gen_corpus(n_docs=2, seed=5), seed=5), streams)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("combiner_mode=dme\nstream_indices=5\nepochs=1\n")
+    argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--streams", str(streams),
+            "--config", str(cfg)]
+    return argv, "stream index 5 invalid for 3 streams"
+
+
 def _bad_qrels(second_line):
     def case(tmp_path):
         answers = tmp_path / "a.jsonl"
@@ -90,6 +121,10 @@ def _bad_qrels(second_line):
 MALFORMED = {
     "brk-not-in-enum": _bad_brk,
     "label-not-in-enum": _bad_label,
+    "span-index-not-int": _bad_span_index,
+    "token-offset-null": _null_token_offset,
+    "config-int-not-a-number": _bad_config_int,
+    "stream-index-out-of-range": _stream_index_out_of_range,
     "qrels-no-tab": _bad_qrels("q0001 a0"),
     "qrels-two-tabs": _bad_qrels("q0001\ta0\tx"),
 }

@@ -202,8 +202,9 @@ class PerStreamContext:
     def __getattr__(self, name):
         return getattr(self.rnn, name)
 
-    def forward(self, proj):
-        outs, caches = zip(*(self.rnn.forward(p) for p in proj))
+    def forward(self, proj, lengths=None):
+        per_stream = [None] * len(proj) if lengths is None else lengths
+        outs, caches = zip(*(self.rnn.forward(p, n) for p, n in zip(proj, per_stream)))
         return np.stack(outs), caches
 
     def backward(self, caches, d_h):
@@ -457,3 +458,32 @@ class TestCombiner:
                 flat[i] = old
                 fd = (lp - lm) / (2 * step)
                 assert abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])) < 1e-4, name
+
+    @pytest.mark.parametrize("mode", ["concat", "dme", "cdme"])
+    def test_padded_batch_matches_per_sequence(self, mode):
+        # three sequences zero-padded to T = 6: lengths 1, T and in between
+        rng = np.random.default_rng(8)
+        dims, lengths = [3, 4, 2], np.array([1, 6, 4])
+        c = MetaCombiner(rng, mode, dims, d_prime=5)
+        valid = np.arange(6) < lengths[:, None]
+        streams = [rng.standard_normal((3, 6, d)) * valid[..., None] for d in dims]
+        d_out = rng.standard_normal((3, 6, c.out_dim)) * valid[..., None]
+        out, _, cache = c.forward(streams, lengths)
+        c.zero_grads()
+        d_streams = c.backward(cache, d_out)
+        batched_grads = {k: g.copy() for k, g in c.grads.items()}
+
+        c.zero_grads()
+        for b, n in enumerate(lengths):
+            one = [st[b, :n] for st in streams]
+            out_b, _, cache_b = c.forward(one)
+            np.testing.assert_allclose(out[b, :n], out_b, rtol=1e-10)
+            for d_st, d_one in zip(d_streams, c.backward(cache_b, d_out[b, :n])):
+                np.testing.assert_allclose(d_st[b, :n], d_one, rtol=1e-10)
+                assert not d_st[b, n:].any()
+        for k, g in c.grads.items():
+            if k == "b":
+                # softmax over streams ignores a shift shared by all logits
+                assert abs(batched_grads[k]) < 1e-14 and abs(g) < 1e-14
+                continue
+            np.testing.assert_allclose(batched_grads[k], g, rtol=1e-10, err_msg=k)

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segtool.corpus import LABELS, OverlappingSpans, SegmentLabel, SegmentSpan
-from segtool.evalmetrics import (
-    PRF,
-    soft_pr,
-    span_coverage,
-    span_set_coverage,
-)
+from segtool.corpus import LABELS, OverlappingSpans, SegmentLabel, SegmentSpan, _check_no_overlap
+from segtool.evalmetrics import PRF, soft_pr, span_coverage
 from test_corpus import span_sets
 
 ES = SegmentLabel.ES
@@ -17,6 +12,12 @@ CO = SegmentLabel.CO
 
 def sp(s, e, lab):
     return SegmentSpan(s, e, lab)
+
+
+def span_set_coverage(spans, spans_prime):
+    _check_no_overlap(spans)
+    _check_no_overlap(spans_prime)
+    return sum(span_coverage(s, sp) for s in spans for sp in spans_prime)
 
 
 def _pr_oracle(gold, pred):

@@ -10,6 +10,7 @@ from segtool.corpus import (
     split_corpus,
     tokenize,
 )
+from segtool.embeddings import CharEncoder, MetaCombiner
 from segtool.trainer import (
     MissingStreams,
     SegModel,
@@ -153,10 +154,49 @@ class TestPredictAndCheckpoint:
         assert 0.0 <= rep.micro.f1 <= 1.0
 
 
+def per_document_features(model, doc, streams):
+    """One document's unpadded (s, d) features, each provider run on its
+    tokens alone (the feature stage before it took the mini-batch)."""
+    toks = doc.token_texts()
+    cols, caches = [], {}
+    if model.lookup is not None:
+        out, idx = model.lookup.embed_sequence(toks)
+        cols.append(out)
+        caches["lookup"] = idx
+    if model.subword is not None:
+        out, idx = model.subword.embed_sequence(toks)
+        cols.append(out)
+        caches["subword"] = idx
+    if model.char is not None:
+        out, caches["char"] = model.char.forward_tokens(toks)
+        cols.append(out)
+    if model.combiner is not None:
+        arrs = model._doc_streams(doc, streams)
+        out, _, c_cache = model.combiner.forward(arrs)
+        cols.append(out.astype(model.DTYPE))
+        caches["comb"] = c_cache
+    x = np.concatenate(cols, axis=1)
+    caches["widths"] = [c.shape[1] for c in cols]
+    return x, caches
+
+
+def per_document_features_backward(model, caches, d_x):
+    offs = np.cumsum([0] + caches["widths"])
+    d_cols = iter(d_x[:, offs[k] : offs[k + 1]] for k in range(len(offs) - 1))
+    if model.lookup is not None:
+        model.lookup.backward_sequence(caches["lookup"], next(d_cols))
+    if model.subword is not None:
+        model.subword.backward_sequence(caches["subword"], next(d_cols))
+    if model.char is not None:
+        model.char.backward_tokens(caches["char"], next(d_cols))
+    if model.combiner is not None:
+        model.combiner.backward(caches["comb"], next(d_cols))
+
+
 def per_document_loss(model, doc, streams, rng, scale):
     """The per-document path the batched model replaced: every layer runs
     on one unpadded (s, d) document, and gradients accumulate scaled."""
-    x, f_cache = model._features(doc, streams)
+    x, f_cache = per_document_features(model, doc, streams)
     h, e_cache = model.encoder.encode(x, train=True, rng=rng)
     a_cache = None
     if model.attention is not None:
@@ -166,7 +206,7 @@ def per_document_loss(model, doc, streams, rng, scale):
     d_h = model.emit.backward(l_cache, d_e * scale)
     if model.attention is not None:
         d_h = model.attention.backward(a_cache, d_h)
-    model._features_backward(f_cache, model.encoder.backward(e_cache, d_h))
+    per_document_features_backward(model, f_cache, model.encoder.backward(e_cache, d_h))
     for name in ("transitions", "start", "stop"):
         getattr(model.crf_grads, name)[...] += getattr(crf_g, name) * scale
     return loss
@@ -216,6 +256,27 @@ class TestBatchedModel:
             # per-document terms of opposite sign keeps only the absolute
             # round-off of the batched matrix products (~1e-16 of the scale).
             assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref)), k
+
+
+    def test_one_feature_stage_per_batch(self, monkeypatch):
+        # the char biLSTM and the combiner each run once for the whole batch
+        docs = synth.gen_corpus(n_docs=4, seed=8)
+        streams = synth.gen_streams(docs, seed=8)
+        tokens = [t for d in docs for t in d.token_texts()]
+        cfg = TrainConfig(hidden=4, lookup_dim=3, use_char=True, char_dim=3, char_hidden=3,
+                          combiner_mode="cdme", d_prime=4)
+        model = SegModel(cfg, tokens, "".join(sorted(set("".join(tokens)))), streams.dims)
+        calls = []
+        for cls, name in ((CharEncoder, "forward_tokens"), (MetaCombiner, "forward")):
+            method = getattr(cls, name)
+
+            def counted(self, *args, method=method, name=name, **kw):
+                calls.append(name)
+                return method(self, *args, **kw)
+
+            monkeypatch.setattr(cls, name, counted)
+        model.batch_loss(docs, streams, train=True, rng=np.random.default_rng(0))
+        assert sorted(calls) == ["forward", "forward_tokens"]
 
 
 # lookup + subword + char + cdme over three streams + weighted attention
