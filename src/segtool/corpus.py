@@ -240,37 +240,31 @@ _SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
 
 def _values(obj, prefix, fields, line_no):
-    """obj's values of ``fields``, (key, kind) pairs, in order: each made
-    into its Enum kind, or already exactly of its kind (a bool is no int)."""
+    """obj's values of ``fields``, (key, kind) pairs, in order: each already
+    exactly of its kind (a bool is no int) or, for an Enum kind, one of its
+    values, made into the member."""
     vals = []
     for key, kind in fields:
-        if key not in obj:
-            raise SchemaError(prefix + key, line_no)
-        val = obj[key]
-        if issubclass(kind, Enum) and val in [m.value for m in kind]:
-            val = kind(val)
+        try:
+            val = obj[key]
+        except KeyError:
+            raise SchemaError(prefix + key, line_no) from None
         if type(val) is not kind:
-            raise SchemaError(prefix + key, line_no, f"bad value {val!r} for field")
+            try:
+                val = kind(val) if issubclass(kind, Enum) else None
+            except ValueError:
+                val = None
+            if val is None:
+                raise SchemaError(prefix + key, line_no, f"bad value {obj[key]!r} for field")
         vals.append(val)
     return vals
-
-
-def _tokens(items, line_no):
-    # the common case in one pass; _values names the first bad field
-    try:
-        tokens = [Token(t["t"], t["s"], t["e"], Break(t["brk"])) for t in items]
-        if all(type(t.text) is str and type(t.start) is type(t.end) is int for t in tokens):
-            return tokens
-    except (KeyError, TypeError, ValueError):
-        pass
-    return [Token(*_values(t, "tokens.", _TOKEN_FIELDS, line_no)) for t in items]
 
 
 def doc_from_json(obj, line_no=None):
     for f in _DOC_FIELDS:
         if f not in obj:
             raise SchemaError(f, line_no)
-    tokens = _tokens(obj["tokens"], line_no)
+    tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS, line_no)) for t in obj["tokens"]]
     spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS, line_no)) for s in obj["spans"]]
     doc = AnnotatedDocument(obj["id"], obj["text"], tokens, spans)
     doc.validate()

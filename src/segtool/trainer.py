@@ -2,7 +2,7 @@
 optional attention -> CRF, with a mini-batch Adam training loop,
 checkpointing, and a finite-difference gradient verification harness.
 
-A mini-batch runs as one zero-padded (B, T, .) batch with a vector of
+A mini-batch runs as one padded (B, T, .) batch with a vector of
 document lengths, from the features on: each embedding provider runs once
 over the batch's tokens, the combiner once over its padded streams, and
 then the biGRU, attention, emission layer and CRF.
@@ -189,9 +189,12 @@ class SegModel(nn.Component):
         return parts
 
     def _features(self, docs, streams):
-        """The zero-padded (B, T, d) input of a mini-batch, its lengths and
-        the caches for ``_features_backward``.  Each per-token provider runs
-        once over the batch's tokens; the combiner runs on padded streams."""
+        """The padded (B, T, d) input of a mini-batch, its lengths and the
+        caches for ``_features_backward``.  Each per-token provider runs
+        once over the batch's tokens, its column zero at the padding; the
+        combiner runs on zero-padded streams, and its column holds the
+        softmax-weighted projection biases at the padding, which no valid
+        position reads."""
         lengths = np.array([len(doc.tokens) for doc in docs])
         valid = np.arange(lengths.max()) < lengths[:, None]
         toks = [t for doc in docs for t in doc.token_texts()]
@@ -220,8 +223,9 @@ class SegModel(nn.Component):
 
     def emissions(self, docs, streams=None, train=False, rng=None):
         """Emission scores of a mini-batch of non-empty documents: a
-        float64 (B, T, n_tags) array zero-padded to the longest document,
-        and the caches for ``backward``."""
+        float64 (B, T, n_tags) array padded to the longest document (no
+        valid position reads the padding), and the caches for
+        ``backward``."""
         x, lengths, f_cache = self._features(docs, streams)
         ragged = _ragged(lengths)
         h, e_cache = self.encoder.encode(x, train=train, rng=rng, lengths=ragged)
