@@ -71,7 +71,10 @@ def _load_train_config(args):
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
     cfg = trainer.TrainConfig(**values)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except trainer.TrainerError as exc:  # only values from the file can fail
+        raise trainer.TrainerError(f"{args.config}: {exc}") from None
     return cfg
 
 
@@ -198,6 +201,12 @@ def _cmd_boosts(args):
     questions = corpus.load_corpus(args.corpus)
     answers = {a.id: a.text for a in retrieval.load_answers(args.answers)}
     qrels = retrieval.load_qrels(args.qrels)
+    for q in questions:
+        if q.id in qrels and qrels[q.id] not in answers:
+            raise retrieval.UnknownGoldId(
+                f"{args.qrels}: answer {qrels[q.id]!r} of question {q.id!r} "
+                f"is not in {args.answers}"
+            )
     gold = {q.id: answers[qrels[q.id]] for q in questions if q.id in qrels}
     profile = retrieval.estimate_boosts(questions, gold)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -213,7 +222,10 @@ def _cmd_mrr(args):
     questions = corpus.load_corpus(args.corpus)
     qrels = retrieval.load_qrels(args.qrels)
     boosts = _load_boosts_arg(args)
-    value = retrieval.mrr(index, questions, qrels, boosts=boosts, k=args.k)
+    try:
+        value = retrieval.mrr(index, questions, qrels, boosts=boosts, k=args.k)
+    except (retrieval.MissingQrel, retrieval.UnknownGoldId) as exc:
+        raise type(exc)(f"{args.qrels}: {exc}") from None
     mode = "fielded" if boosts is not None else "unfielded"
     print(f"mrr_{mode} {value:.4f}")
     return 0

@@ -234,15 +234,17 @@ def doc_to_json(doc):
     }
 
 
-_DOC_FIELDS = ("id", "text", "tokens", "spans")
+_DOC_FIELDS = (("id", str), ("text", str), ("tokens", list), ("spans", list))
 _TOKEN_FIELDS = (("t", str), ("s", int), ("e", int), ("brk", Break))
 _SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
 
 def _values(obj, prefix, fields, line_no):
-    """obj's values of ``fields``, (key, kind) pairs, in order: each already
-    exactly of its kind (a bool is no int) or, for an Enum kind, one of its
-    values, made into the member."""
+    """The values of ``fields``, (key, kind) pairs, in order, of obj, a
+    JSON object: each already exactly of its kind (a bool is no int) or,
+    for an Enum kind, one of its values, made into the member."""
+    if type(obj) is not dict:
+        raise SchemaError(prefix[:-1] or "document", line_no, "expected an object for")
     vals = []
     for key, kind in fields:
         try:
@@ -261,27 +263,32 @@ def _values(obj, prefix, fields, line_no):
 
 
 def doc_from_json(obj, line_no=None):
-    for f in _DOC_FIELDS:
-        if f not in obj:
-            raise SchemaError(f, line_no)
-    tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS, line_no)) for t in obj["tokens"]]
-    spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS, line_no)) for s in obj["spans"]]
-    doc = AnnotatedDocument(obj["id"], obj["text"], tokens, spans)
+    doc_id, text, tokens, spans = _values(obj, "", _DOC_FIELDS, line_no)
+    tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS, line_no)) for t in tokens]
+    spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS, line_no)) for s in spans]
+    doc = AnnotatedDocument(doc_id, text, tokens, spans)
     doc.validate()
     return doc
 
 
 def load_corpus(path):
+    """Documents of a JSONL corpus; a CorpusError's message starts with
+    the path, and with the line when the error does not name it."""
     docs = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, str(exc)) from exc
-            docs.append(doc_from_json(obj, line_no))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(line_no, str(exc)) from exc
+                docs.append(doc_from_json(obj, line_no))
+        except CorpusError as exc:
+            where = path if getattr(exc, "line_no", None) else f"{path}:{line_no}"
+            exc.args = (f"{where}: {exc}",)
+            raise
     return docs
 
 

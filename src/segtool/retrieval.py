@@ -12,7 +12,10 @@ import functools
 import gzip
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import CLASS_NAMES, EmptyCorpus, token_labels, tokenize
 
@@ -30,6 +33,10 @@ class NoLabeledPairs(RetrievalError):
 
 
 class UnknownGoldId(RetrievalError):
+    pass
+
+
+class MissingQrel(RetrievalError):
     pass
 
 
@@ -68,6 +75,34 @@ class FieldedIndex:
         # computed once: an index is not changed after it is built or loaded
         return sum(self.doc_lengths.values()) / self.n_docs
 
+    @functools.cached_property
+    def columns(self):
+        """(doc ids in sorted order, term -> (rows, impacts)): each posting's
+        row in that order and its BM25 contribution ("impact"), computed
+        with bm25()'s expression.  Built on the first query, not with the
+        index, so building and loading stay as cheap as the dicts."""
+        ids = sorted(self.doc_lengths)
+        row = {d: i for i, d in enumerate(ids)}
+        k1, b, avg = self.k1, self.b, self.avg_len
+        norm = np.array([k1 * (1.0 - b + b * self.doc_lengths[d] / avg) for d in ids])
+        terms = list(self.postings)
+        plists = [self.postings[t] for t in terms]
+        sizes = [len(p) for p in plists]
+        rows = np.array([row[d] for p in plists for d, _ in p], dtype=np.intp)
+        tf = np.array([tf for p in plists for _, tf in p], dtype=np.float64)
+        idf = np.repeat(np.array([self.idf(t) for t in terms]), sizes)
+        impacts = idf * tf * (k1 + 1.0) / (tf + norm[rows])
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # seg[rows] += impacts adds a row once: a doc id repeated in one
+        # posting list would score differently from bm25()
+        keyed = np.sort(np.repeat(np.arange(len(terms)), sizes) * len(ids) + rows)
+        repeated = np.flatnonzero(np.diff(keyed) == 0)
+        if len(repeated):
+            t = terms[keyed[repeated[0]] // len(ids)]
+            raise RetrievalError(f"posting list of {t!r} repeats a doc id")
+        return ids, {t: (rows[s:e], impacts[s:e]) for t, s, e in zip(terms, starts, ends)}
+
     def idf(self, term):
         df = len(self.postings.get(term, ()))
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
@@ -91,6 +126,8 @@ def build_index(answers, min_len=0, exclusions=(), k1=1.2, b=0.75):
         terms = ans.terms
         if len(terms) < min_len or not terms:
             continue
+        if ans.id in lengths:
+            raise RetrievalError(f"duplicate answer id {ans.id!r}")
         lengths[ans.id] = len(terms)
         counts = {}
         for t in terms:
@@ -119,22 +156,6 @@ def bm25(index, query_terms, doc_id):
             continue
         score += index.idf(t) * tf * (k1 + 1.0) / (tf + norm)
     return score
-
-
-def _scores_for_terms(index, query_terms):
-    """doc_id -> accumulated BM25 contribution of these query terms."""
-    k1, b = index.k1, index.b
-    avg = index.avg_len
-    out = {}
-    for t in query_terms:
-        plist = index.postings.get(t)
-        if not plist:
-            continue
-        idf = index.idf(t)
-        for doc_id, tf in plist:
-            norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / avg)
-            out[doc_id] = out.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
-    return out
 
 
 def question_segments(doc):
@@ -174,28 +195,43 @@ class BoostProfile:
         return cls(w)
 
 
+def _top_k(index, segments, k):
+    """Top-k (answer id, score) for (weight, terms) segments: each
+    segment's BM25 scores, summed term by term from the impact columns,
+    scaled by its weight and added to the total.  Each document's
+    additions run in the order of a posting-by-posting sum over the
+    segments, so the scores equal that sum bit for bit.  Ties break
+    toward the ascending doc id."""
+    if k < 1:
+        raise RetrievalError("k must be >= 1")
+    ids, columns = index.columns
+    total = np.zeros(len(ids))
+    hit = np.zeros(len(ids), dtype=bool)
+    for weight, terms in segments:
+        seg = np.zeros(len(ids))
+        for t in terms:
+            if t in columns:
+                rows, impacts = columns[t]
+                seg[rows] += impacts
+                hit[rows] = True
+        total += weight * seg
+    cand = np.flatnonzero(hit)
+    top = cand[np.lexsort((cand, -total[cand]))[:k]]
+    return [(ids[r], float(total[r])) for r in top]
+
+
 def fielded_search(index, doc, boosts=None, k=10):
     """Top-k (answer id, score) for a segmented question; each segment's
     BM25 contribution is scaled by its label's boost.  Ties break toward
     the ascending doc id."""
-    if k < 1:
-        raise RetrievalError("k must be >= 1")
     boosts = boosts or BoostProfile()
-    totals = {}
-    for label, terms in question_segments(doc):
-        w = boosts[label]
-        for doc_id, s in _scores_for_terms(index, terms).items():
-            totals[doc_id] = totals.get(doc_id, 0.0) + w * s
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    segments = [(boosts[label], terms) for label, terms in question_segments(doc)]
+    return _top_k(index, segments, k)
 
 
 def unfielded_search(index, doc, k=10):
     """Whole-question query, no segment weighting."""
-    terms = [t.text.lower() for t in doc.tokens]
-    totals = _scores_for_terms(index, terms)
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return _top_k(index, [(1.0, [t.text.lower() for t in doc.tokens])], k)
 
 
 def estimate_boosts(questions, gold_answers, clamp=(0.25, 4.0)):
@@ -242,9 +278,11 @@ def mrr(index, questions, gold_ids, boosts=None, k=100):
         raise RetrievalError("empty question set")
     total = 0.0
     for q in questions:
-        gold = gold_ids[q.id]
+        gold = gold_ids.get(q.id)
+        if gold is None:
+            raise MissingQrel(f"no qrel for question {q.id!r}")
         if gold not in index.doc_lengths:
-            raise UnknownGoldId(gold)
+            raise UnknownGoldId(f"answer {gold!r} of question {q.id!r} is not in the index")
         if boosts is None:
             ranked = unfielded_search(index, q, k)
         else:
@@ -271,12 +309,55 @@ def save_index(index, path):
 
 
 def load_index(path):
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("version") != INDEX_VERSION:
-        raise RetrievalError(f"unsupported index version {obj.get('version')}")
-    postings = {t: [(d, tf) for d, tf in p] for t, p in obj["postings"].items()}
-    return FieldedIndex(postings, obj["doc_lengths"], obj["k1"], obj["b"])
+    """The index save_index wrote to path; RetrievalError naming the file
+    when it is not one."""
+    try:
+        with gzip.open(path, "rt", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:  # ValueError: JSON, UTF-8
+        raise RetrievalError(f"{path}: not a gzipped JSON index ({exc})") from None
+    version = obj.get("version") if type(obj) is dict else None
+    if version != INDEX_VERSION:
+        raise RetrievalError(f"{path}: unsupported index version {version!r}")
+    k1, b, lengths, raw = (obj.get(f) for f in ("k1", "b", "doc_lengths", "postings"))
+    if type(k1) not in (int, float) or not 0 <= k1 < math.inf:
+        raise RetrievalError(f"{path}: bad value {k1!r} for field 'k1'")
+    if type(b) not in (int, float) or not 0 <= b <= 1:
+        raise RetrievalError(f"{path}: bad value {b!r} for field 'b'")
+    if type(lengths) is not dict or not lengths:
+        raise RetrievalError(f"{path}: field 'doc_lengths' must be a non-empty object")
+    for d, n in lengths.items():
+        if type(n) is not int or n < 1:
+            raise RetrievalError(f"{path}: bad length {n!r} of doc {d!r}")
+    if type(raw) is not dict:
+        raise RetrievalError(f"{path}: field 'postings' must be an object")
+    postings = {}
+    for t, plist in raw.items():
+        # the filter is the fast check of every posting; a list it shortens
+        # or that fails to unpack is searched for the posting to report
+        try:
+            kept = [(d, tf) for d, tf in plist if type(tf) is int and tf > 0 and d in lengths]
+        except (TypeError, ValueError):
+            kept = None
+        if type(plist) is not list or kept is None or len(kept) != len(plist):
+            raise RetrievalError(f"{path}: {_posting_problem(t, plist, lengths)}")
+        postings[t] = kept
+    return FieldedIndex(postings, lengths, k1, b)
+
+
+def _posting_problem(term, plist, lengths):
+    """What is wrong with the first bad posting of term's list."""
+    if type(plist) is not list:
+        return f"postings of {term!r} are not a list"
+    for p in plist:
+        if type(p) is not list or len(p) != 2:
+            return f"posting {p!r} of {term!r} is not a [doc, tf] pair"
+        d, tf = p
+        if type(d) is not str or d not in lengths:
+            return f"posting {p!r} of {term!r} names a doc not in 'doc_lengths'"
+        if type(tf) is not int or tf < 1:
+            return f"posting {p!r} of {term!r} has a term frequency that is not a positive int"
+    raise AssertionError("no bad posting")
 
 
 def load_answers(path):
@@ -286,9 +367,12 @@ def load_answers(path):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if "id" not in obj or "text" not in obj:
-                raise RetrievalError(f"line {line_no}: answers need 'id' and 'text'")
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RetrievalError(f"{path}:{line_no}: {exc}") from None
+            if type(obj) is not dict or not all(type(obj.get(f)) is str for f in ("id", "text")):
+                raise RetrievalError(f"{path}:{line_no}: answers need a str 'id' and 'text'")
             out.append(AnswerDoc(obj["id"], obj["text"]))
     return out
 

@@ -86,6 +86,17 @@ class TrainConfig:
             raise TrainerError(f"bad combiner_mode {self.combiner_mode!r}")
         if self.attention_mode not in ("none", "weighted", "unweighted"):
             raise TrainerError(f"bad attention_mode {self.attention_mode!r}")
+        if self.epochs < 0:  # 0 epochs gives the untrained model
+            raise TrainerError(f"epochs must be at least 0, got {self.epochs}")
+        sizes = ["batch_size", "hidden", "patience"]
+        sizes += ["lookup_dim"] * self.use_lookup
+        sizes += ["subword_dim", "subword_buckets"] * self.use_subword
+        sizes += ["char_dim", "char_hidden"] * self.use_char
+        sizes += ["d_prime"] * (self.combiner_mode != "none")
+        sizes += ["attention_dim"] * (self.attention_dim is not None)
+        for key in sizes:
+            if getattr(self, key) < 1:
+                raise TrainerError(f"{key} must be at least 1, got {getattr(self, key)}")
 
     def fingerprint(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)

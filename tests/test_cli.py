@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -142,6 +143,125 @@ def test_malformed_input_is_data_error(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert where in proc.stderr, proc.stderr
+
+
+def _index_file(tmp_path, edit=None, data=None):
+    """A two-answer index file, its JSON changed by ``edit`` or its bytes
+    replaced by ``data``."""
+    obj = {"version": 1, "k1": 1.2, "b": 0.75, "doc_lengths": {"a0": 2, "a1": 1},
+           "postings": {"ls": [["a0", 1]], "-la": [["a0", 1], ["a1", 1]]}}
+    if edit:
+        edit(obj)
+    path = tmp_path / "idx.json.gz"
+    path.write_bytes(data if data is not None else gzip.compress(json.dumps(obj).encode()))
+    return path
+
+
+def _bad_index(edit=None, data=None):
+    def case(tmp_path):
+        path = _index_file(tmp_path, edit, data)
+        return ["search", "--index", str(path), "--corpus", str(_corpus_file(tmp_path))], [
+            f"{path}: "
+        ]
+
+    return case
+
+
+def _answers_file(tmp_path, second_line):
+    path = tmp_path / "a.jsonl"
+    path.write_text(json.dumps({"id": "a0", "text": "ls -la"}) + "\n" + second_line + "\n")
+    return path
+
+
+def _bad_answers(second_line):
+    def case(tmp_path):
+        path = _answers_file(tmp_path, second_line)
+        return ["index", "--answers", str(path), "--out", str(tmp_path / "i.gz")], [f"{path}:2:"]
+
+    return case
+
+
+def _qrels_for_corpus(tmp_path, skip_first=False, answer="a0"):
+    """A qrel for every question of ``_corpus_file``, all to ``answer``."""
+    cfile = _corpus_file(tmp_path)
+    ids = [json.loads(l)["id"] for l in cfile.read_text().splitlines()]
+    qrels = tmp_path / "q.tsv"
+    qrels.write_text("".join(f"{q}\t{answer}\n" for q in ids[skip_first:]))
+    return cfile, qrels, ids
+
+
+def _mrr_missing_qrel(tmp_path):
+    cfile, qrels, ids = _qrels_for_corpus(tmp_path, skip_first=True)
+    argv = ["mrr", "--index", str(_index_file(tmp_path)), "--corpus", str(cfile),
+            "--qrels", str(qrels)]
+    return argv, [f"{qrels}: ", repr(ids[0])]
+
+
+def _mrr_unknown_answer(tmp_path):
+    cfile, qrels, ids = _qrels_for_corpus(tmp_path, answer="ghost")
+    argv = ["mrr", "--index", str(_index_file(tmp_path)), "--corpus", str(cfile),
+            "--qrels", str(qrels)]
+    return argv, [f"{qrels}: ", "'ghost'", repr(ids[0])]
+
+
+def _boosts_unknown_answer(tmp_path):
+    cfile, qrels, ids = _qrels_for_corpus(tmp_path, answer="ghost")
+    answers = _answers_file(tmp_path, "")
+    argv = ["boosts", "--corpus", str(cfile), "--answers", str(answers),
+            "--qrels", str(qrels), "--out", str(tmp_path / "b.json")]
+    return argv, [f"{qrels}: ", "'ghost'", repr(ids[0])]
+
+
+def _config_size(line):
+    def case(tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--config", str(cfg)]
+        return argv, [f"{cfg}: ", line.split("=")[0]]
+
+    return case
+
+
+def _bad_doc(mutate):
+    def case(tmp_path):
+        path = _corpus_file(tmp_path, mutate)
+        return ["stats", "--corpus", str(path)], [f"{path}: ", "(line 2)"]
+
+    return case
+
+
+# Run in-process through cli.main: an exception main does not turn into
+# exit 2 fails the test just as a traceback would; the subprocess cases
+# above guard the process's own exit path.
+# malformed input -> (argv, what the error message must contain)
+MALFORMED_IN_PROCESS = {
+    "index-not-gzip": _bad_index(data=b"no index"),
+    "index-truncated": _bad_index(data=gzip.compress(b'{"version": 1}')[:-8]),
+    "index-no-postings": _bad_index(lambda o: o.pop("postings")),
+    "index-one-element-posting": _bad_index(lambda o: o["postings"].update(ls=[["x"]])),
+    "index-posting-unknown-doc": _bad_index(lambda o: o["postings"].update(ls=[["ghost", 1]])),
+    "index-posting-tf-zero": _bad_index(lambda o: o["postings"].update(ls=[["a0", 0]])),
+    "answers-text-not-str": _bad_answers('{"id": "a1", "text": 5}'),
+    "answers-not-json": _bad_answers('{"id": "a1"'),
+    "mrr-missing-qrel": _mrr_missing_qrel,
+    "mrr-qrel-unknown-answer": _mrr_unknown_answer,
+    "boosts-qrel-unknown-answer": _boosts_unknown_answer,
+    "config-batch-size-zero": _config_size("batch_size=0"),
+    "config-hidden-zero": _config_size("hidden=0"),
+    "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
+    "corpus-spans-not-list": _bad_doc(lambda o: o.update(spans="CC")),
+    "corpus-id-not-str": _bad_doc(lambda o: o.update(id=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IN_PROCESS))
+def test_malformed_input_in_process_is_data_error(case, tmp_path, capsys):
+    argv, wants = MALFORMED_IN_PROCESS[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for want in wants:
+        assert want in err, err
 
 
 class TestStatsAndAgree:

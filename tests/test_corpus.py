@@ -147,6 +147,24 @@ class TestCorpusIO:
         assert exc.value.missing_field == "tokens"
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("line, field", [
+        ('[1, 2]', "document"),
+        ('{"id": 5, "text": "x", "tokens": [], "spans": []}', "id"),
+        ('{"id": "a", "text": null, "tokens": [], "spans": []}', "text"),
+        ('{"id": "a", "text": "x", "tokens": "x", "spans": []}', "tokens"),
+        ('{"id": "a", "text": "x", "tokens": [1], "spans": []}', "tokens"),
+        ('{"id": "a", "text": "x", "tokens": [], "spans": {}}', "spans"),
+        ('{"id": "a", "text": "x", "tokens": [], "spans": [[0, 1, "CC"]]}', "spans"),
+    ], ids=["doc-list", "id-int", "text-null", "tokens-str", "token-int", "spans-object",
+            "span-list"])
+    def test_bad_container_or_doc_field(self, tmp_path, line, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "text": "", "tokens": [], "spans": []}\n' + line + "\n")
+        with pytest.raises(SchemaError) as exc:
+            load_corpus(path)
+        assert (exc.value.missing_field, exc.value.line_no) == (field, 2)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{nope}\n")

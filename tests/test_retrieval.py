@@ -1,12 +1,17 @@
+import gzip
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segtool.corpus import AnnotatedDocument, SegmentLabel, SegmentSpan, tokenize
+from segtool.corpus import CLASS_NAMES, AnnotatedDocument, SegmentLabel, SegmentSpan, tokenize
 from segtool.retrieval import (
     AnswerDoc,
     BoostProfile,
     EmptyCorpus,
+    MissingQrel,
     NoLabeledPairs,
     RetrievalError,
     UnknownDoc,
@@ -27,6 +32,39 @@ from segtool.retrieval import (
 
 def question(qid, text, spans=()):
     return AnnotatedDocument(qid, text, tokenize(text), list(spans))
+
+
+# -- oracle: the dict-of-postings scorer the impact columns replaced ---------
+
+def scores_for_terms(index, query_terms):
+    """doc_id -> accumulated BM25 contribution of these query terms."""
+    k1, b = index.k1, index.b
+    avg = index.avg_len
+    out = {}
+    for t in query_terms:
+        plist = index.postings.get(t)
+        if not plist:
+            continue
+        idf = index.idf(t)
+        for doc_id, tf in plist:
+            norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / avg)
+            out[doc_id] = out.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+    return out
+
+
+def oracle_fielded_search(index, doc, boosts=None, k=10):
+    boosts = boosts or BoostProfile()
+    totals = {}
+    for label, terms in question_segments(doc):
+        w = boosts[label]
+        for doc_id, s in scores_for_terms(index, terms).items():
+            totals[doc_id] = totals.get(doc_id, 0.0) + w * s
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+def oracle_unfielded_search(index, doc, k=10):
+    totals = scores_for_terms(index, [t.text.lower() for t in doc.tokens])
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
 ANSWERS = [
@@ -163,6 +201,108 @@ class TestFieldedSearch:
     def test_bad_k(self, index):
         with pytest.raises(RetrievalError):
             fielded_search(index, question("q", "x"), k=0)
+        with pytest.raises(RetrievalError):
+            unfielded_search(index, question("q", "x"), k=0)
+
+
+VOCAB = ["wifi", "router", "ls", "-la", "kernel", "panic", "sudo", "apt", "eth0", "the"]
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A random index, a segmented question over its vocabulary plus
+    unknown terms, boosts (few distinct values, so boosted totals tie; a
+    0 leaves a hit document at score 0) and a k that often exceeds the
+    number of hits."""
+    n = draw(st.integers(1, 8))
+    # ids that do not sort in insertion order; duplicated texts plant ties
+    ids = draw(st.permutations([f"a{i}" for i in range(n)]))
+    texts = draw(st.lists(
+        st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8).map(" ".join),
+        min_size=n, max_size=n,
+    ))
+    if draw(st.booleans()):
+        texts[-1] = texts[0]
+    answers = [AnswerDoc(i, t) for i, t in zip(ids, texts)]
+    words = draw(st.lists(st.sampled_from(VOCAB + ["zzz", "qqq"]), min_size=1, max_size=12))
+    spans, start = [], 0
+    while start < len(words):
+        end = draw(st.integers(start + 1, len(words)))
+        label = draw(st.sampled_from([None] + list(SegmentLabel)))
+        if label is not None:
+            spans.append(SegmentSpan(start, end, label))
+        start = end
+    q = question("q", " ".join(words), spans)
+    weights = draw(st.fixed_dictionaries(
+        {c: st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.7]) for c in CLASS_NAMES}
+    ))
+    k1 = draw(st.sampled_from([1.2, 0.9, 2.0]))
+    b = draw(st.sampled_from([0.75, 0.0, 1.0, 0.3]))
+    k = draw(st.integers(1, 12))
+    return build_index(answers, k1=k1, b=b), q, BoostProfile(weights), k
+
+
+class TestImpactColumns:
+    """The impact-column scorer against the dict scorer: exactly equal ids,
+    scores and tie order."""
+
+    @given(retrieval_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_scorer(self, case):
+        index, q, boosts, k = case
+        assert fielded_search(index, q, boosts, k) == oracle_fielded_search(index, q, boosts, k)
+        assert fielded_search(index, q, None, k) == oracle_fielded_search(index, q, None, k)
+        assert unfielded_search(index, q, k) == oracle_unfielded_search(index, q, k)
+        gold = {"q": max(index.doc_lengths)}
+        for bp in (None, boosts):
+            ranked = (oracle_unfielded_search(index, q, k) if bp is None
+                      else oracle_fielded_search(index, q, bp, k))
+            want = next((1.0 / r for r, (d, _) in enumerate(ranked, 1) if d == gold["q"]), 0.0)
+            assert mrr(index, [q], gold, boosts=bp, k=k) == want
+
+    def test_planted_ties_break_toward_ascending_id(self):
+        # four identical answers inserted out of id order; k cuts the tie
+        idx = build_index([AnswerDoc(i, "shared term here") for i in ("d", "b", "c", "a")]
+                          + [AnswerDoc("e", "other words entirely")])
+        q = question("q", "shared zzz", [SegmentSpan(0, 1, SegmentLabel.CC)])
+        for ranked in (unfielded_search(idx, q, k=3),
+                       fielded_search(idx, q, BoostProfile({"CC": 2.0}), k=3)):
+            assert [d for d, _ in ranked] == ["a", "b", "c"]
+            assert len({s for _, s in ranked}) == 1
+        assert unfielded_search(idx, q, k=3) == oracle_unfielded_search(idx, q, k=3)
+
+    def test_k_beyond_hits_and_no_hits(self, index):
+        assert len(unfielded_search(index, question("q", "iwconfig"), k=50)) == 1
+        assert unfielded_search(index, question("q", "zzz qqq"), k=5) == []
+        assert fielded_search(index, question("q", "zzz"), k=5) == []
+
+    def test_repeated_term_adds_again(self, index):
+        once = dict(unfielded_search(index, question("q", "wireless")))
+        twice = dict(unfielded_search(index, question("q", "wireless wireless")))
+        assert twice == {d: s + s for d, s in once.items()}
+
+    def test_columns_built_on_first_query(self, index, tmp_path):
+        assert "columns" not in vars(index)
+        path = tmp_path / "idx.json.gz"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert "columns" not in vars(loaded)
+        unfielded_search(loaded, question("q", "wireless"))
+        ids, columns = loaded.columns
+        assert ids == ["a1", "a2", "a3"]
+        rows, impacts = columns["the"]
+        assert rows.tolist() == [0, 1]
+        assert impacts.tolist() == [bm25(loaded, ["the"], d) for d in ("a1", "a2")]
+
+    def test_repeated_doc_in_posting_list_rejected(self):
+        idx = build_index(ANSWERS)
+        idx.postings["the"] = [("a1", 2), ("a1", 2)]
+        with pytest.raises(RetrievalError, match="'the' repeats a doc id"):
+            unfielded_search(idx, question("q", "the"))
+
+    def test_duplicate_answer_id_rejected(self):
+        with pytest.raises(RetrievalError, match="duplicate answer id 'a1'"):
+            build_index(ANSWERS + [AnswerDoc("a1", "again")])
 
 
 class TestEstimateBoosts:
@@ -209,8 +349,12 @@ class TestMrr:
                    {"q1": "a2", "q2": second}) == pytest.approx(0.75)
 
     def test_unknown_gold(self, index):
-        with pytest.raises(UnknownGoldId):
+        with pytest.raises(UnknownGoldId, match="'ghost' of question 'q1'"):
             mrr(index, [question("q1", "wireless")], {"q1": "ghost"})
+
+    def test_missing_qrel(self, index):
+        with pytest.raises(MissingQrel, match="no qrel for question 'q2'"):
+            mrr(index, [question("q2", "wireless")], {"q1": "a1"})
 
     def test_empty_questions(self, index):
         with pytest.raises(RetrievalError):
@@ -256,6 +400,66 @@ class TestPersistence:
             json.dump({"version": 42}, fh)
         with pytest.raises(RetrievalError):
             load_index(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o.pop("postings"), "field 'postings' must be an object"),
+        (lambda o: o.update(postings=[]), "field 'postings' must be an object"),
+        (lambda o: o.update(doc_lengths={}), "field 'doc_lengths' must be a non-empty"),
+        (lambda o: o["doc_lengths"].update(a1="8"), "bad length '8' of doc 'a1'"),
+        (lambda o: o.update(k1="1.2"), "bad value '1.2' for field 'k1'"),
+        (lambda o: o.update(b=1.5), "bad value 1.5 for field 'b'"),
+        (lambda o: o.update(b=float("nan")), "bad value nan for field 'b'"),
+        (lambda o: o["postings"].update(x=5), "postings of 'x' are not a list"),
+        (lambda o: o["postings"].update(x=["x"]), "posting 'x' of 'x' is not a [doc, tf] pair"),
+        (lambda o: o["postings"].update(x=[["a1", 1], ["x"]]),
+         "posting ['x'] of 'x' is not a [doc, tf] pair"),
+        (lambda o: o["postings"].update(x=[["a1", 1, 2]]), "is not a [doc, tf] pair"),
+        (lambda o: o["postings"].update(x=[["ghost", 1]]),
+         "posting ['ghost', 1] of 'x' names a doc not in 'doc_lengths'"),
+        (lambda o: o["postings"].update(x=[[["a1"], 1]]), "names a doc not in"),
+        (lambda o: o["postings"].update(x=[["a1", 0]]), "not a positive int"),
+        (lambda o: o["postings"].update(x=[["a1", True]]), "not a positive int"),
+        (lambda o: o["postings"].update(x=[["a1", 1.0]]), "not a positive int"),
+        (lambda o: o.update(version=None) or o.pop("version"), "unsupported index version None"),
+    ])
+    def test_malformed_index_names_file(self, index, tmp_path, edit, message):
+        obj = {
+            "version": 1, "k1": index.k1, "b": index.b,
+            "doc_lengths": dict(index.doc_lengths),
+            "postings": {t: [list(p) for p in ps] for t, ps in index.postings.items()},
+        }
+        edit(obj)
+        path = tmp_path / "idx.json.gz"
+        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+        with pytest.raises(RetrievalError) as exc:
+            load_index(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("data", [
+        b"no index here", b"", gzip.compress(b"[1, 2")[:-6], gzip.compress(b"{nope"),
+        gzip.compress(b"\xff\xfe"), gzip.compress(b"[1, 2]"),
+    ])
+    def test_unreadable_index_names_file(self, tmp_path, data):
+        path = tmp_path / "idx.json.gz"
+        path.write_bytes(data)
+        with pytest.raises(RetrievalError) as exc:
+            load_index(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "a1", "text": 5}', "answers need a str 'id' and 'text'"),
+        ('{"id": 1, "text": "x"}', "answers need a str 'id' and 'text'"),
+        ('["a1", "x"]', "answers need a str 'id' and 'text'"),
+        ('{"id": "a1"', "Expecting"),
+    ])
+    def test_bad_answers_name_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "ans.jsonl"
+        path.write_text('{"id": "a0", "text": "ok"}\n' + line + "\n")
+        with pytest.raises(RetrievalError) as exc:
+            load_answers(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
+        assert message in str(exc.value)
 
     def test_load_answers_and_qrels(self, tmp_path):
         a = tmp_path / "ans.jsonl"

@@ -48,6 +48,24 @@ class TestConfig:
             TrainConfig(combiner_mode="mean").validate()
         TrainConfig().validate()
 
+    @pytest.mark.parametrize("key, kw", [
+        ("batch_size", {"batch_size": 0}),
+        ("hidden", {"hidden": 0}),
+        ("patience", {"patience": 0}),
+        ("lookup_dim", {"lookup_dim": 0}),
+        ("subword_buckets", {"use_subword": True, "subword_buckets": 0}),
+        ("char_hidden", {"use_char": True, "char_hidden": -1}),
+        ("d_prime", {"combiner_mode": "dme", "d_prime": 0}),
+        ("attention_dim", {"attention_mode": "weighted", "attention_dim": 0}),
+        ("epochs", {"epochs": -1}),
+    ])
+    def test_sizes_checked(self, key, kw):
+        with pytest.raises(TrainerError, match=key):
+            TrainConfig(**kw).validate()
+
+    def test_disabled_provider_sizes_not_checked(self):
+        TrainConfig(subword_dim=0, char_dim=0, d_prime=0, epochs=0).validate()
+
     def test_fingerprint_sensitivity(self):
         a, b = TrainConfig(), TrainConfig(hidden=64)
         assert a.fingerprint() == TrainConfig().fingerprint()
