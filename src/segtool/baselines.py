@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .corpus import CLASS_NAMES, Break, SegmentLabel, SegmentSpan, token_labels
 from .embeddings import MissingStreams, TokenCountMismatch
@@ -130,6 +129,10 @@ class LogRegClassifier:
 
 def train_logreg(features, labels, lam=1e-3, n_classes=7):
     """Fit by L-BFGS down to gradient norm < 1e-6."""
+    # imported here: scipy.optimize takes most of the time to import the
+    # CLI, and only this fit uses it
+    from scipy.optimize import minimize
+
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0:

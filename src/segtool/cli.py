@@ -28,22 +28,25 @@ def _parse_config_file(path):
     Unknown keys are rejected."""
     by_name = {f.name: f for f in fields(trainer.TrainConfig)}
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise trainer.TrainerError(f"{path}:{line_no}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in by_name:
-                raise trainer.TrainerError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _coerce(val, by_name[key].type)
-            except ValueError:
-                raise trainer.TrainerError(
-                    f"{path}:{line_no}: bad value {val!r} for {key}"
-                ) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise trainer.TrainerError(f"{path}:{line_no}: expected key=value")
+                key, val = (s.strip() for s in line.split("=", 1))
+                if key not in by_name:
+                    raise trainer.TrainerError(f"{path}:{line_no}: unknown key {key!r}")
+                try:
+                    values[key] = _coerce(val, by_name[key].type)
+                except ValueError:
+                    raise trainer.TrainerError(
+                        f"{path}:{line_no}: bad value {val!r} for {key}"
+                    ) from None
+    except UnicodeDecodeError:
+        raise trainer.TrainerError(f"{path}:{corpus.non_utf8_line(path)}: not UTF-8 text") from None
     return values
 
 
@@ -179,8 +182,13 @@ def _cmd_index(args):
 def _load_boosts_arg(args):
     if not getattr(args, "boosts", None):
         return None
-    with open(args.boosts, encoding="utf-8") as fh:
-        return retrieval.BoostProfile.from_json_obj(json.load(fh))
+    try:
+        with open(args.boosts, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError:
+        line = corpus.non_utf8_line(args.boosts)
+        raise retrieval.RetrievalError(f"{args.boosts}:{line}: not UTF-8 text") from None
+    return retrieval.BoostProfile.from_json_obj(obj)
 
 
 def _cmd_search(args):

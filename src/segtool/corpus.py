@@ -271,20 +271,35 @@ def doc_from_json(obj, line_no=None):
     return doc
 
 
+def non_utf8_line(path):
+    """The number of the first line of the file at ``path`` that is not
+    UTF-8 text (None when all of it is)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
 def load_corpus(path):
     """Documents of a JSONL corpus; a CorpusError's message starts with
     the path, and with the line when the error does not name it."""
     docs = []
     with open(path, encoding="utf-8") as fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(line_no, str(exc)) from exc
-                docs.append(doc_from_json(obj, line_no))
+            try:
+                for line_no, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(line_no, str(exc)) from exc
+                    docs.append(doc_from_json(obj, line_no))
+            except UnicodeDecodeError:
+                raise ParseError(non_utf8_line(path), "not UTF-8 text") from None
         except CorpusError as exc:
             where = path if getattr(exc, "line_no", None) else f"{path}:{line_no}"
             exc.args = (f"{where}: {exc}",)

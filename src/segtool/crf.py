@@ -207,23 +207,27 @@ def viterbi(emissions, params, constrain_bio=False):
     start = params.start + (_BIO_START_MASK if constrain_bio else 0.0)
     trans = params.transitions + (_BIO_TRANS_MASK if constrain_bio else 0.0)
 
+    to_from = np.ascontiguousarray(trans.T)
     delta = start + emissions[0]
-    backptr = np.empty((s, n), dtype=np.int64)
-    for j in range(1, s):
-        cand = delta[:, None] + trans  # [prev, cur]
-        backptr[j] = np.argmax(cand, axis=0)  # argmax picks the lowest index on ties
-        delta = cand[backptr[j], np.arange(n)] + emissions[j]
+    backptr = []
+    for e in emissions[1:]:
+        cand = to_from + delta  # [cur, prev]
+        backptr.append(cand.argmax(1))  # argmax picks the lowest index on ties
+        delta = cand.max(1) + e  # the element argmax picks
     delta = delta + params.stop
 
-    path = [int(np.argmax(delta))]
-    for j in range(s - 1, 0, -1):
-        path.append(int(backptr[j, path[-1]]))
+    path = [int(delta.argmax())]
+    for row in reversed(np.array(backptr, dtype=np.intp).reshape(-1, n).tolist()):
+        path.append(row[path[-1]])
     path.reverse()
 
-    score = params.start[path[0]] + emissions[0, path[0]]
+    # the left-to-right sum: start, e0, the start mask, then each step's
+    # transition and emission, then stop
+    idx = np.array(path)
+    terms = [params.start[idx[:1]], emissions[0, idx[:1]]]
     if constrain_bio:
-        score = score + _BIO_START_MASK[path[0]]
-    for j in range(1, s):
-        score = score + trans[path[j - 1], path[j]] + emissions[j, path[j]]
-    score = float(score + params.stop[path[-1]])
+        terms.append(_BIO_START_MASK[idx[:1]])
+    steps = np.stack([trans[idx[:-1], idx[1:]], emissions[np.arange(1, s), idx[1:]]], axis=1)
+    terms += [steps.ravel(), params.stop[idx[-1:]]]
+    score = float(np.add.accumulate(np.concatenate(terms))[-1])
     return [BIO_TAGS[t] for t in path], score

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .corpus import non_utf8_line
 
 
 class EmbeddingsError(Exception):
@@ -93,20 +94,23 @@ class LookupTable(nn.Component):
 def load_lookup_table(path, trainable=False):
     """Text format: header "<count> <dim>", then one "token v1 .. vd" line
     per word."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError("expected '<count> <dim>' header")
-        count, dim = int(header[0]), int(header[1])
-        vocab = {}
-        rows = np.empty((count + 1, dim))
-        rows[0] = 0.0  # unk
-        for k in range(count):
-            parts = fh.readline().rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise FormatError(f"row {k}: expected {dim} values")
-            vocab[parts[0]] = k + 1
-            rows[k + 1] = [float(v) for v in parts[1:]]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise FormatError(f"{path}: expected '<count> <dim>' header")
+            count, dim = int(header[0]), int(header[1])
+            vocab = {}
+            rows = np.empty((count + 1, dim))
+            rows[0] = 0.0  # unk
+            for k in range(count):
+                parts = fh.readline().rstrip("\n").split(" ")
+                if len(parts) != dim + 1:
+                    raise FormatError(f"{path}: row {k}: expected {dim} values")
+                vocab[parts[0]] = k + 1
+                rows[k + 1] = [float(v) for v in parts[1:]]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
     return LookupTable(vocab, rows, unk_row=0)
 
 

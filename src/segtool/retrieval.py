@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, EmptyCorpus, token_labels, tokenize
+from .corpus import CLASS_NAMES, EmptyCorpus, non_utf8_line, token_labels, tokenize
 
 
 class RetrievalError(Exception):
@@ -363,31 +363,39 @@ def _posting_problem(term, plist, lengths):
 def load_answers(path):
     """Answers JSONL: {"id": str, "text": str} per line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RetrievalError(f"{path}:{line_no}: {exc}") from None
-            if type(obj) is not dict or not all(type(obj.get(f)) is str for f in ("id", "text")):
-                raise RetrievalError(f"{path}:{line_no}: answers need a str 'id' and 'text'")
-            out.append(AnswerDoc(obj["id"], obj["text"]))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RetrievalError(f"{path}:{line_no}: {exc}") from None
+                if type(obj) is not dict or not all(
+                    type(obj.get(f)) is str for f in ("id", "text")
+                ):
+                    raise RetrievalError(f"{path}:{line_no}: answers need a str 'id' and 'text'")
+                out.append(AnswerDoc(obj["id"], obj["text"]))
+    except UnicodeDecodeError:
+        raise RetrievalError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
     return out
 
 
 def load_qrels(path):
     """Qrels TSV: question_id <tab> answer_id."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise RetrievalError(f"{path}:{line_no}: expected question_id<TAB>answer_id")
-            qid, aid = fields
-            out[qid] = aid
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise RetrievalError(f"{path}:{line_no}: expected question_id<TAB>answer_id")
+                qid, aid = fields
+                out[qid] = aid
+    except UnicodeDecodeError:
+        raise RetrievalError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
     return out

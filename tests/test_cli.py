@@ -145,6 +145,17 @@ def test_malformed_input_is_data_error(case, tmp_path):
     assert where in proc.stderr, proc.stderr
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    # every CLI call pays its imports; only the baseline fit needs scipy.optimize
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(segtool.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, segtool.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _index_file(tmp_path, edit=None, data=None):
     """A two-answer index file, its JSON changed by ``edit`` or its bytes
     replaced by ``data``."""
@@ -230,6 +241,57 @@ def _bad_doc(mutate):
     return case
 
 
+def _not_utf8(path, line_no):
+    """Make line ``line_no`` of the file at ``path`` not UTF-8: the first
+    line starts with a UTF-16 byte-order mark, a later one holds a Latin-1
+    byte."""
+    lines = path.read_bytes().splitlines(keepends=True) or [b""]
+    bad = b"\xff\xfe" if line_no == 1 else b"caf\xe9 "
+    lines[line_no - 1] = bad + lines[line_no - 1]
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def _corpus_not_utf8(line_no):
+    def case(tmp_path):
+        path = _not_utf8(_corpus_file(tmp_path), line_no)
+        return ["stats", "--corpus", str(path)], [f"{path}: line {line_no}: not UTF-8"]
+
+    return case
+
+
+def _answers_not_utf8(tmp_path):
+    path = _not_utf8(_answers_file(tmp_path, json.dumps({"id": "a1", "text": "x"})), 2)
+    return ["index", "--answers", str(path), "--out", str(tmp_path / "i.gz")], [
+        f"{path}:2: not UTF-8"
+    ]
+
+
+def _qrels_not_utf8(tmp_path):
+    cfile, qrels, _ = _qrels_for_corpus(tmp_path)
+    _not_utf8(qrels, 2)
+    argv = ["mrr", "--index", str(_index_file(tmp_path)), "--corpus", str(cfile),
+            "--qrels", str(qrels)]
+    return argv, [f"{qrels}:2: not UTF-8"]
+
+
+def _config_not_utf8(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\n")
+    _not_utf8(cfg, 1)
+    argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--config", str(cfg)]
+    return argv, [f"{cfg}:1: not UTF-8"]
+
+
+def _boosts_not_utf8(tmp_path):
+    boosts = tmp_path / "b.json"
+    boosts.write_text('{"CC": 2.0}\n')
+    _not_utf8(boosts, 1)
+    argv = ["search", "--index", str(_index_file(tmp_path)), "--corpus",
+            str(_corpus_file(tmp_path)), "--boosts", str(boosts)]
+    return argv, [f"{boosts}:1: not UTF-8"]
+
+
 # Run in-process through cli.main: an exception main does not turn into
 # exit 2 fails the test just as a traceback would; the subprocess cases
 # above guard the process's own exit path.
@@ -251,6 +313,12 @@ MALFORMED_IN_PROCESS = {
     "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
     "corpus-spans-not-list": _bad_doc(lambda o: o.update(spans="CC")),
     "corpus-id-not-str": _bad_doc(lambda o: o.update(id=5)),
+    "corpus-utf16-bom": _corpus_not_utf8(1),
+    "corpus-latin1-line-2": _corpus_not_utf8(2),
+    "answers-not-utf8": _answers_not_utf8,
+    "qrels-not-utf8": _qrels_not_utf8,
+    "config-not-utf8": _config_not_utf8,
+    "boosts-not-utf8": _boosts_not_utf8,
 }
 
 

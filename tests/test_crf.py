@@ -90,6 +90,37 @@ def brute_viterbi(e, p, constrain=False):
     return list(best), best_score
 
 
+def viterbi_oracle(emissions, params, constrain_bio=False):
+    """Viterbi with the max read back through the backpointers, a numpy
+    backtrack and a scalar re-summation loop: ``viterbi`` must return
+    exactly its path and score."""
+    s, n = emissions.shape
+    start_mask, trans_mask = bio_transition_mask()
+    start = params.start + (start_mask if constrain_bio else 0.0)
+    trans = params.transitions + (trans_mask if constrain_bio else 0.0)
+
+    delta = start + emissions[0]
+    backptr = np.empty((s, n), dtype=np.int64)
+    for j in range(1, s):
+        cand = delta[:, None] + trans
+        backptr[j] = np.argmax(cand, axis=0)
+        delta = cand[backptr[j], np.arange(n)] + emissions[j]
+    delta = delta + params.stop
+
+    path = [int(np.argmax(delta))]
+    for j in range(s - 1, 0, -1):
+        path.append(int(backptr[j, path[-1]]))
+    path.reverse()
+
+    score = params.start[path[0]] + emissions[0, path[0]]
+    if constrain_bio:
+        score = score + start_mask[path[0]]
+    for j in range(1, s):
+        score = score + trans[path[j - 1], path[j]] + emissions[j, path[j]]
+    score = float(score + params.stop[path[-1]])
+    return [BIO_TAGS[t] for t in path], score
+
+
 class TestPathScore:
     def test_single_token_zero_params(self):
         e = np.arange(N_TAGS, dtype=float).reshape(1, -1)
@@ -353,3 +384,42 @@ class TestViterbi:
         tags_a, _ = viterbi(e, p)
         tags_b, _ = viterbi(e + 3.25, p)
         assert tags_a == tags_b
+
+
+class TestViterbiOracle:
+    """``viterbi`` equals ``viterbi_oracle`` exactly (``==``): path and score."""
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    @pytest.mark.parametrize("s", [1, 2, 3, 17, 90])
+    def test_random_params(self, s, constrain):
+        rng = np.random.default_rng(300 + s + 1000 * constrain)
+        for _ in range(5):
+            e = rng.standard_normal((s, N_TAGS)) * 3
+            p = CrfParams.random(rng)
+            assert viterbi(e, p, constrain) == viterbi_oracle(e, p, constrain)
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    @pytest.mark.parametrize("s", [1, 2, 9])
+    def test_planted_ties(self, s, constrain):
+        # scores on a grid of halves tie at almost every step; all zeros
+        # tie everywhere
+        rng = np.random.default_rng(400 + s + 1000 * constrain)
+        cases = [(np.zeros((s, N_TAGS)), CrfParams.zeros())]
+        for _ in range(5):
+            grid = lambda *shape: rng.integers(-1, 2, size=shape) / 2.0  # noqa: E731
+            cases.append(
+                (grid(s, N_TAGS), CrfParams(grid(N_TAGS, N_TAGS), grid(N_TAGS), grid(N_TAGS)))
+            )
+        for e, p in cases:
+            assert viterbi(e, p, constrain) == viterbi_oracle(e, p, constrain)
+
+    @pytest.mark.parametrize("s", [1, 2, 12])
+    def test_minus_inf_scores(self, s):
+        # -inf transitions and emissions beside the BIO masks' own -inf
+        rng = np.random.default_rng(500 + s)
+        for constrain in (False, True):
+            e = rng.standard_normal((s, N_TAGS))
+            e[rng.random(e.shape) < 0.3] = -np.inf
+            p = CrfParams.random(rng)
+            p.transitions[rng.random(p.transitions.shape) < 0.3] = -np.inf
+            assert viterbi(e, p, constrain) == viterbi_oracle(e, p, constrain)

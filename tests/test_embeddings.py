@@ -58,7 +58,13 @@ class TestLookup:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad.txt"):
+            load_lookup_table(path)
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"2 1\nls 0.5\ncaf\xe9 0.25\n")
+        with pytest.raises(FormatError, match=r"vecs\.txt:3: not UTF-8"):
             load_lookup_table(path)
 
     def test_backward_accumulates(self):

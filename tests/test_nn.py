@@ -1,17 +1,50 @@
-"""The GRU and LSTM backward passes against per-step oracles, and the
-batched (..., s, d) paths against per-sequence loops.
+"""The GRU and LSTM backward passes against per-step oracles, the
+batched (..., s, d) paths against per-sequence loops, and the stacked
+bidirectional recurrence against two separate cells.
 
 The oracles are the straightforward backward loops: every parameter
 gradient is accumulated as an outer product inside the time loop.  The
 library versions keep only the recurrent products in the loop and form
 the parameter gradients as matrix products afterwards, so the two agree
-to float64 round-off.
+to float64 round-off.  The bidirectional layers must equal their
+two-cell oracle exactly.
 """
 
 import numpy as np
 import pytest
 
-from segtool.nn import BiGru, BiLstm, Gru, Lstm
+from segtool.nn import BiGru, BiLstm, Component, Gru, Lstm, _reversal, _reverse
+
+
+class TwoCellBi(Component):
+    """The bidirectional wrapper as two separate cells, one time loop
+    each: the oracle for the one stacked recurrence of ``nn._Bi``.  Built
+    from the same RNG state, its cells draw the stacked pair's parameters."""
+
+    def __init__(self, cell_cls, rng, d_in, hidden, dtype=np.float64):
+        super().__init__()
+        self.hidden = hidden
+        self.f = cell_cls(rng, d_in, hidden, dtype)
+        self.b = cell_cls(rng, d_in, hidden, dtype)
+        self._add_child("f_", self.f)
+        self._add_child("b_", self.b)
+
+    def forward(self, x, lengths=None, **kw):
+        rev = _reversal(x.shape[-2], lengths)
+        hf, cf = self.f.forward(x, **kw)
+        hb_rev, cb = self.b.forward(_reverse(x, rev), **kw)
+        out = np.concatenate([hf, _reverse(hb_rev, rev)], axis=-1)
+        return out, (cf, cb, rev)
+
+    def backward(self, cache, d_out):
+        cf, cb, rev = cache
+        H = self.hidden
+        d_x = self.f.backward(cf, d_out[..., :H])
+        d_x = d_x + _reverse(self.b.backward(cb, _reverse(d_out[..., H:], rev)), rev)
+        return d_x
+
+    final_states = BiLstm.final_states
+    backward_from_final = BiLstm.backward_from_final
 
 
 def gru_backward_oracle(cell, cache, d_h_seq):
@@ -19,6 +52,8 @@ def gru_backward_oracle(cell, cache, d_h_seq):
     x, hs, zs, rs, ns, hms, rec_mask = cache
     H = cell.hidden
     s = x.shape[0]
+    # the cached states of one sequence are (steps, 1, H): drop the row axis
+    hs, zs, rs, ns, hms = (a.reshape(len(a), H) for a in (hs, zs, rs, ns, hms))
     U = cell.params["U"]
     grads = {k: np.zeros_like(v) for k, v in cell.params.items()}
     d_x = np.zeros_like(x)
@@ -60,6 +95,8 @@ def lstm_backward_oracle(cell, cache, d_h_seq):
     x, hs, cs, gates = cache
     H = cell.hidden
     s = x.shape[0]
+    # the cached states of one sequence are (1, steps, ...): drop the row axis
+    hs, cs, gates = (a[0] for a in (hs, cs, gates))
     U = cell.params["U"]
     grads = {k: np.zeros_like(v) for k, v in cell.params.items()}
     d_x = np.zeros_like(x)
@@ -217,3 +254,90 @@ def test_bi_ragged_matches_per_sequence(cls, masked):
         assert np.all(d_x[b, n:] == 0.0)
     for k in bi.params:
         np.testing.assert_allclose(bi.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
+
+
+def _stacked_and_oracle(cls, seed, d_in, hidden, dtype):
+    bi = cls(np.random.default_rng(seed), d_in, hidden, dtype)
+    ref = TwoCellBi(cls.cell_cls, np.random.default_rng(seed), d_in, hidden, dtype)
+    assert list(bi.params) == list(ref.params) == list(bi.grads)
+    for k in bi.params:
+        assert np.array_equal(bi.params[k], ref.params[k]), k
+    return bi, ref
+
+
+def _assert_runs_equal(bi, ref, run):
+    """``run(layer)`` returns a list of arrays; both layers' results and
+    every parameter gradient must be exactly equal."""
+    results = []
+    for layer in (bi, ref):
+        layer.zero_grads()
+        results.append(run(layer) + [layer.grads[k].copy() for k in layer.params])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead, ragged", [
+    ((), False), ((1,), False), ((1,), True), ((8,), False), ((8,), True),
+    ((32,), True), ((3, 2), True),
+])
+@pytest.mark.parametrize("cls, masked", [(BiGru, False), (BiGru, True), (BiLstm, False)])
+def test_stacked_bi_equals_two_cells(cls, masked, lead, ragged, dtype):
+    # outputs, input gradients and every parameter gradient, exactly; the
+    # ragged batches hold lengths 1 and T
+    seed = 100 + 7 * len(lead) + sum(lead) + 3 * ragged + masked
+    bi, ref = _stacked_and_oracle(cls, seed, 6, 5, dtype)
+    rng = np.random.default_rng(seed + 1)
+    T = 9
+    x = rng.standard_normal(lead + (T, 6)).astype(dtype)
+    d_out = rng.standard_normal(lead + (T, 10)).astype(dtype)
+    lengths = None
+    if ragged:
+        lengths = rng.integers(1, T + 1, size=lead)
+        lengths.flat[0], lengths.flat[-1] = 1, T
+        padded = np.arange(T) >= lengths[..., None]
+        x[padded] = 0.0
+        d_out[padded] = 0.0
+    kw = {"rec_mask": ((rng.random(lead + (5,)) < 0.5) / 0.5).astype(dtype)} if masked else {}
+
+    def run(layer):
+        h, cache = layer.forward(x, lengths=lengths, **kw)
+        return [h, layer.backward(cache, d_out)]
+
+    _assert_runs_equal(bi, ref, run)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cls", [BiGru, BiLstm])
+def test_stacked_bi_final_states_equal_two_cells(cls, dtype):
+    # the char encoder's path: unpadded (tokens, length, d) groups, and the
+    # gradient entering through the final states only
+    bi, ref = _stacked_and_oracle(cls, 11, 4, 3, dtype)
+    rng = np.random.default_rng(12)
+    for n, s in [(1, 1), (5, 1), (7, 4)]:
+        x = rng.standard_normal((n, s, 4)).astype(dtype)
+        d_final = rng.standard_normal((n, 6)).astype(dtype)
+
+        def run(layer):
+            out, cache = layer.forward(x)
+            return [layer.final_states(out), layer.backward_from_final(cache, d_final, s)]
+
+        _assert_runs_equal(bi, ref, run)
+
+
+def test_stacked_bi_names_views_of_the_pair():
+    # f_/b_ name the [0]/[1] views: writing through one moves the stacked
+    # array the recurrence reads, and zero_grads clears both directions
+    bi = BiGru(np.random.default_rng(0), 3, 2)
+    for k, prefix in enumerate(("f_", "b_")):
+        for name in ("W", "U", "b"):
+            view, stacked = bi.params[prefix + name], bi.cell.params[name]
+            assert view.base is stacked and view.shape == stacked.shape[1:]
+            view[...] = k + 1.0
+            assert np.all(stacked[k] == k + 1.0)
+            assert bi.grads[prefix + name].base is bi.cell.grads[name]
+    for g in bi.cell.grads.values():
+        g[...] = 1.0
+    bi.zero_grads()
+    assert all(not g.any() for g in bi.cell.grads.values())

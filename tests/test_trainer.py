@@ -323,6 +323,15 @@ def full_model():
     return SegModel(TrainConfig(**FULL_CFG), ["ab", "c"], "abc", [2, 3, 2])
 
 
+def _is_slice(view, stacked, k):
+    """``view`` is ``stacked[k]``'s memory itself, not a copy."""
+    return (
+        view.base is stacked
+        and view.shape == stacked.shape[1:]
+        and view.ctypes.data == stacked[k].ctypes.data
+    )
+
+
 class TestParameterTree:
     def test_names_and_order(self, tmp_path):
         model = full_model()
@@ -348,10 +357,10 @@ class TestParameterTree:
             else:
                 assert v is parts[part].params[name], k
                 assert model.grads[k] is parts[part].grads[name], k
-        # down to the leaf cells
-        assert model.params["char.rnn_f_W"] is model.char.rnn.f.params["W"]
-        assert model.params["comb.ctx_b_U"] is model.combiner.context.b.params["U"]
-        assert model.grads["gru.b_b"] is model.encoder.rnn.b.grads["b"]
+        # down to the stacked (2, ...) arrays the bidirectional layers step
+        assert _is_slice(model.params["char.rnn_f_W"], model.char.rnn.cell.params["W"], 0)
+        assert _is_slice(model.params["comb.ctx_b_U"], model.combiner.context.cell.params["U"], 1)
+        assert _is_slice(model.grads["gru.b_b"], model.encoder.rnn.cell.grads["b"], 1)
 
     def test_zero_grads_clears_every_gradient(self):
         model = full_model()
