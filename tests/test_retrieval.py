@@ -436,9 +436,13 @@ class TestPersistence:
         assert str(exc.value).startswith(f"{path}: ")
         assert message in str(exc.value)
 
+    # gzip headers carry a timestamp, so the gzip cases get fixed ids.
     @pytest.mark.parametrize("data", [
-        b"no index here", b"", gzip.compress(b"[1, 2")[:-6], gzip.compress(b"{nope"),
-        gzip.compress(b"\xff\xfe"), gzip.compress(b"[1, 2]"),
+        b"no index here", b"",
+        pytest.param(gzip.compress(b"[1, 2")[:-6], id="gzip-truncated"),
+        pytest.param(gzip.compress(b"{nope"), id="gzip-bad-json"),
+        pytest.param(gzip.compress(b"\xff\xfe"), id="gzip-not-utf8"),
+        pytest.param(gzip.compress(b"[1, 2]"), id="gzip-not-an-object"),
     ])
     def test_unreadable_index_names_file(self, tmp_path, data):
         path = tmp_path / "idx.json.gz"
