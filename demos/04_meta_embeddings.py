@@ -36,7 +36,7 @@ for a, b in pairs:
 
 chars = "abcdefghijklmnopqrstuvwxyz0123456789/.-_"
 char_enc = CharEncoder(rng, chars)
-v = char_enc.forward("wlan0")[0]
+v = char_enc.forward(["wlan0"])[0][0]
 print(f"\nchar encoder output dim: {v.shape[0]} "
       "(final forward state ++ final backward state)")
 

@@ -184,11 +184,12 @@ def _load_boosts_arg(args):
         return None
     try:
         with open(args.boosts, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return retrieval.BoostProfile.from_json_obj(json.load(fh))
     except UnicodeDecodeError:
         line = corpus.non_utf8_line(args.boosts)
         raise retrieval.RetrievalError(f"{args.boosts}:{line}: not UTF-8 text") from None
-    return retrieval.BoostProfile.from_json_obj(obj)
+    except (json.JSONDecodeError, retrieval.RetrievalError) as exc:
+        raise retrieval.RetrievalError(f"{args.boosts}: {exc}") from None
 
 
 def _cmd_search(args):
@@ -430,7 +431,6 @@ _DATA_ERRORS = (
     retrieval.RetrievalError,
     OSError,
     json.JSONDecodeError,
-    KeyError,
 )
 
 

@@ -178,12 +178,8 @@ def tokenize(text):
 
 def spans_to_bio(doc):
     """Project a document's spans to a per-token BIO tag sequence."""
-    n = len(doc.tokens)
-    for sp in doc.spans:
-        if sp.start_token < 0 or sp.end_token > n:
-            raise IndexOutOfRange(f"span {sp} outside 0..{n}")
-    _check_no_overlap(doc.spans)
-    tags = ["O"] * n
+    doc.validate()
+    tags = ["O"] * len(doc.tokens)
     for sp in doc.spans:
         tags[sp.start_token] = f"B-{sp.label.value}"
         for k in range(sp.start_token + 1, sp.end_token):

@@ -1,10 +1,10 @@
 """Per-token vector providers and the meta-embedding combiner.
 
-Providers: a plain lookup table (pre-trained vectors consumed from a text
-file, or a trainable table built from a corpus vocabulary), a hashed
-subword n-gram embedder that composes vectors for unseen tokens from
-character n-grams, a character-level biLSTM encoder, and contextual
-embedding streams read from a binary file.
+Providers: a trainable lookup table (read from a text file, or built
+from a corpus vocabulary), a hashed subword n-gram embedder that composes
+vectors for unseen tokens from character n-grams, a character-level
+biLSTM encoder, and contextual embedding streams read from a binary file.
+Each token provider takes a list of tokens and returns one row per token.
 
 Multiple contextual streams are fused by the MetaCombiner: naive
 concatenation, or a softmax-weighted sum of linear projections with
@@ -52,14 +52,12 @@ class MissingStreams(EmbeddingsError):
 
 
 class LookupTable(nn.Component):
-    """token -> fixed row, with a shared unk row for out-of-vocabulary
-    tokens."""
+    """token -> trainable row, with the shared row 0 for
+    out-of-vocabulary tokens."""
 
-    def __init__(self, vocab, matrix, unk_row=0, trainable=False):
+    def __init__(self, vocab, matrix):
         super().__init__()
         self.vocab = dict(vocab)
-        self.unk_row = unk_row
-        self.trainable = trainable
         self._add_param("matrix", np.asarray(matrix))
         assert all(v < self.params["matrix"].shape[0] for v in self.vocab.values())
 
@@ -68,16 +66,16 @@ class LookupTable(nn.Component):
         return self.params["matrix"].shape[1]
 
     @classmethod
-    def from_tokens(cls, tokens, dim, rng, dtype=np.float64, trainable=True):
+    def from_tokens(cls, tokens, dim, rng, dtype=np.float64):
         vocab = {}
         for t in tokens:
             if t not in vocab:
                 vocab[t] = len(vocab) + 1  # row 0 reserved for unk
         matrix = (rng.standard_normal((len(vocab) + 1, dim)) * 0.1).astype(dtype)
-        return cls(vocab, matrix, unk_row=0, trainable=trainable)
+        return cls(vocab, matrix)
 
     def row_index(self, token):
-        return self.vocab.get(token, self.unk_row)
+        return self.vocab.get(token, 0)
 
     def embed(self, token):
         return self.params["matrix"][self.row_index(token)]
@@ -87,11 +85,10 @@ class LookupTable(nn.Component):
         return self.params["matrix"][idx], idx
 
     def backward_sequence(self, idx, d_out):
-        if self.trainable:
-            np.add.at(self.grads["matrix"], idx, d_out)
+        np.add.at(self.grads["matrix"], idx, d_out)
 
 
-def load_lookup_table(path, trainable=False):
+def load_lookup_table(path):
     """Text format: header "<count> <dim>", then one "token v1 .. vd" line
     per word."""
     try:
@@ -111,7 +108,7 @@ def load_lookup_table(path, trainable=False):
                 rows[k + 1] = [float(v) for v in parts[1:]]
     except UnicodeDecodeError:
         raise FormatError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
-    return LookupTable(vocab, rows, unk_row=0)
+    return LookupTable(vocab, rows)
 
 
 def save_lookup_table(table, path):
@@ -150,7 +147,7 @@ def token_ngrams(token, n_min, n_max):
 
 class SubwordHashEmbedder(nn.Component):
     def __init__(self, rng, dim, n_buckets=2**21, n_min=3, n_max=6, hash_seed=0,
-                 dtype=np.float64, trainable=False, scale=0.1):
+                 dtype=np.float64, scale=0.1):
         super().__init__()
         if n_buckets < 1 or not 1 <= n_min <= n_max:
             raise EmbeddingsError("bad subword configuration")
@@ -158,7 +155,6 @@ class SubwordHashEmbedder(nn.Component):
         self.n_min = n_min
         self.n_max = n_max
         self.hash_seed = hash_seed
-        self.trainable = trainable
         self._add_param(
             "buckets", (rng.standard_normal((n_buckets, dim)) * scale).astype(dtype)
         )
@@ -188,17 +184,17 @@ class SubwordHashEmbedder(nn.Component):
         return out, idx
 
     def backward_sequence(self, idx, d_out):
-        if self.trainable:
-            for ids, d in zip(idx, d_out):
-                np.add.at(self.grads["buckets"], ids, d / len(ids))
+        for ids, d in zip(idx, d_out):
+            np.add.at(self.grads["buckets"], ids, d / len(ids))
 
 
 class CharEncoder(nn.Component):
     """biLSTM over a token's code points; output is the concatenation of
     the final forward and backward states (80-dim at the default width).
 
-    ``forward_tokens`` encodes each distinct token once, and runs the
-    distinct tokens of one length as one (tokens, length, char_dim) batch.
+    ``forward`` takes a list of tokens, encodes each distinct token once,
+    and runs the distinct tokens of one length as one (tokens, length,
+    char_dim) batch.
     """
 
     def __init__(self, rng, chars, char_dim=16, hidden=40, dtype=np.float64):
@@ -212,8 +208,6 @@ class CharEncoder(nn.Component):
         self.table = LookupTable(
             vocab,
             (rng.standard_normal((len(vocab) + 1, char_dim)) * 0.1).astype(dtype),
-            unk_row=0,
-            trainable=True,
         )
         self.rnn = nn.BiLstm(rng, char_dim, hidden, dtype)
         self._add_child("table_", self.table)
@@ -223,9 +217,9 @@ class CharEncoder(nn.Component):
     def out_dim(self):
         return 2 * self.hidden
 
-    def forward_tokens(self, tokens):
+    def forward(self, tokens):
         """(len(tokens), out_dim) encodings and the cache for
-        ``backward_tokens``."""
+        ``backward``."""
         if not all(tokens):
             raise EmptyToken("cannot encode the empty token")
         distinct = sorted(dict.fromkeys(tokens), key=len)
@@ -243,7 +237,7 @@ class CharEncoder(nn.Component):
         where = np.array([row[t] for t in tokens], dtype=np.int64)
         return vecs[where], (where, len(distinct), groups)
 
-    def backward_tokens(self, cache, d_vecs):
+    def backward(self, cache, d_vecs):
         where, n_distinct, groups = cache
         # a repeated token's gradients add up before its one LSTM backward
         d_distinct = np.zeros((n_distinct, self.out_dim), dtype=d_vecs.dtype)
@@ -253,14 +247,6 @@ class CharEncoder(nn.Component):
                 rnn_cache, d_distinct[start : start + count], length
             )
             self.table.backward_sequence(idx, d_x.reshape(count * length, -1))
-
-    def forward(self, token):
-        """One token: its (out_dim,) encoding and the cache for ``backward``."""
-        vecs, cache = self.forward_tokens([token])
-        return vecs[0], cache
-
-    def backward(self, cache, d_vec):
-        self.backward_tokens(cache, d_vec[None])
 
 
 # ---------------------------------------------------------------------------

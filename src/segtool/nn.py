@@ -16,11 +16,14 @@ forward; the bidirectional wrapper reverses each sequence within its own
 length for the same reason, and a zero upstream gradient at the padded
 positions keeps them out of every gradient.
 
-The bidirectional wrapper runs both directions as one recurrence over a
-leading direction axis of 2: it stores each parameter of the pair as one
-stacked array, lists its [0]/[1] views under the names of two separate
-cells (``f_W``, ``b_W``, ...), and every time step makes one stacked
-matrix product for both directions.
+The GRU and the LSTM share one recurrent core, ``_Recurrent``: it owns
+the gate-blocked parameters, the input projection, the time-major state
+layout and the gradients after the backward loop, and each cell adds only
+its two time loops.  The bidirectional wrapper runs both directions as
+one recurrence over a leading direction axis of 2: it stores each
+parameter of the pair as one stacked array, lists its [0]/[1] views under
+the names of two separate cells (``f_W``, ``b_W``, ...), and every time
+step makes one stacked matrix product for both directions.
 """
 
 import numpy as np
@@ -100,57 +103,117 @@ def _lift(w, n):
     return w.reshape(w.shape[:-2] + (1,) * n + w.shape[-2:])
 
 
-class Gru(Component):
-    """GRU scanning (..., s, d_in) input: the leading axes are independent
-    sequences of length s, run in lockstep.
+def _move(a, src, dst):
+    """``np.moveaxis`` of one axis without its argument checks, which cost
+    several times the transpose itself on a recurrent layer's small arrays."""
+    order = list(range(a.ndim))
+    order.insert(dst % a.ndim, order.pop(src))
+    return a.transpose(order)
 
-    Gate order: update z, reset r, candidate n.  An optional recurrent
-    dropout mask, one (hidden,) row per sequence (shape (..., hidden),
-    the same mask at every step), multiplies the previous hidden state on
-    the gate inputs only.  The states are kept time-major, (s, ..., H),
-    so every step reads and writes contiguous rows.
 
+class _Recurrent(Component):
+    """A gated recurrent cell scanning (..., s, d_in) input: the leading
+    axes are independent sequences of length s, run in lockstep.  The
+    subclasses keep only their time loops.  ``_scan(xw, hs, U, **kw)``
+    fills the states from the projected input and returns the rest of
+    the cache, which starts with the time-major input and the states;
+    ``_scan_back(cache, d_h_seq, d_pre, U_T)`` fills the gate
+    pre-activation grads and returns the (gate columns, recurrent input)
+    pairs that U's gradient is formed from.
+
+    ``W``, ``U`` and ``b`` hold ``n_gates`` blocks of ``hidden`` columns.
     The parameters may carry leading direction axes, as in ``_Bi``'s
-    (2, d_in, 3H) ``W``: x then leads with the same axes, one independent
-    cell each, and every step multiplies all of them in one call.  Each
-    direction's matrix products keep the shapes of a lone cell's, so its
-    results are bit-identical to that cell's.
+    (2, d_in, n_gates * H) ``W``: x then leads with the same axes, one
+    independent cell each, and every step multiplies all of them in one
+    call.  Each direction's matrix products keep the shapes of a lone
+    cell's, so its results are bit-identical to that cell's.
+
+    Every per-step array is time-major, (s, rows..., ·) with rows =
+    (dirs..., 1, lead...), so each step reads and writes contiguous rows;
+    the unit axis makes one sequence, too, a (1, H) row in each
+    direction's slice of the recurrent product.  The states are
+    (s + 1, rows..., H), the zero initial state first.
     """
+
+    n_gates = None
 
     def __init__(self, rng, d_in, hidden, dtype=np.float64):
         super().__init__()
         self.hidden = hidden
+        G = self.n_gates
         self._add_param(
-            "W", np.concatenate([glorot(rng, (d_in, hidden), dtype) for _ in range(3)], axis=1)
+            "W", np.concatenate([glorot(rng, (d_in, hidden), dtype) for _ in range(G)], axis=1)
         )
         self._add_param(
             "U",
-            np.concatenate([orthogonal(rng, (hidden, hidden), dtype) for _ in range(3)], axis=1),
+            np.concatenate([orthogonal(rng, (hidden, hidden), dtype) for _ in range(G)], axis=1),
         )
-        self._add_param("b", np.zeros(3 * hidden, dtype=dtype))
+        self._add_param("b", np.zeros(G * hidden, dtype=dtype))
 
-    def forward(self, x, rec_mask=None):
+    def _layout(self, xt):
+        """(dirs, s, lead, rows) of a time-major input (dirs..., s, lead..., d)."""
+        dirs = self.params["W"].shape[:-2]
+        lead = xt.shape[len(dirs) + 1 : -1]
+        return dirs, xt.shape[len(dirs)], lead, dirs + (1,) + lead
+
+    def forward(self, x, **kw):
         W, U, b = self.params["W"], self.params["U"], self.params["b"]
-        H = self.hidden
-        dirs = W.shape[:-2]
-        s = x.shape[-2]
-        lead = x.shape[len(dirs) : -2]
-        # a unit axis after the directions, so that one sequence, too, is a
-        # (1, H) row in each direction's slice of the recurrent product
-        rows = dirs + (1,) + lead
-        dtype = W.dtype
+        xt = _move(x, -2, W.ndim - 2)
+        dirs, s, lead, rows = self._layout(xt)
         # the input projection: one product per direction over all the steps
-        xw = np.stack([np.moveaxis(x[k], -2, 0) @ W[k] + b[k] for k in np.ndindex(dirs)], axis=1)
-        xw = xw.reshape((s,) + rows + (3 * H,))
+        xw = np.stack([xt[k] @ W[k] + b[k] for k in np.ndindex(dirs)], axis=1)
+        xw = xw.reshape((s,) + rows + (W.shape[-1],))
+        hs = np.zeros((s + 1,) + rows + (self.hidden,), dtype=W.dtype)
+        cache = (xt, hs) + self._scan(xw, hs, _lift(U, len(lead)), **kw)
+        return _move(hs[1:], 0, -2).reshape(x.shape[:-1] + (self.hidden,)), cache
+
+    def backward(self, cache, d_h_seq):
+        xt = cache[0]
+        W, U = self.params["W"], self.params["U"]
+        H, GH = self.hidden, W.shape[-1]
+        dirs, s, lead, rows = self._layout(xt)
+        d_h_seq = _move(d_h_seq, -2, 0).reshape((s,) + rows + (H,))
+        # The gate pre-activation grads, stored direction-major, so that each
+        # direction's steps are one block for the products after the loop;
+        # the loop indexes them by step through the view d_pre.
+        d_blocks = np.empty(dirs + (s,) + rows[len(dirs) :] + (GH,), dtype=xt.dtype)
+        d_pre = _move(d_blocks, len(dirs), 0)
+        U_T = _lift(np.swapaxes(U, -1, -2), len(lead))
+        u_inputs = self._scan_back(cache, d_h_seq, d_pre, U_T)
+
+        # the weight gradients, one product per direction over all the steps;
+        # U's from each (gate columns, recurrent input) pair of the cell
+        for k in np.ndindex(dirs):
+            d_k = d_blocks[k].reshape(-1, GH)
+            g_W, g_U, g_b = (self.grads[name][k] for name in ("W", "U", "b"))
+            g_W += xt[k].reshape(-1, xt.shape[-1]).T @ d_k
+            g_b += d_k.sum(axis=0)
+            for cols, h_in in u_inputs:
+                g_U[:, cols] += h_in[(slice(None),) + k].reshape(-1, H).T @ d_k[:, cols]
+        d_x = d_blocks.reshape(dirs + (-1, GH)) @ np.swapaxes(W, -1, -2)
+        return _move(d_x.reshape(xt.shape), len(dirs), -2)
+
+
+class Gru(_Recurrent):
+    """GRU, gate order: update z, reset r, candidate n.
+
+    An optional recurrent dropout mask, one (hidden,) row per sequence
+    (shape (..., hidden), the same mask at every step), multiplies the
+    previous hidden state on the gate inputs only.
+    """
+
+    n_gates = 3
+
+    def _scan(self, xw, hs, U, rec_mask=None):
+        H = self.hidden
         xw_zr, xw_n = xw[..., : 2 * H], xw[..., 2 * H :]
-        U_zr = _lift(np.ascontiguousarray(U[..., : 2 * H]), len(lead))
-        U_n = _lift(np.ascontiguousarray(U[..., 2 * H :]), len(lead))
-        hs = np.zeros((s + 1,) + rows + (H,), dtype=dtype)
-        zr = np.empty((s,) + rows + (2 * H,), dtype=dtype)
+        U_zr = np.ascontiguousarray(U[..., : 2 * H])
+        U_n = np.ascontiguousarray(U[..., 2 * H :])
+        zr = np.empty(xw.shape[:-1] + (2 * H,), dtype=hs.dtype)
         z, r = zr[..., :H], zr[..., H:]
-        n = np.empty((s,) + rows + (H,), dtype=dtype)
+        n = np.empty_like(hs[1:])
         # h as the gates see it: h itself, or h times the recurrent mask
-        hm = hs[:-1] if rec_mask is None else np.empty((s,) + rows + (H,), dtype=dtype)
+        hm = hs[:-1] if rec_mask is None else np.empty_like(n)
         # the loop walks the per-step views instead of indexing every array
         steps = zip(xw_zr, xw_n, hs[:-1], hs[1:], hm, zr, z, r, n)
         for xw_zr_t, xw_n_t, h, h_next, hm_t, zr_t, z_t, r_t, n_t in steps:
@@ -159,36 +222,23 @@ class Gru(Component):
             zr_t[...] = _sigmoid(xw_zr_t + hm_t @ U_zr)
             n_t[...] = np.tanh(xw_n_t + (r_t * hm_t) @ U_n)
             h_next[...] = h + z_t * (n_t - h)
-        cache = (x, hs, z, r, n, hm, rec_mask)
-        return np.moveaxis(hs[1:], 0, -2).reshape(x.shape[:-1] + (H,)), cache
+        return z, r, n, hm, rec_mask
 
-    def backward(self, cache, d_h_seq):
-        x, hs, z, r, n, hm, rec_mask = cache
-        W, U = self.params["W"], self.params["U"]
+    def _scan_back(self, cache, d_h_seq, d_pre, U_T):
+        _, hs, z, r, n, hm, rec_mask = cache
         H = self.hidden
-        dirs = W.shape[:-2]
-        s, d = x.shape[-2:]
-        lead = x.shape[len(dirs) : -2]
-        rows = hs.shape[1:-1]
-        U_zr_T = _lift(np.ascontiguousarray(np.swapaxes(U[..., : 2 * H], -1, -2)), len(lead))
-        U_n_T = _lift(np.ascontiguousarray(np.swapaxes(U[..., 2 * H :], -1, -2)), len(lead))
+        U_zr_T = np.ascontiguousarray(U_T[..., : 2 * H, :])
+        U_n_T = np.ascontiguousarray(U_T[..., 2 * H :, :])
         # Everything that does not depend on d_h, per step: d_z_pre and d_n_pre
         # are d_h times z_scale and n_scale; d_r_pre is d_rhm times r_scale.
         z_scale = (n - hs[:-1]) * z * (1.0 - z)
         n_scale = z * (1.0 - n * n)
         r_scale = hm * r * (1.0 - r)
         one_minus_z = 1.0 - z
-        d_h_seq = np.moveaxis(d_h_seq, -2, 0).reshape((s,) + rows + (H,))
-
-        # gate pre-activation grads, z r n; the loop indexes views by t only.
-        # Stored direction-major, so that each direction's steps are one
-        # block for the products after the loop.
-        d_pre = np.empty(dirs + (s,) + rows[len(dirs) :] + (3, H), dtype=x.dtype)
-        d_pre = np.moveaxis(d_pre, len(dirs), 0)
-        d_z, d_r, d_n = (d_pre[..., k, :] for k in range(3))
-        d_zr = d_pre[..., :2, :].reshape((s,) + rows + (2 * H,))
-        d_h = np.zeros(rows + (H,), dtype=x.dtype)
-        for t in range(s - 1, -1, -1):
+        d_z, d_r, d_n = (d_pre[..., k * H : (k + 1) * H] for k in range(3))
+        d_zr = d_pre[..., : 2 * H]
+        d_h = np.zeros(hs.shape[1:], dtype=d_pre.dtype)
+        for t in range(len(d_pre) - 1, -1, -1):
             d_h = d_h + d_h_seq[t]
             d_z[t] = d_h * z_scale[t]
             d_n[t] = d_h * n_scale[t]
@@ -200,109 +250,49 @@ class Gru(Component):
                 # the mask multiplies h on the gate inputs only
                 d_hm *= rec_mask
             d_h = d_h * one_minus_z[t] + d_hm
-
-        # the weight gradients, one product per direction over all the steps
-        for k in np.ndindex(dirs):
-            at = (slice(None),) + k
-            d_k = d_pre[at].reshape(-1, 3 * H)
-            x_rows = np.moveaxis(x[k], -2, 0).reshape(-1, d)
-            g_W, g_U, g_b = (self.grads[name][k] for name in ("W", "U", "b"))
-            g_W += x_rows.T @ d_k
-            g_b += d_k.sum(axis=0)
-            g_U[:, : 2 * H] += hm[at].reshape(-1, H).T @ d_k[:, : 2 * H]
-            g_U[:, 2 * H :] += (r[at] * hm[at]).reshape(-1, H).T @ d_k[:, 2 * H :]
-        d_pre = np.moveaxis(d_pre, 0, len(dirs)).reshape(dirs + (-1, 3 * H))
-        d_x = (d_pre @ np.swapaxes(W, -1, -2)).reshape(dirs + (s,) + lead + (d,))
-        return np.moveaxis(d_x, len(dirs), -2)
+        return [(slice(None, 2 * H), hm), (slice(2 * H, None), r * hm)]
 
 
-class Lstm(Component):
-    """LSTM scanning (..., s, d_in) input: the leading axes are independent
-    sequences of length s, run in lockstep.
+class Lstm(_Recurrent):
+    """LSTM, gate order: input i, forget f, cell g, output o.  The gates
+    are cached as (s, rows..., 4, H)."""
 
-    Gate order: input i, forget f, cell g, output o.  Leading direction
-    axes on the parameters work as in ``Gru``.
-    """
+    n_gates = 4
 
-    def __init__(self, rng, d_in, hidden, dtype=np.float64):
-        super().__init__()
-        self.hidden = hidden
-        self._add_param(
-            "W", np.concatenate([glorot(rng, (d_in, hidden), dtype) for _ in range(4)], axis=1)
-        )
-        self._add_param(
-            "U",
-            np.concatenate([orthogonal(rng, (hidden, hidden), dtype) for _ in range(4)], axis=1),
-        )
-        self._add_param("b", np.zeros(4 * hidden, dtype=dtype))
+    def _scan(self, xw, hs, U):
+        cs = np.zeros_like(hs)
+        gates = np.empty(xw.shape[:-1] + (4, self.hidden), dtype=hs.dtype)
+        i, f, g, o = (gates[..., k, :] for k in range(4))
+        steps = zip(xw, hs[:-1], hs[1:], cs[:-1], cs[1:], gates, i, f, g, o)
+        for xw_t, h, h_next, c, c_next, gates_t, i_t, f_t, g_t, o_t in steps:
+            pre = (xw_t + h @ U).reshape(gates_t.shape)
+            gates_t[...] = _sigmoid(pre)
+            g_t[...] = np.tanh(pre[..., 2, :])
+            c_next[...] = f_t * c + i_t * g_t
+            h_next[...] = o_t * np.tanh(c_next)
+        return cs, gates
 
-    def forward(self, x):
-        W, U, b = self.params["W"], self.params["U"], self.params["b"]
-        H = self.hidden
-        dirs = W.shape[:-2]
-        s = x.shape[-2]
-        lead = x.shape[len(dirs) : -2]
-        rows = dirs + (1,) + lead  # as in Gru.forward
-        dtype = W.dtype
-        # one product per sequence over all its steps, as in a lone cell
-        xw = x.reshape(rows + x.shape[-2:]) @ _lift(W, len(lead) + 1)
-        xw += _lift(b[..., None, :], len(lead) + 1)
-        U = _lift(U, len(lead))
-        hs = np.zeros(rows + (s + 1, H), dtype=dtype)
-        cs = np.zeros(rows + (s + 1, H), dtype=dtype)
-        gates = np.empty(rows + (s, 4, H), dtype=dtype)
-        for t in range(s):
-            pre = (xw[..., t, :] + hs[..., t, :] @ U).reshape(rows + (4, H))
-            gt = gates[..., t, :, :]
-            gt[...] = _sigmoid(pre)
-            gt[..., 2, :] = np.tanh(pre[..., 2, :])
-            i, f, g, o = (gt[..., k, :] for k in range(4))
-            cs[..., t + 1, :] = f * cs[..., t, :] + i * g
-            hs[..., t + 1, :] = o * np.tanh(cs[..., t + 1, :])
-        cache = (x, hs, cs, gates)
-        return hs[..., 1:, :].reshape(x.shape[:-1] + (H,)), cache
-
-    def backward(self, cache, d_h_seq):
-        x, hs, cs, gates = cache
-        W, U = self.params["W"], self.params["U"]
-        H = self.hidden
-        dirs = W.shape[:-2]
-        s, d = x.shape[-2:]
-        lead = x.shape[len(dirs) : -2]
-        rows = hs.shape[:-2]
-        i, f, g, o = np.moveaxis(gates, -2, 0)
-        U_T = _lift(np.swapaxes(U, -1, -2), len(lead))
+    def _scan_back(self, cache, d_h_seq, d_pre, U_T):
+        _, hs, cs, gates = cache
+        i, f, g, o = (gates[..., k, :] for k in range(4))
         # Everything that does not depend on d_h or d_c, per step: the i, f, g
         # pre-activation grads are d_c times c_scale, the o one is d_h times
         # o_scale, and d_h reaches d_c through h_to_c.
-        tc = np.tanh(cs[..., 1:, :])
-        c_scale = np.stack(
-            [g * i * (1.0 - i), cs[..., :-1, :] * f * (1.0 - f), i * (1.0 - g * g)], axis=-2
-        )
+        tc = np.tanh(cs[1:])
+        c_scale = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=-2)
         o_scale = tc * o * (1.0 - o)
         h_to_c = o * (1.0 - tc * tc)
-        d_h_seq = d_h_seq.reshape(rows + (s, H))
-
-        d_pre = np.empty(rows + (s, 4, H), dtype=x.dtype)  # gate pre-activation grads, i f g o
-        d_h = np.zeros(rows + (H,), dtype=x.dtype)
-        d_c = np.zeros(rows + (H,), dtype=x.dtype)
-        for t in range(s - 1, -1, -1):
-            d_h = d_h + d_h_seq[..., t, :]
-            d_c = d_c + d_h * h_to_c[..., t, :]
-            d_pre[..., t, :3, :] = d_c[..., None, :] * c_scale[..., t, :, :]
-            d_pre[..., t, 3, :] = d_h * o_scale[..., t, :]
-            d_c = d_c * f[..., t, :]
-            d_h = d_pre[..., t, :, :].reshape(rows + (4 * H,)) @ U_T
-
-        d_pre = d_pre.reshape(rows + (s, 4 * H))
-        # the weight gradients, one product per direction over all the steps
-        for k in np.ndindex(dirs):
-            d_flat = d_pre[k].reshape(-1, 4 * H)
-            g_W, g_U, g_b = (self.grads[name][k] for name in ("W", "U", "b"))
-            g_W += x[k].reshape(-1, d).T @ d_flat
-            g_U += hs[k][..., :-1, :].reshape(-1, H).T @ d_flat
-            g_b += d_flat.sum(axis=0)
-        return (d_pre @ _lift(np.swapaxes(W, -1, -2), len(lead) + 1)).reshape(x.shape)
+        d_gates = d_pre.reshape(gates.shape)  # a view: i f g o blocks
+        d_h = np.zeros(hs.shape[1:], dtype=d_pre.dtype)
+        d_c = np.zeros_like(d_h)
+        for t in range(len(d_pre) - 1, -1, -1):
+            d_h = d_h + d_h_seq[t]
+            d_c = d_c + d_h * h_to_c[t]
+            d_gates[t, ..., :3, :] = d_c[..., None, :] * c_scale[t]
+            d_gates[t, ..., 3, :] = d_h * o_scale[t]
+            d_c = d_c * f[t]
+            d_h = d_pre[t] @ U_T
+        return [(slice(None), hs[:-1])]
 
 
 def _reversal(s, lengths):

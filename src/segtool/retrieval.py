@@ -12,6 +12,7 @@ import functools
 import gzip
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -187,11 +188,15 @@ class BoostProfile:
 
     @classmethod
     def from_json_obj(cls, obj):
+        if not isinstance(obj, dict):
+            raise RetrievalError(f"boosts must be an object of weights, got {type(obj).__name__}")
         w = {c: 1.0 for c in CLASS_NAMES}
-        w.update({k: float(v) for k, v in obj.items()})
-        for v in w.values():
-            if not (v > 0 and math.isfinite(v)):
-                raise RetrievalError(f"boost weights must be positive, got {v}")
+        for k, v in obj.items():
+            # a float: no bool, no inf or NaN, no int too large to convert
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number and 0 < v <= sys.float_info.max):
+                raise RetrievalError(f"boost weight of {k!r} must be a positive number, got {v!r}")
+            w[k] = float(v)
         return cls(w)
 
 

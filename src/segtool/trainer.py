@@ -10,6 +10,7 @@ then the biGRU, attention, emission layer and CRF.
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -123,14 +124,11 @@ class SegModel(nn.Component):
         self.lookup = self.subword = self.char = self.combiner = None
         feat_dim = 0
         if cfg.use_lookup:
-            self.lookup = LookupTable.from_tokens(
-                token_vocab, cfg.lookup_dim, rng, dtype=dt, trainable=True
-            )
+            self.lookup = LookupTable.from_tokens(token_vocab, cfg.lookup_dim, rng, dtype=dt)
             feat_dim += cfg.lookup_dim
         if cfg.use_subword:
             self.subword = SubwordHashEmbedder(
-                rng, cfg.subword_dim, n_buckets=cfg.subword_buckets,
-                dtype=dt, trainable=True,
+                rng, cfg.subword_dim, n_buckets=cfg.subword_buckets, dtype=dt
             )
             feat_dim += cfg.subword_dim
         if cfg.use_char:
@@ -196,7 +194,7 @@ class SegModel(nn.Component):
         if self.subword is not None:
             parts.append((self.subword.embed_sequence, self.subword.backward_sequence))
         if self.char is not None:
-            parts.append((self.char.forward_tokens, self.char.backward_tokens))
+            parts.append((self.char.forward, self.char.backward))
         return parts
 
     def _features(self, docs, streams):
@@ -300,22 +298,41 @@ class SegModel(nn.Component):
 
     @classmethod
     def load(cls, path):
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"]))
+        """The model a ``save`` file holds.  A file that is not a checkpoint,
+        or whose metadata or arrays do not match the model its config
+        builds, is a TrainerError naming the file."""
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise TrainerError(f"{path}: not an npz checkpoint")
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                arrays = {k: data[k] for k in data.files}
+            meta = json.loads(str(arrays.pop("__meta__")))
             if meta["version"] != CHECKPOINT_VERSION:
                 raise TrainerError(f"unsupported checkpoint version {meta['version']}")
-            cfg_d = meta["config"]
+            if meta["tag_order"] != BIO_TAGS:
+                raise TrainerError(f"tag order {meta['tag_order']} is not {BIO_TAGS}")
+            cfg_d = dict(meta["config"])
             if cfg_d.get("stream_indices") is not None:
                 cfg_d["stream_indices"] = tuple(cfg_d["stream_indices"])
-            cfg = TrainConfig(**cfg_d)
-            model = cls(
-                cfg,
-                token_vocab=meta["lookup_vocab"],
-                char_vocab=meta["char_vocab"],
-                stream_dims=meta["stream_dims"],
-            )
-            for k, v in model.params.items():
-                v[...] = data[k.replace(".", "__")].astype(cls.DTYPE)
+            model = cls(TrainConfig(**cfg_d), meta["lookup_vocab"], meta["char_vocab"],
+                        meta["stream_dims"])
+            names = {k.replace(".", "__"): v for k, v in model.params.items()}
+            if set(arrays) != set(names):
+                missing, extra = sorted(set(names) - set(arrays)), sorted(set(arrays) - set(names))
+                raise TrainerError(f"arrays missing {missing}, unexpected {extra}")
+            for name, v in names.items():
+                saved = arrays[name]
+                if saved.shape != v.shape:
+                    raise TrainerError(f"array {name} has shape {saved.shape}, not {v.shape}")
+                v[...] = saved.astype(cls.DTYPE)
+        except KeyError as exc:
+            raise TrainerError(f"{path}: no {exc} entry") from None
+        except (ValueError, TypeError, zipfile.BadZipFile, NotImplementedError) as exc:
+            # NotImplementedError: zipfile's answer to a corrupt version field
+            raise TrainerError(f"{path}: not a checkpoint of this model: {exc}") from None
+        except TrainerError as exc:
+            raise TrainerError(f"{path}: {exc}") from None
         return model
 
 
@@ -527,9 +544,7 @@ def _check_char(rng, probes):
     enc = CharEncoder(rng, "abcxyz/.-", char_dim=4, hidden=5)
     # two lengths, one token repeated, one unknown char ("q")
     tokens = ["xy/z.a", "ab", "xy/z.a", "q.", "zzcaby"]
-    return _weighted_sum_check(
-        enc, [], rng, probes, lambda: enc.forward_tokens(tokens), enc.backward_tokens
-    )
+    return _weighted_sum_check(enc, [], rng, probes, lambda: enc.forward(tokens), enc.backward)
 
 
 def _check_attention(rng, probes, mode="weighted"):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import segtool
@@ -11,6 +12,7 @@ from segtool import synth
 from segtool.cli import main
 from segtool.corpus import doc_to_json, save_corpus
 from segtool.embeddings import save_streams
+from segtool.trainer import SegModel, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +294,43 @@ def _boosts_not_utf8(tmp_path):
     return argv, [f"{boosts}:1: not UTF-8"]
 
 
+def _bad_boosts(text):
+    def case(tmp_path):
+        boosts = tmp_path / "b.json"
+        boosts.write_text(text + "\n")
+        argv = ["search", "--index", str(_index_file(tmp_path)), "--corpus",
+                str(_corpus_file(tmp_path)), "--boosts", str(boosts)]
+        return argv, [f"{boosts}: "]
+
+    return case
+
+
+def _checkpoint_file(tmp_path, edit=None, data=None):
+    """An untrained small model's checkpoint, its metadata and arrays
+    changed by ``edit(meta, arrays)`` or its bytes replaced by ``data``."""
+    path = tmp_path / "m.npz"
+    SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"]).save(path)
+    if data is not None:
+        path.write_bytes(data)
+    if edit:
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        meta = json.loads(str(arrays.pop("__meta__")))
+        edit(meta, arrays)
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    return path
+
+
+def _bad_checkpoint(edit=None, data=None):
+    def case(tmp_path):
+        path = _checkpoint_file(tmp_path, edit, data)
+        argv = ["predict", "--corpus", str(_corpus_file(tmp_path)), "--model", str(path),
+                "--out", str(tmp_path / "p.jsonl")]
+        return argv, [f"{path}: "]
+
+    return case
+
+
 # Run in-process through cli.main: an exception main does not turn into
 # exit 2 fails the test just as a traceback would; the subprocess cases
 # above guard the process's own exit path.
@@ -319,6 +358,19 @@ MALFORMED_IN_PROCESS = {
     "qrels-not-utf8": _qrels_not_utf8,
     "config-not-utf8": _config_not_utf8,
     "boosts-not-utf8": _boosts_not_utf8,
+    "boosts-not-json": _bad_boosts('{"CC": 2.0'),
+    "boosts-not-object": _bad_boosts("[1, 2]"),
+    "boosts-weight-not-number": _bad_boosts('{"CC": "x"}'),
+    "boosts-weight-bool": _bad_boosts('{"CC": true}'),
+    "boosts-weight-int-too-large": _bad_boosts('{"CC": 1%s}' % ("0" * 400)),
+    "checkpoint-not-npz": _bad_checkpoint(data=b"not a checkpoint"),
+    "checkpoint-unknown-config-key": _bad_checkpoint(lambda m, a: m["config"].update(frob=1)),
+    "checkpoint-missing-array": _bad_checkpoint(lambda m, a: a.pop("gru__f_W")),
+    "checkpoint-wrong-shape": _bad_checkpoint(
+        lambda m, a: a.update(emit__W=a["emit__W"][:-1])
+    ),
+    "checkpoint-extra-array": _bad_checkpoint(lambda m, a: a.update(extra=np.zeros(1))),
+    "checkpoint-reordered-tags": _bad_checkpoint(lambda m, a: m["tag_order"].reverse()),
 }
 
 

@@ -95,8 +95,8 @@ def lstm_backward_oracle(cell, cache, d_h_seq):
     x, hs, cs, gates = cache
     H = cell.hidden
     s = x.shape[0]
-    # the cached states of one sequence are (1, steps, ...): drop the row axis
-    hs, cs, gates = (a[0] for a in (hs, cs, gates))
+    # the cached states of one sequence are (steps, 1, ...): drop the row axis
+    hs, cs, gates = (a[:, 0] for a in (hs, cs, gates))
     U = cell.params["U"]
     grads = {k: np.zeros_like(v) for k, v in cell.params.items()}
     d_x = np.zeros_like(x)

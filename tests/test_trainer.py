@@ -186,7 +186,7 @@ def per_document_features(model, doc, streams):
         cols.append(out)
         caches["subword"] = idx
     if model.char is not None:
-        out, caches["char"] = model.char.forward_tokens(toks)
+        out, caches["char"] = model.char.forward(toks)
         cols.append(out)
     if model.combiner is not None:
         arrs = model._doc_streams(doc, streams)
@@ -206,7 +206,7 @@ def per_document_features_backward(model, caches, d_x):
     if model.subword is not None:
         model.subword.backward_sequence(caches["subword"], next(d_cols))
     if model.char is not None:
-        model.char.backward_tokens(caches["char"], next(d_cols))
+        model.char.backward(caches["char"], next(d_cols))
     if model.combiner is not None:
         model.combiner.backward(caches["comb"], next(d_cols))
 
@@ -285,16 +285,15 @@ class TestBatchedModel:
                           combiner_mode="cdme", d_prime=4)
         model = SegModel(cfg, tokens, "".join(sorted(set("".join(tokens)))), streams.dims)
         calls = []
-        for cls, name in ((CharEncoder, "forward_tokens"), (MetaCombiner, "forward")):
-            method = getattr(cls, name)
+        for cls in (CharEncoder, MetaCombiner):
 
-            def counted(self, *args, method=method, name=name, **kw):
+            def counted(self, *args, method=cls.forward, name=cls.__name__, **kw):
                 calls.append(name)
                 return method(self, *args, **kw)
 
-            monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(cls, "forward", counted)
         model.batch_loss(docs, streams, train=True, rng=np.random.default_rng(0))
-        assert sorted(calls) == ["forward", "forward_tokens"]
+        assert sorted(calls) == ["CharEncoder", "MetaCombiner"]
 
 
 # lookup + subword + char + cdme over three streams + weighted attention
