@@ -6,6 +6,7 @@ verification).  All randomness is controlled by --seed.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -175,7 +176,9 @@ def _cmd_index(args):
     answers = retrieval.load_answers(args.answers)
     index = retrieval.build_index(answers, min_len=args.min_len)
     retrieval.save_index(index, args.out)
-    print(f"indexed {index.n_docs} answers -> {args.out}")
+    n_postings = sum(map(len, index.postings.values()))
+    print(f"indexed {index.n_docs} answers, {len(index.postings)} terms, {n_postings} postings"
+          f" -> {args.out} ({os.path.getsize(args.out)} bytes)")
     return 0
 
 

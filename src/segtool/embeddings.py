@@ -51,6 +51,14 @@ class MissingStreams(EmbeddingsError):
         self.doc_id = doc_id
 
 
+def _token_list(tokens):
+    """tokens, when it is not a bare str (which would be read as a list
+    of one-character tokens)."""
+    if isinstance(tokens, str):
+        raise EmbeddingsError(f"expected a list of tokens, got the str {tokens!r}")
+    return tokens
+
+
 class LookupTable(nn.Component):
     """token -> trainable row, with the shared row 0 for
     out-of-vocabulary tokens."""
@@ -81,7 +89,7 @@ class LookupTable(nn.Component):
         return self.params["matrix"][self.row_index(token)]
 
     def embed_sequence(self, tokens):
-        idx = np.array([self.row_index(t) for t in tokens], dtype=np.int64)
+        idx = np.array([self.row_index(t) for t in _token_list(tokens)], dtype=np.int64)
         return self.params["matrix"][idx], idx
 
     def backward_sequence(self, idx, d_out):
@@ -179,7 +187,7 @@ class SubwordHashEmbedder(nn.Component):
         return self.params["buckets"][idx].mean(axis=0)
 
     def embed_sequence(self, tokens):
-        idx = [self.bucket_indices(t) for t in tokens]
+        idx = [self.bucket_indices(t) for t in _token_list(tokens)]
         out = np.stack([self.params["buckets"][i].mean(axis=0) for i in idx])
         return out, idx
 
@@ -220,7 +228,7 @@ class CharEncoder(nn.Component):
     def forward(self, tokens):
         """(len(tokens), out_dim) encodings and the cache for
         ``backward``."""
-        if not all(tokens):
+        if not all(_token_list(tokens)):
             raise EmptyToken("cannot encode the empty token")
         distinct = sorted(dict.fromkeys(tokens), key=len)
         row = {t: k for k, t in enumerate(distinct)}
@@ -229,7 +237,7 @@ class CharEncoder(nn.Component):
         start = 0
         for length, group in itertools.groupby(distinct, key=len):
             group = list(group)
-            x, idx = self.table.embed_sequence("".join(group))
+            x, idx = self.table.embed_sequence(list("".join(group)))
             out, cache = self.rnn.forward(x.reshape(len(group), length, -1))
             vecs[start : start + len(group)] = self.rnn.final_states(out)
             groups.append((start, len(group), length, idx, cache))

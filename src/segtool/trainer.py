@@ -317,6 +317,8 @@ class SegModel(nn.Component):
                 cfg_d["stream_indices"] = tuple(cfg_d["stream_indices"])
             model = cls(TrainConfig(**cfg_d), meta["lookup_vocab"], meta["char_vocab"],
                         meta["stream_dims"])
+            if meta["fingerprint"] != model.cfg.fingerprint():
+                raise TrainerError(f"config does not match its fingerprint {meta['fingerprint']!r}")
             names = {k.replace(".", "__"): v for k, v in model.params.items()}
             if set(arrays) != set(names):
                 missing, extra = sorted(set(names) - set(arrays)), sorted(set(arrays) - set(names))

@@ -12,6 +12,7 @@ from segtool import synth
 from segtool.cli import main
 from segtool.corpus import doc_to_json, save_corpus
 from segtool.embeddings import save_streams
+from segtool.retrieval import build_index, load_answers
 from segtool.trainer import SegModel, TrainConfig
 
 
@@ -159,10 +160,10 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 def _index_file(tmp_path, edit=None, data=None):
-    """A two-answer index file, its JSON changed by ``edit`` or its bytes
-    replaced by ``data``."""
-    obj = {"version": 1, "k1": 1.2, "b": 0.75, "doc_lengths": {"a0": 2, "a1": 1},
-           "postings": {"ls": [["a0", 1]], "-la": [["a0", 1], ["a1", 1]]}}
+    """A two-answer index file (postings ls: a0; -la: a0, a1), its JSON
+    changed by ``edit`` or its bytes replaced by ``data``."""
+    obj = {"version": 2, "k1": 1.2, "b": 0.75, "docs": ["a0", "a1"], "lengths": [2, 1],
+           "terms": ["ls", "-la"], "df": [1, 2], "rows": [0, 0, 1], "tf": [1, 1, 1]}
     if edit:
         edit(obj)
     path = tmp_path / "idx.json.gz"
@@ -170,11 +171,11 @@ def _index_file(tmp_path, edit=None, data=None):
     return path
 
 
-def _bad_index(edit=None, data=None):
+def _bad_index(edit=None, data=None, message=""):
     def case(tmp_path):
         path = _index_file(tmp_path, edit, data)
         return ["search", "--index", str(path), "--corpus", str(_corpus_file(tmp_path))], [
-            f"{path}: "
+            f"{path}: {message}"
         ]
 
     return case
@@ -338,10 +339,17 @@ def _bad_checkpoint(edit=None, data=None):
 MALFORMED_IN_PROCESS = {
     "index-not-gzip": _bad_index(data=b"no index"),
     "index-truncated": _bad_index(data=gzip.compress(b'{"version": 1}')[:-8]),
-    "index-no-postings": _bad_index(lambda o: o.pop("postings")),
-    "index-one-element-posting": _bad_index(lambda o: o["postings"].update(ls=[["x"]])),
-    "index-posting-unknown-doc": _bad_index(lambda o: o["postings"].update(ls=[["ghost", 1]])),
-    "index-posting-tf-zero": _bad_index(lambda o: o["postings"].update(ls=[["a0", 0]])),
+    "index-no-postings": _bad_index(lambda o: o.pop("rows") and o.pop("tf")),
+    "index-one-element-posting": _bad_index(lambda o: o["tf"].pop()),
+    "index-posting-unknown-doc": _bad_index(lambda o: o["rows"].__setitem__(0, -1)),
+    "index-posting-tf-zero": _bad_index(lambda o: o["tf"].__setitem__(0, 0)),
+    "index-row-out-of-range": _bad_index(lambda o: o["rows"].__setitem__(2, 2),
+                                         message="field 'rows' holds 2"),
+    "index-version-1": _bad_index(
+        lambda o: o.clear() or o.update(version=1, k1=1.2, b=0.75, doc_lengths={"a0": 1},
+                                        postings={"ls": [["a0", 1]]}),
+        message="unsupported index version 1; rerun segtool index",
+    ),
     "answers-text-not-str": _bad_answers('{"id": "a1", "text": 5}'),
     "answers-not-json": _bad_answers('{"id": "a1"'),
     "mrr-missing-qrel": _mrr_missing_qrel,
@@ -456,7 +464,14 @@ class TestSynthPipeline:
              "--qrels-out", str(rfile), "--seed", "0"]
         ) == 0
         idx = tmp_path / "index.json.gz"
+        capsys.readouterr()
         assert main(["index", "--answers", str(afile), "--out", str(idx)]) == 0
+        built = build_index(load_answers(afile))
+        n_postings = sum(len(p) for p in built.postings.values())
+        assert capsys.readouterr().out == (
+            f"indexed {built.n_docs} answers, {len(built.postings)} terms, {n_postings} postings"
+            f" -> {idx} ({idx.stat().st_size} bytes)\n"
+        )
         boosts = tmp_path / "boosts.json"
         assert main(
             ["boosts", "--corpus", str(qfile), "--answers", str(afile),

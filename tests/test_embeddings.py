@@ -5,6 +5,7 @@ from segtool import synth
 from segtool.embeddings import (
     CharEncoder,
     ContextualStreamSet,
+    EmbeddingsError,
     EmptyToken,
     FormatError,
     LookupTable,
@@ -39,6 +40,11 @@ class TestLookup:
         out, idx = t.embed_sequence(["a", "b", "a"])
         assert np.array_equal(out[:, 0], [5.0, 0.0, 5.0])
         assert list(idx) == [1, 0, 1]
+
+    def test_bare_str_rejected(self):
+        t = LookupTable({"a": 1}, np.array([[0.0], [5.0]]))
+        with pytest.raises(EmbeddingsError, match="got the str 'wlan0'"):
+            t.embed_sequence("wlan0")
 
     def test_from_tokens_dedup(self):
         rng = np.random.default_rng(0)
@@ -116,6 +122,11 @@ class TestSubword:
         rng = np.random.default_rng(5)
         with pytest.raises(EmptyToken):
             SubwordHashEmbedder(rng, dim=4, n_buckets=8).embed("")
+
+    def test_bare_str_rejected(self):
+        emb = SubwordHashEmbedder(np.random.default_rng(5), dim=4, n_buckets=8)
+        with pytest.raises(EmbeddingsError, match="got the str 'wlan0'"):
+            emb.embed_sequence("wlan0")
 
     def test_deterministic(self):
         a = SubwordHashEmbedder(np.random.default_rng(7), dim=4, n_buckets=64)
@@ -240,6 +251,13 @@ class TestBatchedCharEncoder:
         enc = CharEncoder(np.random.default_rng(0), "ab")
         with pytest.raises(EmptyToken):
             enc.forward(["ab", ""])
+
+    def test_bare_str_rejected(self):
+        # a str is not read as one token per character
+        enc = CharEncoder(np.random.default_rng(0), "wlan0")
+        with pytest.raises(EmbeddingsError, match="got the str 'wlan0'"):
+            enc.forward("wlan0")
+        assert enc.forward(["wlan0"])[0].shape == (1, enc.out_dim)
 
 
 class SegModel64(SegModel):

@@ -2,8 +2,9 @@ import gzip
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtool.corpus import CLASS_NAMES, AnnotatedDocument, SegmentLabel, SegmentSpan, tokenize
@@ -11,6 +12,7 @@ from segtool.retrieval import (
     AnswerDoc,
     BoostProfile,
     EmptyCorpus,
+    FieldedIndex,
     MissingQrel,
     NoLabeledPairs,
     RetrievalError,
@@ -77,6 +79,19 @@ ANSWERS = [
 @pytest.fixture
 def index():
     return build_index(ANSWERS)
+
+
+def index_obj(index):
+    """The JSON object of index's file, from the layout's definition: doc
+    ids sorted, terms in postings order, a posting's doc as its row."""
+    docs = sorted(index.doc_lengths)
+    plists = list(index.postings.values())
+    return {
+        "version": 2, "k1": index.k1, "b": index.b, "docs": docs,
+        "lengths": [index.doc_lengths[d] for d in docs], "terms": list(index.postings),
+        "df": [len(p) for p in plists], "rows": [docs.index(d) for p in plists for d, _ in p],
+        "tf": [tf for p in plists for _, tf in p],
+    }
 
 
 class TestBuildIndex:
@@ -305,6 +320,86 @@ class TestImpactColumns:
             build_index(ANSWERS + [AnswerDoc("a1", "again")])
 
 
+@st.composite
+def random_indexes(draw):
+    """Indexes with unicode doc ids and terms, lengths and term frequencies
+    up to 10**6, from one doc up; posting lists sorted by doc id."""
+    ids = draw(st.lists(st.text(max_size=5), min_size=1, max_size=6, unique=True))
+    postings = {}
+    for t in draw(st.lists(st.text(max_size=5), max_size=6, unique=True)):
+        docs = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        postings[t] = [(d, draw(st.integers(1, 10**6))) for d in sorted(docs)]
+    lengths = {d: draw(st.integers(1, 10**6)) for d in ids}
+    return FieldedIndex(postings, lengths, draw(st.floats(0, 5)), draw(st.floats(0, 1)))
+
+
+# a JSON value of every kind, ints near the valid ones most of all
+JSON_VALUES = st.one_of(
+    st.integers(-2, 8), st.integers(), st.booleans(), st.none(), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.fixed_dictionaries({}),
+)
+
+
+@st.composite
+def edited_index_objects(draw):
+    """A valid file object with one random edit: a field dropped or
+    replaced, or one column value set, inserted or deleted, or two
+    swapped."""
+    obj = index_obj(draw(random_indexes()))
+    field = draw(st.sampled_from(sorted(obj)))
+    edit = draw(st.sampled_from(["drop", "replace", "set", "insert", "delete", "swap"]))
+    col = obj[field]
+    if edit == "drop":
+        del obj[field]
+    elif edit == "replace" or type(col) is not list or not col:
+        obj[field] = draw(JSON_VALUES)
+    else:
+        i = draw(st.integers(0, len(col) - 1))
+        if edit == "set":
+            col[i] = draw(JSON_VALUES | st.sampled_from(col))
+        elif edit == "insert":
+            col.insert(i, draw(JSON_VALUES | st.sampled_from(col)))
+        elif edit == "delete":
+            del col[i]
+        else:
+            j = draw(st.integers(0, len(col) - 1))
+            col[i], col[j] = col[j], col[i]
+    return obj
+
+
+class TestIndexFileProperties:
+    @given(random_indexes())
+    @example(FieldedIndex({"x": [("\u00e9", 10**6)]}, {"\u00e9": 1}, 1.2, 0.75))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, tmp_path_factory, index):
+        path = tmp_path_factory.getbasetemp() / "round-trip.json.gz"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.postings == index.postings
+        assert loaded.doc_lengths == index.doc_lengths
+        assert (loaded.k1, loaded.b) == (index.k1, index.b)
+        (ids, cols), (want_ids, want_cols) = loaded.columns, index.columns
+        assert ids == want_ids and list(cols) == list(want_cols)
+        for t, (rows, impacts) in want_cols.items():
+            assert np.array_equal(cols[t][0], rows) and np.array_equal(cols[t][1], impacts)
+
+    @given(edited_index_objects())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_file_loads_or_is_named(self, tmp_path_factory, obj):
+        # every edit either leaves a valid index that the file describes
+        # exactly or is a RetrievalError naming the file
+        path = tmp_path_factory.getbasetemp() / "edited.json.gz"
+        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+        try:
+            loaded = load_index(path)
+        except RetrievalError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert index_obj(loaded) == obj
+            assert all(p[0] < q[0] for ps in loaded.postings.values() for p, q in zip(ps, ps[1:]))
+            unfielded_search(loaded, question("q", " ".join(loaded.postings) or "x"))
+
+
 class TestEstimateBoosts:
     def test_fixture_values(self):
         # CC overlaps fully with the answer, O not at all:
@@ -372,25 +467,22 @@ class TestPersistence:
         q = question("q", "wireless iwconfig")
         assert unfielded_search(loaded, q, k=3) == unfielded_search(index, q, k=3)
 
-    def test_streamed_level9_file_loads(self, index, tmp_path):
-        # files written before save_index built the JSON in one string
-        # (json.dump streamed through a text wrapper at gzip level 9) load
-        # to the same index as a file written now
-        import gzip, json
+    def test_file_holds_the_column_layout(self, index, tmp_path):
+        path = tmp_path / "idx.json.gz"
+        save_index(index, path)
+        assert json.loads(gzip.decompress(path.read_bytes())) == index_obj(index)
 
-        old, new = tmp_path / "old.json.gz", tmp_path / "new.json.gz"
+    def test_v1_file_rejected(self, index, tmp_path):
+        # the layout before the columns: nested [doc, tf] pairs per term
         obj = {
             "version": 1, "k1": index.k1, "b": index.b,
             "doc_lengths": index.doc_lengths, "postings": dict(index.postings),
         }
-        with gzip.open(old, "wt", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        save_index(index, new)
-        a, b = load_index(old), load_index(new)
-        assert a.postings == b.postings == index.postings
-        assert a.doc_lengths == b.doc_lengths
-        assert (a.k1, a.b) == (b.k1, b.b)
-        assert gzip.decompress(old.read_bytes()) == gzip.decompress(new.read_bytes())
+        path = tmp_path / "old.json.gz"
+        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+        with pytest.raises(RetrievalError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: unsupported index version 1; rerun segtool index"
 
     def test_version_check(self, index, tmp_path):
         import gzip, json
@@ -401,33 +493,53 @@ class TestPersistence:
         with pytest.raises(RetrievalError):
             load_index(path)
 
+    # index_obj(index) of the fixture: docs a1 a2 a3; terms "restart" (a1),
+    # "the" (a1 tf 2, a2), "wireless" (a1 a2 a3), ...; 17 terms, 21 postings
     @pytest.mark.parametrize("edit, message", [
-        (lambda o: o.pop("postings"), "field 'postings' must be an object"),
-        (lambda o: o.update(postings=[]), "field 'postings' must be an object"),
-        (lambda o: o.update(doc_lengths={}), "field 'doc_lengths' must be a non-empty"),
-        (lambda o: o["doc_lengths"].update(a1="8"), "bad length '8' of doc 'a1'"),
+        (lambda o: o.pop("rows"), "field 'rows' must be a list"),
+        (lambda o: o.update(tf={}), "field 'tf' must be a list"),
+        (lambda o: o.update(df=5), "field 'df' must be a list"),
+        (lambda o: o.clear() or o.update(version=2, k1=1.2, b=0.75, doc_lengths={"a1": 1},
+                                         postings={"x": [["a1", 1]]}),
+         "field 'docs' must be a list"),
+        (lambda o: o.update(docs=[]), "field 'docs' must be a non-empty"),
+        (lambda o: o["docs"].__setitem__(1, "a1"), "'docs' must be a non-empty list of ascending"),
+        (lambda o: o["docs"].reverse(), "list of ascending str ids"),
+        (lambda o: o["docs"].__setitem__(0, 1), "ascending str ids"),
+        (lambda o: o["terms"].__setitem__(1, "restart"), "field 'terms' must be a list of distinct"),
+        (lambda o: o["terms"].__setitem__(0, ["x"]), "list of distinct str terms"),
+        (lambda o: o["lengths"].__setitem__(0, "8"), "field 'lengths' holds '8', not a positive"),
+        (lambda o: o["lengths"].__setitem__(2, 0), "field 'lengths' holds 0"),
+        (lambda o: o["lengths"].__setitem__(1, None), "field 'lengths' holds None"),
+        (lambda o: o["df"].__setitem__(3, 0), "field 'df' holds 0"),
+        (lambda o: o["df"].__setitem__(3, False), "field 'df' holds False"),
         (lambda o: o.update(k1="1.2"), "bad value '1.2' for field 'k1'"),
+        (lambda o: o.update(k1=10**310), "0 for field 'k1'"),
+        (lambda o: o.update(k1=float("inf")), "bad value inf for field 'k1'"),
         (lambda o: o.update(b=1.5), "bad value 1.5 for field 'b'"),
         (lambda o: o.update(b=float("nan")), "bad value nan for field 'b'"),
-        (lambda o: o["postings"].update(x=5), "postings of 'x' are not a list"),
-        (lambda o: o["postings"].update(x=["x"]), "posting 'x' of 'x' is not a [doc, tf] pair"),
-        (lambda o: o["postings"].update(x=[["a1", 1], ["x"]]),
-         "posting ['x'] of 'x' is not a [doc, tf] pair"),
-        (lambda o: o["postings"].update(x=[["a1", 1, 2]]), "is not a [doc, tf] pair"),
-        (lambda o: o["postings"].update(x=[["ghost", 1]]),
-         "posting ['ghost', 1] of 'x' names a doc not in 'doc_lengths'"),
-        (lambda o: o["postings"].update(x=[[["a1"], 1]]), "names a doc not in"),
-        (lambda o: o["postings"].update(x=[["a1", 0]]), "not a positive int"),
-        (lambda o: o["postings"].update(x=[["a1", True]]), "not a positive int"),
-        (lambda o: o["postings"].update(x=[["a1", 1.0]]), "not a positive int"),
+        (lambda o: o["tf"].__setitem__(0, 0), "not a positive int"),
+        (lambda o: o["tf"].__setitem__(0, True), "not a positive int"),
+        (lambda o: o["tf"].__setitem__(0, 1.0), "not a positive int"),
+        (lambda o: o["tf"].__setitem__(5, [1]), "field 'tf' holds [1]"),
+        (lambda o: o["tf"].__setitem__(5, 2**63), "holds 9223372036854775808, not a positive int"),
+        (lambda o: o["rows"].__setitem__(4, 99), "names a doc not in"),
+        (lambda o: o["rows"].__setitem__(0, -1), "field 'rows' holds -1, which names a doc not in"),
+        (lambda o: o["rows"].__setitem__(0, True), "field 'rows' holds True"),
+        (lambda o: o["rows"].__setitem__(0, "0"), "field 'rows' holds '0'"),
+        (lambda o: o["rows"].__setitem__(0, 0.0), "field 'rows' holds 0.0"),
+        (lambda o: o["lengths"].pop(), "field 'lengths' holds 2 values, not 3"),
+        (lambda o: o["df"].pop(), "field 'df' holds 16 values, not 17"),
+        (lambda o: o["df"].__setitem__(0, 2), "field 'rows' holds 21 values, not 22"),
+        (lambda o: o["tf"].pop(), "field 'tf' holds 20 values, not 21"),
+        (lambda o: o["tf"].append(1), "field 'tf' holds 22 values, not 21"),
+        (lambda o: o["rows"].__setitem__(2, 0), "field 'rows' of 'the' repeats a doc id"),
+        (lambda o: o["rows"].__setitem__(slice(1, 3), [1, 0]),
+         "field 'rows' of 'the' repeats a doc id or is unsorted"),
         (lambda o: o.update(version=None) or o.pop("version"), "unsupported index version None"),
     ])
     def test_malformed_index_names_file(self, index, tmp_path, edit, message):
-        obj = {
-            "version": 1, "k1": index.k1, "b": index.b,
-            "doc_lengths": dict(index.doc_lengths),
-            "postings": {t: [list(p) for p in ps] for t, ps in index.postings.items()},
-        }
+        obj = index_obj(index)
         edit(obj)
         path = tmp_path / "idx.json.gz"
         path.write_bytes(gzip.compress(json.dumps(obj).encode()))

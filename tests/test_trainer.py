@@ -165,6 +165,26 @@ class TestPredictAndCheckpoint:
         with pytest.raises(TrainerError):
             SegModel.load(tmp_path / "bad.npz")
 
+    def test_checkpoint_rejects_config_edited_under_old_fingerprint(self, tmp_path):
+        import json
+
+        cfg = TrainConfig(hidden=4, lookup_dim=3, combiner_mode="concat", d_prime=2,
+                          stream_indices=(0, 2))
+        path = tmp_path / "m.npz"
+        SegModel(cfg, ["ls", "-la"], stream_dims=[3, 4, 5]).save(path)
+        assert SegModel.load(path).cfg == cfg
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            meta = json.loads(str(data["__meta__"]))
+        meta["config"]["epochs"] = 7  # changes no array, only the fingerprint
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, __meta__=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(TrainerError) as exc:
+            SegModel.load(bad)
+        assert str(exc.value) == (
+            f"{bad}: config does not match its fingerprint {cfg.fingerprint()!r}"
+        )
+
     def test_evaluate_model_shape(self, tiny_corpus):
         tr, va, te = tiny_corpus
         model, _ = train(tr, va, None, small_cfg(epochs=1))
