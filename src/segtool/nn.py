@@ -160,9 +160,13 @@ class _Recurrent(Component):
         W, U, b = self.params["W"], self.params["U"], self.params["b"]
         xt = _move(x, -2, W.ndim - 2)
         dirs, s, lead, rows = self._layout(xt)
-        # the input projection: one product per direction over all the steps
-        xw = np.stack([xt[k] @ W[k] + b[k] for k in np.ndindex(dirs)], axis=1)
-        xw = xw.reshape((s,) + rows + (W.shape[-1],))
+        # the input projection: one stacked product over the directions and
+        # all the steps, stored time-major for the loop's per-step slices
+        GH = W.shape[-1]
+        xw = (xt.reshape(dirs + (-1, xt.shape[-1])) @ W + b[..., None, :]).reshape(
+            dirs + (s,) + lead + (GH,)
+        )
+        xw = np.ascontiguousarray(_move(xw, len(dirs), 0)).reshape((s,) + rows + (GH,))
         hs = np.zeros((s + 1,) + rows + (self.hidden,), dtype=W.dtype)
         cache = (xt, hs) + self._scan(xw, hs, _lift(U, len(lead)), **kw)
         return _move(hs[1:], 0, -2).reshape(x.shape[:-1] + (self.hidden,)), cache

@@ -2,12 +2,17 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from segtool.corpus import BIO_TAGS, N_TAGS, TAG_INDEX
 from segtool.crf import (
+    MAX_SPAN,
+    CrfError,
     CrfParams,
     LengthMismatch,
     bio_transition_mask,
@@ -64,6 +69,60 @@ def nll_and_grads_oracle(e, p, idx):
         )
         d_trans[idx[j], idx[j + 1]] -= 1.0
     return float(loss), d_e, CrfParams(d_trans, d_start, d_stop)
+
+
+def nll_and_grads_exact(e, p, idx, dps=30):
+    """The step-by-step forward-backward in probability space, in mpmath at
+    ``dps`` digits, where exponents do not underflow; the counts are
+    subtracted before the one rounding to float64."""
+    with mpmath.workdps(dps):
+
+        def exp(a):
+            return [[mpmath.exp(x) for x in row] for row in np.atleast_2d(a).tolist()]
+
+        s = len(idx)
+        E, T = exp(e), exp(p.transitions)
+        (start,), (stop,) = exp(p.start), exp(p.stop)
+        alphas = [[a * x for a, x in zip(start, E[0])]]
+        for j in range(1, s):
+            alphas.append([mpmath.fdot(alphas[-1], col) * x for col, x in zip(zip(*T), E[j])])
+        betas, nexts = [stop], []  # nexts[j]: E[j + 1] * betas[j + 1]
+        for j in range(s - 1, 0, -1):
+            nexts.append([x * b for x, b in zip(E[j], betas[-1])])
+            betas.append([mpmath.fdot(row, nexts[-1]) for row in T])
+        betas.reverse()
+        nexts.reverse()
+        z = mpmath.fdot(alphas[-1], stop)
+        gold = mpmath.fsum(
+            [p.start[idx[0]], p.stop[idx[-1]]]
+            + [e[j, t] for j, t in enumerate(idx)]
+            + [p.transitions[a, b] for a, b in zip(idx, idx[1:])]
+        )
+        d_e = [
+            [a * b / z - (k == t) for k, (a, b) in enumerate(zip(ar, br))]
+            for ar, br, t in zip(alphas, betas, idx)
+        ]
+        counts = np.zeros((N_TAGS, N_TAGS), dtype=int)
+        np.add.at(counts, (idx[:-1], idx[1:]), 1)
+        d_trans = [
+            [
+                T[i][k] * mpmath.fdot([a[i] for a in alphas[:-1]], [x[k] for x in nexts]) / z
+                - counts[i, k]
+                for k in range(N_TAGS)
+            ]
+            for i in range(N_TAGS)
+        ]
+        loss = float(mpmath.log(z) - gold)
+    d_e, d_trans = np.array(d_e, dtype=float), np.array(d_trans, dtype=float)
+    return loss, d_e, CrfParams(d_trans, d_e[0], d_e[-1])
+
+
+def assert_gradients_close(actual, desired, counts, rtol=1e-12):
+    """Each gradient is an expectation minus a count, rounded relative to
+    the larger of the two; ``|desired| + counts`` lies between that and
+    twice it."""
+    bad = ~(np.abs(actual - desired) <= rtol * (np.abs(desired) + counts))
+    assert not bad.any(), f"at {np.argwhere(bad)}: {actual[bad]} != {desired[bad]}"
 
 
 def enumerate_paths(s, n=N_TAGS):
@@ -251,17 +310,46 @@ class TestNll:
 
     @pytest.mark.parametrize("s", [1, 2, 80, 900])
     def test_matches_stepwise_oracle(self, s):
+        # the oracle is the exact stepwise recursion (mpmath), not a float64
+        # one, whose own rounding grows with s
         rng = np.random.default_rng(300 + s)
         e = rng.standard_normal((s, N_TAGS)) * 5
         p = CrfParams.random(rng)
         gold = [int(t) for t in rng.integers(N_TAGS, size=s)]
         loss, d_e, g = nll_and_grads(e, p, gold)
-        loss_ref, d_e_ref, g_ref = nll_and_grads_oracle(e, p, gold)
-        assert loss == pytest.approx(loss_ref, rel=1e-10)
-        np.testing.assert_allclose(d_e, d_e_ref, rtol=1e-10)
+        loss_ref, d_e_ref, g_ref = nll_and_grads_exact(e, p, np.array(gold))
+        assert loss == pytest.approx(loss_ref, rel=1e-10, abs=0)
+        np.testing.assert_allclose(d_e, d_e_ref, rtol=1e-10, atol=0)
         for name in ("transitions", "start", "stop"):
             np.testing.assert_allclose(
-                getattr(g, name), getattr(g_ref, name), rtol=1e-10, err_msg=name
+                getattr(g, name), getattr(g_ref, name), rtol=1e-10, atol=0, err_msg=name
+            )
+
+    @pytest.mark.parametrize("scale", [50, 200, 400])
+    def test_large_scores_exact_or_rejected(self, scale):
+        # Scores spanning more than MAX_SPAN nats raise CrfError; the rest
+        # match the exact oracle.  Neither warns or gives nan.  A gradient
+        # next to a marginal within 2**-53 of 1 is that marginal minus 1
+        # rounded, hence the atol.
+        rng = np.random.default_rng(600 + scale)
+        e = rng.standard_normal((6, N_TAGS)) * scale
+        p = CrfParams.random(rng, scale=scale)
+        gold = rng.integers(N_TAGS, size=6)
+        spans = [np.ptp(a) for a in (p.transitions, p.start, p.stop)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if max(spans) > MAX_SPAN:
+                for call in (lambda: nll_and_grads(e, p, gold), lambda: log_partition(e, p)):
+                    with pytest.raises(CrfError, match=f"more than {MAX_SPAN:g}"):
+                        call()
+                return
+            loss, d_e, g = nll_and_grads(e, p, gold)
+        loss_ref, d_e_ref, g_ref = nll_and_grads_exact(e, p, gold)
+        assert loss == pytest.approx(loss_ref, rel=1e-10, abs=0)
+        np.testing.assert_allclose(d_e, d_e_ref, rtol=1e-10, atol=2.0**-52)
+        for name in ("transitions", "start", "stop"):
+            np.testing.assert_allclose(
+                getattr(g, name), getattr(g_ref, name), rtol=1e-10, atol=2.0**-52, err_msg=name
             )
 
     def test_masked_transitions_stay_finite(self):
@@ -335,6 +423,51 @@ class TestBatchedNll:
         e = np.zeros((2, 3, N_TAGS))
         with pytest.raises(LengthMismatch):
             nll_and_grads(e, CrfParams.zeros(), np.zeros((2, 3), dtype=int), lengths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_sequence_calls(self, data):
+        # a ragged batch holding lengths 1 and T, junk in the padding, with
+        # or without the BIO masks' -inf scores
+        T = data.draw(st.integers(1, 12), label="T")
+        extra = data.draw(st.lists(st.integers(1, T), max_size=3), label="extra")
+        lengths = np.array(data.draw(st.permutations([1, T] + extra), label="lengths"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        e = rng.standard_normal((len(lengths), T, N_TAGS)) * 3
+        gold = rng.integers(N_TAGS, size=e.shape[:2])
+        p = CrfParams.random(rng)
+        if data.draw(st.booleans(), label="masked"):
+            start_mask, trans_mask = bio_transition_mask()
+            p = CrfParams(p.transitions + trans_mask, p.start + start_mask, p.stop)
+        losses, d_e, g = nll_and_grads(e, p, gold, lengths)
+        total, counts = CrfParams.zeros(), CrfParams.zeros()
+        for b, n in enumerate(lengths):
+            loss_b, d_e_b, g_b = nll_and_grads(e[b, :n], p, gold[b, :n])
+            np.testing.assert_allclose(losses[b], loss_b, rtol=1e-12)
+            assert_gradients_close(d_e[b, :n], d_e_b, gold[b, :n, None] == np.arange(N_TAGS))
+            assert np.all(d_e[b, n:] == 0.0)
+            for name in ("transitions", "start", "stop"):
+                getattr(total, name)[...] += getattr(g_b, name)
+            np.add.at(counts.transitions, (gold[b, : n - 1], gold[b, 1:n]), 1)
+            counts.start[gold[b, 0]] += 1
+            counts.stop[gold[b, n - 1]] += 1
+        for name in ("transitions", "start", "stop"):
+            assert_gradients_close(getattr(g, name), getattr(total, name), getattr(counts, name))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e, p: log_partition(e, p),
+        lambda e, p: nll_and_grads(e, p, []),
+        lambda e, p: viterbi(e, p),
+        lambda e, p: path_score(e, p, []),
+    ],
+    ids=["log_partition", "nll_and_grads", "viterbi", "path_score"],
+)
+def test_empty_sequence(call):
+    with pytest.raises(LengthMismatch, match="empty sequence"):
+        call(np.zeros((0, N_TAGS)), CrfParams.zeros())
 
 
 class TestViterbi:
