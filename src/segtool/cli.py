@@ -29,25 +29,20 @@ def _parse_config_file(path):
     Unknown keys are rejected."""
     by_name = {f.name: f for f in fields(trainer.TrainConfig)}
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise trainer.TrainerError(f"{path}:{line_no}: expected key=value")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key not in by_name:
-                    raise trainer.TrainerError(f"{path}:{line_no}: unknown key {key!r}")
-                try:
-                    values[key] = _coerce(val, by_name[key].type)
-                except ValueError:
-                    raise trainer.TrainerError(
-                        f"{path}:{line_no}: bad value {val!r} for {key}"
-                    ) from None
-    except UnicodeDecodeError:
-        raise trainer.TrainerError(f"{path}:{corpus.non_utf8_line(path)}: not UTF-8 text") from None
+    with corpus.reading(path, trainer.TrainerError) as at, open(path, encoding="utf-8") as fh:
+        for at.line, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise trainer.TrainerError("expected key=value")
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key not in by_name:
+                raise trainer.TrainerError(f"unknown key {key!r}")
+            try:
+                values[key] = _coerce(val, by_name[key].type)
+            except ValueError:
+                raise trainer.TrainerError(f"bad value {val!r} for {key}") from None
     return values
 
 
@@ -71,14 +66,13 @@ def _coerce(val, typ):
 
 
 def _load_train_config(args):
-    values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    path = getattr(args, "config", None)
+    values = _parse_config_file(path) if path else {}
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
     cfg = trainer.TrainConfig(**values)
-    try:
+    with corpus.reading(path, trainer.TrainerError):  # only values from the file can fail
         cfg.validate()
-    except trainer.TrainerError as exc:  # only values from the file can fail
-        raise trainer.TrainerError(f"{args.config}: {exc}") from None
     return cfg
 
 
@@ -102,7 +96,8 @@ def _cmd_stats(args):
 def _cmd_agree(args):
     a = corpus.load_corpus(args.corpus)
     b = corpus.load_corpus(args.corpus_b)
-    rep = corpus.agreement(a, b)
+    with corpus.reading(args.corpus_b, corpus.CorpusError):
+        rep = corpus.agreement(a, b)
     print(f"kappa {rep.kappa:.4f}")
     header = " ".join(f"{c:>7}" for c in rep.class_names)
     print(f"{'':>4}{header}")
@@ -111,11 +106,11 @@ def _cmd_agree(args):
     return 0
 
 
-def _load_streams_arg(args, docs=None):
+def _load_streams_arg(args, docs=None, dims=None):
     if not getattr(args, "streams", None):
         return None
     counts = {d.id: len(d.tokens) for d in docs} if docs else None
-    return embeddings.load_streams(args.streams, counts)
+    return embeddings.load_streams(args.streams, counts, dims)
 
 
 def _cmd_train(args):
@@ -135,7 +130,7 @@ def _cmd_train(args):
 def _cmd_predict(args):
     docs = corpus.load_corpus(args.corpus)
     model = trainer.SegModel.load(args.model)
-    streams = _load_streams_arg(args, docs)
+    streams = _load_streams_arg(args, docs, model.stream_dims if model.combiner else None)
     out = [
         corpus.AnnotatedDocument(d.id, d.text, d.tokens, trainer.predict(model, d, streams))
         for d in docs
@@ -149,10 +144,11 @@ def _cmd_eval(args):
     gold = corpus.load_corpus(args.gold)
     pred = corpus.load_corpus(args.pred)
     by_id = {d.id: d for d in pred}
-    try:
-        pred_sets = [by_id[d.id].spans for d in gold]
-    except KeyError as exc:
-        raise corpus.MismatchedDocuments(f"prediction missing document {exc}") from exc
+    with corpus.reading(args.pred, corpus.CorpusError):
+        for d in gold:
+            if d.id not in by_id:
+                raise corpus.MismatchedDocuments(f"no document {d.id!r} of {args.gold}")
+    pred_sets = [by_id[d.id].spans for d in gold]
     report = evalmetrics.soft_pr([d.spans for d in gold], pred_sets, macro=args.macro)
     print(report.to_table())
     if args.out:
@@ -174,7 +170,8 @@ def _cmd_gradcheck(args):
 
 def _cmd_index(args):
     answers = retrieval.load_answers(args.answers)
-    index = retrieval.build_index(answers, min_len=args.min_len)
+    with corpus.reading(args.answers, retrieval.RetrievalError):
+        index = retrieval.build_index(answers, min_len=args.min_len)
     retrieval.save_index(index, args.out)
     n_postings = sum(map(len, index.postings.values()))
     print(f"indexed {index.n_docs} answers, {len(index.postings)} terms, {n_postings} postings"
@@ -183,16 +180,11 @@ def _cmd_index(args):
 
 
 def _load_boosts_arg(args):
-    if not getattr(args, "boosts", None):
+    path = getattr(args, "boosts", None)
+    if not path:
         return None
-    try:
-        with open(args.boosts, encoding="utf-8") as fh:
-            return retrieval.BoostProfile.from_json_obj(json.load(fh))
-    except UnicodeDecodeError:
-        line = corpus.non_utf8_line(args.boosts)
-        raise retrieval.RetrievalError(f"{args.boosts}:{line}: not UTF-8 text") from None
-    except (json.JSONDecodeError, retrieval.RetrievalError) as exc:
-        raise retrieval.RetrievalError(f"{args.boosts}: {exc}") from None
+    with corpus.reading(path, retrieval.RetrievalError), open(path, encoding="utf-8") as fh:
+        return retrieval.BoostProfile.from_json_obj(json.load(fh))
 
 
 def _cmd_search(args):
@@ -213,12 +205,12 @@ def _cmd_boosts(args):
     questions = corpus.load_corpus(args.corpus)
     answers = {a.id: a.text for a in retrieval.load_answers(args.answers)}
     qrels = retrieval.load_qrels(args.qrels)
-    for q in questions:
-        if q.id in qrels and qrels[q.id] not in answers:
-            raise retrieval.UnknownGoldId(
-                f"{args.qrels}: answer {qrels[q.id]!r} of question {q.id!r} "
-                f"is not in {args.answers}"
-            )
+    with corpus.reading(args.qrels, retrieval.RetrievalError):
+        for q in questions:
+            if q.id in qrels and qrels[q.id] not in answers:
+                raise retrieval.UnknownGoldId(
+                    f"answer {qrels[q.id]!r} of question {q.id!r} is not in {args.answers}"
+                )
     gold = {q.id: answers[qrels[q.id]] for q in questions if q.id in qrels}
     profile = retrieval.estimate_boosts(questions, gold)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -236,8 +228,9 @@ def _cmd_mrr(args):
     boosts = _load_boosts_arg(args)
     try:
         value = retrieval.mrr(index, questions, qrels, boosts=boosts, k=args.k)
-    except (retrieval.MissingQrel, retrieval.UnknownGoldId) as exc:
-        raise type(exc)(f"{args.qrels}: {exc}") from None
+    except (retrieval.MissingQrel, retrieval.UnknownGoldId):
+        with corpus.reading(args.qrels, retrieval.RetrievalError):
+            raise  # named as the qrels file's error
     mode = "fielded" if boosts is not None else "unfielded"
     print(f"mrr_{mode} {value:.4f}")
     return 0
@@ -433,7 +426,6 @@ _DATA_ERRORS = (
     baselines.BaselineError,
     retrieval.RetrievalError,
     OSError,
-    json.JSONDecodeError,
 )
 
 

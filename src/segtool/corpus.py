@@ -7,8 +7,10 @@ the BIO codec, JSONL corpus I/O, corpus statistics, deterministic
 splitting, and word-level inter-annotator agreement.
 """
 
+import contextlib
 import json
 import random
+import types
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -29,19 +31,15 @@ class IndexOutOfRange(CorpusError):
 
 
 class ParseError(CorpusError):
-    def __init__(self, line_no, msg):
-        super().__init__(f"line {line_no}: {msg}")
-        self.line_no = line_no
+    pass
 
 
 class SchemaError(CorpusError):
     """A field that is missing, or (with ``problem``) holds a bad value."""
 
-    def __init__(self, missing_field, line_no=None, problem="missing field"):
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"{problem} {missing_field!r}{where}")
+    def __init__(self, missing_field, problem="missing field"):
+        super().__init__(f"{problem} {missing_field!r}")
         self.missing_field = missing_field
-        self.line_no = line_no
 
 
 class BadRatios(CorpusError):
@@ -235,33 +233,33 @@ _TOKEN_FIELDS = (("t", str), ("s", int), ("e", int), ("brk", Break))
 _SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
 
-def _values(obj, prefix, fields, line_no):
+def _values(obj, prefix, fields):
     """The values of ``fields``, (key, kind) pairs, in order, of obj, a
     JSON object: each already exactly of its kind (a bool is no int) or,
     for an Enum kind, one of its values, made into the member."""
     if type(obj) is not dict:
-        raise SchemaError(prefix[:-1] or "document", line_no, "expected an object for")
+        raise SchemaError(prefix[:-1] or "document", "expected an object for")
     vals = []
     for key, kind in fields:
         try:
             val = obj[key]
         except KeyError:
-            raise SchemaError(prefix + key, line_no) from None
+            raise SchemaError(prefix + key) from None
         if type(val) is not kind:
             try:
                 val = kind(val) if issubclass(kind, Enum) else None
             except ValueError:
                 val = None
             if val is None:
-                raise SchemaError(prefix + key, line_no, f"bad value {obj[key]!r} for field")
+                raise SchemaError(prefix + key, f"bad value {obj[key]!r} for field")
         vals.append(val)
     return vals
 
 
-def doc_from_json(obj, line_no=None):
-    doc_id, text, tokens, spans = _values(obj, "", _DOC_FIELDS, line_no)
-    tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS, line_no)) for t in tokens]
-    spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS, line_no)) for s in spans]
+def doc_from_json(obj):
+    doc_id, text, tokens, spans = _values(obj, "", _DOC_FIELDS)
+    tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS)) for t in tokens]
+    spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS)) for s in spans]
     doc = AnnotatedDocument(doc_id, text, tokens, spans)
     doc.validate()
     return doc
@@ -279,27 +277,35 @@ def non_utf8_line(path):
     return None
 
 
-def load_corpus(path):
-    """Documents of a JSONL corpus; a CorpusError's message starts with
-    the path, and with the line when the error does not name it."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
+@contextlib.contextmanager
+def reading(path, error):
+    """Context of a loader reading the file at ``path``: it yields an object
+    whose ``line`` the loader sets as it reads lines.  Text that is not
+    UTF-8 or not JSON leaves as ``error``; that or any CorpusError leaves
+    prefixed ``path:line: `` (``path: `` with no line set), its type kept
+    and its ``line_no`` set."""
+    at = types.SimpleNamespace(line=None)
+    try:
         try:
-            try:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(line_no, str(exc)) from exc
-                    docs.append(doc_from_json(obj, line_no))
-            except UnicodeDecodeError:
-                raise ParseError(non_utf8_line(path), "not UTF-8 text") from None
-        except CorpusError as exc:
-            where = path if getattr(exc, "line_no", None) else f"{path}:{line_no}"
-            exc.args = (f"{where}: {exc}",)
-            raise
+            yield at
+        except UnicodeDecodeError:
+            at.line = non_utf8_line(path)
+            raise error("not UTF-8 text") from None
+        except (json.JSONDecodeError, RecursionError) as exc:  # JSON nested too deeply
+            raise error(str(exc)) from None
+    except (CorpusError, error) as exc:
+        exc.args = (f"{path}:{at.line}: {exc}" if at.line else f"{path}: {exc}",)
+        exc.line_no = at.line
+        raise
+
+
+def load_corpus(path):
+    """Documents of a JSONL corpus; errors as ``reading`` gives them."""
+    docs = []
+    with reading(path, ParseError) as at, open(path, encoding="utf-8") as fh:
+        for at.line, line in enumerate(fh, start=1):
+            if line.strip():
+                docs.append(doc_from_json(json.loads(line)))
     return docs
 
 

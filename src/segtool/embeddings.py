@@ -1,9 +1,9 @@
 """Per-token vector providers and the meta-embedding combiner.
 
-Providers: a trainable lookup table (read from a text file, or built
-from a corpus vocabulary), a hashed subword n-gram embedder that composes
-vectors for unseen tokens from character n-grams, a character-level
-biLSTM encoder, and contextual embedding streams read from a binary file.
+Providers: a trainable lookup table built from a corpus vocabulary, a
+hashed subword n-gram embedder that composes vectors for unseen tokens
+from character n-grams, a character-level biLSTM encoder, and contextual
+embedding streams read from a binary file.
 Each token provider takes a list of tokens and returns one row per token.
 
 Multiple contextual streams are fused by the MetaCombiner: naive
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .corpus import non_utf8_line
+from .corpus import reading
 
 
 class EmbeddingsError(Exception):
@@ -94,38 +94,6 @@ class LookupTable(nn.Component):
 
     def backward_sequence(self, idx, d_out):
         np.add.at(self.grads["matrix"], idx, d_out)
-
-
-def load_lookup_table(path):
-    """Text format: header "<count> <dim>", then one "token v1 .. vd" line
-    per word."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise FormatError(f"{path}: expected '<count> <dim>' header")
-            count, dim = int(header[0]), int(header[1])
-            vocab = {}
-            rows = np.empty((count + 1, dim))
-            rows[0] = 0.0  # unk
-            for k in range(count):
-                parts = fh.readline().rstrip("\n").split(" ")
-                if len(parts) != dim + 1:
-                    raise FormatError(f"{path}: row {k}: expected {dim} values")
-                vocab[parts[0]] = k + 1
-                rows[k + 1] = [float(v) for v in parts[1:]]
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
-    return LookupTable(vocab, rows)
-
-
-def save_lookup_table(table, path):
-    mat = table.params["matrix"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(table.vocab)} {mat.shape[1]}\n")
-        for tok, row in table.vocab.items():
-            vals = " ".join(repr(float(v)) for v in mat[row])
-            fh.write(f"{tok} {vals}\n")
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -290,50 +258,56 @@ def save_streams(streams, path):
                 fh.write(np.asarray(arr, dtype="<f4").tobytes(order="C"))
 
 
-def load_streams(path, doc_token_counts=None):
-    """Read a CSTR1 file; optionally validate per-document token counts
-    against the corpus (doc id -> expected count)."""
-    with open(path, "rb") as fh:
+def load_streams(path, doc_token_counts=None, dims=None):
+    """Read a CSTR1 file; optionally check per-document token counts
+    against the corpus (doc id -> expected count) and the stream dims
+    against a model's.  Errors name the file."""
+    with reading(path, EmbeddingsError), open(path, "rb") as fh:
         data = fh.read()
-    if data[:5] != _MAGIC:
-        raise FormatError("bad magic; not a CSTR1 file")
-    off = 5
+        if data[:5] != _MAGIC:
+            raise FormatError("bad magic; not a CSTR1 file")
+        off = 5
 
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise FormatError("truncated stream file")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    (n,) = take("<I")
-    dims = list(take(f"<{n}I"))
-    vectors = {}
-    while off < len(data):
-        (id_len,) = take("<I")
-        if off + id_len > len(data):
-            raise FormatError("truncated doc id")
-        doc_id = data[off : off + id_len].decode("utf-8")
-        off += id_len
-        (count,) = take("<I")
-        arrays = []
-        for d in dims:
-            size = count * d * 4
+        def take(fmt):
+            nonlocal off
+            size = struct.calcsize(fmt)
             if off + size > len(data):
-                raise FormatError(f"truncated vectors for doc {doc_id!r}")
-            arr = np.frombuffer(data, dtype="<f4", count=count * d, offset=off)
-            arrays.append(arr.reshape(count, d).astype(np.float64))
+                raise FormatError("truncated stream file")
+            vals = struct.unpack_from(fmt, data, off)
             off += size
-        if doc_id in vectors:
-            raise FormatError(f"duplicate doc id {doc_id!r}")
-        if doc_token_counts is not None:
-            expected = doc_token_counts.get(doc_id)
-            if expected is not None and expected != count:
-                raise TokenCountMismatch(doc_id, expected, count)
-        vectors[doc_id] = arrays
-    return ContextualStreamSet(dims, vectors)
+            return vals
+
+        (n,) = take("<I")
+        file_dims = list(take(f"<{n}I"))
+        if dims is not None and file_dims != list(dims):
+            raise StreamCountMismatch(f"stream dims {file_dims} are not the model's {list(dims)}")
+        vectors = {}
+        while off < len(data):
+            (id_len,) = take("<I")
+            if off + id_len > len(data):
+                raise FormatError("truncated doc id")
+            try:
+                doc_id = data[off : off + id_len].decode("utf-8")
+            except UnicodeDecodeError:  # a binary file has no line to name
+                raise FormatError(f"doc id at byte {off} is not UTF-8") from None
+            off += id_len
+            (count,) = take("<I")
+            arrays = []
+            for d in file_dims:
+                size = count * d * 4
+                if off + size > len(data):
+                    raise FormatError(f"truncated vectors for doc {doc_id!r}")
+                arr = np.frombuffer(data, dtype="<f4", count=count * d, offset=off)
+                arrays.append(arr.reshape(count, d).astype(np.float64))
+                off += size
+            if doc_id in vectors:
+                raise FormatError(f"duplicate doc id {doc_id!r}")
+            if doc_token_counts is not None:
+                expected = doc_token_counts.get(doc_id)
+                if expected is not None and expected != count:
+                    raise TokenCountMismatch(doc_id, expected, count)
+            vectors[doc_id] = arrays
+    return ContextualStreamSet(file_dims, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, EmptyCorpus, non_utf8_line, token_labels, tokenize
+from .corpus import CLASS_NAMES, EmptyCorpus, reading, token_labels, tokenize
 
 
 class RetrievalError(Exception):
@@ -325,40 +325,41 @@ def save_index(index, path):
 def load_index(path):
     """The index save_index wrote to path; RetrievalError naming the file
     and the field when it is not one."""
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:  # ValueError: JSON, UTF-8
-        raise RetrievalError(f"{path}: not a gzipped JSON index ({exc})") from None
-    version = obj.get("version") if type(obj) is dict else None
-    if version != INDEX_VERSION:
-        raise RetrievalError(f"{path}: unsupported index version {version!r}; rerun segtool index")
-    k1, b = obj.get("k1"), obj.get("b")
-    if type(k1) not in (int, float) or not 0 <= k1 <= sys.float_info.max:  # no inf, no huge int
-        raise RetrievalError(f"{path}: bad value {k1!r} for field 'k1'")
-    if type(b) not in (int, float) or not 0 <= b <= 1:
-        raise RetrievalError(f"{path}: bad value {b!r} for field 'b'")
-    docs, lengths, terms, df, rows, tf = cols = [obj.get(f) for f in INDEX_COLUMNS]
-    for f, col in zip(INDEX_COLUMNS, cols):
-        if type(col) is not list:
-            raise RetrievalError(f"{path}: field {f!r} must be a list")
-    if not docs or set(map(type, docs)) != {str} or any(x >= y for x, y in zip(docs, docs[1:])):
-        raise RetrievalError(f"{path}: field 'docs' must be a non-empty list of ascending str ids")
-    if not set(map(type, terms)) <= {str} or len(set(terms)) != len(terms):
-        raise RetrievalError(f"{path}: field 'terms' must be a list of distinct str terms")
-    # whole columns at once: a bool, float or other type shows in the set
-    # of types, a value out of range in the min or max
-    for f, col, lo, hi in (("lengths", lengths, 1, 2**63 - 1), ("df", df, 1, 2**63 - 1),
-                           ("rows", rows, 0, len(docs) - 1), ("tf", tf, 1, 2**63 - 1)):
-        if col and not (set(map(type, col)) == {int} and lo <= min(col) and max(col) <= hi):
-            v = next(v for v in col if type(v) is not int or not lo <= v <= hi)
-            what = "which names a doc not in 'docs'" if f == "rows" else "not a positive int64"
-            raise RetrievalError(f"{path}: field {f!r} holds {v!r}, {what}")
-    for f, col, n in (("lengths", lengths, len(docs)), ("df", df, len(terms)),
-                      ("rows", rows, sum(df)), ("tf", tf, sum(df))):
-        if len(col) != n:
-            raise RetrievalError(f"{path}: field {f!r} holds {len(col)} values, not {n}")
-    ends = _ascending(np.array(rows, dtype=np.intp), df, terms, f"{path}: field 'rows'")
+    with reading(path, RetrievalError):
+        try:
+            with gzip.open(path, "rt", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:  # JSON, UTF-8 errors
+            raise RetrievalError(f"not a gzipped JSON index ({exc})") from None
+        version = obj.get("version") if type(obj) is dict else None
+        if version != INDEX_VERSION:
+            raise RetrievalError(f"unsupported index version {version!r}; rerun segtool index")
+        k1, b = obj.get("k1"), obj.get("b")
+        if type(k1) not in (int, float) or not 0 <= k1 <= sys.float_info.max:  # no inf, no huge int
+            raise RetrievalError(f"bad value {k1!r} for field 'k1'")
+        if type(b) not in (int, float) or not 0 <= b <= 1:
+            raise RetrievalError(f"bad value {b!r} for field 'b'")
+        docs, lengths, terms, df, rows, tf = cols = [obj.get(f) for f in INDEX_COLUMNS]
+        for f, col in zip(INDEX_COLUMNS, cols):
+            if type(col) is not list:
+                raise RetrievalError(f"field {f!r} must be a list")
+        if not docs or set(map(type, docs)) != {str} or any(map(str.__ge__, docs, docs[1:])):
+            raise RetrievalError("field 'docs' must be a non-empty list of ascending str ids")
+        if not set(map(type, terms)) <= {str} or len(set(terms)) != len(terms):
+            raise RetrievalError("field 'terms' must be a list of distinct str terms")
+        # whole columns at once: a bool, float or other type shows in the set
+        # of types, a value out of range in the min or max
+        for f, col, lo, hi in (("lengths", lengths, 1, 2**63 - 1), ("df", df, 1, 2**63 - 1),
+                               ("rows", rows, 0, len(docs) - 1), ("tf", tf, 1, 2**63 - 1)):
+            if col and not (set(map(type, col)) == {int} and lo <= min(col) and max(col) <= hi):
+                v = next(v for v in col if type(v) is not int or not lo <= v <= hi)
+                what = "which names a doc not in 'docs'" if f == "rows" else "not a positive int64"
+                raise RetrievalError(f"field {f!r} holds {v!r}, {what}")
+        for f, col, n in (("lengths", lengths, len(docs)), ("df", df, len(terms)),
+                          ("rows", rows, sum(df)), ("tf", tf, sum(df))):
+            if len(col) != n:
+                raise RetrievalError(f"field {f!r} holds {len(col)} values, not {n}")
+        ends = _ascending(np.array(rows, dtype=np.intp), df, terms, "field 'rows'")
     pairs = list(zip(map(docs.__getitem__, rows), tf))
     postings = {t: pairs[e - n : e] for t, n, e in zip(terms, df, ends.tolist())}
     return FieldedIndex(postings, dict(zip(docs, lengths)), k1, b)
@@ -367,39 +368,28 @@ def load_index(path):
 def load_answers(path):
     """Answers JSONL: {"id": str, "text": str} per line."""
     out = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RetrievalError(f"{path}:{line_no}: {exc}") from None
-                if type(obj) is not dict or not all(
-                    type(obj.get(f)) is str for f in ("id", "text")
-                ):
-                    raise RetrievalError(f"{path}:{line_no}: answers need a str 'id' and 'text'")
-                out.append(AnswerDoc(obj["id"], obj["text"]))
-    except UnicodeDecodeError:
-        raise RetrievalError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
+    with reading(path, RetrievalError) as at, open(path, encoding="utf-8") as fh:
+        for at.line, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if type(obj) is not dict or not all(type(obj.get(f)) is str for f in ("id", "text")):
+                raise RetrievalError("answers need a str 'id' and 'text'")
+            out.append(AnswerDoc(obj["id"], obj["text"]))
     return out
 
 
 def load_qrels(path):
     """Qrels TSV: question_id <tab> answer_id."""
     out = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise RetrievalError(f"{path}:{line_no}: expected question_id<TAB>answer_id")
-                qid, aid = fields
-                out[qid] = aid
-    except UnicodeDecodeError:
-        raise RetrievalError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
+    with reading(path, RetrievalError) as at, open(path, encoding="utf-8") as fh:
+        for at.line, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise RetrievalError("expected question_id<TAB>answer_id")
+            qid, aid = fields
+            out[qid] = aid
     return out

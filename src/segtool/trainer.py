@@ -23,6 +23,7 @@ from .corpus import (
     AnnotatedDocument,
     SegmentSpan,
     bio_to_spans,
+    reading,
     spans_to_bio,
     tokenize,
 )
@@ -81,8 +82,9 @@ class TrainConfig:
     def validate(self):
         if not (0 <= self.dropout < 1 and 0 <= self.recurrent_dropout < 1):
             raise TrainerError("dropout rates must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise TrainerError("learning_rate must be positive")
+        for key in ("learning_rate", "clip_norm"):
+            if not 0 < getattr(self, key) < float("inf"):  # nan fails too
+                raise TrainerError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.combiner_mode not in ("none", "concat", "dme", "cdme"):
             raise TrainerError(f"bad combiner_mode {self.combiner_mode!r}")
         if self.attention_mode not in ("none", "weighted", "unweighted"):
@@ -301,40 +303,40 @@ class SegModel(nn.Component):
         """The model a ``save`` file holds.  A file that is not a checkpoint,
         or whose metadata or arrays do not match the model its config
         builds, is a TrainerError naming the file."""
-        with open(path, "rb") as fh:
+        with reading(path, TrainerError), open(path, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":
-                raise TrainerError(f"{path}: not an npz checkpoint")
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {k: data[k] for k in data.files}
-            meta = json.loads(str(arrays.pop("__meta__")))
-            if meta["version"] != CHECKPOINT_VERSION:
-                raise TrainerError(f"unsupported checkpoint version {meta['version']}")
-            if meta["tag_order"] != BIO_TAGS:
-                raise TrainerError(f"tag order {meta['tag_order']} is not {BIO_TAGS}")
-            cfg_d = dict(meta["config"])
-            if cfg_d.get("stream_indices") is not None:
-                cfg_d["stream_indices"] = tuple(cfg_d["stream_indices"])
-            model = cls(TrainConfig(**cfg_d), meta["lookup_vocab"], meta["char_vocab"],
-                        meta["stream_dims"])
-            if meta["fingerprint"] != model.cfg.fingerprint():
-                raise TrainerError(f"config does not match its fingerprint {meta['fingerprint']!r}")
-            names = {k.replace(".", "__"): v for k, v in model.params.items()}
-            if set(arrays) != set(names):
-                missing, extra = sorted(set(names) - set(arrays)), sorted(set(arrays) - set(names))
-                raise TrainerError(f"arrays missing {missing}, unexpected {extra}")
-            for name, v in names.items():
-                saved = arrays[name]
-                if saved.shape != v.shape:
-                    raise TrainerError(f"array {name} has shape {saved.shape}, not {v.shape}")
-                v[...] = saved.astype(cls.DTYPE)
-        except KeyError as exc:
-            raise TrainerError(f"{path}: no {exc} entry") from None
-        except (ValueError, TypeError, zipfile.BadZipFile, NotImplementedError) as exc:
-            # NotImplementedError: zipfile's answer to a corrupt version field
-            raise TrainerError(f"{path}: not a checkpoint of this model: {exc}") from None
-        except TrainerError as exc:
-            raise TrainerError(f"{path}: {exc}") from None
+                raise TrainerError("not an npz checkpoint")
+            try:
+                fh.seek(0)  # np.load(path) would leave its own handle open on a corrupt zip
+                with np.load(fh, allow_pickle=False) as data:
+                    arrays = {k: data[k] for k in data.files}
+                meta = json.loads(str(arrays.pop("__meta__")))
+                if meta["version"] != CHECKPOINT_VERSION:
+                    raise TrainerError(f"unsupported checkpoint version {meta['version']}")
+                if meta["tag_order"] != BIO_TAGS:
+                    raise TrainerError(f"tag order {meta['tag_order']} is not {BIO_TAGS}")
+                cfg_d = dict(meta["config"])
+                if cfg_d.get("stream_indices") is not None:
+                    cfg_d["stream_indices"] = tuple(cfg_d["stream_indices"])
+                cfg = TrainConfig(**cfg_d)
+                fingerprint = meta["fingerprint"]
+                if fingerprint != cfg.fingerprint():
+                    raise TrainerError(f"config does not match its fingerprint {fingerprint!r}")
+                model = cls(cfg, meta["lookup_vocab"], meta["char_vocab"], meta["stream_dims"])
+                names = {k.replace(".", "__"): v for k, v in model.params.items()}
+                if names.keys() != arrays.keys():
+                    missing, extra = sorted(names.keys() - arrays), sorted(arrays.keys() - names)
+                    raise TrainerError(f"arrays missing {missing}, unexpected {extra}")
+                for name, v in names.items():
+                    saved = arrays[name]
+                    if saved.shape != v.shape:
+                        raise TrainerError(f"array {name} has shape {saved.shape}, not {v.shape}")
+                    v[...] = saved.astype(cls.DTYPE)
+            except KeyError as exc:
+                raise TrainerError(f"no {exc} entry") from None
+            except (ValueError, TypeError, EOFError, OSError, RuntimeError, NotImplementedError,
+                    zipfile.BadZipFile) as exc:  # all but the first two: zipfile on a corrupt file
+                raise TrainerError(f"not a checkpoint of this model: {exc}") from None
         return model
 
 

@@ -1,19 +1,23 @@
+import argparse
 import gzip
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segtool
 from segtool import synth
-from segtool.cli import main
-from segtool.corpus import doc_to_json, save_corpus
-from segtool.embeddings import save_streams
-from segtool.retrieval import build_index, load_answers
-from segtool.trainer import SegModel, TrainConfig
+from segtool.cli import _load_boosts_arg, _load_train_config, main
+from segtool.corpus import CorpusError, doc_to_json, load_corpus, save_corpus
+from segtool.embeddings import EmbeddingsError, ContextualStreamSet, load_streams, save_streams
+from segtool.retrieval import RetrievalError, build_index, load_answers, load_qrels
+from segtool.trainer import SegModel, TrainConfig, TrainerError
 
 
 @pytest.fixture(scope="module")
@@ -67,28 +71,32 @@ def _bad_brk(tmp_path):
     def mutate(obj):
         obj["tokens"][0]["brk"] = "tab"
 
-    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+    path = _corpus_file(tmp_path, mutate)
+    return ["stats", "--corpus", str(path)], f"{path}:2: "
 
 
 def _bad_label(tmp_path):
     def mutate(obj):
         obj["spans"].append({"st": 0, "et": 1, "label": "XX"})
 
-    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+    path = _corpus_file(tmp_path, mutate)
+    return ["stats", "--corpus", str(path)], f"{path}:2: "
 
 
 def _bad_span_index(tmp_path):
     def mutate(obj):
         obj["spans"][0]["st"] = "a"
 
-    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+    path = _corpus_file(tmp_path, mutate)
+    return ["stats", "--corpus", str(path)], f"{path}:2: "
 
 
 def _null_token_offset(tmp_path):
     def mutate(obj):
         obj["tokens"][0]["s"] = None
 
-    return ["stats", "--corpus", str(_corpus_file(tmp_path, mutate))], "(line 2)"
+    path = _corpus_file(tmp_path, mutate)
+    return ["stats", "--corpus", str(path)], f"{path}:2: "
 
 
 def _bad_config_int(tmp_path):
@@ -121,6 +129,28 @@ def _bad_qrels(second_line):
     return case
 
 
+_FIRST_ID = 5 + 4 + 4 * 3  # magic, stream count, 3 dims: the first doc id's length
+
+
+def _first_count_less_one(data):
+    """The stream file's bytes with its first document's token count one
+    lower (the vectors themselves unchanged)."""
+    at = _FIRST_ID + 4 + struct.unpack_from("<I", data, _FIRST_ID)[0]
+    count = struct.unpack_from("<I", data, at)[0]
+    return data[:at] + struct.pack("<I", count - 1) + data[at + 4 :]
+
+
+def _bad_streams(edit, message):
+    def case(tmp_path):
+        path = tmp_path / "s.bin"
+        save_streams(synth.gen_streams(synth.gen_corpus(n_docs=2, seed=5), seed=5), path)
+        path.write_bytes(edit(path.read_bytes()))
+        argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--streams", str(path)]
+        return argv, f"{path}: {message}"
+
+    return case
+
+
 # malformed input -> (argv, where the error message must point)
 MALFORMED = {
     "brk-not-in-enum": _bad_brk,
@@ -131,6 +161,13 @@ MALFORMED = {
     "stream-index-out-of-range": _stream_index_out_of_range,
     "qrels-no-tab": _bad_qrels("q0001 a0"),
     "qrels-two-tabs": _bad_qrels("q0001\ta0\tx"),
+    "streams-bad-magic": _bad_streams(lambda b: b"CSTR9" + b[5:], "bad magic"),
+    "streams-truncated": _bad_streams(lambda b: b[:-4], "truncated vectors for doc "),
+    "streams-doc-id-not-utf8": _bad_streams(
+        lambda b: b[: _FIRST_ID + 4] + b"\xff" + b[_FIRST_ID + 5 :],
+        f"doc id at byte {_FIRST_ID + 4} is not UTF-8",
+    ),
+    "streams-token-count-mismatch": _bad_streams(_first_count_less_one, "doc "),
 }
 
 
@@ -239,7 +276,16 @@ def _config_size(line):
 def _bad_doc(mutate):
     def case(tmp_path):
         path = _corpus_file(tmp_path, mutate)
-        return ["stats", "--corpus", str(path)], [f"{path}: ", "(line 2)"]
+        return ["stats", "--corpus", str(path)], [f"{path}:2: "]
+
+    return case
+
+
+def _bad_json_line(line):
+    def case(tmp_path):
+        path = _corpus_file(tmp_path)
+        path.write_text(path.read_text() + line + "\n")
+        return ["stats", "--corpus", str(path)], [f"{path}:3: "]
 
     return case
 
@@ -258,7 +304,7 @@ def _not_utf8(path, line_no):
 def _corpus_not_utf8(line_no):
     def case(tmp_path):
         path = _not_utf8(_corpus_file(tmp_path), line_no)
-        return ["stats", "--corpus", str(path)], [f"{path}: line {line_no}: not UTF-8"]
+        return ["stats", "--corpus", str(path)], [f"{path}:{line_no}: not UTF-8"]
 
     return case
 
@@ -332,6 +378,48 @@ def _bad_checkpoint(edit=None, data=None):
     return case
 
 
+def _predict_fewer_streams(tmp_path):
+    streams = synth.gen_streams(synth.gen_corpus(n_docs=2, seed=5), seed=5)
+    model = tmp_path / "m.npz"
+    cfg = TrainConfig(hidden=4, lookup_dim=3, combiner_mode="dme", d_prime=4)
+    SegModel(cfg, ["ls"], stream_dims=streams.dims).save(model)
+    path = tmp_path / "s.bin"
+    two = {doc_id: arrays[:2] for doc_id, arrays in streams.vectors.items()}
+    save_streams(ContextualStreamSet(streams.dims[:2], two), path)
+    argv = ["predict", "--corpus", str(_corpus_file(tmp_path)), "--model", str(model),
+            "--streams", str(path), "--out", str(tmp_path / "p.jsonl")]
+    return argv, [f"{path}: stream dims {streams.dims[:2]} are not the model's {streams.dims}"]
+
+
+def _first_line_only(tmp_path):
+    """The two-document corpus, and a copy of it holding its first line only."""
+    path = _corpus_file(tmp_path)
+    first = tmp_path / "first.jsonl"
+    first.write_text(path.read_text().splitlines(keepends=True)[0])
+    return path, first, json.loads(path.read_text().splitlines()[1])["id"]
+
+
+def _eval_missing_prediction(tmp_path):
+    gold, pred, missing = _first_line_only(tmp_path)
+    return ["eval", "--gold", str(gold), "--pred", str(pred)], [
+        f"{pred}: no document {missing!r} of {gold}"
+    ]
+
+
+def _agree_missing_document(tmp_path):
+    a, b, missing = _first_line_only(tmp_path)
+    return ["agree", "--corpus", str(a), "--corpus-b", str(b)], [
+        f"{b}: document {missing!r} missing from second annotation"
+    ]
+
+
+def _index_duplicate_answer(tmp_path):
+    path = _answers_file(tmp_path, json.dumps({"id": "a0", "text": "cd /"}))
+    return ["index", "--answers", str(path), "--out", str(tmp_path / "i.gz")], [
+        f"{path}: duplicate answer id 'a0'"
+    ]
+
+
 # Run in-process through cli.main: an exception main does not turn into
 # exit 2 fails the test just as a traceback would; the subprocess cases
 # above guard the process's own exit path.
@@ -360,6 +448,7 @@ MALFORMED_IN_PROCESS = {
     "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
     "corpus-spans-not-list": _bad_doc(lambda o: o.update(spans="CC")),
     "corpus-id-not-str": _bad_doc(lambda o: o.update(id=5)),
+    "corpus-nested-too-deeply": _bad_json_line("[" * 100000 + "]" * 100000),
     "corpus-utf16-bom": _corpus_not_utf8(1),
     "corpus-latin1-line-2": _corpus_not_utf8(2),
     "answers-not-utf8": _answers_not_utf8,
@@ -379,6 +468,10 @@ MALFORMED_IN_PROCESS = {
     ),
     "checkpoint-extra-array": _bad_checkpoint(lambda m, a: a.update(extra=np.zeros(1))),
     "checkpoint-reordered-tags": _bad_checkpoint(lambda m, a: m["tag_order"].reverse()),
+    "predict-fewer-streams-than-model": _predict_fewer_streams,
+    "eval-missing-prediction": _eval_missing_prediction,
+    "agree-missing-document": _agree_missing_document,
+    "index-duplicate-answer-id": _index_duplicate_answer,
 }
 
 
@@ -390,6 +483,52 @@ def test_malformed_input_in_process_is_data_error(case, tmp_path, capsys):
     assert err.startswith("error: ")
     for want in wants:
         assert want in err, err
+
+
+def _write_checkpoint(path):
+    with open(path, "wb") as fh:  # a path not ending in .npz would get that suffix
+        SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"]).save(fh)
+
+
+def _write_streams(path):
+    rng = np.random.default_rng(0)
+    vectors = {doc_id: [rng.standard_normal((n, 2)), rng.standard_normal((n, 3))]
+               for doc_id, n in (("q0", 2), ("q1", 1))}
+    save_streams(ContextualStreamSet([2, 3], vectors), path)
+
+
+# loader -> (write a valid file at a path, load the file at a path, its error)
+LOADERS = {
+    "corpus": (lambda p: save_corpus(synth.gen_corpus(n_docs=2, seed=5), p), load_corpus,
+               CorpusError),
+    "answers": (lambda p: p.write_text('{"id": "a0", "text": "ls"}\n{"id": "a1", "text": "cd"}\n'),
+                load_answers, RetrievalError),
+    "qrels": (lambda p: p.write_text("q0\ta0\nq1\ta1\n"), load_qrels, RetrievalError),
+    "config": (lambda p: p.write_text("hidden=8\nepochs=1  # one pass\nstream_indices=0,1\n"),
+               lambda p: _load_train_config(argparse.Namespace(config=p, seed=None)), TrainerError),
+    "boosts": (lambda p: p.write_text('{"CC": 2.0, "O": 0.5}\n'),
+               lambda p: _load_boosts_arg(argparse.Namespace(boosts=p)), RetrievalError),
+    "streams": (_write_streams, lambda p: load_streams(p, {"q0": 2, "q1": 1}), EmbeddingsError),
+    "checkpoint": (_write_checkpoint, SegModel.load, TrainerError),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_edited_file_loads_or_is_named(tmp_path_factory, loader, data):
+    # a random single-byte edit of a valid file either leaves a file that
+    # loads or is the loader's error, its message starting with the path
+    write, load, error = LOADERS[loader]
+    path = tmp_path_factory.getbasetemp() / f"edited-{loader}"
+    write(path)
+    raw = bytearray(path.read_bytes())
+    raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(raw)
+    try:
+        load(path)
+    except error as exc:
+        assert str(exc).startswith(f"{path}:"), exc
 
 
 class TestStatsAndAgree:

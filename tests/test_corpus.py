@@ -163,7 +163,7 @@ class TestCorpusIO:
         with pytest.raises(SchemaError) as exc:
             load_corpus(path)
         assert (exc.value.missing_field, exc.value.line_no) == (field, 2)
-        assert str(exc.value).startswith(f"{path}: ")
+        assert str(exc.value).startswith(f"{path}:2: ")
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -14,9 +14,7 @@ from segtool.embeddings import (
     SubwordHashEmbedder,
     TokenCountMismatch,
     fnv1a,
-    load_lookup_table,
     load_streams,
-    save_lookup_table,
     save_streams,
     token_ngrams,
 )
@@ -51,27 +49,6 @@ class TestLookup:
         t = LookupTable.from_tokens(["a", "b", "a"], 4, rng)
         assert set(t.vocab) == {"a", "b"}
         assert t.params["matrix"].shape == (3, 4)
-
-    def test_text_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        t = LookupTable.from_tokens(["ls", "/etc", "grep"], 5, rng)
-        path = tmp_path / "vecs.txt"
-        save_lookup_table(t, path)
-        loaded = load_lookup_table(path)
-        for tok in t.vocab:
-            assert np.array_equal(loaded.embed(tok), t.embed(tok))
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3\n")
-        with pytest.raises(FormatError, match="bad.txt"):
-            load_lookup_table(path)
-
-    def test_not_utf8_names_file_and_line(self, tmp_path):
-        path = tmp_path / "vecs.txt"
-        path.write_bytes(b"2 1\nls 0.5\ncaf\xe9 0.25\n")
-        with pytest.raises(FormatError, match=r"vecs\.txt:3: not UTF-8"):
-            load_lookup_table(path)
 
     def test_backward_accumulates(self):
         rng = np.random.default_rng(2)
@@ -336,6 +313,16 @@ class TestStreamFiles:
         with pytest.raises(TokenCountMismatch) as exc:
             load_streams(path, {"a": 6})
         assert exc.value.doc_id == "a"
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_model_dims_checked(self, tmp_path):
+        path = tmp_path / "s.bin"
+        save_streams(make_streams(np.random.default_rng(5), [4, 2], [("a", 3)]), path)
+        assert load_streams(path, dims=[4, 2]).dims == [4, 2]
+        for dims in ([4], [4, 3], [4, 2, 2]):
+            with pytest.raises(StreamCountMismatch) as exc:
+                load_streams(path, dims=dims)
+            assert str(exc.value) == f"{path}: stream dims [4, 2] are not the model's {dims}"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -58,6 +58,12 @@ class TestConfig:
         ("d_prime", {"combiner_mode": "dme", "d_prime": 0}),
         ("attention_dim", {"attention_mode": "weighted", "attention_dim": 0}),
         ("epochs", {"epochs": -1}),
+        ("learning_rate", {"learning_rate": float("nan")}),
+        ("learning_rate", {"learning_rate": float("inf")}),
+        ("clip_norm", {"clip_norm": -1.0}),
+        ("clip_norm", {"clip_norm": 0.0}),
+        ("clip_norm", {"clip_norm": float("nan")}),
+        ("clip_norm", {"clip_norm": float("inf")}),
     ])
     def test_sizes_checked(self, key, kw):
         with pytest.raises(TrainerError, match=key):
