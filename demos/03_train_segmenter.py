@@ -36,7 +36,7 @@ print(f"\ndocument {doc.id}:")
 print("  gold:", [(s.start_token, s.end_token, s.label.value) for s in doc.spans])
 pred = predict(model, doc)
 print("  pred:", [(s.start_token, s.end_token, s.label.value) for s in pred])
-print("  doc soft-F1:", f"{soft_pr(doc.spans, pred).micro.f1:.3f}")
+print("  doc soft-F1:", f"{soft_pr([doc.spans], [pred]).micro.f1:.3f}")
 
 # -- checkpoint round trip --------------------------------------------------
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, Break, SegmentLabel, SegmentSpan, token_labels
+from .corpus import CLASS_NAMES, Break, SegmentLabel, SegmentSpan, add_run, token_labels
 from .embeddings import MissingStreams, TokenCountMismatch
 
 
@@ -168,20 +168,11 @@ def classify(clf, features):
 
 def units_to_spans(units, predicted_classes):
     """Merge adjacent same-label non-O units into spans."""
-    spans = []
-    cur_start, cur_label = None, None
+    runs = []
     for u, c in zip(units, predicted_classes):
-        name = CLASS_NAMES[c]
-        if name == "O" or name != cur_label:
-            if cur_label is not None:
-                spans.append(SegmentSpan(cur_start, prev_end, SegmentLabel(cur_label)))
-                cur_start, cur_label = None, None
-            if name != "O":
-                cur_start, cur_label = u.start, name
-        prev_end = u.end
-    if cur_label is not None:
-        spans.append(SegmentSpan(cur_start, prev_end, SegmentLabel(cur_label)))
-    return spans
+        if CLASS_NAMES[c] != "O":
+            add_run(runs, u.start, u.end, CLASS_NAMES[c])
+    return [SegmentSpan(s, e, SegmentLabel(label)) for s, e, label in runs]
 
 
 def run_baseline(train_docs, test_docs, doc_vectors, context=0, lam=1e-3):

@@ -48,17 +48,15 @@ def _parse_config_file(path):
 
 def _coerce(val, typ):
     """``val`` parsed as ``typ``; ValueError when it is no such value."""
-    if typ in ("bool", bool):
+    if typ is bool:
         if val.lower() in ("true", "1", "yes"):
             return True
         if val.lower() in ("false", "0", "no"):
             return False
         raise ValueError(val)
-    if typ in ("int", int):
-        return int(val)
-    if typ in ("float", float):
-        return float(val)
-    if typ in ("tuple", tuple):
+    if typ in (int, float):
+        return typ(val)
+    if typ is tuple:
         if val.lower() in ("none", ""):
             return None
         return tuple(int(v) for v in val.split(","))
@@ -291,8 +289,6 @@ def _recipe_cells(recipe, stream_count):
 
 
 def run_experiment(recipe, train_docs, val_docs, test_docs, streams, base_cfg, out_dir):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     stream_count = streams.n if streams is not None else 0
     rows = []

@@ -10,6 +10,7 @@ splitting, and word-level inter-annotator agreement.
 import contextlib
 import json
 import random
+import re
 import types
 from dataclasses import dataclass, field
 from enum import Enum
@@ -143,35 +144,34 @@ def _check_no_overlap(spans):
             raise OverlappingSpans(f"{a} overlaps {b}")
 
 
+_WORD = re.compile(r"\S+")  # for str patterns \s is str.isspace, the rule of str.split
+
+
 def tokenize(text):
     """Whitespace tokenization with offsets and preceding-break kinds.
 
-    Any maximal run of non-whitespace characters becomes one token.  The
-    break kind records whether the whitespace gap before the token
-    contained a newline (used by the sentence baseline).
+    Any maximal run of non-whitespace characters becomes one token, the
+    words of ``text.split()``.  The break kind records whether the
+    whitespace gap before the token contained a newline (used by the
+    sentence baseline).
     """
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        gap_start = tokens[-1].end if tokens else 0
-        gap = text[gap_start:i]
-        if not gap and not tokens:
-            brk = Break.NONE
-        elif "\n" in gap or "\r" in gap:
-            brk = Break.NEWLINE
-        elif gap:
-            brk = Break.SPACE
-        else:
-            brk = Break.NONE
-        tokens.append(Token(text[i:j], i, j, brk))
-        i = j
+    tokens, end = [], 0
+    for m in _WORD.finditer(text):
+        gap = text[end : m.start()]
+        brk = Break.NEWLINE if "\n" in gap or "\r" in gap else Break.SPACE if gap else Break.NONE
+        tokens.append(Token(m.group(), m.start(), m.end(), brk))
+        end = m.end()
     return tokens
+
+
+def add_run(runs, start, end, label, join=True):
+    """Extend the last of ``runs``, (start, end, label) triples, to ``end``
+    when it ends at ``start`` with ``label`` (and ``join`` is true); else
+    append (start, end, label)."""
+    if join and runs and runs[-1][1:] == (start, label):
+        runs[-1] = (runs[-1][0], end, label)
+    else:
+        runs.append((start, end, label))
 
 
 def spans_to_bio(doc):
@@ -191,26 +191,12 @@ def bio_to_spans(tags):
     Accepts ill-formed sequences: a stray I-X (not continuing a B-X/I-X
     run) is repaired to B-X.
     """
-    spans = []
-    cur_start, cur_label = None, None
-
-    def close():
-        nonlocal cur_start, cur_label
-        if cur_label is not None:
-            spans.append(SegmentSpan(cur_start, i, SegmentLabel(cur_label)))
-            cur_start, cur_label = None, None
-
+    runs = []
     for i, tag in enumerate(tags):
-        if tag == "O":
-            close()
-        else:
+        if tag != "O":
             prefix, label = tag.split("-", 1)
-            if prefix == "B" or label != cur_label:
-                close()
-                cur_start, cur_label = i, label
-    i = len(tags)
-    close()
-    return spans
+            add_run(runs, i, i + 1, label, join=prefix != "B")
+    return [SegmentSpan(s, e, SegmentLabel(label)) for s, e, label in runs]
 
 
 def doc_to_json(doc):

@@ -32,33 +32,32 @@ class CrfParams:
     stop: np.ndarray
 
     @classmethod
-    def zeros(cls, n_tags=N_TAGS, dtype=np.float64):
+    def zeros(cls, dtype=np.float64):
         return cls(
-            np.zeros((n_tags, n_tags), dtype=dtype),
-            np.zeros(n_tags, dtype=dtype),
-            np.zeros(n_tags, dtype=dtype),
+            np.zeros((N_TAGS, N_TAGS), dtype=dtype),
+            np.zeros(N_TAGS, dtype=dtype),
+            np.zeros(N_TAGS, dtype=dtype),
         )
 
     @classmethod
-    def random(cls, rng, n_tags=N_TAGS, scale=1.0, dtype=np.float64):
+    def random(cls, rng, scale=1.0, dtype=np.float64):
         return cls(
-            (rng.standard_normal((n_tags, n_tags)) * scale).astype(dtype),
-            (rng.standard_normal(n_tags) * scale).astype(dtype),
-            (rng.standard_normal(n_tags) * scale).astype(dtype),
+            (rng.standard_normal((N_TAGS, N_TAGS)) * scale).astype(dtype),
+            (rng.standard_normal(N_TAGS) * scale).astype(dtype),
+            (rng.standard_normal(N_TAGS) * scale).astype(dtype),
         )
 
 
-def bio_transition_mask(tags=BIO_TAGS):
-    """(start_mask, trans_mask): 0 where allowed, -inf where a transition
-    would create a stray I tag."""
-    n = len(tags)
-    start = np.zeros(n)
-    trans = np.zeros((n, n))
-    for j, tag in enumerate(tags):
+def bio_transition_mask():
+    """(start_mask, trans_mask) over BIO_TAGS: 0 where allowed, -inf where
+    a transition would create a stray I tag."""
+    start = np.zeros(N_TAGS)
+    trans = np.zeros((N_TAGS, N_TAGS))
+    for j, tag in enumerate(BIO_TAGS):
         if tag.startswith("I-"):
             label = tag[2:]
             start[j] = -np.inf
-            for i, prev in enumerate(tags):
+            for i, prev in enumerate(BIO_TAGS):
                 if prev == "O" or (prev != f"B-{label}" and prev != f"I-{label}"):
                     trans[i, j] = -np.inf
     return start, trans

@@ -122,17 +122,18 @@ def token_ngrams(token, n_min, n_max):
 
 
 class SubwordHashEmbedder(nn.Component):
-    def __init__(self, rng, dim, n_buckets=2**21, n_min=3, n_max=6, hash_seed=0,
-                 dtype=np.float64, scale=0.1):
+    """A token's vector: the mean of the hashed bucket rows of its 3- to
+    6-grams and of its whole padded form (token_ngrams)."""
+
+    N_MIN, N_MAX = 3, 6
+
+    def __init__(self, rng, dim, n_buckets=2**21, dtype=np.float64):
         super().__init__()
-        if n_buckets < 1 or not 1 <= n_min <= n_max:
-            raise EmbeddingsError("bad subword configuration")
+        if n_buckets < 1:
+            raise EmbeddingsError(f"n_buckets must be at least 1, got {n_buckets}")
         self.n_buckets = n_buckets
-        self.n_min = n_min
-        self.n_max = n_max
-        self.hash_seed = hash_seed
         self._add_param(
-            "buckets", (rng.standard_normal((n_buckets, dim)) * scale).astype(dtype)
+            "buckets", (rng.standard_normal((n_buckets, dim)) * 0.1).astype(dtype)
         )
 
     @property
@@ -144,8 +145,8 @@ class SubwordHashEmbedder(nn.Component):
             raise EmptyToken("cannot embed the empty token")
         return np.array(
             [
-                fnv1a(g.encode("utf-8"), self.hash_seed) % self.n_buckets
-                for g in token_ngrams(token, self.n_min, self.n_max)
+                fnv1a(g.encode("utf-8")) % self.n_buckets
+                for g in token_ngrams(token, self.N_MIN, self.N_MAX)
             ],
             dtype=np.int64,
         )
@@ -292,14 +293,16 @@ def load_streams(path, doc_token_counts=None, dims=None):
                 raise FormatError(f"doc id at byte {off} is not UTF-8") from None
             off += id_len
             (count,) = take("<I")
-            arrays = []
-            for d in file_dims:
-                size = count * d * 4
-                if off + size > len(data):
-                    raise FormatError(f"truncated vectors for doc {doc_id!r}")
-                arr = np.frombuffer(data, dtype="<f4", count=count * d, offset=off)
-                arrays.append(arr.reshape(count, d).astype(np.float64))
-                off += size
+            size = count * sum(file_dims)  # the document's floats, stream after stream
+            if off + 4 * size > len(data):
+                raise FormatError(f"truncated vectors for doc {doc_id!r}")
+            block = np.frombuffer(data, dtype="<f4", count=size, offset=off)
+            if not np.isfinite(block).all():
+                raise FormatError(f"non-finite vector for doc {doc_id!r}")
+            off += 4 * size
+            cuts = np.cumsum([count * d for d in file_dims])[:-1]
+            arrays = [a.reshape(count, d).astype(np.float64)
+                      for a, d in zip(np.split(block, cuts), file_dims)]
             if doc_id in vectors:
                 raise FormatError(f"duplicate doc id {doc_id!r}")
             if doc_token_counts is not None:

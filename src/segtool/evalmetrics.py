@@ -63,17 +63,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _normalize(gold_sets, pred_sets):
-    """Accept a single (gold, pred) span-list pair or parallel lists of
-    per-document span lists."""
-    flat = any(
-        seq and not isinstance(seq[0], list) for seq in (gold_sets, pred_sets)
-    )
-    if flat or (not gold_sets and not pred_sets):
-        return [list(gold_sets)], [list(pred_sets)]
-    return gold_sets, pred_sets
-
-
 def span_coverage(s, s_prime):
     """How well s' is covered by s: shared-token fraction of s', or 0 on
     label mismatch."""
@@ -126,14 +115,15 @@ def _prf(cov_p, cov_g, n_p, n_g):
 def soft_pr(gold_sets, pred_sets, macro=False):
     """Evaluate predicted span sets against gold, one pair per document.
 
-    Accepts either a single pair of span lists or parallel lists of
-    per-document span lists.  Micro scores pool spans across documents;
-    macro averages per-document P/R.  Spans of different documents never
-    overlap, so the pooled coverages are sums of per-document ones.
+    gold_sets and pred_sets are parallel lists of per-document span
+    lists.  Micro scores pool spans across documents; macro averages
+    per-document P/R.  Spans of different documents never overlap, so the
+    pooled coverages are sums of per-document ones.
     """
-    gold_sets, pred_sets = _normalize(gold_sets, pred_sets)
     if len(gold_sets) != len(pred_sets):
         raise MetricsError("gold and predicted lists must be parallel")
+    if macro and not gold_sets:
+        raise MetricsError("no documents to average")
     for g, p in zip(gold_sets, pred_sets):
         _check_no_overlap(g)
         _check_no_overlap(p)

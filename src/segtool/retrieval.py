@@ -14,11 +14,15 @@ import json
 import math
 import sys
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, EmptyCorpus, reading, token_labels, tokenize
+from .corpus import CLASS_NAMES, EmptyCorpus, add_run, reading, token_labels
+# not called here, but perfbench's tracer patches retrieval.tokenize and
+# fails without it
+from .corpus import tokenize
 
 
 class RetrievalError(Exception):
@@ -46,9 +50,9 @@ INDEX_COLUMNS = ("docs", "lengths", "terms", "df", "rows", "tf")
 
 
 def terms_of(text):
-    """Lowercased whitespace tokens; no stemming or stopword removal
-    (flags and paths are form-sensitive)."""
-    return [t.text.lower() for t in tokenize(text)]
+    """Lowercased whitespace tokens, the words tokenize() finds; no
+    stemming or stopword removal (flags and paths are form-sensitive)."""
+    return text.lower().split()
 
 
 @dataclass
@@ -120,10 +124,7 @@ def build_index(answers, min_len=0, exclusions=(), k1=1.2, b=0.75):
         if ans.id in lengths:
             raise RetrievalError(f"duplicate answer id {ans.id!r}")
         lengths[ans.id] = len(terms)
-        counts = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
-        for t, tf in counts.items():
+        for t, tf in Counter(terms).items():
             postings.setdefault(t, []).append((ans.id, tf))
     if not lengths:
         raise EmptyCorpus("no answers survived filtering")
@@ -152,18 +153,10 @@ def bm25(index, query_terms, doc_id):
 def question_segments(doc):
     """(class_name, term list) per segment, with O gaps as segments of
     their own."""
-    labels = token_labels(doc)
-    segs = []
-    cur_label, cur_terms = None, []
-    for tok, lab in zip(doc.tokens, labels):
-        if lab != cur_label:
-            if cur_terms:
-                segs.append((cur_label, cur_terms))
-            cur_label, cur_terms = lab, []
-        cur_terms.append(tok.text.lower())
-    if cur_terms:
-        segs.append((cur_label, cur_terms))
-    return segs
+    runs = []
+    for i, label in enumerate(token_labels(doc)):
+        add_run(runs, i, i + 1, label)
+    return [(label, [t.text.lower() for t in doc.tokens[s:e]]) for s, e, label in runs]
 
 
 @dataclass
@@ -391,5 +384,7 @@ def load_qrels(path):
             if len(fields) != 2:
                 raise RetrievalError("expected question_id<TAB>answer_id")
             qid, aid = fields
+            if qid in out:
+                raise RetrievalError(f"question {qid!r} already has a qrel")
             out[qid] = aid
     return out

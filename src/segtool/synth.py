@@ -35,6 +35,7 @@ SHARED_POOL = [f"tok_{k}" for k in range(60)]
 # Which labels each planted stream is informative for (disjoint subsets).
 STREAM_SUBSETS = [("CC", "CO"), ("ES", "FC"), ("SS", "PU")]
 STREAM_DIM = 8
+STREAM_NOISE = 0.3  # standard deviation of the noise around each indicator
 
 
 def _make_doc(doc_id, rng, shared_vocab=False):
@@ -80,7 +81,7 @@ def gen_corpus(n_docs=250, seed=0, shared_vocab=False):
     return [_make_doc(f"q{i:04d}", rng, shared_vocab) for i in range(n_docs)]
 
 
-def gen_streams(docs, seed=0, noise=0.3):
+def gen_streams(docs, seed=0):
     """Planted contextual streams: stream i carries a (noisy) one-hot
     label indicator only for the labels in its subset."""
     from .corpus import token_labels
@@ -91,7 +92,7 @@ def gen_streams(docs, seed=0, noise=0.3):
         labels = token_labels(doc)
         arrays = []
         for subset in STREAM_SUBSETS:
-            arr = rng.standard_normal((len(labels), STREAM_DIM)) * noise
+            arr = rng.standard_normal((len(labels), STREAM_DIM)) * STREAM_NOISE
             for j, lab in enumerate(labels):
                 if lab in subset or lab == "O":
                     arr[j, CLASS_NAMES.index(lab)] += 2.0

@@ -383,10 +383,10 @@ class EpochLog:
         )
 
 
-def evaluate_model(model, docs, streams=None, macro=False):
+def evaluate_model(model, docs, streams=None):
     gold = [d.spans for d in docs]
     pred = [predict(model, d, streams) for d in docs]
-    return soft_pr(gold, pred, macro=macro)
+    return soft_pr(gold, pred)
 
 
 def _batches(docs, batch_size, rng):

@@ -140,16 +140,16 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_metric_hand_cases():
     worked = soft_pr(
-        [SegmentSpan(0, 10, SegmentLabel.ES)],
-        [SegmentSpan(0, 5, SegmentLabel.ES), SegmentSpan(5, 10, SegmentLabel.CO)],
+        [[SegmentSpan(0, 10, SegmentLabel.ES)]],
+        [[SegmentSpan(0, 5, SegmentLabel.ES), SegmentSpan(5, 10, SegmentLabel.CO)]],
     )
     exact_half = (
         worked.micro.precision == 0.5
         and worked.micro.recall == 0.5
         and worked.micro.f1 == 0.5
     )
-    ident = soft_pr([SegmentSpan(2, 7, SegmentLabel.CC)],
-                    [SegmentSpan(2, 7, SegmentLabel.CC)])
+    ident = soft_pr([[SegmentSpan(2, 7, SegmentLabel.CC)]],
+                    [[SegmentSpan(2, 7, SegmentLabel.CC)]])
     identity_ok = ident.micro.f1 == 1.0
 
     rng = np.random.default_rng(3)
@@ -167,7 +167,7 @@ def test_criterion_3_metric_hand_cases():
     symmetric = True
     for _ in range(100):
         a, b = random_set(), random_set()
-        fwd, rev = soft_pr(a, b), soft_pr(b, a)
+        fwd, rev = soft_pr([a], [b]), soft_pr([b], [a])
         symmetric &= abs(fwd.micro.precision - rev.micro.recall) < 1e-12
         symmetric &= abs(fwd.micro.recall - rev.micro.precision) < 1e-12
     _report(

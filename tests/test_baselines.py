@@ -157,6 +157,13 @@ class TestUnitsToSpans:
     def test_all_o(self):
         assert units_to_spans(self.unit_row([(0, 3)]), [0]) == []
 
+    def test_o_unit_closes_span(self):
+        units = self.unit_row([(0, 2), (2, 3), (3, 5)])
+        assert units_to_spans(units, [1, 0, 1]) == [
+            SegmentSpan(0, 2, SegmentLabel.CC),
+            SegmentSpan(3, 5, SegmentLabel.CC),
+        ]
+
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=12))
     @settings(max_examples=100)
     def test_spans_valid_and_disjoint(self, classes):

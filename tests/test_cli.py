@@ -161,6 +161,7 @@ MALFORMED = {
     "stream-index-out-of-range": _stream_index_out_of_range,
     "qrels-no-tab": _bad_qrels("q0001 a0"),
     "qrels-two-tabs": _bad_qrels("q0001\ta0\tx"),
+    "qrels-repeated-question": _bad_qrels("q0000\ta1"),
     "streams-bad-magic": _bad_streams(lambda b: b"CSTR9" + b[5:], "bad magic"),
     "streams-truncated": _bad_streams(lambda b: b[:-4], "truncated vectors for doc "),
     "streams-doc-id-not-utf8": _bad_streams(

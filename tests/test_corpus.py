@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from segtool.corpus import (
     SchemaError,
     SegmentLabel,
     SegmentSpan,
+    Token,
     agreement,
     bio_to_spans,
     corpus_stats,
@@ -27,6 +29,34 @@ from segtool.corpus import (
     split_corpus,
     tokenize,
 )
+
+
+# every str.isspace character, and letters whose lowercase depends on the
+# letters around them (Σ), combines with the one before (U+0301) or is two
+# characters long (İ)
+SPACE_AND_CASE_TEXT = st.text(
+    st.sampled_from([chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+                    + ["a", "Σ", "\u0301", "İ"]),
+    max_size=40,
+)
+
+
+def tokenize_oracle(text):
+    """Tokens by a walk over the characters, testing each with str.isspace."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        gap = text[tokens[-1].end if tokens else 0 : i]
+        brk = Break.NEWLINE if "\n" in gap or "\r" in gap else Break.SPACE if gap else Break.NONE
+        tokens.append(Token(text[i:j], i, j, brk))
+        i = j
+    return tokens
 
 
 def make_doc(doc_id, n_tokens, spans=()):
@@ -55,6 +85,11 @@ class TestTokenize:
         for t in tokenize(text):
             assert text[t.start : t.end] == t.text
             assert not any(c.isspace() for c in t.text)
+
+    @given(SPACE_AND_CASE_TEXT)
+    @settings(max_examples=300)
+    def test_matches_character_walk(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
 
     @given(st.text(max_size=200))
     def test_covers_all_nonspace(self, text):
@@ -95,6 +130,13 @@ class TestBioCodec:
         assert bio_to_spans(["B-CC", "I-ES"]) == [
             SegmentSpan(0, 1, SegmentLabel.CC),
             SegmentSpan(1, 2, SegmentLabel.ES),
+        ]
+
+    def test_decode_o_closes_a_run(self):
+        assert bio_to_spans(["B-CC", "O", "I-CC", "B-CC"]) == [
+            SegmentSpan(0, 1, SegmentLabel.CC),
+            SegmentSpan(2, 3, SegmentLabel.CC),
+            SegmentSpan(3, 4, SegmentLabel.CC),
         ]
 
 

@@ -340,6 +340,16 @@ class TestStreamFiles:
         with pytest.raises(FormatError, match="'a'"):
             load_streams(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        streams = make_streams(np.random.default_rng(6), [4, 2], [("a", 3), ("b", 2)])
+        streams.vectors["b"][1][1, 0] = value
+        path = tmp_path / "s.bin"
+        save_streams(streams, path)
+        with pytest.raises(FormatError) as exc:
+            load_streams(path)
+        assert str(exc.value) == f"{path}: non-finite vector for doc 'b'"
+
     def test_truncated(self, tmp_path):
         rng = np.random.default_rng(3)
         streams = make_streams(rng, [4], [("a", 5)])

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtool.corpus import LABELS, OverlappingSpans, SegmentLabel, SegmentSpan, _check_no_overlap
-from segtool.evalmetrics import PRF, soft_pr, span_coverage
+from segtool.evalmetrics import PRF, MetricsError, soft_pr, span_coverage
 from test_corpus import span_sets
 
 ES = SegmentLabel.ES
@@ -96,31 +96,31 @@ class TestSpanSetCoverage:
 class TestSoftPR:
     def test_identity(self):
         s = [sp(0, 3, ES), sp(5, 9, CO)]
-        rep = soft_pr(s, list(s))
+        rep = soft_pr([s], [list(s)])
         assert rep.micro.precision == rep.micro.recall == rep.micro.f1 == 1.0
 
     def test_worked_example(self):
         # gold {(0,10,ES)}, pred {(0,5,ES),(5,10,CO)}: the ES prediction is
         # fully inside gold (precision credit 1 of 2 predictions); gold is
         # half covered
-        rep = soft_pr([sp(0, 10, ES)], [sp(0, 5, ES), sp(5, 10, CO)])
+        rep = soft_pr([[sp(0, 10, ES)]], [[sp(0, 5, ES), sp(5, 10, CO)]])
         assert rep.micro.precision == 0.5
         assert rep.micro.recall == 0.5
         assert rep.micro.f1 == 0.5
 
     def test_empty_prediction(self):
-        rep = soft_pr([sp(0, 10, ES)], [])
+        rep = soft_pr([[sp(0, 10, ES)]], [[]])
         assert rep.micro.precision == 1.0
         assert rep.micro.recall == 0.0
         assert rep.micro.f1 == 0.0
 
     def test_empty_gold(self):
-        rep = soft_pr([], [sp(0, 4, ES)])
+        rep = soft_pr([[]], [[sp(0, 4, ES)]])
         assert rep.micro.recall == 1.0
         assert rep.micro.precision == 0.0
 
     def test_per_label_restriction(self):
-        rep = soft_pr([sp(0, 10, ES)], [sp(0, 5, ES), sp(5, 10, CO)])
+        rep = soft_pr([[sp(0, 10, ES)]], [[sp(0, 5, ES), sp(5, 10, CO)]])
         assert rep.per_label[ES].precision == 1.0
         assert rep.per_label[ES].recall == 0.5
         assert rep.per_label[CO].precision == 0.0
@@ -140,26 +140,33 @@ class TestSoftPR:
         assert rep.micro.recall == 0.5
 
 
+    def test_no_documents(self):
+        rep = soft_pr([], [])
+        assert rep.micro.precision == rep.micro.recall == 1.0
+        with pytest.raises(MetricsError):
+            soft_pr([], [], macro=True)
+
+
 class TestProperties:
     @given(span_sets(), span_sets())
     @settings(max_examples=100)
     def test_symmetry(self, s, s_hat):
-        a = soft_pr(s, s_hat)
-        b = soft_pr(s_hat, s)
+        a = soft_pr([s], [s_hat])
+        b = soft_pr([s_hat], [s])
         assert a.micro.precision == pytest.approx(b.micro.recall, abs=1e-12)
         assert a.micro.recall == pytest.approx(b.micro.precision, abs=1e-12)
 
     @given(span_sets(), span_sets())
     @settings(max_examples=100)
     def test_bounded(self, s, s_hat):
-        rep = soft_pr(s, s_hat)
+        rep = soft_pr([s], [s_hat])
         assert 0.0 <= rep.micro.precision <= 1.0
         assert 0.0 <= rep.micro.recall <= 1.0
 
     @given(span_sets(), span_sets())
     @settings(max_examples=50)
     def test_exact_below_soft(self, s, s_hat):
-        soft = soft_pr(s, s_hat)
+        soft = soft_pr([s], [s_hat])
         exact = exact_match_pr(s, s_hat)
         assert exact.precision <= soft.micro.precision + 1e-12
         assert exact.recall <= soft.micro.recall + 1e-12
@@ -169,8 +176,8 @@ class TestProperties:
     def test_order_invariance(self, s, s_hat):
         # up to float summation reordering (1 ulp), the span order in
         # each set must not matter
-        a = soft_pr(s, s_hat)
-        b = soft_pr(list(reversed(s)), list(reversed(s_hat)))
+        a = soft_pr([s], [s_hat])
+        b = soft_pr([list(reversed(s))], [list(reversed(s_hat))])
         assert a.micro.precision == pytest.approx(b.micro.precision, abs=1e-12)
         assert a.micro.recall == pytest.approx(b.micro.recall, abs=1e-12)
 

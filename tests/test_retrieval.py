@@ -28,8 +28,10 @@ from segtool.retrieval import (
     mrr,
     question_segments,
     save_index,
+    terms_of,
     unfielded_search,
 )
+from test_corpus import SPACE_AND_CASE_TEXT
 
 
 def question(qid, text, spans=()):
@@ -92,6 +94,15 @@ def index_obj(index):
         "df": [len(p) for p in plists], "rows": [docs.index(d) for p in plists for d, _ in p],
         "tf": [tf for p in plists for _, tf in p],
     }
+
+
+class TestTermsOf:
+    @given(SPACE_AND_CASE_TEXT)
+    @settings(max_examples=300)
+    def test_lowered_tokens(self, text):
+        tokens = tokenize(text)
+        assert terms_of(text) == [t.text.lower() for t in tokens]
+        assert all(text[t.start : t.end] == t.text for t in tokens)
 
 
 class TestBuildIndex:
@@ -589,3 +600,10 @@ class TestPersistence:
         qr = tmp_path / "qrels.tsv"
         qr.write_text("q1\ta1\nq2\ta2\n")
         assert load_qrels(qr) == {"q1": "a1", "q2": "a2"}
+
+    def test_repeated_question_in_qrels(self, tmp_path):
+        qr = tmp_path / "qrels.tsv"
+        qr.write_text("q1\ta1\n\nq1\ta2\n")
+        with pytest.raises(RetrievalError) as exc:
+            load_qrels(qr)
+        assert str(exc.value) == f"{qr}:3: question 'q1' already has a qrel"
