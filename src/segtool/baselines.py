@@ -73,8 +73,6 @@ def pool_features(unit, doc_vectors, units=None, context=0):
     def mean_of(u):
         if u is None:
             return np.zeros(doc_vectors.shape[1])
-        if u.end > doc_vectors.shape[0]:
-            raise TokenCountMismatch("?", u.end, doc_vectors.shape[0])
         return doc_vectors[u.start : u.end].mean(axis=0)
 
     own = mean_of(unit)
@@ -124,7 +122,6 @@ def logreg_loss_and_grad(w, b, x, y, lam):
 class LogRegClassifier:
     weights: np.ndarray  # (7, d)
     bias: np.ndarray  # (7,)
-    lam: float
 
 
 def train_logreg(features, labels, lam=1e-3, n_classes=7):
@@ -157,7 +154,7 @@ def train_logreg(features, labels, lam=1e-3, n_classes=7):
         options={"maxiter": 2000, "gtol": 1e-8, "ftol": 1e-14},
     )
     w, b = unpack(res.x)
-    return LogRegClassifier(w, b, lam)
+    return LogRegClassifier(w, b)
 
 
 def classify(clf, features):
@@ -181,11 +178,17 @@ def run_baseline(train_docs, test_docs, doc_vectors, context=0, lam=1e-3):
     doc_vectors: doc id -> (tokens, d) array of contextual vectors.
     Returns per-document predicted span lists for test_docs.
     """
-    feats, labels = [], []
-    for doc in train_docs:
+    def vectors_of(doc):
         vecs = doc_vectors.get(doc.id)
         if vecs is None:
             raise MissingStreams(doc.id)
+        if len(vecs) != len(doc.tokens):
+            raise TokenCountMismatch(doc.id, len(doc.tokens), len(vecs))
+        return vecs
+
+    feats, labels = [], []
+    for doc in train_docs:
+        vecs = vectors_of(doc)
         units = sentence_segment(doc)
         for u, y in zip(units, unit_labels(doc, units)):
             feats.append(pool_features(u, vecs, units, context))
@@ -193,9 +196,7 @@ def run_baseline(train_docs, test_docs, doc_vectors, context=0, lam=1e-3):
     clf = train_logreg(np.stack(feats), labels, lam)
     out = []
     for doc in test_docs:
-        vecs = doc_vectors.get(doc.id)
-        if vecs is None:
-            raise MissingStreams(doc.id)
+        vecs = vectors_of(doc)
         units = sentence_segment(doc)
         if not units:
             out.append([])

@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per experiment step.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error (or a failing
-verification).  All randomness is controlled by --seed.
+Exit codes: 0 success, 1 usage error (a bad or missing argument), 2
+data/format error (or a failing verification).  The commands that draw
+random numbers (stats, train, gradcheck, experiment, synth) take --seed.
 """
 
 import argparse
@@ -97,9 +98,9 @@ def _cmd_agree(args):
     with corpus.reading(args.corpus_b, corpus.CorpusError):
         rep = corpus.agreement(a, b)
     print(f"kappa {rep.kappa:.4f}")
-    header = " ".join(f"{c:>7}" for c in rep.class_names)
+    header = " ".join(f"{c:>7}" for c in corpus.CLASS_NAMES)
     print(f"{'':>4}{header}")
-    for name, row in zip(rep.class_names, rep.confusion):
+    for name, row in zip(corpus.CLASS_NAMES, rep.confusion):
         print(f"{name:>4}" + " ".join(f"{int(v):>7}" for v in row))
     return 0
 
@@ -141,13 +142,9 @@ def _cmd_predict(args):
 def _cmd_eval(args):
     gold = corpus.load_corpus(args.gold)
     pred = corpus.load_corpus(args.pred)
-    by_id = {d.id: d for d in pred}
-    with corpus.reading(args.pred, corpus.CorpusError):
-        for d in gold:
-            if d.id not in by_id:
-                raise corpus.MismatchedDocuments(f"no document {d.id!r} of {args.gold}")
-    pred_sets = [by_id[d.id].spans for d in gold]
-    report = evalmetrics.soft_pr([d.spans for d in gold], pred_sets, macro=args.macro)
+    with corpus.reading(args.pred, corpus.CorpusError):  # extra predictions are allowed
+        pred = corpus.matching(gold, pred, args.gold)
+    report = evalmetrics.soft_pr([d.spans for d in gold], [d.spans for d in pred], args.macro)
     print(report.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -289,9 +286,11 @@ def _recipe_cells(recipe, stream_count):
 
 
 def run_experiment(recipe, train_docs, val_docs, test_docs, streams, base_cfg, out_dir):
+    """Train and test each cell of the recipe, writing one report per cell
+    and the P/R/F1 table to ``out_dir``; returns the table's text."""
     os.makedirs(out_dir, exist_ok=True)
     stream_count = streams.n if streams is not None else 0
-    rows = []
+    table = f"{'cell':<16}{'P':>9}{'R':>9}{'F1':>9}\n"
     for name, overrides in _recipe_cells(recipe, stream_count):
         cfg = trainer.TrainConfig(**{**asdict(base_cfg), **overrides})
         model, _ = trainer.train(train_docs, val_docs, streams, cfg)
@@ -299,13 +298,11 @@ def run_experiment(recipe, train_docs, val_docs, test_docs, streams, base_cfg, o
         path = os.path.join(out_dir, f"{recipe}_{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        rows.append((name, report.micro))
-    summary = os.path.join(out_dir, f"{recipe}_summary.txt")
-    with open(summary, "w", encoding="utf-8") as fh:
-        fh.write(f"{'cell':<16}{'P':>9}{'R':>9}{'F1':>9}\n")
-        for name, m in rows:
-            fh.write(f"{name:<16}{m.precision:>9.4f}{m.recall:>9.4f}{m.f1:>9.4f}\n")
-    return rows
+        m = report.micro
+        table += f"{name:<16}{m.precision:>9.4f}{m.recall:>9.4f}{m.f1:>9.4f}\n"
+    with open(os.path.join(out_dir, f"{recipe}_summary.txt"), "w", encoding="utf-8") as fh:
+        fh.write(table)
+    return table
 
 
 def _cmd_experiment(args):
@@ -314,28 +311,37 @@ def _cmd_experiment(args):
     val_docs = corpus.load_corpus(args.val) if args.val else []
     test_docs = corpus.load_corpus(args.test) if args.test else val_docs
     streams = _load_streams_arg(args, train_docs + val_docs + test_docs)
-    rows = run_experiment(
-        args.recipe, train_docs, val_docs, test_docs, streams, base, args.out
-    )
-    print(f"{'cell':<16}{'P':>9}{'R':>9}{'F1':>9}")
-    for name, m in rows:
-        print(f"{name:<16}{m.precision:>9.4f}{m.recall:>9.4f}{m.f1:>9.4f}")
+    print(run_experiment(args.recipe, train_docs, val_docs, test_docs, streams, base, args.out),
+          end="")
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+def _bounded(kind, low, above=False):
+    """An argparse type: a finite ``kind`` of at least ``low``, or above it."""
+    def parse(text):
+        value = kind(text)
+        if not low <= value < float("inf") or (above and value == low):
+            raise argparse.ArgumentTypeError(f"{text} is not {'>' if above else '>='} {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" on a non-number
+    return parse
+
+
 def build_parser():
     p = _Parser(prog="segtool", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, seed=False, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--seed", type=int, default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
         return sp
 
-    sp = add("stats", _cmd_stats, help="corpus statistics")
+    sp = add("stats", _cmd_stats, seed=True, help="corpus statistics")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--splits", action="store_true", help="also print 80:10:10 split sizes")
 
@@ -343,7 +349,7 @@ def build_parser():
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--corpus-b", required=True)
 
-    sp = add("train", _cmd_train, help="train a segmentation model")
+    sp = add("train", _cmd_train, seed=True, help="train a segmentation model")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--val")
     sp.add_argument("--streams")
@@ -362,21 +368,21 @@ def build_parser():
     sp.add_argument("--macro", action="store_true")
     sp.add_argument("--out")
 
-    sp = add("gradcheck", _cmd_gradcheck, help="finite-difference gradient checks")
-    sp.add_argument("--component", default="all")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--tolerance", type=float, default=1e-4)
+    sp = add("gradcheck", _cmd_gradcheck, seed=True, help="finite-difference gradient checks")
+    sp.add_argument("--component", default="all", choices=["all", *trainer.CHECKS])
+    sp.add_argument("--trials", type=_bounded(int, 1), default=20)
+    sp.add_argument("--tolerance", type=_bounded(float, 0, above=True), default=1e-4)
 
     sp = add("index", _cmd_index, help="build an answer index")
     sp.add_argument("--answers", required=True)
-    sp.add_argument("--min-len", type=int, default=0)
+    sp.add_argument("--min-len", type=_bounded(int, 0), default=0)
     sp.add_argument("--out", required=True)
 
     sp = add("search", _cmd_search, help="rank answers for questions")
     sp.add_argument("--index", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--boosts")
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--k", type=_bounded(int, 1), default=10)
 
     sp = add("boosts", _cmd_boosts, help="estimate per-label boosts")
     sp.add_argument("--corpus", required=True)
@@ -389,9 +395,9 @@ def build_parser():
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--qrels", required=True)
     sp.add_argument("--boosts")
-    sp.add_argument("--k", type=int, default=100)
+    sp.add_argument("--k", type=_bounded(int, 1), default=100)
 
-    sp = add("experiment", _cmd_experiment, help="run an ablation grid")
+    sp = add("experiment", _cmd_experiment, seed=True, help="run an ablation grid")
     sp.add_argument("--recipe", required=True, choices=["table2", "table3", "table4"])
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--val")
@@ -400,9 +406,9 @@ def build_parser():
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)
 
-    sp = add("synth", _cmd_synth, help="generate a synthetic corpus")
+    sp = add("synth", _cmd_synth, seed=True, help="generate a synthetic corpus")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--docs", type=int, default=250)
+    sp.add_argument("--docs", type=_bounded(int, 1), default=250)
     sp.add_argument("--shared-vocab", action="store_true")
     sp.add_argument("--streams-out")
     sp.add_argument("--answers-out")

@@ -133,8 +133,7 @@ class CorpusStats:
 @dataclass
 class AgreementReport:
     kappa: float
-    confusion: np.ndarray  # 7x7, rows = annotator a, cols = annotator b
-    class_names: list = field(default_factory=lambda: list(CLASS_NAMES))
+    confusion: np.ndarray  # 7x7 over CLASS_NAMES, rows = annotator a, cols = annotator b
 
 
 def _check_no_overlap(spans):
@@ -357,17 +356,24 @@ def kappa_from_confusion(confusion):
     return float((p_o - p_e) / (1.0 - p_e))
 
 
-def agreement(docs_a, docs_b):
-    """Word-level agreement between two annotations of the same questions."""
+def matching(docs_a, docs_b, name_a):
+    """The document of docs_b with the id of each of docs_a, in order: it
+    must exist and have the same tokens.  ``name_a`` names docs_a in errors."""
     by_id = {d.id: d for d in docs_b}
-    idx = {c: i for i, c in enumerate(CLASS_NAMES)}
-    confusion = np.zeros((len(CLASS_NAMES),) * 2, dtype=np.int64)
     for da in docs_a:
         db = by_id.get(da.id)
         if db is None:
-            raise MismatchedDocuments(f"document {da.id!r} missing from second annotation")
+            raise MismatchedDocuments(f"no document {da.id!r} of {name_a}")
         if da.token_texts() != db.token_texts():
-            raise MismatchedDocuments(f"document {da.id!r} tokenized differently")
+            raise MismatchedDocuments(f"document {da.id!r} of {name_a} tokenized differently")
+    return [by_id[d.id] for d in docs_a]
+
+
+def agreement(docs_a, docs_b):
+    """Word-level agreement between two annotations of the same questions."""
+    idx = {c: i for i, c in enumerate(CLASS_NAMES)}
+    confusion = np.zeros((len(CLASS_NAMES),) * 2, dtype=np.int64)
+    for da, db in zip(docs_a, matching(docs_a, docs_b, "the first annotation")):
         for x, y in zip(token_labels(da), token_labels(db)):
             confusion[idx[x], idx[y]] += 1
     if len(docs_a) != len(docs_b):

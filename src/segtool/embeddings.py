@@ -69,10 +69,6 @@ class LookupTable(nn.Component):
         self._add_param("matrix", np.asarray(matrix))
         assert all(v < self.params["matrix"].shape[0] for v in self.vocab.values())
 
-    @property
-    def dim(self):
-        return self.params["matrix"].shape[1]
-
     @classmethod
     def from_tokens(cls, tokens, dim, rng, dtype=np.float64):
         vocab = {}
@@ -136,10 +132,6 @@ class SubwordHashEmbedder(nn.Component):
             "buckets", (rng.standard_normal((n_buckets, dim)) * 0.1).astype(dtype)
         )
 
-    @property
-    def dim(self):
-        return self.params["buckets"].shape[1]
-
     def bucket_indices(self, token):
         if not token:
             raise EmptyToken("cannot embed the empty token")
@@ -176,23 +168,14 @@ class CharEncoder(nn.Component):
 
     def __init__(self, rng, chars, char_dim=16, hidden=40, dtype=np.float64):
         super().__init__()
-        vocab = {}
-        for c in chars:
-            if c not in vocab:
-                vocab[c] = len(vocab) + 1
-        self.char_vocab = vocab
-        self.hidden = hidden
-        self.table = LookupTable(
-            vocab,
-            (rng.standard_normal((len(vocab) + 1, char_dim)) * 0.1).astype(dtype),
-        )
+        self.table = LookupTable.from_tokens(chars, char_dim, rng, dtype)
         self.rnn = nn.BiLstm(rng, char_dim, hidden, dtype)
         self._add_child("table_", self.table)
         self._add_child("rnn_", self.rnn)
 
     @property
     def out_dim(self):
-        return 2 * self.hidden
+        return 2 * self.rnn.hidden
 
     def forward(self, tokens):
         """(len(tokens), out_dim) encodings and the cache for

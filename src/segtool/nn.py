@@ -386,10 +386,10 @@ def clip_global_norm(grad_arrays, max_norm):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -397,14 +397,14 @@ class Adam:
     def step(self, params, grads):
         """Update every array of ``params`` in place."""
         self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
+        b1t = 1.0 - self.B1**self.t
+        b2t = 1.0 - self.B2**self.t
         for k, p in params.items():
             g = grads[k]
             m = self.m[k]
             v = self.v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= self.B1
+            m += (1.0 - self.B1) * g
+            v *= self.B2
+            v += (1.0 - self.B2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)

@@ -109,15 +109,12 @@ class FieldedIndex:
         return 0
 
 
-def build_index(answers, min_len=0, exclusions=(), k1=1.2, b=0.75):
+def build_index(answers, min_len=0, k1=1.2, b=0.75):
     """Deterministic inverted index; answers shorter than min_len tokens
-    or listed in exclusions are skipped."""
-    excluded = set(exclusions)
+    are skipped."""
     postings = {}
     lengths = {}
     for ans in answers:
-        if ans.id in excluded:
-            continue
         terms = ans.terms
         if len(terms) < min_len or not terms:
             continue
@@ -175,6 +172,8 @@ class BoostProfile:
             raise RetrievalError(f"boosts must be an object of weights, got {type(obj).__name__}")
         w = {c: 1.0 for c in CLASS_NAMES}
         for k, v in obj.items():
+            if k not in w:
+                raise RetrievalError(f"boost key {k!r} is not a class name {CLASS_NAMES}")
             # a float: no bool, no inf or NaN, no int too large to convert
             number = isinstance(v, (int, float)) and not isinstance(v, bool)
             if not (number and 0 < v <= sys.float_info.max):

@@ -10,7 +10,9 @@ question's error-message segments.
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, LABELS, AnnotatedDocument, SegmentSpan, tokenize
+from .corpus import (
+    CLASS_NAMES, LABELS, AnnotatedDocument, SegmentLabel, SegmentSpan, token_labels, tokenize,
+)
 from .embeddings import ContextualStreamSet
 from .retrieval import AnswerDoc
 
@@ -47,26 +49,24 @@ def _make_doc(doc_id, rng, shared_vocab=False):
         pool = SHARED_POOL if shared_vocab else LABEL_POOLS[label]
         parts.append((label, _draw(rng, pool, 4, 11)))
         parts.append(("O", _draw(rng, O_POOL if not shared_vocab else SHARED_POOL, 2, 8)))
+    return _assemble(doc_id, parts)
 
-    pieces = []
-    spans = []
-    tok_count = 0
+
+def _assemble(doc_id, parts):
+    """The document of ``parts``, (class name, tokens) pairs in order: each
+    segment on lines of its own, the O parts as running text."""
+    pieces, spans, count = [], [], 0
     for cls, toks in parts:
         if cls != "O":
-            spans.append((tok_count, tok_count + len(toks), cls))
+            spans.append(SegmentSpan(count, count + len(toks), SegmentLabel(cls)))
             pieces.append("\n" + " ".join(toks) + "\n")
         else:
             pieces.append(" ".join(toks) + " ")
-        tok_count += len(toks)
+        count += len(toks)
     text = "".join(pieces).strip()
-    tokens = tokenize(text)
-    assert len(tokens) == tok_count
-    doc = AnnotatedDocument(
-        doc_id,
-        text,
-        tokens,
-        [SegmentSpan(s, e, next(l for l in LABELS if l.value == c)) for s, e, c in spans],
-    )
+    tokens = tokenize(text)  # the module's name: perfbench traces synth.tokenize
+    assert len(tokens) == count
+    doc = AnnotatedDocument(doc_id, text, tokens, spans)
     doc.validate()
     return doc
 
@@ -84,8 +84,6 @@ def gen_corpus(n_docs=250, seed=0, shared_vocab=False):
 def gen_streams(docs, seed=0):
     """Planted contextual streams: stream i carries a (noisy) one-hot
     label indicator only for the labels in its subset."""
-    from .corpus import token_labels
-
     rng = np.random.default_rng(seed + 17)
     vectors = {}
     for doc in docs:
@@ -103,7 +101,6 @@ def gen_streams(docs, seed=0):
 
 COMMON_POOL = O_POOL[:24]
 CC_SHARED = [f"cmd_{k}" for k in range(24)]
-ES_NOISE = [f"warn_{k}" for k in range(16)]
 
 
 def gen_retrieval(n_questions=60, n_answers=500, seed=0):
@@ -118,30 +115,7 @@ def gen_retrieval(n_questions=60, n_answers=500, seed=0):
         cc = _draw(rng, CC_SHARED, 4, 4)
         o1 = _draw(rng, COMMON_POOL, 6, 10)
         o2 = _draw(rng, COMMON_POOL, 4, 8)
-        parts = [
-            ("O", o1),
-            ("CC", cc),
-            ("O", o2),
-            ("ES", es),
-        ]
-        pieces, spans, count = [], [], 0
-        for cls, toks in parts:
-            if cls != "O":
-                spans.append((count, count + len(toks), cls))
-                pieces.append("\n" + " ".join(toks) + "\n")
-            else:
-                pieces.append(" ".join(toks) + " ")
-            count += len(toks)
-        text = "".join(pieces).strip()
-        doc = AnnotatedDocument(
-            f"rq{i:03d}",
-            text,
-            tokenize(text),
-            [
-                SegmentSpan(s, e, next(l for l in LABELS if l.value == c))
-                for s, e, c in spans
-            ],
-        )
+        doc = _assemble(f"rq{i:03d}", [("O", o1), ("CC", cc), ("O", o2), ("ES", es)])
         questions.append(doc)
         aid = f"ans{i:03d}"
         ans_tokens = list(es) + _draw(rng, COMMON_POOL, 3, 5)

@@ -50,6 +50,9 @@ class NonFiniteLoss(TrainerError):
 
 CHECKPOINT_VERSION = 1
 
+# the CrfParams fields, each a "crf.<field>" array of SegModel.params
+_CRF_FIELDS = ("transitions", "start", "stop")
+
 
 @dataclass
 class TrainConfig:
@@ -163,8 +166,6 @@ class SegModel(nn.Component):
             )
             top_dim = self.attention.out_dim
         self.emit = nn.Linear(rng, top_dim, len(BIO_TAGS), dtype=dt)
-        self.crf = crf_mod.CrfParams.zeros(dtype=dt)
-        self.crf_grads = crf_mod.CrfParams.zeros(dtype=dt)
 
         parts = (
             ("lookup.", self.lookup), ("subword.", self.subword), ("char.", self.char),
@@ -174,9 +175,9 @@ class SegModel(nn.Component):
         for prefix, part in parts:
             if part is not None:
                 self._add_child(prefix, part)
-        for name in ("transitions", "start", "stop"):
-            self.params[f"crf.{name}"] = getattr(self.crf, name)
-            self.grads[f"crf.{name}"] = getattr(self.crf_grads, name)
+        crf = crf_mod.CrfParams.zeros(dtype=dt)
+        for name in _CRF_FIELDS:
+            self._add_param(f"crf.{name}", getattr(crf, name))
 
     # -- forward / backward -------------------------------------------------
 
@@ -265,7 +266,7 @@ class SegModel(nn.Component):
         losses, d_e, crf_g = crf_mod.nll_and_grads(e, self._crf64(), gold, _ragged(lengths))
         if train:
             self.backward(caches, d_e * scale)
-            for name in ("transitions", "start", "stop"):
+            for name in _CRF_FIELDS:
                 self.grads[f"crf.{name}"] += (getattr(crf_g, name) * scale).astype(self.DTYPE)
         return losses
 
@@ -276,9 +277,7 @@ class SegModel(nn.Component):
 
     def _crf64(self):
         return crf_mod.CrfParams(
-            self.crf.transitions.astype(np.float64),
-            self.crf.start.astype(np.float64),
-            self.crf.stop.astype(np.float64),
+            *(self.params[f"crf.{name}"].astype(np.float64) for name in _CRF_FIELDS)
         )
 
     # -- persistence --------------------------------------------------------
@@ -290,8 +289,9 @@ class SegModel(nn.Component):
             "fingerprint": self.cfg.fingerprint(),
             "tag_order": BIO_TAGS,
             "stream_dims": self.stream_dims,
-            "lookup_vocab": _vocab_rows(self.lookup.vocab) if self.lookup else [],
-            "char_vocab": "".join(_vocab_rows(self.char.char_vocab)) if self.char else "",
+            # a table's rows follow its vocabulary's insertion order
+            "lookup_vocab": list(self.lookup.vocab) if self.lookup else [],
+            "char_vocab": "".join(self.char.table.vocab) if self.char else "",
         }
         arrays = {
             k.replace(".", "__"): v.astype("<f4") for k, v in self.params.items()
@@ -353,9 +353,10 @@ def _ragged(lengths):
     return lengths if lengths.min() < lengths.max() else None
 
 
-def _vocab_rows(vocab):
-    # tokens ordered by their row index (row 0 is unk, not listed)
-    return [t for t, _ in sorted(vocab.items(), key=lambda kv: kv[1])]
+def _vocabs(docs):
+    """The token list and the sorted characters a SegModel's tables take."""
+    tokens = [t for d in docs for t in d.token_texts()]
+    return tokens, "".join(sorted({c for t in tokens for c in t}))
 
 
 def predict(model, doc, streams=None):
@@ -403,14 +404,12 @@ def train(train_docs, val_docs, streams, cfg):
     if not train_docs:
         raise TrainerError("empty training set")
     cfg.validate()
-    tokens = [t for d in train_docs for t in d.token_texts()]
-    chars = "".join(sorted({c for t in tokens for c in t}))
     stream_dims = streams.dims if streams is not None else []
     if cfg.combiner_mode != "none":
         for d in train_docs + val_docs:
             if streams is None or d.id not in streams.vectors:
                 raise MissingStreams(d.id)
-    model = SegModel(cfg, tokens, chars, stream_dims)
+    model = SegModel(cfg, *_vocabs(train_docs), stream_dims)
 
     rng = np.random.default_rng(cfg.seed + 1)
     opt = nn.Adam(model.params, lr=cfg.learning_rate)
@@ -589,10 +588,10 @@ def _check_model(rng, probes):
         combiner_mode="cdme", d_prime=4, attention_mode="weighted", attention_dim=3,
         dropout=0.0, seed=int(rng.integers(1 << 16)),
     )
-    tokens = [t for d in docs for t in d.token_texts()]
-    model = _SegModel64(cfg, tokens, "".join(sorted(set("".join(tokens)))), dims)
-    for k in ("crf.transitions", "crf.start", "crf.stop"):
-        model.params[k][...] = rng.standard_normal(model.params[k].shape)
+    model = _SegModel64(cfg, *_vocabs(docs), dims)
+    for name in _CRF_FIELDS:
+        crf = model.params[f"crf.{name}"]
+        crf[...] = rng.standard_normal(crf.shape)
     model.zero_grads()
     model.batch_loss(docs, streams, train=True)
     return _fd_probe(
@@ -618,7 +617,7 @@ def _check_logreg(rng, probes):
     )
 
 
-_CHECKS = {
+CHECKS = {
     "crf": _check_crf,
     "gru": _check_gru,
     "char": _check_char,
@@ -640,21 +639,25 @@ def gradcheck(component_selector="all", trials=20, tolerance=1e-4, seed=0):
     """
     if tolerance <= 0:
         raise TrainerError("tolerance must be positive")
+    if trials < 1:
+        raise TrainerError(f"trials must be at least 1, got {trials}")
     if component_selector == "all":
-        names = list(_CHECKS)
+        names = list(CHECKS)
     elif isinstance(component_selector, str):
         names = [component_selector]
     else:
         names = list(component_selector)
+    if not names:
+        raise TrainerError("no component selected")
     report = GradCheckReport()
     for name in names:
-        if name not in _CHECKS:
+        if name not in CHECKS:
             raise TrainerError(f"unknown component {name!r}")
         rng = np.random.default_rng(seed)
         total_probes, worst = 0, 0.0
         per_instance = 5
         while total_probes < trials:
-            p, w = _CHECKS[name](rng, min(per_instance, trials - total_probes))
+            p, w = CHECKS[name](rng, min(per_instance, trials - total_probes))
             total_probes += p
             worst = max(worst, w)
         report.entries.append(

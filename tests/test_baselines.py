@@ -8,6 +8,7 @@ from segtool.baselines import (
     DegenerateData,
     MissingStreams,
     SentenceUnit,
+    TokenCountMismatch,
     classify,
     logreg_loss_and_grad,
     pool_features,
@@ -198,3 +199,13 @@ class TestRunBaseline:
         doc = doc_of("a b")
         with pytest.raises(MissingStreams):
             run_baseline([doc], [doc], {})
+
+    @pytest.mark.parametrize("extra", [-5, 5])
+    def test_vector_count_must_match_tokens(self, extra):
+        # too few rows, or too many: either way the document and both counts are named
+        doc = doc_of("please help\nls -la /tmp\nerror here now\nthanks")
+        n = len(doc.tokens)
+        vectors = {doc.id: np.zeros((n + extra, 3))}
+        with pytest.raises(TokenCountMismatch) as exc:
+            run_baseline([doc], [doc], vectors)
+        assert str(exc.value) == f"doc 'd': {n + extra} stream tokens, corpus has {n}"

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import segtool
 from segtool import synth
 from segtool.cli import _load_boosts_arg, _load_train_config, main
-from segtool.corpus import CorpusError, doc_to_json, load_corpus, save_corpus
+from segtool.corpus import (
+    AnnotatedDocument, CorpusError, doc_to_json, load_corpus, save_corpus, tokenize,
+)
 from segtool.embeddings import EmbeddingsError, ContextualStreamSet, load_streams, save_streams
 from segtool.retrieval import RetrievalError, build_index, load_answers, load_qrels
 from segtool.trainer import SegModel, TrainConfig, TrainerError
@@ -129,6 +131,12 @@ def _bad_qrels(second_line):
     return case
 
 
+def _boost_key_not_a_class(tmp_path):
+    # "ES " (a trailing space) names no class, so it would silently weigh nothing
+    argv, (where,) = _bad_boosts('{"ES ": 3.0, "XX": 2}')(tmp_path)
+    return argv, f"{where}boost key 'ES ' is not a class name"
+
+
 _FIRST_ID = 5 + 4 + 4 * 3  # magic, stream count, 3 dims: the first doc id's length
 
 
@@ -169,6 +177,7 @@ MALFORMED = {
         f"doc id at byte {_FIRST_ID + 4} is not UTF-8",
     ),
     "streams-token-count-mismatch": _bad_streams(_first_count_less_one, "doc "),
+    "boosts-key-not-a-class": _boost_key_not_a_class,
 }
 
 
@@ -410,7 +419,18 @@ def _eval_missing_prediction(tmp_path):
 def _agree_missing_document(tmp_path):
     a, b, missing = _first_line_only(tmp_path)
     return ["agree", "--corpus", str(a), "--corpus-b", str(b)], [
-        f"{b}: document {missing!r} missing from second annotation"
+        f"{b}: no document {missing!r} of the first annotation"
+    ]
+
+
+def _eval_prediction_tokenized_differently(tmp_path):
+    gold = _corpus_file(tmp_path)
+    docs = load_corpus(gold)
+    docs[0] = AnnotatedDocument(docs[0].id, "x y", tokenize("x y"))
+    pred = tmp_path / "pred.jsonl"
+    save_corpus(docs, pred)
+    return ["eval", "--gold", str(gold), "--pred", str(pred)], [
+        f"{pred}: document {docs[0].id!r} of {gold} tokenized differently"
     ]
 
 
@@ -471,6 +491,7 @@ MALFORMED_IN_PROCESS = {
     "checkpoint-reordered-tags": _bad_checkpoint(lambda m, a: m["tag_order"].reverse()),
     "predict-fewer-streams-than-model": _predict_fewer_streams,
     "eval-missing-prediction": _eval_missing_prediction,
+    "eval-prediction-tokenized-differently": _eval_prediction_tokenized_differently,
     "agree-missing-document": _agree_missing_document,
     "index-duplicate-answer-id": _index_duplicate_answer,
 }
@@ -570,6 +591,12 @@ class TestEval:
             ["eval", "--gold", str(corpus_file), "--pred", str(other_renamed)]
         ) == 2
 
+    def test_gold_subset_of_predictions(self, tmp_path, capsys):
+        # predictions for more documents than the gold file holds are allowed
+        full, first, _ = _first_line_only(tmp_path)
+        assert main(["eval", "--gold", str(first), "--pred", str(full)]) == 0
+        assert "F1" in capsys.readouterr().out
+
 
 class TestGradcheck:
     def test_pass(self, capsys):
@@ -583,7 +610,7 @@ class TestGradcheck:
         assert out.startswith("model") and "PASS" in out
 
     def test_unknown_component(self, capsys):
-        assert main(["gradcheck", "--component", "nope"]) == 2
+        assert main(["gradcheck", "--component", "nope"]) == 1
 
 
 class TestSynthPipeline:
@@ -698,3 +725,40 @@ class TestExperiment:
             assert cell in out
             assert (out_dir / f"table3_{cell}.json").exists()
         assert (out_dir / "table3_summary.txt").exists()
+
+
+def _bad_arguments(tmp_path):
+    """argv that argparse must reject; each names files that do not exist,
+    so a command that ran would exit 2, not 1."""
+    f = {name: os.path.join(tmp_path, name) for name in ("c", "g", "p", "i", "q", "a", "o", "m")}
+    seedless = {
+        "agree": ["--corpus", f["c"], "--corpus-b", f["g"]],
+        "predict": ["--corpus", f["c"], "--model", f["m"], "--out", f["o"]],
+        "eval": ["--gold", f["g"], "--pred", f["p"]],
+        "index": ["--answers", f["a"], "--out", f["o"]],
+        "search": ["--index", f["i"], "--corpus", f["c"]],
+        "boosts": ["--corpus", f["c"], "--answers", f["a"], "--qrels", f["q"], "--out", f["o"]],
+        "mrr": ["--index", f["i"], "--corpus", f["c"], "--qrels", f["q"]],
+    }
+    cases = {f"{cmd}-seed": [cmd, *argv, "--seed", "1"] for cmd, argv in seedless.items()}
+    cases.update({
+        "mrr-k-zero": ["mrr", *seedless["mrr"], "--k", "0"],
+        "search-k-zero": ["search", *seedless["search"], "--k", "0"],
+        "search-k-not-int": ["search", *seedless["search"], "--k", "1.5"],
+        "index-min-len-negative": ["index", *seedless["index"], "--min-len", "-5"],
+        "gradcheck-component-unknown": ["gradcheck", "--component", "nope"],
+        "gradcheck-tolerance-zero": ["gradcheck", "--tolerance", "0"],
+        "gradcheck-tolerance-nan": ["gradcheck", "--tolerance", "nan"],
+        "gradcheck-trials-zero": ["gradcheck", "--component", "crf", "--trials", "0"],
+        "synth-docs-negative": ["synth", "--out", f["o"], "--docs", "-4"],
+        "synth-docs-zero": ["synth", "--out", f["o"], "--docs", "0"],
+    })
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_bad_arguments(".")))
+def test_bad_argument_is_usage_error(case, tmp_path, capsys):
+    argv = _bad_arguments(tmp_path)[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written

@@ -116,10 +116,6 @@ class TestBuildIndex:
         idx = build_index(ANSWERS, min_len=8)
         assert set(idx.doc_lengths) == {"a1"}
 
-    def test_exclusions(self):
-        idx = build_index(ANSWERS, exclusions=["a1"])
-        assert set(idx.doc_lengths) == {"a2", "a3"}
-
     def test_empty(self):
         with pytest.raises(EmptyCorpus):
             build_index([], k1=1.2)

@@ -252,7 +252,7 @@ def per_document_loss(model, doc, streams, rng, scale):
         d_h = model.attention.backward(a_cache, d_h)
     per_document_features_backward(model, f_cache, model.encoder.backward(e_cache, d_h))
     for name in ("transitions", "start", "stop"):
-        getattr(model.crf_grads, name)[...] += getattr(crf_g, name) * scale
+        model.grads[f"crf.{name}"][...] += getattr(crf_g, name) * scale
     return loss
 
 
@@ -376,16 +376,20 @@ class TestParameterTree:
         }
         for k, v in model.params.items():
             part, name = k.split(".", 1)
-            if part == "crf":
-                assert v is getattr(model.crf, name)
-                assert model.grads[k] is getattr(model.crf_grads, name)
-            else:
+            if part != "crf":  # the CRF weights are the model's own
                 assert v is parts[part].params[name], k
                 assert model.grads[k] is parts[part].grads[name], k
         # down to the stacked (2, ...) arrays the bidirectional layers step
         assert _is_slice(model.params["char.rnn_f_W"], model.char.rnn.cell.params["W"], 0)
         assert _is_slice(model.params["comb.ctx_b_U"], model.combiner.context.cell.params["U"], 1)
         assert _is_slice(model.grads["gru.b_b"], model.encoder.rnn.cell.grads["b"], 1)
+
+    def test_crf_reads_its_weights_from_params(self):
+        # params is the one home of the CRF weights: a write there is what decodes
+        model = full_model()
+        for k, name in enumerate(("transitions", "start", "stop")):
+            model.params[f"crf.{name}"][...] = k + 0.5
+            assert np.all(getattr(model._crf64(), name) == k + 0.5), name
 
     def test_zero_grads_clears_every_gradient(self):
         model = full_model()
@@ -418,6 +422,13 @@ class TestGradCheck:
     def test_bad_tolerance(self):
         with pytest.raises(TrainerError):
             gradcheck("crf", trials=1, tolerance=0.0)
+
+    @pytest.mark.parametrize("selector, trials", [("crf", 0), ("crf", -3), ([], 5), ((), 5)],
+                             ids=["no-trials", "negative-trials", "empty-list", "empty-tuple"])
+    def test_checking_nothing_is_an_error(self, selector, trials):
+        # no probe, or no component, would otherwise report a PASS
+        with pytest.raises(TrainerError):
+            gradcheck(selector, trials=trials)
 
     def test_corrupted_gradient_fails(self, monkeypatch):
         # a broken backward pass: every gradient the GRU produces, for its
