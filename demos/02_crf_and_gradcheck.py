@@ -21,7 +21,8 @@ e[2, TAG_INDEX["I-ES"]] = 3.0
 e[3, TAG_INDEX["O"]] = 2.0
 params = CrfParams.zeros()
 
-gold = ["O", "B-ES", "I-ES", "O"]
+# the CRF takes tags as indices into BIO_TAGS
+gold = [TAG_INDEX[t] for t in ("O", "B-ES", "I-ES", "O")]
 print("gold path score:  ", path_score(e, params, gold))
 print("log partition:    ", log_partition(e, params))
 loss, d_e, _ = nll_and_grads(e, params, gold)

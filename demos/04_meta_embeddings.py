@@ -30,7 +30,8 @@ pairs = [
 ]
 print("subword n-gram similarity:")
 for a, b in pairs:
-    print(f"  cos({a!r}, {b!r}) = {cosine(sub.embed(a), sub.embed(b)):.3f}")
+    va, vb = sub.embed_sequence([a, b])[0]
+    print(f"  cos({a!r}, {b!r}) = {cosine(va, vb):.3f}")
 
 # -- character biLSTM encodes spelling --------------------------------------
 

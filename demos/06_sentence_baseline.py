@@ -5,20 +5,15 @@ with multinomial logistic regression, and merge into spans.
 Run from the repository root:  python3 demos/06_sentence_baseline.py
 """
 
-import numpy as np
-
 from segtool import synth
 from segtool.baselines import run_baseline, sentence_segment, unit_labels
 from segtool.corpus import split_corpus
 from segtool.evalmetrics import soft_pr
 
 docs = synth.gen_corpus(n_docs=150, seed=1, shared_vocab=True)
+# the baseline reads each token's streams concatenated, as the tagger's
+# concat combiner does
 streams = synth.gen_streams(docs, seed=1)
-# the baseline consumes one vector per token; concatenate the streams
-vectors = {
-    d.id: np.hstack([a.astype(np.float64) for a in streams.for_doc(d.id)])
-    for d in docs
-}
 
 doc = docs[0]
 units = sentence_segment(doc)
@@ -29,7 +24,7 @@ for u, y in zip(units[:5], unit_labels(doc, units)):
 
 tr, va, te = split_corpus(docs, seed=0)
 for context in (0, 1):
-    preds = run_baseline(tr + va, te, vectors, context=context)
+    preds = run_baseline(tr + va, te, streams, context=context)
     rep = soft_pr([d.spans for d in te], preds)
     name = "unit mean" if context == 0 else "with neighbour context"
     print(f"\nbaseline ({name}): micro soft-F1 {rep.micro.f1:.3f}")

@@ -1,11 +1,12 @@
 """Sentence-level baselines.
 
 Documents are first cut into sentence units (newlines plus a simple
-punctuation rule), each unit is represented by mean-pooled contextual
-vectors (optionally concatenated with its neighbours), and a multinomial
-logistic-regression classifier assigns one of the seven classes (six
-segment labels plus O).  Adjacent units with the same predicted non-O
-label are merged back into spans for evaluation.
+punctuation rule), each unit is represented by the mean of its tokens'
+contextual vectors (a token's streams concatenated), optionally beside
+its neighbours' means, and a multinomial logistic-regression classifier
+assigns one of the seven classes (six segment labels plus O).  Adjacent
+units with the same predicted non-O label are merged back into spans for
+evaluation.
 """
 
 from dataclasses import dataclass
@@ -64,40 +65,22 @@ def sentence_segment(doc):
     return units
 
 
-def pool_features(unit, doc_vectors, units=None, context=0):
-    """Mean of the unit's per-token vectors; with context=1, concatenated
-    with the previous and next units' means (zeros at the edges)."""
-    if doc_vectors.shape[0] == 0:
-        raise MissingStreams()
-
-    def mean_of(u):
-        if u is None:
-            return np.zeros(doc_vectors.shape[1])
-        return doc_vectors[u.start : u.end].mean(axis=0)
-
-    own = mean_of(unit)
+def unit_features(units, vecs, context=0):
+    """One row per unit: the mean of its rows of ``vecs`` (tokens, d); with
+    context=1, concatenated with the previous and next units' means (zero
+    rows at the edges)."""
+    rows = np.zeros((len(units) + 2, vecs.shape[1]))  # a zero row at each edge
+    for k, u in enumerate(units, start=1):
+        rows[k] = vecs[u.start : u.end].mean(axis=0)
     if context == 0:
-        return own
-    if units is None:
-        raise BaselineError("context pooling needs the full unit list")
-    k = units.index(unit)
-    prev = units[k - 1] if k > 0 else None
-    nxt = units[k + 1] if k + 1 < len(units) else None
-    return np.concatenate([mean_of(prev), own, mean_of(nxt)])
+        return rows[1:-1]
+    return np.hstack([rows[:-2], rows[1:-1], rows[2:]])
 
 
 def unit_labels(doc, units):
-    """Majority token class per unit (ties to the lower class index)."""
-    per_token = token_labels(doc)
-    out = []
-    for u in units:
-        counts = {}
-        for t in range(u.start, u.end):
-            counts[per_token[t]] = counts.get(per_token[t], 0) + 1
-        out.append(
-            max(CLASS_NAMES, key=lambda c: (counts.get(c, 0), -CLASS_NAMES.index(c)))
-        )
-    return [CLASS_NAMES.index(c) for c in out]
+    """Majority token class index per unit (ties to the lower index)."""
+    per_token = np.array([CLASS_NAMES.index(c) for c in token_labels(doc)], dtype=np.intp)
+    return [int(np.bincount(per_token[u.start : u.end]).argmax()) for u in units]
 
 
 def logreg_loss_and_grad(w, b, x, y, lam):
@@ -120,11 +103,11 @@ def logreg_loss_and_grad(w, b, x, y, lam):
 
 @dataclass
 class LogRegClassifier:
-    weights: np.ndarray  # (7, d)
-    bias: np.ndarray  # (7,)
+    weights: np.ndarray  # (classes, d)
+    bias: np.ndarray  # (classes,)
 
 
-def train_logreg(features, labels, lam=1e-3, n_classes=7):
+def train_logreg(features, labels, lam=1e-3, n_classes=len(CLASS_NAMES)):
     """Fit by L-BFGS down to gradient norm < 1e-6."""
     # imported here: scipy.optimize takes most of the time to import the
     # CLI, and only this fit uses it
@@ -158,9 +141,8 @@ def train_logreg(features, labels, lam=1e-3, n_classes=7):
 
 
 def classify(clf, features):
-    """Argmax class index (lowest index on ties)."""
-    scores = np.atleast_2d(features) @ clf.weights.T + clf.bias
-    return [int(np.argmax(row)) for row in scores]
+    """Argmax class index of each row (lowest index on ties)."""
+    return (features @ clf.weights.T + clf.bias).argmax(axis=1).tolist()
 
 
 def units_to_spans(units, predicted_classes):
@@ -172,35 +154,27 @@ def units_to_spans(units, predicted_classes):
     return [SegmentSpan(s, e, SegmentLabel(label)) for s, e, label in runs]
 
 
-def run_baseline(train_docs, test_docs, doc_vectors, context=0, lam=1e-3):
-    """Train and apply a sentence baseline.
+def run_baseline(train_docs, test_docs, streams, context=0, lam=1e-3):
+    """Train a sentence baseline on train_docs and apply it to test_docs.
 
-    doc_vectors: doc id -> (tokens, d) array of contextual vectors.
-    Returns per-document predicted span lists for test_docs.
+    A token's vector is its streams in the ContextualStreamSet
+    concatenated (the ``concat`` combiner's features).  Returns the
+    per-document predicted span lists of test_docs.
     """
-    def vectors_of(doc):
-        vecs = doc_vectors.get(doc.id)
-        if vecs is None:
+    def units_and_rows(doc):
+        if doc.id not in streams.vectors:
             raise MissingStreams(doc.id)
+        vecs = np.hstack(streams.for_doc(doc.id), dtype=np.float64)
         if len(vecs) != len(doc.tokens):
             raise TokenCountMismatch(doc.id, len(doc.tokens), len(vecs))
-        return vecs
+        units = sentence_segment(doc)
+        return units, unit_features(units, vecs, context)
 
     feats, labels = [], []
     for doc in train_docs:
-        vecs = vectors_of(doc)
-        units = sentence_segment(doc)
-        for u, y in zip(units, unit_labels(doc, units)):
-            feats.append(pool_features(u, vecs, units, context))
-            labels.append(y)
-    clf = train_logreg(np.stack(feats), labels, lam)
-    out = []
-    for doc in test_docs:
-        vecs = vectors_of(doc)
-        units = sentence_segment(doc)
-        if not units:
-            out.append([])
-            continue
-        x = np.stack([pool_features(u, vecs, units, context) for u in units])
-        out.append(units_to_spans(units, classify(clf, x)))
-    return out
+        units, x = units_and_rows(doc)
+        feats.append(x)
+        labels += unit_labels(doc, units)
+    clf = train_logreg(np.vstack(feats), labels, lam)
+    tested = map(units_and_rows, test_docs)
+    return [units_to_spans(units, classify(clf, x)) for units, x in tested]

@@ -11,8 +11,6 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from . import baselines, corpus, crf, embeddings, encoder, evalmetrics, retrieval, synth, trainer
 
 
@@ -310,6 +308,8 @@ def _cmd_experiment(args):
     train_docs = corpus.load_corpus(args.corpus)
     val_docs = corpus.load_corpus(args.val) if args.val else []
     test_docs = corpus.load_corpus(args.test) if args.test else val_docs
+    if not test_docs:
+        raise corpus.EmptyCorpus(f"{args.test or args.val}: no documents to test on")
     streams = _load_streams_arg(args, train_docs + val_docs + test_docs)
     print(run_experiment(args.recipe, train_docs, val_docs, test_docs, streams, base, args.out),
           end="")
@@ -431,10 +431,21 @@ _DATA_ERRORS = (
 )
 
 
+def _check_args(args):
+    """Usage errors in how the arguments combine, found before any file is read."""
+    if args.command == "stats" and args.seed is not None and not args.splits:
+        raise UsageError("--seed needs --splits: stats draws no random numbers without it")
+    if args.command == "experiment" and not (args.test or args.val):
+        raise UsageError("experiment needs --test or --val to score its cells on")
+    if args.command == "experiment" and args.recipe == "table4" and not args.streams:
+        raise UsageError("--recipe table4 needs --streams to fuse")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -285,13 +285,16 @@ def reading(path, error):
 
 
 def load_corpus(path):
-    """Documents of a JSONL corpus; errors as ``reading`` gives them."""
-    docs = []
+    """Documents of a JSONL corpus, ids unique; errors as ``reading`` gives them."""
+    docs = {}
     with reading(path, ParseError) as at, open(path, encoding="utf-8") as fh:
         for at.line, line in enumerate(fh, start=1):
             if line.strip():
-                docs.append(doc_from_json(json.loads(line)))
-    return docs
+                doc = doc_from_json(json.loads(line))
+                if doc.id in docs:
+                    raise ParseError(f"repeated document id {doc.id!r}")
+                docs[doc.id] = doc
+    return list(docs.values())
 
 
 def save_corpus(docs, path):

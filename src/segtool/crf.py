@@ -8,13 +8,14 @@ and adds up the logs of the scales.  That holds while the finite
 transition, start and stop scores each span at most MAX_SPAN = 600 nats;
 wider ones raise CrfError.  Viterbi is max-plus in log space.  The
 likelihood also takes a zero-padded batch, (..., s, n), run in lockstep.
+Tags are indices into corpus.BIO_TAGS; only ``viterbi`` returns names.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BIO_TAGS, N_TAGS, TAG_INDEX
+from .corpus import BIO_TAGS, N_TAGS
 
 
 class CrfError(Exception):
@@ -66,11 +67,6 @@ def bio_transition_mask():
 _BIO_START_MASK, _BIO_TRANS_MASK = bio_transition_mask()
 
 
-def tags_to_indices(tags):
-    """Tag names or integer tags (Python or numpy) -> list of int indices."""
-    return [int(t) if isinstance(t, (int, np.integer)) else TAG_INDEX[t] for t in tags]
-
-
 # The widest span, in nats, of the finite transition, start or stop scores:
 # each factor exp(x - max x) and, with no -inf score, each step's sum is at
 # least e**-600, so underflow (below ~e**-744) loses under e**-140 of a step.
@@ -85,11 +81,11 @@ def _length(emissions):
 
 
 def path_score(emissions, params, tags):
-    """Score of one tag path: start + emissions + transitions + stop."""
+    """Score of one path of tag indices: start + emissions + transitions + stop."""
     s = _length(emissions)
     if len(tags) != s:
         raise LengthMismatch(f"{len(tags)} tags for {s} emissions")
-    idx = np.asarray(tags_to_indices(tags), dtype=np.intp)[None]
+    idx = np.asarray(tags).astype(np.intp, casting="same_kind")[None]  # a float or name raises
     return float(_score(emissions[None], params, idx, np.ones((1, s), dtype=bool))[0])
 
 
@@ -173,9 +169,7 @@ def nll_and_grads(emissions, params, gold_tags, lengths=None):
     summed over the batch.
     """
     s, n = _length(emissions), emissions.shape[-1]
-    idx = np.asarray(gold_tags)
-    if idx.dtype.kind not in "iu":
-        idx = np.asarray(tags_to_indices(gold_tags), dtype=np.intp)
+    idx = np.asarray(gold_tags).astype(np.intp, casting="same_kind")  # a float or name raises
     if idx.shape != emissions.shape[:-1]:
         raise LengthMismatch(f"{idx.shape} tags for {emissions.shape[:-1]} emissions")
     lead = idx.shape[:-1]

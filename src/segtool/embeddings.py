@@ -45,9 +45,8 @@ class StreamCountMismatch(EmbeddingsError):
 
 
 class MissingStreams(EmbeddingsError):
-    def __init__(self, doc_id=None):
-        where = "" if doc_id is None else f" for document {doc_id!r}"
-        super().__init__(f"no contextual streams{where}")
+    def __init__(self, doc_id):
+        super().__init__(f"no contextual streams for document {doc_id!r}")
         self.doc_id = doc_id
 
 
@@ -80,9 +79,6 @@ class LookupTable(nn.Component):
 
     def row_index(self, token):
         return self.vocab.get(token, 0)
-
-    def embed(self, token):
-        return self.params["matrix"][self.row_index(token)]
 
     def embed_sequence(self, tokens):
         idx = np.array([self.row_index(t) for t in _token_list(tokens)], dtype=np.int64)
@@ -142,10 +138,6 @@ class SubwordHashEmbedder(nn.Component):
             ],
             dtype=np.int64,
         )
-
-    def embed(self, token):
-        idx = self.bucket_indices(token)
-        return self.params["buckets"][idx].mean(axis=0)
 
     def embed_sequence(self, tokens):
         idx = [self.bucket_indices(t) for t in _token_list(tokens)]

@@ -36,18 +36,17 @@ class BiGruEncoder(nn.Component):
     def out_dim(self):
         return 2 * self.hidden
 
-    def encode(self, x, train=False, rng=None, lengths=None):
+    def encode(self, x, rng=None, lengths=None):
         """x: (..., s, input_dim) -> (..., s, 2H).  The leading axes hold
         sequences zero-padded after their ``lengths`` (all s when None).
-        Dropout is applied only when train=True, drawn per sequence in
-        order: its (length, input_dim) input mask, then its recurrent mask,
-        which is shared across time steps."""
+        Dropout is applied only with an ``rng``, drawn from it per sequence
+        in order: its (length, input_dim) input mask, then its recurrent
+        mask, which is shared across time steps."""
         if x.ndim < 2 or x.shape[-1] != self.input_dim:
             raise DimMismatch(f"expected (..., s, {self.input_dim}), got {x.shape}")
         lead, s = x.shape[:-2], x.shape[-2]
-        in_mask = None
-        rec_mask = None
-        if train and rng is not None:
+        in_mask = rec_mask = None
+        if rng is not None:
             keep_in = 1.0 - self.dropout_rate
             keep_rec = 1.0 - self.recurrent_dropout_rate
             # masks in the features' dtype, so float32 stays float32

@@ -7,7 +7,7 @@ label.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import LABELS, _check_no_overlap
 

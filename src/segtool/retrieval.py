@@ -207,11 +207,10 @@ def _top_k(index, segments, k):
     return [(ids[r], float(total[r])) for r in top]
 
 
-def fielded_search(index, doc, boosts=None, k=10):
+def fielded_search(index, doc, boosts, k=10):
     """Top-k (answer id, score) for a segmented question; each segment's
-    BM25 contribution is scaled by its label's boost.  Ties break toward
-    the ascending doc id."""
-    boosts = boosts or BoostProfile()
+    BM25 contribution is scaled by its label's boost in the BoostProfile.
+    Ties break toward the ascending doc id."""
     segments = [(boosts[label], terms) for label, terms in question_segments(doc)]
     return _top_k(index, segments, k)
 

@@ -17,9 +17,11 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import nn
+from .baselines import logreg_loss_and_grad
 from .corpus import (
     BIO_TAGS,
     LABELS,
+    TAG_INDEX,
     AnnotatedDocument,
     SegmentSpan,
     bio_to_spans,
@@ -233,14 +235,14 @@ class SegModel(nn.Component):
         if self.combiner is not None:
             self.combiner.backward(caches[-1], d_cols[-1])
 
-    def emissions(self, docs, streams=None, train=False, rng=None):
+    def emissions(self, docs, streams=None, rng=None):
         """Emission scores of a mini-batch of non-empty documents: a
         float64 (B, T, n_tags) array padded to the longest document (no
         valid position reads the padding), and the caches for
-        ``backward``."""
+        ``backward``.  Dropout is drawn from ``rng``; none without one."""
         x, lengths, f_cache = self._features(docs, streams)
         ragged = _ragged(lengths)
-        h, e_cache = self.encoder.encode(x, train=train, rng=rng, lengths=ragged)
+        h, e_cache = self.encoder.encode(x, rng=rng, lengths=ragged)
         a_cache = None
         if self.attention is not None:
             h, a_cache = self.attention.forward(h, ragged)
@@ -255,14 +257,14 @@ class SegModel(nn.Component):
         self._features_backward(f_cache, self.encoder.backward(e_cache, d_h))
 
     def batch_loss(self, docs, streams=None, train=False, rng=None, scale=1.0):
-        """NLL of each document's gold tags, as a (B,) array, computed for
-        the mini-batch at once; accumulates gradients scaled by ``scale``
-        when train=True."""
-        e, caches = self.emissions(docs, streams, train=train, rng=rng)
+        """NLL of each document's gold tags, as a (B,) array, for the
+        mini-batch at once, with dropout from ``rng`` as in ``emissions``;
+        accumulates gradients scaled by ``scale`` when train=True."""
+        e, caches = self.emissions(docs, streams, rng)
         lengths = caches[1]
         gold = np.zeros(e.shape[:2], dtype=np.intp)
         for row, doc, n in zip(gold, docs, lengths):
-            row[:n] = crf_mod.tags_to_indices(spans_to_bio(doc))
+            row[:n] = [TAG_INDEX[t] for t in spans_to_bio(doc)]
         losses, d_e, crf_g = crf_mod.nll_and_grads(e, self._crf64(), gold, _ragged(lengths))
         if train:
             self.backward(caches, d_e * scale)
@@ -296,7 +298,8 @@ class SegModel(nn.Component):
         arrays = {
             k.replace(".", "__"): v.astype("<f4") for k, v in self.params.items()
         }
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        with open(path, "wb") as fh:  # np.savez(path) would add ".npz" to the name
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
     @classmethod
     def load(cls, path):
@@ -509,16 +512,14 @@ def _fd_probe(params, analytic, loss_fn, rng, n_probes, step=1e-3):
 
 
 def _check_crf(rng, probes):
-    from . import crf as C
-
     s = int(rng.integers(2, 6))
     e = rng.standard_normal((s, len(BIO_TAGS)))
-    p = C.CrfParams.random(rng)
+    p = crf_mod.CrfParams.random(rng)
     gold = [int(rng.integers(len(BIO_TAGS))) for _ in range(s)]
-    _, d_e, g = C.nll_and_grads(e, p, gold)
+    _, d_e, g = crf_mod.nll_and_grads(e, p, gold)
     params = {"e": e, "T": p.transitions, "start": p.start, "stop": p.stop}
     analytic = {"e": d_e, "T": g.transitions, "start": g.start, "stop": g.stop}
-    return _fd_probe(params, analytic, lambda: C.nll_and_grads(e, p, gold)[0], rng, probes)
+    return _fd_probe(params, analytic, lambda: crf_mod.nll_and_grads(e, p, gold)[0], rng, probes)
 
 
 def _weighted_sum_check(component, inputs, rng, probes, forward, backward):
@@ -601,8 +602,6 @@ def _check_model(rng, probes):
 
 
 def _check_logreg(rng, probes):
-    from .baselines import logreg_loss_and_grad
-
     n, d, c = 12, 5, 7
     x = rng.standard_normal((n, d))
     y = rng.integers(c, size=n)
@@ -630,25 +629,18 @@ CHECKS = {
 }
 
 
-def gradcheck(component_selector="all", trials=20, tolerance=1e-4, seed=0):
+def gradcheck(component="all", trials=20, tolerance=1e-4, seed=0):
     """Verify analytic gradients against central finite differences.
 
-    component_selector: one check name, a list of names, or "all".  Each
-    selected component gets `trials` random parameter probes spread over
-    freshly sampled instances.
+    component: one name of CHECKS, or "all" for every check in order.
+    Each checked component gets `trials` random parameter probes spread
+    over freshly sampled instances.
     """
     if tolerance <= 0:
         raise TrainerError("tolerance must be positive")
     if trials < 1:
         raise TrainerError(f"trials must be at least 1, got {trials}")
-    if component_selector == "all":
-        names = list(CHECKS)
-    elif isinstance(component_selector, str):
-        names = [component_selector]
-    else:
-        names = list(component_selector)
-    if not names:
-        raise TrainerError("no component selected")
+    names = list(CHECKS) if component == "all" else [component]
     report = GradCheckReport()
     for name in names:
         if name not in CHECKS:

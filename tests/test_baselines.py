@@ -11,14 +11,15 @@ from segtool.baselines import (
     TokenCountMismatch,
     classify,
     logreg_loss_and_grad,
-    pool_features,
     run_baseline,
     sentence_segment,
     train_logreg,
+    unit_features,
     unit_labels,
     units_to_spans,
 )
 from segtool.corpus import AnnotatedDocument, SegmentLabel, SegmentSpan, tokenize
+from segtool.embeddings import ContextualStreamSet
 
 
 def doc_of(text, spans=()):
@@ -56,7 +57,7 @@ class TestPooling:
     def test_mean(self):
         vecs = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]])
         u = SentenceUnit(0, 2, BoundarySource.NEWLINE)
-        assert np.array_equal(pool_features(u, vecs), [2.0, 3.0])
+        assert np.array_equal(unit_features([u], vecs), [[2.0, 3.0]])
 
     def test_context_concatenates_neighbours(self):
         vecs = np.arange(8, dtype=float).reshape(4, 2)
@@ -65,20 +66,14 @@ class TestPooling:
             SentenceUnit(1, 3, BoundarySource.NEWLINE),
             SentenceUnit(3, 4, BoundarySource.NEWLINE),
         ]
-        out = pool_features(units[1], vecs, units, context=1)
-        assert np.array_equal(out, [0.0, 1.0, 3.0, 4.0, 6.0, 7.0])
+        out = unit_features(units, vecs, context=1)
+        assert np.array_equal(out[1], [0.0, 1.0, 3.0, 4.0, 6.0, 7.0])
 
     def test_context_zeros_at_edges(self):
         vecs = np.ones((2, 3))
         units = [SentenceUnit(0, 2, BoundarySource.NEWLINE)]
-        out = pool_features(units[0], vecs, units, context=1)
-        assert np.array_equal(out, [0, 0, 0, 1, 1, 1, 0, 0, 0])
-
-    def test_empty_vectors(self):
-        with pytest.raises(MissingStreams):
-            pool_features(
-                SentenceUnit(0, 1, BoundarySource.NEWLINE), np.zeros((0, 3))
-            )
+        out = unit_features(units, vecs, context=1)
+        assert np.array_equal(out, [[0, 0, 0, 1, 1, 1, 0, 0, 0]])
 
 
 class TestUnitLabels:
@@ -182,7 +177,7 @@ class TestRunBaseline:
         # one newline-delimited ES line per doc carries a distinctive
         # constant feature; the baseline must recover it on held-out docs
         rng = np.random.default_rng(0)
-        docs, vectors = [], {}
+        docs, streams = [], ContextualStreamSet([4], {})
         for k in range(30):
             text = "please help me\nerror trace here\nthanks a lot"
             doc = AnnotatedDocument(
@@ -191,21 +186,29 @@ class TestRunBaseline:
             vecs = rng.standard_normal((9, 4)) * 0.1
             vecs[3:6] += np.array([3.0, 0.0, 0.0, 0.0])
             docs.append(doc)
-            vectors[doc.id] = vecs
-        preds = run_baseline(docs[:24], docs[24:], vectors)
+            streams.vectors[doc.id] = [vecs]
+        preds = run_baseline(docs[:24], docs[24:], streams)
         assert preds == [[SegmentSpan(3, 6, SegmentLabel.ES)]] * 6
+
+    @pytest.mark.parametrize("context", [0, 1])
+    def test_empty_document_has_no_units_or_spans(self, context):
+        docs = [doc_of("please help\nls -la", [SegmentSpan(2, 4, SegmentLabel.CC)]),
+                AnnotatedDocument("e", "", tokenize(""), [])]
+        streams = ContextualStreamSet([2], {"d": [np.eye(4, 2)], "e": [np.zeros((0, 2))]})
+        assert unit_features([], streams.for_doc("e")[0], context).shape == (0, 2 + 4 * context)
+        assert run_baseline(docs, docs[1:], streams, context) == [[]]
 
     def test_missing_vectors(self):
         doc = doc_of("a b")
         with pytest.raises(MissingStreams):
-            run_baseline([doc], [doc], {})
+            run_baseline([doc], [doc], ContextualStreamSet([3], {}))
 
     @pytest.mark.parametrize("extra", [-5, 5])
     def test_vector_count_must_match_tokens(self, extra):
         # too few rows, or too many: either way the document and both counts are named
         doc = doc_of("please help\nls -la /tmp\nerror here now\nthanks")
         n = len(doc.tokens)
-        vectors = {doc.id: np.zeros((n + extra, 3))}
+        streams = ContextualStreamSet([3], {doc.id: [np.zeros((n + extra, 3))]})
         with pytest.raises(TokenCountMismatch) as exc:
-            run_baseline([doc], [doc], vectors)
+            run_baseline([doc], [doc], streams)
         assert str(exc.value) == f"doc 'd': {n + extra} stream tokens, corpus has {n}"

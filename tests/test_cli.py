@@ -434,6 +434,26 @@ def _eval_prediction_tokenized_differently(tmp_path):
     ]
 
 
+def _eval_repeated_prediction(tmp_path):
+    """A prediction file that holds the first document twice: its spans,
+    then none."""
+    gold = _corpus_file(tmp_path)
+    first = json.loads(gold.read_text().splitlines()[0])
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(gold.read_text() + json.dumps({**first, "spans": []}) + "\n")
+    return ["eval", "--gold", str(gold), "--pred", str(pred)], [
+        f"{pred}:3: repeated document id {first['id']!r}"
+    ]
+
+
+def _experiment_empty_test_set(tmp_path):
+    test = tmp_path / "empty.jsonl"
+    test.write_text("")
+    argv = ["experiment", "--recipe", "table3", "--corpus", str(_corpus_file(tmp_path)),
+            "--test", str(test), "--out", str(tmp_path / "exp")]
+    return argv, [f"{test}: no documents to test on"]
+
+
 def _index_duplicate_answer(tmp_path):
     path = _answers_file(tmp_path, json.dumps({"id": "a0", "text": "cd /"}))
     return ["index", "--answers", str(path), "--out", str(tmp_path / "i.gz")], [
@@ -493,6 +513,8 @@ MALFORMED_IN_PROCESS = {
     "eval-missing-prediction": _eval_missing_prediction,
     "eval-prediction-tokenized-differently": _eval_prediction_tokenized_differently,
     "agree-missing-document": _agree_missing_document,
+    "eval-repeated-prediction": _eval_repeated_prediction,
+    "experiment-empty-test-set": _experiment_empty_test_set,
     "index-duplicate-answer-id": _index_duplicate_answer,
 }
 
@@ -508,8 +530,7 @@ def test_malformed_input_in_process_is_data_error(case, tmp_path, capsys):
 
 
 def _write_checkpoint(path):
-    with open(path, "wb") as fh:  # a path not ending in .npz would get that suffix
-        SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"]).save(fh)
+    SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"]).save(path)
 
 
 def _write_streams(path):
@@ -699,6 +720,20 @@ class TestTrainPredictEval:
         assert main(["eval", "--gold", str(cfile), "--pred", str(pred)]) == 0
         assert "micro" in capsys.readouterr().out
 
+    def test_model_written_to_the_name_given(self, tmp_path, capsys):
+        # np.savez given a name adds ".npz" when the name lacks it
+        cfile = tmp_path / "c.jsonl"
+        save_corpus(synth.gen_corpus(n_docs=4, seed=1), cfile)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("hidden = 4\nlookup_dim = 4\nepochs = 1\n")
+        model = tmp_path / "m.bin"
+        assert main(["train", "--corpus", str(cfile), "--config", str(cfg),
+                     "--model", str(model)]) == 0
+        assert f"saved {model}" in capsys.readouterr().out
+        assert main(["predict", "--corpus", str(cfile), "--model", str(model),
+                     "--out", str(tmp_path / "p.jsonl")]) == 0
+        assert model.exists() and not (tmp_path / "m.bin.npz").exists()
+
     def test_config_unknown_key(self, tmp_path):
         cfile = tmp_path / "c.jsonl"
         save_corpus(synth.gen_corpus(n_docs=4, seed=1), cfile)
@@ -752,6 +787,12 @@ def _bad_arguments(tmp_path):
         "gradcheck-trials-zero": ["gradcheck", "--component", "crf", "--trials", "0"],
         "synth-docs-negative": ["synth", "--out", f["o"], "--docs", "-4"],
         "synth-docs-zero": ["synth", "--out", f["o"], "--docs", "0"],
+        "stats-seed-without-splits": ["stats", "--corpus", f["c"], "--seed", "5"],
+        "experiment-no-test-set": ["experiment", "--recipe", "table3", "--corpus", f["c"],
+                                   "--out", f["o"]],
+        "experiment-table4-without-streams": ["experiment", "--recipe", "table4",
+                                              "--corpus", f["c"], "--val", f["g"],
+                                              "--out", f["o"]],
     })
     return cases
 

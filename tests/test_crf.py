@@ -19,7 +19,6 @@ from segtool.crf import (
     log_partition,
     nll_and_grads,
     path_score,
-    tags_to_indices,
     viterbi,
 )
 
@@ -204,7 +203,8 @@ class TestPathScore:
     def test_tag_names_accepted(self):
         e = np.zeros((2, N_TAGS))
         p = CrfParams.zeros()
-        assert path_score(e, p, ["B-ES", "I-ES"]) == 0.0
+        # names become indices at the corpus boundary
+        assert path_score(e, p, [TAG_INDEX["B-ES"], TAG_INDEX["I-ES"]]) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -376,12 +376,20 @@ class TestNll:
         e = rng.standard_normal((7, N_TAGS))
         p = CrfParams.random(rng)
         tags = list(rng.integers(N_TAGS, size=7))
-        assert tags_to_indices(tags) == [int(t) for t in tags]
         loss, d_e, _ = nll_and_grads(e, p, tags)
         loss_int, d_e_int, _ = nll_and_grads(e, p, [int(t) for t in tags])
         assert loss == loss_int
         assert np.array_equal(d_e, d_e_int)
         assert path_score(e, p, tags) == path_score(e, p, [int(t) for t in tags])
+
+    @pytest.mark.parametrize("tags", [[1.0, 0.0], ["B-ES", "I-ES"]], ids=["float", "name"])
+    def test_non_integer_tags_rejected(self, tags):
+        # tags are indices; a float is not truncated, a name is not looked up
+        e, p = np.zeros((2, N_TAGS)), CrfParams.zeros()
+        with pytest.raises(TypeError):
+            nll_and_grads(e, p, tags)
+        with pytest.raises(TypeError):
+            path_score(e, p, tags)
 
 
 class TestBatchedNll:

@@ -29,8 +29,8 @@ class TestLookup:
     def test_known_and_unk(self):
         mat = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
         t = LookupTable({"ls": 1, "cd": 2}, mat)
-        assert np.array_equal(t.embed("ls"), [1.0, 2.0])
-        assert np.array_equal(t.embed("unknown-token"), [0.0, 0.0])
+        out, _ = t.embed_sequence(["ls", "unknown-token"])
+        assert np.array_equal(out, [[1.0, 2.0], [0.0, 0.0]])
 
     def test_sequence(self):
         mat = np.array([[0.0], [5.0]])
@@ -82,23 +82,23 @@ class TestSubword:
         emb = SubwordHashEmbedder(rng, dim=6, n_buckets=97)
         idx = emb.bucket_indices("wireless")
         expected = emb.params["buckets"][idx].mean(axis=0)
-        assert np.allclose(emb.embed("wireless"), expected)
+        assert np.allclose(emb.embed_sequence(["wireless"])[0][0], expected)
 
     def test_shared_ngrams_give_similar_vectors(self):
         # URL-like tokens sharing most character n-grams should be closer
         # to each other than to an unrelated word
         rng = np.random.default_rng(4)
         emb = SubwordHashEmbedder(rng, dim=32, n_buckets=2**15)
-        u1 = emb.embed("http://example.com/wireless/setup")
-        u2 = emb.embed("http://example.com/wireless/guide")
-        w = emb.embed("wireless")
+        (u1, u2, w), _ = emb.embed_sequence(
+            ["http://example.com/wireless/setup", "http://example.com/wireless/guide", "wireless"]
+        )
         assert cosine(u1, u2) > cosine(u1, w)
         assert cosine(u1, u2) > cosine(u2, w)
 
     def test_empty_token(self):
         rng = np.random.default_rng(5)
         with pytest.raises(EmptyToken):
-            SubwordHashEmbedder(rng, dim=4, n_buckets=8).embed("")
+            SubwordHashEmbedder(rng, dim=4, n_buckets=8).embed_sequence([""])
 
     def test_bare_str_rejected(self):
         emb = SubwordHashEmbedder(np.random.default_rng(5), dim=4, n_buckets=8)
@@ -108,7 +108,7 @@ class TestSubword:
     def test_deterministic(self):
         a = SubwordHashEmbedder(np.random.default_rng(7), dim=4, n_buckets=64)
         b = SubwordHashEmbedder(np.random.default_rng(7), dim=4, n_buckets=64)
-        assert np.array_equal(a.embed("token"), b.embed("token"))
+        assert np.array_equal(a.embed_sequence(["token"])[0], b.embed_sequence(["token"])[0])
 
 
 class TestCharEncoder:

@@ -86,11 +86,11 @@ class TestBiGruEncoder:
         rng = np.random.default_rng(5)
         enc = BiGruEncoder(rng, 4, 3, dropout_rate=0.5, recurrent_dropout_rate=0.5)
         x = rng.standard_normal((5, 4))
-        a, _ = enc.encode(x, train=False)
-        b, _ = enc.encode(x, train=False)
+        a, _ = enc.encode(x)
+        b, _ = enc.encode(x)
         assert np.array_equal(a, b)
-        c, _ = enc.encode(x, train=True, rng=np.random.default_rng(0))
-        d, _ = enc.encode(x, train=True, rng=np.random.default_rng(1))
+        c, _ = enc.encode(x, rng=np.random.default_rng(0))
+        d, _ = enc.encode(x, rng=np.random.default_rng(1))
         assert not np.array_equal(c, d)
 
     def test_finite_difference(self):
@@ -117,7 +117,7 @@ class TestBiGruEncoder:
         w = rng.standard_normal((6, 8))
 
         def encode():
-            return enc.encode(x, train=True, rng=np.random.default_rng(11))
+            return enc.encode(x, rng=np.random.default_rng(11))
 
         def loss():
             return float((encode()[0] * w).sum())

@@ -56,8 +56,7 @@ def scores_for_terms(index, query_terms):
     return out
 
 
-def oracle_fielded_search(index, doc, boosts=None, k=10):
-    boosts = boosts or BoostProfile()
+def oracle_fielded_search(index, doc, boosts, k=10):
     totals = {}
     for label, terms in question_segments(doc):
         w = boosts[label]
@@ -222,7 +221,7 @@ class TestFieldedSearch:
 
     def test_bad_k(self, index):
         with pytest.raises(RetrievalError):
-            fielded_search(index, question("q", "x"), k=0)
+            fielded_search(index, question("q", "x"), BoostProfile(), k=0)
         with pytest.raises(RetrievalError):
             unfielded_search(index, question("q", "x"), k=0)
 
@@ -273,7 +272,8 @@ class TestImpactColumns:
     def test_matches_dict_scorer(self, case):
         index, q, boosts, k = case
         assert fielded_search(index, q, boosts, k) == oracle_fielded_search(index, q, boosts, k)
-        assert fielded_search(index, q, None, k) == oracle_fielded_search(index, q, None, k)
+        neutral = BoostProfile()
+        assert fielded_search(index, q, neutral, k) == oracle_fielded_search(index, q, neutral, k)
         assert unfielded_search(index, q, k) == oracle_unfielded_search(index, q, k)
         gold = {"q": max(index.doc_lengths)}
         for bp in (None, boosts):
@@ -296,7 +296,7 @@ class TestImpactColumns:
     def test_k_beyond_hits_and_no_hits(self, index):
         assert len(unfielded_search(index, question("q", "iwconfig"), k=50)) == 1
         assert unfielded_search(index, question("q", "zzz qqq"), k=5) == []
-        assert fielded_search(index, question("q", "zzz"), k=5) == []
+        assert fielded_search(index, question("q", "zzz"), BoostProfile(), k=5) == []
 
     def test_repeated_term_adds_again(self, index):
         once = dict(unfielded_search(index, question("q", "wireless")))
