@@ -6,6 +6,7 @@ Run from the repository root:  python3 demos/01_corpus_and_agreement.py
 
 from segtool import synth
 from segtool.corpus import (
+    BIO_TAGS,
     AnnotatedDocument,
     SegmentLabel,
     SegmentSpan,
@@ -36,8 +37,8 @@ doc = AnnotatedDocument(
         SegmentSpan(6, 10, SegmentLabel.CO),  # its output
     ],
 )
-tags = spans_to_bio(doc)
-print("\nBIO tags:", tags)
+tags = spans_to_bio(doc)  # indices into BIO_TAGS
+print("\nBIO tags:", [BIO_TAGS[t] for t in tags])
 print("decoded back:", bio_to_spans(tags) == doc.spans)
 
 # -- corpus statistics on a synthetic corpus --------------------------------

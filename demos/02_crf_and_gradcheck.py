@@ -6,7 +6,7 @@ Run from the repository root:  python3 demos/02_crf_and_gradcheck.py
 
 import numpy as np
 
-from segtool.corpus import N_TAGS, TAG_INDEX
+from segtool.corpus import BIO_TAGS, N_TAGS, TAG_INDEX
 from segtool.crf import CrfParams, log_partition, nll_and_grads, path_score, viterbi
 from segtool.trainer import gradcheck
 
@@ -21,15 +21,15 @@ e[2, TAG_INDEX["I-ES"]] = 3.0
 e[3, TAG_INDEX["O"]] = 2.0
 params = CrfParams.zeros()
 
-# the CRF takes tags as indices into BIO_TAGS
+# the CRF takes and returns tags as indices into BIO_TAGS; names are for display
 gold = [TAG_INDEX[t] for t in ("O", "B-ES", "I-ES", "O")]
 print("gold path score:  ", path_score(e, params, gold))
 print("log partition:    ", log_partition(e, params))
 loss, d_e, _ = nll_and_grads(e, params, gold)
 print("NLL of gold path: ", loss)
 
-tags, score = viterbi(e, params, constrain_bio=True)
-print("Viterbi decode:   ", tags, f"(score {score})")
+path, score = viterbi(e, params, constrain_bio=True)
+print("Viterbi decode:   ", [BIO_TAGS[t] for t in path], f"(score {score})")
 
 # -- the BIO constraint in action ------------------------------------------
 # put all the mass on a stray continuation tag; the constrained decoder
@@ -38,8 +38,8 @@ print("Viterbi decode:   ", tags, f"(score {score})")
 e2 = np.zeros((2, N_TAGS))
 e2[0, TAG_INDEX["I-ES"]] = 5.0
 e2[1, TAG_INDEX["I-ES"]] = 5.0
-print("\nunconstrained:", viterbi(e2, params)[0])
-print("BIO-constrained:", viterbi(e2, params, constrain_bio=True)[0])
+print("\nunconstrained:", [BIO_TAGS[t] for t in viterbi(e2, params)[0]])
+print("BIO-constrained:", [BIO_TAGS[t] for t in viterbi(e2, params, constrain_bio=True)[0]])
 
 # -- gradient verification --------------------------------------------------
 # every hand-derived backward pass in the package is checked against

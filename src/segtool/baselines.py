@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, Break, SegmentLabel, SegmentSpan, add_run, token_labels
+from .corpus import CLASS_NAMES, LABELS, Break, SegmentSpan, add_run, token_labels
 from .embeddings import MissingStreams, TokenCountMismatch
 
 
@@ -79,7 +79,7 @@ def unit_features(units, vecs, context=0):
 
 def unit_labels(doc, units):
     """Majority token class index per unit (ties to the lower index)."""
-    per_token = np.array([CLASS_NAMES.index(c) for c in token_labels(doc)], dtype=np.intp)
+    per_token = token_labels(doc)
     return [int(np.bincount(per_token[u.start : u.end]).argmax()) for u in units]
 
 
@@ -149,9 +149,9 @@ def units_to_spans(units, predicted_classes):
     """Merge adjacent same-label non-O units into spans."""
     runs = []
     for u, c in zip(units, predicted_classes):
-        if CLASS_NAMES[c] != "O":
-            add_run(runs, u.start, u.end, CLASS_NAMES[c])
-    return [SegmentSpan(s, e, SegmentLabel(label)) for s, e, label in runs]
+        if c:
+            add_run(runs, u.start, u.end, c)
+    return [SegmentSpan(s, e, LABELS[c - 1]) for s, e, c in runs]
 
 
 def run_baseline(train_docs, test_docs, streams, context=0, lam=1e-3):
@@ -161,6 +161,9 @@ def run_baseline(train_docs, test_docs, streams, context=0, lam=1e-3):
     concatenated (the ``concat`` combiner's features).  Returns the
     per-document predicted span lists of test_docs.
     """
+    if not (train_docs and streams.dims):
+        raise DegenerateData("no training documents" if streams.dims else "no streams")
+
     def units_and_rows(doc):
         if doc.id not in streams.vectors:
             raise MissingStreams(doc.id)

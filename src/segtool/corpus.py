@@ -77,7 +77,8 @@ LABELS = list(SegmentLabel)
 # Word-level classes: O, then the segment labels
 CLASS_NAMES = ["O"] + [l.value for l in LABELS]
 
-# Fixed tag order; index 0 is O so that zero-score ties decode to O.
+# Fixed tag order; index 0 is O so that zero-score ties decode to O.  Tags
+# 2c - 1 (odd) and 2c are B- and I- of class c, CLASS_NAMES[c] (LABELS[c - 1]).
 BIO_TAGS = ["O"] + [f"{p}-{l.value}" for l in LABELS for p in ("B", "I")]
 TAG_INDEX = {t: i for i, t in enumerate(BIO_TAGS)}
 N_TAGS = len(BIO_TAGS)  # 13
@@ -174,28 +175,27 @@ def add_run(runs, start, end, label, join=True):
 
 
 def spans_to_bio(doc):
-    """Project a document's spans to a per-token BIO tag sequence."""
+    """Project a document's spans to per-token BIO_TAGS indices, an intp array."""
     doc.validate()
-    tags = ["O"] * len(doc.tokens)
+    tags = np.zeros(len(doc.tokens), dtype=np.intp)
     for sp in doc.spans:
-        tags[sp.start_token] = f"B-{sp.label.value}"
-        for k in range(sp.start_token + 1, sp.end_token):
-            tags[k] = f"I-{sp.label.value}"
+        b = 2 * LABELS.index(sp.label) + 1
+        tags[sp.start_token] = b
+        tags[sp.start_token + 1 : sp.end_token] = b + 1
     return tags
 
 
 def bio_to_spans(tags):
-    """Decode BIO tags to spans.
+    """Decode BIO_TAGS indices to spans.
 
-    Accepts ill-formed sequences: a stray I-X (not continuing a B-X/I-X
-    run) is repaired to B-X.
+    Accepts ill-formed sequences: a stray I tag (not continuing a run of
+    its class) is repaired to B.
     """
     runs = []
-    for i, tag in enumerate(tags):
-        if tag != "O":
-            prefix, label = tag.split("-", 1)
-            add_run(runs, i, i + 1, label, join=prefix != "B")
-    return [SegmentSpan(s, e, SegmentLabel(label)) for s, e, label in runs]
+    for i, t in enumerate(tags):
+        if t:
+            add_run(runs, i, i + 1, (t + 1) // 2, join=t % 2 == 0)
+    return [SegmentSpan(s, e, LABELS[c - 1]) for s, e, c in runs]
 
 
 def doc_to_json(doc):
@@ -340,12 +340,8 @@ def corpus_stats(docs):
 
 
 def token_labels(doc):
-    """Per-token class names ("O" or a segment label) for agreement counting."""
-    out = ["O"] * len(doc.tokens)
-    for sp in doc.spans:
-        for k in range(sp.start_token, sp.end_token):
-            out[k] = sp.label.value
-    return out
+    """Per-token class indices into CLASS_NAMES, the class view of ``spans_to_bio``."""
+    return (spans_to_bio(doc) + 1) // 2
 
 
 def kappa_from_confusion(confusion):
@@ -374,11 +370,9 @@ def matching(docs_a, docs_b, name_a):
 
 def agreement(docs_a, docs_b):
     """Word-level agreement between two annotations of the same questions."""
-    idx = {c: i for i, c in enumerate(CLASS_NAMES)}
     confusion = np.zeros((len(CLASS_NAMES),) * 2, dtype=np.int64)
     for da, db in zip(docs_a, matching(docs_a, docs_b, "the first annotation")):
-        for x, y in zip(token_labels(da), token_labels(db)):
-            confusion[idx[x], idx[y]] += 1
+        np.add.at(confusion, (token_labels(da), token_labels(db)), 1)
     if len(docs_a) != len(docs_b):
         raise MismatchedDocuments("annotation lists differ in length")
     return AgreementReport(kappa_from_confusion(confusion), confusion)

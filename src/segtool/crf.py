@@ -8,14 +8,14 @@ and adds up the logs of the scales.  That holds while the finite
 transition, start and stop scores each span at most MAX_SPAN = 600 nats;
 wider ones raise CrfError.  Viterbi is max-plus in log space.  The
 likelihood also takes a zero-padded batch, (..., s, n), run in lockstep.
-Tags are indices into corpus.BIO_TAGS; only ``viterbi`` returns names.
+Tags are indices into corpus.BIO_TAGS, taken and returned as such.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BIO_TAGS, N_TAGS
+from .corpus import N_TAGS
 
 
 class CrfError(Exception):
@@ -50,17 +50,12 @@ class CrfParams:
 
 
 def bio_transition_mask():
-    """(start_mask, trans_mask) over BIO_TAGS: 0 where allowed, -inf where
-    a transition would create a stray I tag."""
-    start = np.zeros(N_TAGS)
-    trans = np.zeros((N_TAGS, N_TAGS))
-    for j, tag in enumerate(BIO_TAGS):
-        if tag.startswith("I-"):
-            label = tag[2:]
-            start[j] = -np.inf
-            for i, prev in enumerate(BIO_TAGS):
-                if prev == "O" or (prev != f"B-{label}" and prev != f"I-{label}"):
-                    trans[i, j] = -np.inf
+    """(start_mask, trans_mask) over BIO_TAGS: 0 where allowed, -inf where a
+    stray I tag (even t > 0) would follow no tag of its class (t + 1) // 2."""
+    tags = np.arange(N_TAGS)
+    inside, cls = (tags > 0) & (tags % 2 == 0), (tags + 1) // 2
+    start = np.where(inside, -np.inf, 0.0)
+    trans = np.where(inside & (cls[:, None] != cls), -np.inf, 0.0)
     return start, trans
 
 
@@ -80,12 +75,21 @@ def _length(emissions):
     return emissions.shape[-2]
 
 
+def _indices(tags):
+    """``tags`` as intp; a float or name raises TypeError, an index outside [0, N_TAGS) CrfError."""
+    idx = np.asarray(tags).astype(np.intp, casting="same_kind")
+    outside = (idx < 0) | (idx >= N_TAGS)
+    if outside.any():
+        raise CrfError(f"tag index {idx[outside][0]} outside [0, {N_TAGS})")
+    return idx
+
+
 def path_score(emissions, params, tags):
     """Score of one path of tag indices: start + emissions + transitions + stop."""
     s = _length(emissions)
     if len(tags) != s:
         raise LengthMismatch(f"{len(tags)} tags for {s} emissions")
-    idx = np.asarray(tags).astype(np.intp, casting="same_kind")[None]  # a float or name raises
+    idx = _indices(tags)[None]
     return float(_score(emissions[None], params, idx, np.ones((1, s), dtype=bool))[0])
 
 
@@ -169,7 +173,7 @@ def nll_and_grads(emissions, params, gold_tags, lengths=None):
     summed over the batch.
     """
     s, n = _length(emissions), emissions.shape[-1]
-    idx = np.asarray(gold_tags).astype(np.intp, casting="same_kind")  # a float or name raises
+    idx = _indices(gold_tags)
     if idx.shape != emissions.shape[:-1]:
         raise LengthMismatch(f"{idx.shape} tags for {emissions.shape[:-1]} emissions")
     lead = idx.shape[:-1]
@@ -194,7 +198,7 @@ def nll_and_grads(emissions, params, gold_tags, lengths=None):
 
 def viterbi(emissions, params, constrain_bio=False):
     """Maximum-score tag path, ties broken toward the lower tag index at
-    every backpointer.  Returns (tag_names, score); the score is the
+    every backpointer.  Returns (tag index list, score); the score is the
     left-to-right re-summation of the returned path."""
     s, n = _length(emissions), emissions.shape[1]
     start = params.start + (_BIO_START_MASK if constrain_bio else 0.0)
@@ -223,4 +227,4 @@ def viterbi(emissions, params, constrain_bio=False):
     steps = np.stack([trans[idx[:-1], idx[1:]], emissions[np.arange(1, s), idx[1:]]], axis=1)
     terms += [steps.ravel(), params.stop[idx[-1:]]]
     score = float(np.add.accumulate(np.concatenate(terms))[-1])
-    return [BIO_TAGS[t] for t in path], score
+    return path, score

@@ -151,9 +151,9 @@ def question_segments(doc):
     """(class_name, term list) per segment, with O gaps as segments of
     their own."""
     runs = []
-    for i, label in enumerate(token_labels(doc)):
-        add_run(runs, i, i + 1, label)
-    return [(label, [t.text.lower() for t in doc.tokens[s:e]]) for s, e, label in runs]
+    for i, c in enumerate(token_labels(doc).tolist()):
+        add_run(runs, i, i + 1, c)
+    return [(CLASS_NAMES[c], [t.text.lower() for t in doc.tokens[s:e]]) for s, e, c in runs]
 
 
 @dataclass

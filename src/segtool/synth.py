@@ -11,7 +11,7 @@ question's error-message segments.
 import numpy as np
 
 from .corpus import (
-    CLASS_NAMES, LABELS, AnnotatedDocument, SegmentLabel, SegmentSpan, token_labels, tokenize,
+    LABELS, AnnotatedDocument, SegmentLabel, SegmentSpan, token_labels, tokenize,
 )
 from .embeddings import ContextualStreamSet
 from .retrieval import AnswerDoc
@@ -34,8 +34,8 @@ LABEL_POOLS = {
 
 SHARED_POOL = [f"tok_{k}" for k in range(60)]
 
-# Which labels each planted stream is informative for (disjoint subsets).
-STREAM_SUBSETS = [("CC", "CO"), ("ES", "FC"), ("SS", "PU")]
+# Which classes each planted stream is informative for (disjoint subsets).
+STREAM_SUBSETS = [(1, 2), (3, 4), (5, 6)]  # CLASS_NAMES indices: CC CO, ES FC, SS PU
 STREAM_DIM = 8
 STREAM_NOISE = 0.3  # standard deviation of the noise around each indicator
 
@@ -87,13 +87,12 @@ def gen_streams(docs, seed=0):
     rng = np.random.default_rng(seed + 17)
     vectors = {}
     for doc in docs:
-        labels = token_labels(doc)
+        classes = token_labels(doc)
         arrays = []
         for subset in STREAM_SUBSETS:
-            arr = rng.standard_normal((len(labels), STREAM_DIM)) * STREAM_NOISE
-            for j, lab in enumerate(labels):
-                if lab in subset or lab == "O":
-                    arr[j, CLASS_NAMES.index(lab)] += 2.0
+            arr = rng.standard_normal((len(classes), STREAM_DIM)) * STREAM_NOISE
+            rows = np.flatnonzero(np.isin(classes, (0, *subset)))  # O and the stream's classes
+            arr[rows, classes[rows]] += 2.0
             arrays.append(arr.astype(np.float32))
         vectors[doc.id] = arrays
     return ContextualStreamSet([STREAM_DIM] * len(STREAM_SUBSETS), vectors)

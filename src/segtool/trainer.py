@@ -21,7 +21,6 @@ from .baselines import logreg_loss_and_grad
 from .corpus import (
     BIO_TAGS,
     LABELS,
-    TAG_INDEX,
     AnnotatedDocument,
     SegmentSpan,
     bio_to_spans,
@@ -264,7 +263,7 @@ class SegModel(nn.Component):
         lengths = caches[1]
         gold = np.zeros(e.shape[:2], dtype=np.intp)
         for row, doc, n in zip(gold, docs, lengths):
-            row[:n] = [TAG_INDEX[t] for t in spans_to_bio(doc)]
+            row[:n] = spans_to_bio(doc)
         losses, d_e, crf_g = crf_mod.nll_and_grads(e, self._crf64(), gold, _ragged(lengths))
         if train:
             self.backward(caches, d_e * scale)
@@ -368,8 +367,7 @@ def predict(model, doc, streams=None):
     if not doc.tokens:
         return []
     e, _ = model.emissions([doc], streams)
-    tags, _ = crf_mod.viterbi(e[0], model._crf64(), constrain_bio=True)
-    return bio_to_spans(tags)
+    return bio_to_spans(crf_mod.viterbi(e[0], model._crf64(), constrain_bio=True)[0])
 
 
 @dataclass

@@ -198,6 +198,16 @@ class TestRunBaseline:
         assert unit_features([], streams.for_doc("e")[0], context).shape == (0, 2 + 4 * context)
         assert run_baseline(docs, docs[1:], streams, context) == [[]]
 
+    def test_no_training_documents(self):
+        doc = doc_of("a b")
+        with pytest.raises(DegenerateData, match="^no training documents$"):
+            run_baseline([], [doc], ContextualStreamSet([3], {doc.id: [np.zeros((2, 3))]}))
+
+    def test_no_streams(self):
+        doc = doc_of("a b")
+        with pytest.raises(DegenerateData, match="^no streams$"):
+            run_baseline([doc], [doc], ContextualStreamSet([], {doc.id: []}))
+
     def test_missing_vectors(self):
         doc = doc_of("a b")
         with pytest.raises(MissingStreams):

@@ -3,11 +3,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtool.corpus import (
+    BIO_TAGS,
+    CLASS_NAMES,
     LABELS,
+    N_TAGS,
+    TAG_INDEX,
     AnnotatedDocument,
     BadRatios,
     Break,
@@ -27,6 +31,7 @@ from segtool.corpus import (
     save_corpus,
     spans_to_bio,
     split_corpus,
+    token_labels,
     tokenize,
 )
 
@@ -62,6 +67,43 @@ def tokenize_oracle(text):
 def make_doc(doc_id, n_tokens, spans=()):
     text = " ".join(f"w{i}" for i in range(n_tokens))
     return AnnotatedDocument(doc_id, text, tokenize(text), list(spans))
+
+
+def tag_indices(*names):
+    return [TAG_INDEX[t] for t in names]
+
+
+def spans_to_bio_oracle(doc):
+    """A document's spans as per-token BIO tag names."""
+    tags = ["O"] * len(doc.tokens)
+    for sp in doc.spans:
+        tags[sp.start_token] = f"B-{sp.label.value}"
+        for k in range(sp.start_token + 1, sp.end_token):
+            tags[k] = f"I-{sp.label.value}"
+    return tags
+
+
+def bio_to_spans_oracle(tags):
+    """Spans of BIO tag names: a B-X starts a span, an I-X extends a span of
+    X that ends just before it and otherwise starts one (a stray I-X)."""
+    runs = []
+    for i, tag in enumerate(tags):
+        if tag != "O":
+            prefix, label = tag.split("-", 1)
+            if prefix == "I" and runs and runs[-1][1:] == [i, label]:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1, label])
+    return [SegmentSpan(s, e, SegmentLabel(label)) for s, e, label in runs]
+
+
+def token_labels_oracle(doc):
+    """Per-token class names ("O" or a segment label)."""
+    out = ["O"] * len(doc.tokens)
+    for sp in doc.spans:
+        for k in range(sp.start_token, sp.end_token):
+            out[k] = sp.label.value
+    return out
 
 
 class TestTokenize:
@@ -102,16 +144,18 @@ class TestTokenize:
 class TestBioCodec:
     def test_simple_span(self):
         doc = make_doc("d", 5, [SegmentSpan(1, 3, SegmentLabel.ES)])
-        assert spans_to_bio(doc) == ["O", "B-ES", "I-ES", "O", "O"]
+        tags = spans_to_bio(doc)
+        assert tags.dtype == np.intp
+        assert tags.tolist() == tag_indices("O", "B-ES", "I-ES", "O", "O")
 
     def test_no_spans(self):
-        assert spans_to_bio(make_doc("d", 3)) == ["O", "O", "O"]
+        assert spans_to_bio(make_doc("d", 3)).tolist() == tag_indices("O", "O", "O")
 
     def test_adjacent_same_label(self):
         doc = make_doc(
             "d", 3, [SegmentSpan(0, 2, SegmentLabel.CC), SegmentSpan(2, 3, SegmentLabel.CC)]
         )
-        assert spans_to_bio(doc) == ["B-CC", "I-CC", "B-CC"]
+        assert spans_to_bio(doc).tolist() == tag_indices("B-CC", "I-CC", "B-CC")
 
     def test_overlap_rejected(self):
         doc = make_doc(
@@ -121,19 +165,20 @@ class TestBioCodec:
             spans_to_bio(doc)
 
     def test_decode_round_trip(self):
-        assert bio_to_spans(["O", "B-ES", "I-ES", "O"]) == [SegmentSpan(1, 3, SegmentLabel.ES)]
+        tags = tag_indices("O", "B-ES", "I-ES", "O")
+        assert bio_to_spans(tags) == [SegmentSpan(1, 3, SegmentLabel.ES)]
 
     def test_decode_repairs_stray_i(self):
-        assert bio_to_spans(["I-CO", "I-CO"]) == [SegmentSpan(0, 2, SegmentLabel.CO)]
+        assert bio_to_spans(tag_indices("I-CO", "I-CO")) == [SegmentSpan(0, 2, SegmentLabel.CO)]
 
     def test_decode_label_switch(self):
-        assert bio_to_spans(["B-CC", "I-ES"]) == [
+        assert bio_to_spans(tag_indices("B-CC", "I-ES")) == [
             SegmentSpan(0, 1, SegmentLabel.CC),
             SegmentSpan(1, 2, SegmentLabel.ES),
         ]
 
     def test_decode_o_closes_a_run(self):
-        assert bio_to_spans(["B-CC", "O", "I-CC", "B-CC"]) == [
+        assert bio_to_spans(tag_indices("B-CC", "O", "I-CC", "B-CC")) == [
             SegmentSpan(0, 1, SegmentLabel.CC),
             SegmentSpan(2, 3, SegmentLabel.CC),
             SegmentSpan(3, 4, SegmentLabel.CC),
@@ -160,14 +205,45 @@ class TestBioProperties:
         doc = make_doc("d", 12, spans)
         assert bio_to_spans(spans_to_bio(doc)) == spans
 
-    @given(st.lists(st.sampled_from(
-        ["O"] + [f"{p}-{l.value}" for l in LABELS for p in "BI"]), max_size=10))
+    @given(st.lists(st.integers(0, N_TAGS - 1), max_size=10))
     def test_tag_round_trip_after_repair(self, tags):
         spans = bio_to_spans(tags)
         doc = make_doc("d", max(len(tags), 1), spans)
         normalized = spans_to_bio(doc)[: len(tags)]
         # re-decoding the normalized tags is stable
         assert bio_to_spans(normalized) == spans
+
+
+# documents of 0 to 12 tokens with their spans; span_sets draws adjacent
+# spans of one label too
+DOCS = st.integers(0, 12).flatmap(lambda n: span_sets(n).map(lambda sp: make_doc("d", n, sp)))
+ADJACENT_CC = make_doc(
+    "d", 3, [SegmentSpan(0, 2, SegmentLabel.CC), SegmentSpan(2, 3, SegmentLabel.CC)]
+)
+
+
+class TestIndexCodecMatchesNames:
+    """The index codec equals the name codec, mapped through BIO_TAGS,
+    TAG_INDEX and CLASS_NAMES."""
+
+    @given(DOCS)
+    @example(make_doc("d", 0))
+    @example(ADJACENT_CC)
+    def test_spans_to_bio(self, doc):
+        assert [BIO_TAGS[t] for t in spans_to_bio(doc)] == spans_to_bio_oracle(doc)
+
+    @given(DOCS)
+    @example(make_doc("d", 0))
+    @example(ADJACENT_CC)
+    def test_token_labels(self, doc):
+        assert [CLASS_NAMES[c] for c in token_labels(doc)] == token_labels_oracle(doc)
+
+    @given(st.lists(st.sampled_from(BIO_TAGS), max_size=12))
+    @example([])
+    @example(["I-CO", "I-CO", "O", "I-CO"])  # stray I tags
+    @example(["B-CC", "I-CC", "B-CC", "I-ES"])  # adjacent spans, one label and two
+    def test_bio_to_spans(self, names):
+        assert bio_to_spans(tag_indices(*names)) == bio_to_spans_oracle(names)
 
 
 class TestCorpusIO:
@@ -329,9 +405,7 @@ class TestAgreement:
         a = [make_doc("d", 12, spans_a)]
         b = [make_doc("d", 12, spans_b)]
         rep = agreement(a, b)
-        from segtool.corpus import token_labels
-
-        oracle = kappa_oracle(token_labels(a[0]), token_labels(b[0]))
+        oracle = kappa_oracle(token_labels_oracle(a[0]), token_labels_oracle(b[0]))
         assert rep.kappa == pytest.approx(oracle, abs=1e-12)
 
     @given(span_sets())

@@ -134,10 +134,32 @@ def brute_log_partition(e, p):
     return m + math.log(sum(math.exp(v - m) for v in scores))
 
 
+def bio_transition_mask_oracle():
+    """The BIO masks built from the tag names: -inf where an I-X tag would
+    start the sequence or follow anything but B-X or I-X."""
+    start = np.zeros(N_TAGS)
+    trans = np.zeros((N_TAGS, N_TAGS))
+    for j, tag in enumerate(BIO_TAGS):
+        if tag.startswith("I-"):
+            label = tag[2:]
+            start[j] = -np.inf
+            for i, prev in enumerate(BIO_TAGS):
+                if prev == "O" or (prev != f"B-{label}" and prev != f"I-{label}"):
+                    trans[i, j] = -np.inf
+    return start, trans
+
+
+def test_bio_transition_mask_matches_names():
+    start, trans = bio_transition_mask()
+    start_ref, trans_ref = bio_transition_mask_oracle()
+    np.testing.assert_array_equal(start, start_ref)
+    np.testing.assert_array_equal(trans, trans_ref)
+
+
 def brute_viterbi(e, p, constrain=False):
     """Exhaustive argmax with the backpointer tie-break: among maximal
     paths, minimize the reversed tag tuple."""
-    sm, tm = bio_transition_mask() if constrain else (None, None)
+    sm, tm = bio_transition_mask_oracle() if constrain else (None, None)
     best, best_score = None, -np.inf
     for path in enumerate_paths(e.shape[0]):
         sc = score_oracle(e, p, path, sm, tm)
@@ -153,7 +175,7 @@ def viterbi_oracle(emissions, params, constrain_bio=False):
     backtrack and a scalar re-summation loop: ``viterbi`` must return
     exactly its path and score."""
     s, n = emissions.shape
-    start_mask, trans_mask = bio_transition_mask()
+    start_mask, trans_mask = bio_transition_mask_oracle()
     start = params.start + (start_mask if constrain_bio else 0.0)
     trans = params.transitions + (trans_mask if constrain_bio else 0.0)
 
@@ -176,7 +198,7 @@ def viterbi_oracle(emissions, params, constrain_bio=False):
     for j in range(1, s):
         score = score + trans[path[j - 1], path[j]] + emissions[j, path[j]]
     score = float(score + params.stop[path[-1]])
-    return [BIO_TAGS[t] for t in path], score
+    return path, score
 
 
 class TestPathScore:
@@ -209,6 +231,15 @@ class TestPathScore:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             path_score(np.zeros((3, N_TAGS)), CrfParams.zeros(), [0, 1])
+
+
+@pytest.mark.parametrize("bad", [-1, N_TAGS])
+@pytest.mark.parametrize("call", [path_score, nll_and_grads], ids=["path_score", "nll_and_grads"])
+def test_tag_index_out_of_range(call, bad):
+    # the first index outside [0, N_TAGS) is named; -1 must not read tag 12
+    tags = [0, bad, {-1: N_TAGS, N_TAGS: -1}[bad]]
+    with pytest.raises(CrfError, match=rf"^tag index {bad} outside \[0, {N_TAGS}\)$"):
+        call(np.zeros((3, N_TAGS)), CrfParams.zeros(), tags)
 
 
 class TestLogPartition:
@@ -483,13 +514,13 @@ class TestViterbi:
         e = np.zeros((2, N_TAGS))
         e[0, TAG_INDEX["B-ES"]] = 10.0
         e[1, TAG_INDEX["I-ES"]] = 10.0
-        tags, _ = viterbi(e, CrfParams.zeros())
-        assert tags == ["B-ES", "I-ES"]
+        path, _ = viterbi(e, CrfParams.zeros())
+        assert path == [TAG_INDEX["B-ES"], TAG_INDEX["I-ES"]]
 
     def test_zero_scores_constrained_all_o(self):
         e = np.zeros((5, N_TAGS))
-        tags, score = viterbi(e, CrfParams.zeros(), constrain_bio=True)
-        assert tags == ["O"] * 5
+        path, score = viterbi(e, CrfParams.zeros(), constrain_bio=True)
+        assert path == [TAG_INDEX["O"]] * 5
         assert score == 0.0
 
     @pytest.mark.parametrize("constrain", [False, True])
@@ -499,8 +530,7 @@ class TestViterbi:
         s = int(rng.integers(1, 5))
         e = rng.standard_normal((s, N_TAGS))
         p = CrfParams.random(rng)
-        tags, score = viterbi(e, p, constrain_bio=constrain)
-        path = [TAG_INDEX[t] for t in tags]
+        path, score = viterbi(e, p, constrain_bio=constrain)
         brute_path, brute_score = brute_viterbi(e, p, constrain)
         assert path == brute_path
         assert score == pytest.approx(brute_score, rel=1e-12)
@@ -511,9 +541,9 @@ class TestViterbi:
             s = int(rng.integers(1, 10))
             e = rng.standard_normal((s, N_TAGS)) * 3
             p = CrfParams.random(rng)
-            tags, _ = viterbi(e, p, constrain_bio=True)
+            path, _ = viterbi(e, p, constrain_bio=True)
             prev = "O"
-            for t in tags:
+            for t in (BIO_TAGS[i] for i in path):
                 if t.startswith("I-"):
                     assert prev in (f"B-{t[2:]}", t)
                 prev = t

@@ -6,7 +6,6 @@ from segtool.corpus import (
     AnnotatedDocument,
     SegmentLabel,
     SegmentSpan,
-    TAG_INDEX,
     spans_to_bio,
     split_corpus,
     tokenize,
@@ -247,7 +246,7 @@ def per_document_loss(model, doc, streams, rng, scale):
     if model.attention is not None:
         h, a_cache = model.attention.forward(h)
     e, l_cache = model.emit.forward(h)
-    gold = [TAG_INDEX[t] for t in spans_to_bio(doc)]
+    gold = spans_to_bio(doc)
     loss, d_e, crf_g = crf.nll_and_grads(e, model._crf64(), gold)
     d_h = model.emit.backward(l_cache, d_e * scale)
     if model.attention is not None:
