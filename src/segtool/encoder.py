@@ -6,6 +6,8 @@ query, key, and value; the "weighted" variant learns the three
 projections.
 """
 
+import math
+
 import numpy as np
 
 from . import nn
@@ -77,9 +79,10 @@ class BiGruEncoder(nn.Component):
 def scaled_dot_attention(q, k, v, lengths=None):
     """softmax(QK^T/sqrt(d)) V with row-wise softmax over (..., s, d)
     inputs; with ``lengths``, keys past each sequence's length get weight 0.
-    Returns the output and a cache for the backward pass."""
+    The scale is a Python float, so float32 inputs stay float32.  Returns
+    the output and a cache for the backward pass."""
     d = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(d)
+    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(d)
     if lengths is not None:
         padded = np.arange(k.shape[-2]) >= np.asarray(lengths)[..., None, None]
         scores = np.where(padded, -np.inf, scores)
@@ -94,8 +97,8 @@ def scaled_dot_attention_backward(cache, d_out):
     d_v = np.swapaxes(attn, -1, -2) @ d_out
     d_attn = d_out @ np.swapaxes(v, -1, -2)
     d_scores = nn.softmax_backward(attn, d_attn, axis=-1)
-    d_q = d_scores @ k / np.sqrt(d)
-    d_k = np.swapaxes(d_scores, -1, -2) @ q / np.sqrt(d)
+    d_q = d_scores @ k / math.sqrt(d)
+    d_k = np.swapaxes(d_scores, -1, -2) @ q / math.sqrt(d)
     return d_q, d_k, d_v
 
 

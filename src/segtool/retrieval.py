@@ -72,6 +72,13 @@ class FieldedIndex:
     k1: float = 1.2
     b: float = 0.75
 
+    def __post_init__(self):
+        # no bool, inf or huge int; k1 >= 0 and 0 <= b <= 1 keep impacts positive
+        for name, hi in (("k1", sys.float_info.max), ("b", 1)):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= hi):
+                raise RetrievalError(f"bad value {v!r} for field {name!r}")
+
     @property
     def n_docs(self):
         return len(self.doc_lengths)
@@ -187,8 +194,11 @@ def _top_k(index, segments, k):
     segment's BM25 scores, summed term by term from the impact columns,
     scaled by its weight and added to the total.  Each document's
     additions run in the order of a posting-by-posting sum over the
-    segments, so the scores equal that sum bit for bit.  Ties break
-    toward the ascending doc id."""
+    segments, so the scores equal that sum bit for bit.  A document
+    matches when a segment scores it above 0, whatever the weight.  With
+    more than k matches, only those at or above the k-th largest total
+    (np.partition), every tie at the k-th place among them, are sorted.
+    Ties break toward the ascending doc id."""
     if k < 1:
         raise RetrievalError("k must be >= 1")
     ids, columns = index.columns
@@ -200,11 +210,15 @@ def _top_k(index, segments, k):
             if t in columns:
                 rows, impacts = columns[t]
                 seg[rows] += impacts
-                hit[rows] = True
+        hit |= seg > 0  # impacts are positive; a weight of 0 still lists a match
         total += weight * seg
     cand = np.flatnonzero(hit)
-    top = cand[np.lexsort((cand, -total[cand]))[:k]]
-    return [(ids[r], float(total[r])) for r in top]
+    scores = total[cand]
+    if len(cand) > k:
+        keep = scores >= np.partition(scores, len(cand) - k)[len(cand) - k]
+        cand, scores = cand[keep], scores[keep]
+    order = np.lexsort((cand, -scores))[:k]
+    return list(zip(map(ids.__getitem__, cand[order].tolist()), scores[order].tolist()))
 
 
 def fielded_search(index, doc, boosts, k=10):
@@ -308,9 +322,11 @@ def _ascending(rows, df, terms, name):
 def save_index(index, path):
     obj = {"version": INDEX_VERSION, "k1": index.k1, "b": index.b,
            **dict(zip(INDEX_COLUMNS, _flat(index)))}
-    # one string, one gzip stream; level 1 is ~7x faster than 6, ~20% larger
-    with gzip.open(path, "wb", compresslevel=1) as fh:
-        fh.write(json.dumps(obj, separators=(",", ":")).encode("utf-8"))
+    # one string, one gzip stream; level 1 is ~7x faster than 6, ~20% larger;
+    # no save time or file name in the header: equal indexes, equal bytes
+    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(gzip.compress(data, compresslevel=1, mtime=0))
 
 
 def load_index(path):
@@ -325,11 +341,6 @@ def load_index(path):
         version = obj.get("version") if type(obj) is dict else None
         if version != INDEX_VERSION:
             raise RetrievalError(f"unsupported index version {version!r}; rerun segtool index")
-        k1, b = obj.get("k1"), obj.get("b")
-        if type(k1) not in (int, float) or not 0 <= k1 <= sys.float_info.max:  # no inf, no huge int
-            raise RetrievalError(f"bad value {k1!r} for field 'k1'")
-        if type(b) not in (int, float) or not 0 <= b <= 1:
-            raise RetrievalError(f"bad value {b!r} for field 'b'")
         docs, lengths, terms, df, rows, tf = cols = [obj.get(f) for f in INDEX_COLUMNS]
         for f, col in zip(INDEX_COLUMNS, cols):
             if type(col) is not list:
@@ -351,9 +362,9 @@ def load_index(path):
             if len(col) != n:
                 raise RetrievalError(f"field {f!r} holds {len(col)} values, not {n}")
         ends = _ascending(np.array(rows, dtype=np.intp), df, terms, "field 'rows'")
-    pairs = list(zip(map(docs.__getitem__, rows), tf))
-    postings = {t: pairs[e - n : e] for t, n, e in zip(terms, df, ends.tolist())}
-    return FieldedIndex(postings, dict(zip(docs, lengths)), k1, b)
+        pairs = list(zip(map(docs.__getitem__, rows), tf))
+        postings = {t: pairs[e - n : e] for t, n, e in zip(terms, df, ends.tolist())}
+        return FieldedIndex(postings, dict(zip(docs, lengths)), obj.get("k1"), obj.get("b"))
 
 
 def load_answers(path):

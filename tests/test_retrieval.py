@@ -121,6 +121,20 @@ class TestBuildIndex:
         with pytest.raises(EmptyCorpus):
             build_index(ANSWERS, min_len=100)
 
+    @pytest.mark.parametrize("k1, b, message", [
+        (-0.5, 0.75, "bad value -0.5 for field 'k1'"),
+        (-3.0, 1.7, "bad value -3.0 for field 'k1'"),
+        (float("inf"), 0.75, "bad value inf for field 'k1'"),
+        (1.2, -0.1, "bad value -0.1 for field 'b'"),
+        (1.2, 1.5, "bad value 1.5 for field 'b'"),
+        (1.2, float("nan"), "bad value nan for field 'b'"),
+    ], ids=["k1-negative", "both-out-of-range", "k1-inf", "b-negative", "b-above-1", "b-nan"])
+    def test_bad_k1_or_b(self, k1, b, message):
+        # the rule load_index applies: an index that could not be loaded is not built
+        with pytest.raises(RetrievalError) as exc:
+            build_index(ANSWERS, k1=k1, b=b)
+        assert str(exc.value) == message
+
 
 class TestBm25:
     def test_hand_computed(self, index):
@@ -292,6 +306,36 @@ class TestImpactColumns:
             assert [d for d, _ in ranked] == ["a", "b", "c"]
             assert len({s for _, s in ranked}) == 1
         assert unfielded_search(idx, q, k=3) == oracle_unfielded_search(idx, q, k=3)
+
+    def test_ties_across_the_kth_place_on_a_large_index(self):
+        # 3000 answers, 15 per text: every total is shared by at least 15
+        # answers, so a tie straddles the k-th place for k = 1, 10 and 100
+        rng = np.random.default_rng(0)
+        vocab = [f"w{i}" for i in range(40)]
+        texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 7))) for _ in range(200)]
+        ids = [f"a{i:04d}" for i in rng.permutation(3000)]
+        idx = build_index([AnswerDoc(d, texts[j % 200]) for j, d in enumerate(ids)])
+        q = question("q", "w0 w1 w1 zzz w2 w3 w4 w5", [
+            SegmentSpan(0, 3, SegmentLabel.CC), SegmentSpan(4, 6, SegmentLabel.ES),
+            SegmentSpan(6, 8, SegmentLabel.PU),
+        ])
+        # a weight of 0 leaves the answers only PU matches at score 0, still listed
+        boosts = BoostProfile({"CC": 2.0, "ES": 0.5, "PU": 0.0})
+        for search, oracle in [
+            (lambda k: fielded_search(idx, q, boosts, k),
+             lambda k: oracle_fielded_search(idx, q, boosts, k)),
+            (lambda k: unfielded_search(idx, q, k), lambda k: oracle_unfielded_search(idx, q, k)),
+        ]:
+            ranked = oracle(len(ids))
+            n_matches = len(ranked)
+            assert 100 < n_matches < len(ids)
+            for k in (1, 10, 100):
+                assert ranked[k - 1][1] == ranked[k][1]
+            for k in (1, 10, 100, n_matches - 1, n_matches, n_matches + 1, 5000):
+                got = search(k)
+                assert got == oracle(k), k
+                assert all(type(d) is str and type(s) is float for d, s in got)
+        assert 0.0 in {s for _, s in fielded_search(idx, q, boosts, 5000)}
 
     def test_k_beyond_hits_and_no_hits(self, index):
         assert len(unfielded_search(index, question("q", "iwconfig"), k=50)) == 1
@@ -473,6 +517,14 @@ class TestPersistence:
         assert (loaded.k1, loaded.b) == (index.k1, index.b)
         q = question("q", "wireless iwconfig")
         assert unfielded_search(loaded, q, k=3) == unfielded_search(index, q, k=3)
+
+    def test_same_index_same_bytes(self, index, tmp_path):
+        # no save time and no file name in the gzip header
+        first, second = tmp_path / "one.json.gz", tmp_path / "two.json.gz"
+        save_index(index, first)
+        save_index(index, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes()[3:8] == bytes(5)  # no FNAME flag, mtime 0
 
     def test_file_holds_the_column_layout(self, index, tmp_path):
         path = tmp_path / "idx.json.gz"

@@ -402,6 +402,45 @@ class TestParameterTree:
             assert not g.any(), k
 
 
+class TestFloat32Model:
+    """A float32 SegModel computes in float32 up to the CRF's float64 cast:
+    a float64 scalar or array upstream widens the emissions, the gradient
+    carried back into the biGRU, or both."""
+
+    @pytest.mark.parametrize("extra", [
+        dict(),
+        dict(use_char=True, char_dim=3, char_hidden=3),
+        dict(combiner_mode="cdme", d_prime=4),
+        dict(attention_mode="weighted", attention_dim=3),
+        dict(attention_mode="unweighted"),
+    ], ids=["lookup", "char", "cdme", "weighted-attention", "unweighted-attention"])
+    def test_forward_and_backward_stay_float32(self, monkeypatch, extra):
+        docs = synth.gen_corpus(n_docs=3, seed=5)
+        streams = synth.gen_streams(docs, seed=5)
+        tokens = [t for d in docs for t in d.token_texts()]
+        cfg = TrainConfig(hidden=4, lookup_dim=3, recurrent_dropout=0.2, **extra)
+        model = SegModel(cfg, tokens, "".join(sorted(set("".join(tokens)))), streams.dims)
+        seen = {}
+        emit_forward, encoder_backward = model.emit.forward, model.encoder.backward
+
+        def emit(h):
+            e, cache = emit_forward(h)
+            seen["emissions"] = e.dtype
+            return e, cache
+
+        def encoder(cache, d_h):
+            seen["d_h"] = d_h.dtype
+            return encoder_backward(cache, d_h)
+
+        monkeypatch.setattr(model.emit, "forward", emit)
+        monkeypatch.setattr(model.encoder, "backward", encoder)
+        model.zero_grads()
+        model.batch_loss(docs, streams, train=True, rng=np.random.default_rng(0))
+        assert seen == {"emissions": np.float32, "d_h": np.float32}
+        for k, g in model.grads.items():
+            assert g.dtype == np.float32, k
+
+
 class TestGradCheck:
     def test_all_components_pass(self):
         report = gradcheck("all", trials=5, seed=0)
