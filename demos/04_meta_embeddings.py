@@ -48,7 +48,7 @@ streams = synth.gen_streams(docs, seed=1)
 print(f"\nplanted streams: {streams.n} per document, dims {streams.dims}")
 
 comb = MetaCombiner(np.random.default_rng(0), "cdme", streams.dims, d_prime=16)
-arrs = [a.astype(np.float64) for a in streams.for_doc(docs[0].id)]
+arrs = [a.astype(np.float64) for a in streams.for_doc(docs[0])]
 out, alphas, _ = comb.forward(arrs)
 print(f"CDME output shape {out.shape}; alpha column sums "
       f"(first 5 tokens): {np.round(alphas.sum(axis=0)[:5], 6).tolist()}")

@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .corpus import CLASS_NAMES, LABELS, Break, SegmentSpan, add_run, token_labels
-from .embeddings import MissingStreams, TokenCountMismatch
 
 
 class BaselineError(Exception):
@@ -157,19 +156,15 @@ def units_to_spans(units, predicted_classes):
 def run_baseline(train_docs, test_docs, streams, context=0, lam=1e-3):
     """Train a sentence baseline on train_docs and apply it to test_docs.
 
-    A token's vector is its streams in the ContextualStreamSet
-    concatenated (the ``concat`` combiner's features).  Returns the
-    per-document predicted span lists of test_docs.
+    A token's vector is its streams concatenated (the ``concat``
+    combiner's features), read and checked by ``streams.for_doc``.
+    Returns the per-document predicted span lists of test_docs.
     """
     if not (train_docs and streams.dims):
         raise DegenerateData("no training documents" if streams.dims else "no streams")
 
     def units_and_rows(doc):
-        if doc.id not in streams.vectors:
-            raise MissingStreams(doc.id)
-        vecs = np.hstack(streams.for_doc(doc.id), dtype=np.float64)
-        if len(vecs) != len(doc.tokens):
-            raise TokenCountMismatch(doc.id, len(doc.tokens), len(vecs))
+        vecs = np.hstack(streams.for_doc(doc), dtype=np.float64)
         units = sentence_segment(doc)
         return units, unit_features(units, vecs, context)
 

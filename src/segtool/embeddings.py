@@ -216,8 +216,16 @@ class ContextualStreamSet:
     def n(self):
         return len(self.dims)
 
-    def for_doc(self, doc_id):
-        return self.vectors[doc_id]
+    def for_doc(self, doc):
+        """``doc``'s arrays, one (len(doc.tokens), dims[i]) per stream; the one check
+        of them: MissingStreams when there are none, TokenCountMismatch on a wrong row count."""
+        arrays = self.vectors.get(doc.id)
+        if arrays is None:
+            raise MissingStreams(doc.id)
+        for a in arrays:
+            if len(a) != len(doc.tokens):
+                raise TokenCountMismatch(doc.id, len(doc.tokens), len(a))
+        return arrays
 
 
 def save_streams(streams, path):
@@ -235,9 +243,9 @@ def save_streams(streams, path):
 
 
 def load_streams(path, doc_token_counts=None, dims=None):
-    """Read a CSTR1 file; optionally check per-document token counts
-    against the corpus (doc id -> expected count) and the stream dims
-    against a model's.  Errors name the file."""
+    """Read a CSTR1 file into read-only float32 views of its bytes; optionally
+    check per-document token counts against the corpus (doc id -> expected
+    count) and the stream dims against a model's.  Errors name the file."""
     with reading(path, EmbeddingsError), open(path, "rb") as fh:
         data = fh.read()
         if data[:5] != _MAGIC:
@@ -276,8 +284,7 @@ def load_streams(path, doc_token_counts=None, dims=None):
                 raise FormatError(f"non-finite vector for doc {doc_id!r}")
             off += 4 * size
             cuts = np.cumsum([count * d for d in file_dims])[:-1]
-            arrays = [a.reshape(count, d).astype(np.float64)
-                      for a, d in zip(np.split(block, cuts), file_dims)]
+            arrays = [a.reshape(count, d) for a, d in zip(np.split(block, cuts), file_dims)]
             if doc_id in vectors:
                 raise FormatError(f"duplicate doc id {doc_id!r}")
             if doc_token_counts is not None:

@@ -46,6 +46,8 @@ class MissingQrel(RetrievalError):
 
 
 INDEX_VERSION = 2
+# far above any BM25 k1 in use (about 1-2), far below where tf * (k1 + 1) overflows
+MAX_K1 = 1e6
 INDEX_COLUMNS = ("docs", "lengths", "terms", "df", "rows", "tf")
 
 
@@ -73,8 +75,8 @@ class FieldedIndex:
     b: float = 0.75
 
     def __post_init__(self):
-        # no bool, inf or huge int; k1 >= 0 and 0 <= b <= 1 keep impacts positive
-        for name, hi in (("k1", sys.float_info.max), ("b", 1)):
+        # no bool or nan; k1 in [0, MAX_K1] and b in [0, 1] keep impacts positive and finite
+        for name, hi in (("k1", MAX_K1), ("b", 1)):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= hi):
                 raise RetrievalError(f"bad value {v!r} for field {name!r}")

@@ -183,9 +183,9 @@ class SegModel(nn.Component):
     # -- forward / backward -------------------------------------------------
 
     def _doc_streams(self, doc, streams):
-        if streams is None or doc.id not in streams.vectors:
+        if streams is None:
             raise MissingStreams(doc.id)
-        arrs = streams.for_doc(doc.id)
+        arrs = streams.for_doc(doc)
         if self.cfg.stream_indices is not None:
             arrs = [arrs[i] for i in self.cfg.stream_indices]
         return [np.asarray(a, dtype=self.DTYPE) for a in arrs]
@@ -374,15 +374,15 @@ def predict(model, doc, streams=None):
 class EpochLog:
     epoch: int
     train_nll: float
-    val_p: float
-    val_r: float
-    val_f1: float
+    # micro soft scores on the validation documents; None without them
+    val_p: float = None
+    val_r: float = None
+    val_f1: float = None
 
     def line(self):
-        return (
-            f"epoch {self.epoch} train_nll {self.train_nll:.4f} "
-            f"val_P {self.val_p:.4f} val_R {self.val_r:.4f} val_F1 {self.val_f1:.4f}"
-        )
+        val = "" if self.val_f1 is None else (
+            f" val_P {self.val_p:.4f} val_R {self.val_r:.4f} val_F1 {self.val_f1:.4f}")
+        return f"epoch {self.epoch} train_nll {self.train_nll:.4f}{val}"
 
 
 def evaluate_model(model, docs, streams=None):
@@ -401,21 +401,25 @@ def _batches(docs, batch_size, rng):
 
 
 def train(train_docs, val_docs, streams, cfg):
-    """Train a SegModel; returns (model_at_best_val_F1, epoch logs)."""
+    """Train a SegModel; returns (model, epoch logs).  With validation
+    documents, the model of the epoch with the best micro soft F1 on them,
+    stopping ``cfg.patience`` epochs after it; without them, the last epoch's
+    model, and logs without val_ scores.  Every document's streams are
+    checked (``ContextualStreamSet.for_doc``) before the first step."""
     if not train_docs:
         raise TrainerError("empty training set")
     cfg.validate()
-    stream_dims = streams.dims if streams is not None else []
     if cfg.combiner_mode != "none":
+        if streams is None:
+            raise MissingStreams(train_docs[0].id)
         for d in train_docs + val_docs:
-            if streams is None or d.id not in streams.vectors:
-                raise MissingStreams(d.id)
-    model = SegModel(cfg, *_vocabs(train_docs), stream_dims)
+            streams.for_doc(d)
+    model = SegModel(cfg, *_vocabs(train_docs), streams.dims if streams is not None else [])
 
     rng = np.random.default_rng(cfg.seed + 1)
     opt = nn.Adam(model.params, lr=cfg.learning_rate)
     logs = []
-    best_f1, best_state, best_age = -1.0, None, 0
+    best = None  # (val F1, epoch, params) of the best epoch so far
     for epoch in range(cfg.epochs):
         total_nll, n_docs = 0.0, 0
         for step, batch in enumerate(_batches(train_docs, cfg.batch_size, rng)):
@@ -430,28 +434,19 @@ def train(train_docs, val_docs, streams, cfg):
             n_docs += len(batch)
             nn.clip_global_norm(list(model.grads.values()), cfg.clip_norm)
             opt.step(model.params, model.grads)
-        report = evaluate_model(model, val_docs, streams) if val_docs else None
-        f1 = report.micro.f1 if report else 0.0
-        logs.append(
-            EpochLog(
-                epoch,
-                total_nll / max(n_docs, 1),
-                report.micro.precision if report else 0.0,
-                report.micro.recall if report else 0.0,
-                f1,
-            )
-        )
-        if f1 > best_f1:
-            best_f1 = f1
-            best_state = {k: v.copy() for k, v in model.params.items()}
-            best_age = 0
-        else:
-            best_age += 1
-            if val_docs and best_age >= cfg.patience:
-                break
-    if best_state is not None:
+        nll = total_nll / max(n_docs, 1)
+        if not val_docs:
+            logs.append(EpochLog(epoch, nll))
+            continue
+        micro = evaluate_model(model, val_docs, streams).micro
+        logs.append(EpochLog(epoch, nll, micro.precision, micro.recall, micro.f1))
+        if best is None or micro.f1 > best[0]:
+            best = (micro.f1, epoch, {k: v.copy() for k, v in model.params.items()})
+        elif epoch - best[1] >= cfg.patience:
+            break
+    if best is not None:
         for k, v in model.params.items():
-            v[...] = best_state[k]
+            v[...] = best[2][k]
     return model, logs
 
 

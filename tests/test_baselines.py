@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from segtool.baselines import (
     BoundarySource,
     DegenerateData,
-    MissingStreams,
     SentenceUnit,
-    TokenCountMismatch,
     classify,
     logreg_loss_and_grad,
     run_baseline,
@@ -19,7 +17,7 @@ from segtool.baselines import (
     units_to_spans,
 )
 from segtool.corpus import AnnotatedDocument, SegmentLabel, SegmentSpan, tokenize
-from segtool.embeddings import ContextualStreamSet
+from segtool.embeddings import ContextualStreamSet, MissingStreams, TokenCountMismatch
 
 
 def doc_of(text, spans=()):
@@ -195,7 +193,7 @@ class TestRunBaseline:
         docs = [doc_of("please help\nls -la", [SegmentSpan(2, 4, SegmentLabel.CC)]),
                 AnnotatedDocument("e", "", tokenize(""), [])]
         streams = ContextualStreamSet([2], {"d": [np.eye(4, 2)], "e": [np.zeros((0, 2))]})
-        assert unit_features([], streams.for_doc("e")[0], context).shape == (0, 2 + 4 * context)
+        assert unit_features([], streams.vectors["e"][0], context).shape == (0, 2 + 4 * context)
         assert run_baseline(docs, docs[1:], streams, context) == [[]]
 
     def test_no_training_documents(self):

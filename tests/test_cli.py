@@ -734,6 +734,16 @@ class TestTrainPredictEval:
                      "--out", str(tmp_path / "p.jsonl")]) == 0
         assert model.exists() and not (tmp_path / "m.bin.npz").exists()
 
+    def test_train_without_val_prints_no_val_columns(self, tmp_path, capsys):
+        cfile = tmp_path / "c.jsonl"
+        save_corpus(synth.gen_corpus(n_docs=4, seed=1), cfile)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("hidden = 4\nlookup_dim = 4\nepochs = 2\n")
+        assert main(["train", "--corpus", str(cfile), "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" train_nll ")[0] for line in lines] == ["epoch 0", "epoch 1"]
+        assert not any("val_" in line for line in lines)
+
     def test_config_unknown_key(self, tmp_path):
         cfile = tmp_path / "c.jsonl"
         save_corpus(synth.gen_corpus(n_docs=4, seed=1), cfile)

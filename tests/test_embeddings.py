@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from segtool import synth
+from segtool.corpus import AnnotatedDocument, tokenize
 from segtool.embeddings import (
     CharEncoder,
     ContextualStreamSet,
@@ -10,6 +11,7 @@ from segtool.embeddings import (
     FormatError,
     LookupTable,
     MetaCombiner,
+    MissingStreams,
     StreamCountMismatch,
     SubwordHashEmbedder,
     TokenCountMismatch,
@@ -294,6 +296,7 @@ class TestStreamFiles:
         assert set(loaded.vectors) == {"a", "b", "c"}
         for doc_id in streams.vectors:
             for orig, got in zip(streams.vectors[doc_id], loaded.vectors[doc_id]):
+                assert got.dtype == np.float32
                 assert np.array_equal(orig, got)
 
     def test_standard_four_stream_dims(self, tmp_path):
@@ -302,14 +305,17 @@ class TestStreamFiles:
         streams = make_streams(rng, dims, [("q1", 2)])
         path = tmp_path / "four.bin"
         save_streams(streams, path)
-        assert load_streams(path).dims == dims
+        loaded = load_streams(path)
+        assert loaded.dims == dims
+        # float32 as in the file: 7168 bytes a token, half of a float64 copy
+        assert sum(a.nbytes for a in loaded.vectors["q1"]) == 2 * 7168
 
     def test_token_count_validation(self, tmp_path):
         rng = np.random.default_rng(2)
         streams = make_streams(rng, [4], [("a", 5)])
         path = tmp_path / "s.bin"
         save_streams(streams, path)
-        assert load_streams(path, {"a": 5}).for_doc("a")[0].shape == (5, 4)
+        assert load_streams(path, {"a": 5}).vectors["a"][0].shape == (5, 4)
         with pytest.raises(TokenCountMismatch) as exc:
             load_streams(path, {"a": 6})
         assert exc.value.doc_id == "a"
@@ -358,6 +364,41 @@ class TestStreamFiles:
         (tmp_path / "t.bin").write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_streams(tmp_path / "t.bin")
+
+
+class TestForDoc:
+    def doc(self, text):
+        return AnnotatedDocument("d", text, tokenize(text), [])
+
+    def test_returns_the_arrays(self):
+        doc = self.doc("a b c")
+        arrays = [np.zeros((3, 2)), np.ones((3, 4))]
+        assert ContextualStreamSet([2, 4], {"d": arrays}).for_doc(doc) is arrays
+
+    def test_missing_document(self):
+        streams = ContextualStreamSet([2], {"other": [np.zeros((3, 2))]})
+        with pytest.raises(MissingStreams) as exc:
+            streams.for_doc(self.doc("a b c"))
+        assert exc.value.doc_id == "d"
+        assert str(exc.value) == "no contextual streams for document 'd'"
+
+    @pytest.mark.parametrize("rows", [(2, 3), (3, 2), (3, 4)])
+    def test_every_stream_has_a_row_per_token(self, rows):
+        # the first stream short, the second short, or the second long
+        arrays = [np.zeros((n, 2)) for n in rows]
+        streams = ContextualStreamSet([2, 2], {"d": arrays})
+        with pytest.raises(TokenCountMismatch) as exc:
+            streams.for_doc(self.doc("a b c"))
+        assert exc.value.doc_id == "d"
+        bad = next(n for n in rows if n != 3)
+        assert str(exc.value) == f"doc 'd': {bad} stream tokens, corpus has 3"
+
+    def test_empty_document(self):
+        doc = self.doc("")
+        arrays = [np.zeros((0, 2)), np.zeros((0, 3))]
+        assert ContextualStreamSet([2, 3], {"d": arrays}).for_doc(doc) is arrays
+        with pytest.raises(TokenCountMismatch):
+            ContextualStreamSet([2], {"d": [np.zeros((1, 2))]}).for_doc(doc)
 
 
 def dense_dme_oracle(streams, P, bvecs, a, b):

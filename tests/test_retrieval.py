@@ -12,6 +12,7 @@ from segtool.retrieval import (
     AnswerDoc,
     BoostProfile,
     EmptyCorpus,
+    MAX_K1,
     FieldedIndex,
     MissingQrel,
     NoLabeledPairs,
@@ -134,6 +135,28 @@ class TestBuildIndex:
         with pytest.raises(RetrievalError) as exc:
             build_index(ANSWERS, k1=k1, b=b)
         assert str(exc.value) == message
+
+    def test_k1_bound(self, tmp_path):
+        # at k1 = 1e308, tf * (k1 + 1) overflowed: a's score was nan and a
+        # search for "x y" listed b alone
+        answers = [AnswerDoc("a", "x " * 50 + "y"), AnswerDoc("b", "x y"), AnswerDoc("c", "z")]
+        index = build_index(answers, k1=MAX_K1, b=1.0)
+        ranked = unfielded_search(index, question("q", "x y"), 3)
+        assert [doc_id for doc_id, _ in ranked] == ["b", "a"]
+        assert all(math.isfinite(score) for _, score in ranked)
+        assert math.isfinite(bm25(index, ["x", "y"], "a"))
+        above = float(np.nextafter(MAX_K1, math.inf))
+        with pytest.raises(RetrievalError) as exc:
+            build_index(answers, k1=above, b=1.0)
+        assert str(exc.value) == f"bad value {above!r} for field 'k1'"
+        path = tmp_path / "i.json.gz"
+        save_index(index, path)
+        obj = json.loads(gzip.decompress(path.read_bytes()))
+        obj["k1"] = above
+        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+        with pytest.raises(RetrievalError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: bad value {above!r} for field 'k1'"
 
 
 class TestBm25:

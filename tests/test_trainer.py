@@ -10,7 +10,7 @@ from segtool.corpus import (
     split_corpus,
     tokenize,
 )
-from segtool.embeddings import CharEncoder, MetaCombiner
+from segtool.embeddings import CharEncoder, MetaCombiner, TokenCountMismatch
 from segtool.trainer import (
     MissingStreams,
     SegModel,
@@ -114,6 +114,40 @@ class TestTraining:
         tr, va, _ = tiny_corpus
         with pytest.raises(MissingStreams):
             train(tr, va, None, small_cfg(combiner_mode="concat"))
+
+    def test_without_validation_the_last_epoch_is_kept(self, tiny_corpus):
+        # nothing to select an epoch by: every epoch runs (patience plays no
+        # part), the last one's weights are returned, and no line has val_ scores
+        tr, _, _ = tiny_corpus
+        one, _ = train(tr, [], None, small_cfg(epochs=1))
+        two, logs = train(tr, [], None, small_cfg(epochs=2, patience=1))
+        assert any(not np.array_equal(v, two.params[k]) for k, v in one.params.items())
+        assert [log.epoch for log in logs] == [0, 1]
+        for log in logs:
+            assert log.val_f1 is None
+            assert log.line() == f"epoch {log.epoch} train_nll {log.train_nll:.4f}"
+
+    @pytest.mark.parametrize("where", ["train", "val"])
+    def test_train_rejects_a_short_stream(self, tiny_corpus, where):
+        tr, va, _ = tiny_corpus
+        streams = synth.gen_streams(tr + va, seed=0)
+        doc = (tr if where == "train" else va)[1]
+        streams.vectors[doc.id][1] = streams.vectors[doc.id][1][:-1]
+        with pytest.raises(TokenCountMismatch) as exc:
+            train(tr, va, streams, small_cfg(epochs=1, combiner_mode="dme", d_prime=4))
+        assert exc.value.doc_id == doc.id
+
+    def test_predict_rejects_a_short_stream(self, tiny_corpus):
+        tr, _, te = tiny_corpus
+        streams = synth.gen_streams(tr + te, seed=0)
+        model, _ = train(tr, [], streams, small_cfg(epochs=1, combiner_mode="dme", d_prime=4))
+        doc = te[0]
+        streams.vectors[doc.id][0] = streams.vectors[doc.id][0][:-1]
+        with pytest.raises(TokenCountMismatch) as exc:
+            predict(model, doc, streams)
+        assert str(exc.value) == (
+            f"doc {doc.id!r}: {len(doc.tokens) - 1} stream tokens, corpus has {len(doc.tokens)}"
+        )
 
     def test_adam_lr_zero_is_identity(self):
         rng = np.random.default_rng(0)
