@@ -5,6 +5,9 @@ hashed subword n-gram embedder that composes vectors for unseen tokens
 from character n-grams, a character-level biLSTM encoder, and contextual
 embedding streams read from a binary file.
 Each token provider takes a list of tokens and returns one row per token.
+What depends only on a token, the subword bucket ids and (for one state
+of its parameters) the char encoding, is kept per distinct token in a
+memo of at most MEMO_CAP tokens.
 
 Multiple contextual streams are fused by the MetaCombiner: naive
 concatenation, or a softmax-weighted sum of linear projections with
@@ -48,6 +51,11 @@ class MissingStreams(EmbeddingsError):
     def __init__(self, doc_id):
         super().__init__(f"no contextual streams for document {doc_id!r}")
         self.doc_id = doc_id
+
+
+# distinct tokens a memo keeps at most; past it, a missing token is computed
+# but not stored (2**16 char encodings are about 21 MB at the default width)
+MEMO_CAP = 2**16
 
 
 def _token_list(tokens):
@@ -115,7 +123,10 @@ def token_ngrams(token, n_min, n_max):
 
 class SubwordHashEmbedder(nn.Component):
     """A token's vector: the mean of the hashed bucket rows of its 3- to
-    6-grams and of its whole padded form (token_ngrams)."""
+    6-grams and of its whole padded form (token_ngrams).  The bucket ids
+    depend only on the token and ``n_buckets``: ``embed_sequence`` takes
+    them from a memo of read-only arrays, so ``bucket_indices`` runs once
+    per distinct token."""
 
     N_MIN, N_MAX = 3, 6
 
@@ -127,6 +138,7 @@ class SubwordHashEmbedder(nn.Component):
         self._add_param(
             "buckets", (rng.standard_normal((n_buckets, dim)) * 0.1).astype(dtype)
         )
+        self._ids = {}  # token -> its read-only bucket_indices
 
     def bucket_indices(self, token):
         if not token:
@@ -139,8 +151,17 @@ class SubwordHashEmbedder(nn.Component):
             dtype=np.int64,
         )
 
+    def _token_ids(self, token):
+        ids = self._ids.get(token)
+        if ids is None:
+            ids = self.bucket_indices(token)
+            ids.flags.writeable = False  # backward_sequence reads the stored arrays
+            if len(self._ids) < MEMO_CAP:
+                self._ids[token] = ids
+        return ids
+
     def embed_sequence(self, tokens):
-        idx = [self.bucket_indices(t) for t in _token_list(tokens)]
+        idx = [self._token_ids(t) for t in _token_list(tokens)]
         out = np.stack([self.params["buckets"][i].mean(axis=0) for i in idx])
         return out, idx
 
@@ -155,7 +176,9 @@ class CharEncoder(nn.Component):
 
     ``forward`` takes a list of tokens, encodes each distinct token once,
     and runs the distinct tokens of one length as one (tokens, length,
-    char_dim) batch.
+    char_dim) batch.  ``encode`` gives the same encodings without the
+    backward cache, from a memo of each distinct token's vector that holds
+    for one state of the parameters.
     """
 
     def __init__(self, rng, chars, char_dim=16, hidden=40, dtype=np.float64):
@@ -164,10 +187,39 @@ class CharEncoder(nn.Component):
         self.rnn = nn.BiLstm(rng, char_dim, hidden, dtype)
         self._add_child("table_", self.table)
         self._add_child("rnn_", self.rnn)
+        self._memo = {}  # token -> its encoding under the parameters below
+        self._memo_params = {}  # copies of self.params when the memo was started
 
     @property
     def out_dim(self):
         return 2 * self.rnn.hidden
+
+    def encode(self, tokens):
+        """``forward(tokens)[0]``, with no cache, from the memo; one
+        ``forward`` call encodes the tokens the memo lacks.  The memo is
+        emptied first when any parameter array differs from its copy, so
+        every change of the weights (an optimizer step, a restore, a load,
+        an edit by hand) invalidates it.  A row is bit-identical to
+        ``forward``'s where BLAS rounds a token's row alike in batches of
+        any size, as OpenBLAS does in float32 at the default widths;
+        elsewhere (float64, or a one-character token alone at small widths)
+        it may differ in the last bit."""
+        tokens = _token_list(tokens)
+        if not all(
+            np.array_equal(v, self._memo_params.get(k)) for k, v in self.params.items()
+        ):
+            self._memo = {}
+            self._memo_params = {k: v.copy() for k, v in self.params.items()}
+        found = {t: self._memo.get(t) for t in tokens}
+        missing = [t for t, v in found.items() if v is None]
+        if missing:
+            for t, v in zip(missing, self.forward(missing)[0]):
+                found[t] = v
+                if len(self._memo) < MEMO_CAP:
+                    self._memo[t] = v
+        if not tokens:
+            return np.empty((0, self.out_dim), dtype=self.table.params["matrix"].dtype)
+        return np.stack([found[t] for t in tokens])
 
     def forward(self, tokens):
         """(len(tokens), out_dim) encodings and the cache for
@@ -229,6 +281,17 @@ class ContextualStreamSet:
 
 
 def save_streams(streams, path):
+    """Write a CSTR1 file.  Every document must have ``streams.n`` arrays of
+    one row count, stream i ``dims[i]`` wide: otherwise FormatError names
+    the document and the stream, and nothing is written."""
+    for doc_id, arrays in streams.vectors.items():
+        if len(arrays) != streams.n:
+            raise FormatError(f"doc {doc_id!r}: {len(arrays)} streams, not {streams.n}")
+        for i, (arr, d) in enumerate(zip(arrays, streams.dims)):
+            if np.shape(arr) != (len(arrays[0]), d):
+                raise FormatError(
+                    f"doc {doc_id!r}, stream {i}: shape {np.shape(arr)}, not {(len(arrays[0]), d)}"
+                )
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", streams.n))

@@ -190,29 +190,32 @@ class SegModel(nn.Component):
             arrs = [arrs[i] for i in self.cfg.stream_indices]
         return [np.asarray(a, dtype=self.DTYPE) for a in arrs]
 
-    def _token_parts(self):
-        """(forward, backward) of each per-token provider, in column order."""
+    def _token_parts(self, infer=False):
+        """(forward, backward) of each per-token provider, in column order;
+        with ``infer``, the char encoder's forward is its memo (``encode``),
+        which keeps no cache."""
         parts = []
         if self.lookup is not None:
             parts.append((self.lookup.embed_sequence, self.lookup.backward_sequence))
         if self.subword is not None:
             parts.append((self.subword.embed_sequence, self.subword.backward_sequence))
         if self.char is not None:
-            parts.append((self.char.forward, self.char.backward))
+            forward = (lambda toks: (self.char.encode(toks), None)) if infer else self.char.forward
+            parts.append((forward, self.char.backward))
         return parts
 
-    def _features(self, docs, streams):
+    def _features(self, docs, streams, infer=False):
         """The padded (B, T, d) input of a mini-batch, its lengths and the
-        caches for ``_features_backward``.  Each per-token provider runs
-        once over the batch's tokens, its column zero at the padding; the
-        combiner runs on zero-padded streams, and its column holds the
-        softmax-weighted projection biases at the padding, which no valid
-        position reads."""
+        caches for ``_features_backward`` (None with ``infer``).  Each
+        per-token provider runs once over the batch's tokens, its column
+        zero at the padding; the combiner runs on zero-padded streams, and
+        its column holds the softmax-weighted projection biases at the
+        padding, which no valid position reads."""
         lengths = np.array([len(doc.tokens) for doc in docs])
         valid = np.arange(lengths.max()) < lengths[:, None]
         toks = [t for doc in docs for t in doc.token_texts()]
         cols, caches = [], []
-        for forward, _ in self._token_parts():
+        for forward, _ in self._token_parts(infer):
             out, cache = forward(toks)
             cols.append(_pad(out, valid))
             caches.append(cache)
@@ -223,7 +226,7 @@ class SegModel(nn.Component):
             cols.append(out.astype(self.DTYPE))
             caches.append(cache)
         widths = [c.shape[-1] for c in cols]
-        return np.concatenate(cols, axis=-1), lengths, (valid, widths, caches)
+        return np.concatenate(cols, axis=-1), lengths, None if infer else (valid, widths, caches)
 
     def _features_backward(self, f_cache, d_x):
         # d_x is exactly zero at the padding: the combiner takes its column as is
@@ -234,18 +237,22 @@ class SegModel(nn.Component):
         if self.combiner is not None:
             self.combiner.backward(caches[-1], d_cols[-1])
 
-    def emissions(self, docs, streams=None, rng=None):
+    def emissions(self, docs, streams=None, rng=None, infer=False):
         """Emission scores of a mini-batch of non-empty documents: a
         float64 (B, T, n_tags) array padded to the longest document (no
         valid position reads the padding), and the caches for
-        ``backward``.  Dropout is drawn from ``rng``; none without one."""
-        x, lengths, f_cache = self._features(docs, streams)
+        ``backward``.  Dropout is drawn from ``rng``; none without one.
+        With ``infer`` (inference: ``predict``) the caches are None and
+        the char encoder reads its memo (``CharEncoder.encode``)."""
+        x, lengths, f_cache = self._features(docs, streams, infer)
         ragged = _ragged(lengths)
         h, e_cache = self.encoder.encode(x, rng=rng, lengths=ragged)
         a_cache = None
         if self.attention is not None:
             h, a_cache = self.attention.forward(h, ragged)
         e, l_cache = self.emit.forward(h)
+        if infer:
+            return e.astype(np.float64), None
         return e.astype(np.float64), (f_cache, lengths, e_cache, a_cache, l_cache)
 
     def backward(self, caches, d_e):
@@ -363,10 +370,10 @@ def _vocabs(docs):
 
 def predict(model, doc, streams=None):
     """Decode a document to non-O segment spans (BIO-constrained
-    Viterbi)."""
+    Viterbi), from the inference emissions (``emissions(infer=True)``)."""
     if not doc.tokens:
         return []
-    e, _ = model.emissions([doc], streams)
+    e, _ = model.emissions([doc], streams, infer=True)
     return bio_to_spans(crf_mod.viterbi(e[0], model._crf64(), constrain_bio=True)[0])
 
 

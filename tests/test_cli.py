@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segtool
-from segtool import synth
+from segtool import synth, trainer
 from segtool.cli import _load_boosts_arg, _load_train_config, main
 from segtool.corpus import (
     AnnotatedDocument, CorpusError, doc_to_json, load_corpus, save_corpus, tokenize,
 )
 from segtool.embeddings import EmbeddingsError, ContextualStreamSet, load_streams, save_streams
 from segtool.retrieval import RetrievalError, build_index, load_answers, load_qrels
-from segtool.trainer import SegModel, TrainConfig, TrainerError
+from segtool.trainer import SegModel, TrainConfig, TrainerError, train
 
 
 @pytest.fixture(scope="module")
@@ -743,6 +743,36 @@ class TestTrainPredictEval:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" train_nll ")[0] for line in lines] == ["epoch 0", "epoch 1"]
         assert not any("val_" in line for line in lines)
+
+    def test_warm_and_loaded_models_predict_alike(self, tmp_path, capsys, monkeypatch):
+        # validation fills the char memo with every epoch's encodings; the
+        # model train returns (after restoring its best epoch) predicts what
+        # the checkpoint it saved predicts in a fresh process
+        docs = synth.gen_corpus(n_docs=16, seed=2)
+        cfile, vfile, sfile = tmp_path / "c.jsonl", tmp_path / "v.jsonl", tmp_path / "s.bin"
+        save_corpus(docs[:12], cfile)
+        save_corpus(docs[12:], vfile)
+        save_streams(synth.gen_streams(docs, seed=2), sfile)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("hidden = 8\nuse_lookup = false\nuse_char = true\ncombiner_mode = cdme\n"
+                       "d_prime = 4\nepochs = 6\npatience = 1\ndropout = 0.0\nbatch_size = 4\n"
+                       "learning_rate = 3e-3\n")
+        warm = []
+        monkeypatch.setattr(trainer, "train", lambda *a: warm.append(train(*a)) or warm[-1])
+        model = tmp_path / "m.npz"
+        assert main(["train", "--corpus", str(cfile), "--val", str(vfile), "--streams", str(sfile),
+                     "--config", str(cfg), "--model", str(model)]) == 0
+        epochs = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert epochs == ["0", "1", "2"]  # epoch 1 was the best and is restored
+        streams = load_streams(sfile)
+        for name, corpus in (("c", docs[:12]), ("v", docs[12:])):
+            pred = tmp_path / f"{name}-loaded.jsonl"
+            assert main(["predict", "--corpus", str(tmp_path / f"{name}.jsonl"),
+                         "--model", str(model), "--streams", str(sfile), "--out", str(pred)]) == 0
+            save_corpus([AnnotatedDocument(d.id, d.text, d.tokens,
+                                           trainer.predict(warm[0][0], d, streams))
+                         for d in corpus], tmp_path / f"{name}-warm.jsonl")
+            assert pred.read_bytes() == (tmp_path / f"{name}-warm.jsonl").read_bytes()
 
     def test_config_unknown_key(self, tmp_path):
         cfile = tmp_path / "c.jsonl"

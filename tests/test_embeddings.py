@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segtool import synth
+from segtool import embeddings, synth
 from segtool.corpus import AnnotatedDocument, tokenize
 from segtool.embeddings import (
     CharEncoder,
@@ -111,6 +111,32 @@ class TestSubword:
         a = SubwordHashEmbedder(np.random.default_rng(7), dim=4, n_buckets=64)
         b = SubwordHashEmbedder(np.random.default_rng(7), dim=4, n_buckets=64)
         assert np.array_equal(a.embed_sequence(["token"])[0], b.embed_sequence(["token"])[0])
+
+    def test_ids_once_per_distinct_token(self, monkeypatch):
+        emb = SubwordHashEmbedder(np.random.default_rng(8), dim=4, n_buckets=64)
+        calls = []
+        bucket_indices = emb.bucket_indices
+        monkeypatch.setattr(emb, "bucket_indices", lambda t: calls.append(t) or bucket_indices(t))
+        tokens = ["wlan0", "up", "wlan0", "ifconfig", "up"]
+        out, idx = emb.embed_sequence(tokens)
+        out2, _ = emb.embed_sequence(tokens + ["down"])
+        assert calls == ["wlan0", "up", "ifconfig", "down"]
+        # the memo's ids and vectors are those the hash gives, and read-only
+        buckets = emb.params["buckets"]
+        for t, ids, row, row2 in zip(tokens, idx, out, out2):
+            assert np.array_equal(ids, bucket_indices(t))
+            assert not ids.flags.writeable
+            assert np.array_equal(row, buckets[bucket_indices(t)].mean(axis=0))
+            assert np.array_equal(row2, row)
+        # backward reads the stored ids: a repeated token's rows add up
+        d_out = np.ones((len(tokens), 4))
+        emb.zero_grads()
+        emb.backward_sequence(idx, d_out)
+        expected = np.zeros_like(buckets)
+        for t in tokens:
+            ids = bucket_indices(t)
+            np.add.at(expected, ids, 1.0 / len(ids))
+        np.testing.assert_allclose(emb.grads["buckets"], expected, rtol=1e-12)
 
 
 class TestCharEncoder:
@@ -239,6 +265,85 @@ class TestBatchedCharEncoder:
         assert enc.forward(["wlan0"])[0].shape == (1, enc.out_dim)
 
 
+def counting_forward(monkeypatch, enc):
+    """The token lists ``enc.forward`` is called with, as they come."""
+    calls = []
+    forward = enc.forward
+    monkeypatch.setattr(enc, "forward", lambda toks: calls.append(list(toks)) or forward(toks))
+    return calls
+
+
+class TestCharMemo:
+    # SegModel's float32 at the default widths, where OpenBLAS gives a
+    # token's row the same bits in a batch of any size
+    def enc(self, **kw):
+        return CharEncoder(np.random.default_rng(9), "abcde", dtype=np.float32, **kw)
+
+    @pytest.mark.parametrize("tokens", [TOKENS, ["abc"], ["abc", "abc"], ["q"], ["zzqab", "e"]],
+                             ids=["many-lengths", "one", "repeat", "unknown-char", "unknown-two"])
+    def test_equals_forward(self, tokens):
+        enc = self.enc()
+        first = enc.encode(tokens)
+        assert first.dtype == np.float32
+        assert np.array_equal(first, enc.forward(tokens)[0])
+        # from the memo, alone and among new tokens, and out of order
+        assert np.array_equal(enc.encode(tokens), first)
+        mixed = ["de"] + tokens[::-1] + ["ceb"]
+        assert np.array_equal(enc.encode(mixed), enc.forward(mixed)[0])
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_other_widths_within_a_rounding(self, dtype, rtol):
+        # a one-row product ("q" alone, then beside "a") may round otherwise
+        enc = CharEncoder(np.random.default_rng(9), "abcde", char_dim=4, hidden=3, dtype=dtype)
+        enc.encode(["q"])
+        np.testing.assert_allclose(enc.encode(TOKENS), enc.forward(TOKENS)[0], rtol=rtol)
+
+    def test_empty_list(self):
+        enc = self.enc()
+        out = enc.encode([])
+        assert out.shape == (0, enc.out_dim) and out.dtype == np.float32
+
+    def test_bad_tokens_rejected(self):
+        enc = self.enc()
+        with pytest.raises(EmptyToken):
+            enc.encode(["ab", ""])
+        with pytest.raises(EmbeddingsError, match="got the str 'abc'"):
+            enc.encode("abc")
+        assert "" not in enc._memo
+
+    def test_forward_runs_on_missing_tokens_only(self, monkeypatch):
+        enc = self.enc()
+        calls = counting_forward(monkeypatch, enc)
+        enc.encode(["ab", "a", "ab", "abcde"])
+        enc.encode(["a", "ab"])
+        enc.encode(["abcde", "q", "a", "q", "ce"])
+        assert calls == [["ab", "a", "abcde"], ["q", "ce"]]
+
+    def test_parameter_edit_empties_the_memo(self, monkeypatch):
+        enc = self.enc()
+        enc.encode(TOKENS)
+        enc.params["rnn_f_U"][0, 0] += 0.5
+        calls = counting_forward(monkeypatch, enc)
+        out = enc.encode(TOKENS)
+        assert calls == [list(dict.fromkeys(TOKENS))]
+        assert np.array_equal(out, enc.forward(TOKENS)[0])
+        enc.params["table_matrix"][1] *= 2.0  # the row of "a"
+        assert np.array_equal(enc.encode(["a"]), enc.forward(["a"])[0])
+        assert len(enc._memo) == 1
+
+    def test_memo_is_capped(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "MEMO_CAP", 3)
+        enc = self.enc()
+        for tokens in (TOKENS, TOKENS[::-1], ["e", "d", "ab"], TOKENS):
+            assert np.array_equal(enc.encode(tokens), enc.forward(tokens)[0])
+            assert len(enc._memo) <= 3
+        assert list(enc._memo) == ["ab", "a", "abcde"]
+        emb = SubwordHashEmbedder(np.random.default_rng(8), dim=4, n_buckets=64)
+        out, _ = emb.embed_sequence(TOKENS)
+        assert len(emb._ids) == 3
+        assert np.array_equal(emb.embed_sequence(TOKENS)[0], out)
+
+
 class SegModel64(SegModel):
     DTYPE = np.float64
 
@@ -355,6 +460,23 @@ class TestStreamFiles:
         with pytest.raises(FormatError) as exc:
             load_streams(path)
         assert str(exc.value) == f"{path}: non-finite vector for doc 'b'"
+
+    @pytest.mark.parametrize("dims, arrays, where", [
+        ([2, 2], [np.ones((3, 2)), np.ones((2, 2))], "stream 1: shape (2, 2), not (3, 2)"),
+        ([2, 2], [np.ones((3, 2)), np.ones((3, 5))], "stream 1: shape (3, 5), not (3, 2)"),
+        ([2, 2], [np.ones((3, 2))], "1 streams, not 2"),
+        ([2], [np.ones((3, 2)), np.ones((3, 2))], "2 streams, not 1"),
+        ([2], [np.ones(3)], "stream 0: shape (3,), not (3, 2)"),
+    ], ids=["short-second", "wide-second", "too-few", "too-many", "one-dimensional"])
+    def test_malformed_set_not_saved(self, tmp_path, dims, arrays, where):
+        streams = make_streams(np.random.default_rng(7), dims, [("ok", 2)])
+        streams.vectors["a"] = arrays
+        path = tmp_path / "s.bin"
+        with pytest.raises(FormatError) as exc:
+            save_streams(streams, path)
+        assert str(exc.value).startswith(f"doc 'a'{',' if 'stream ' in where else ':'} ")
+        assert str(exc.value).endswith(where)
+        assert not path.exists()
 
     def test_truncated(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -475,7 +475,95 @@ class TestFloat32Model:
             assert g.dtype == np.float32, k
 
 
+def char_cdme_setup(tiny_corpus):
+    """A trained char + cdme + weighted-attention model (default char widths),
+    its streams and the held-out documents."""
+    tr, _, te = tiny_corpus
+    streams = synth.gen_streams(tr + te, seed=0)
+    cfg = small_cfg(epochs=1, use_char=True, combiner_mode="cdme", d_prime=4,
+                    attention_mode="weighted", attention_dim=3)
+    model, _ = train(tr, [], streams, cfg)
+    return model, streams, te
+
+
+def training_emissions(model, doc, streams):
+    """A document's emissions through the training path (char ``forward``)."""
+    return model.emissions([doc], streams)[0]
+
+
+def inference_emissions(model, doc, streams):
+    return model.emissions([doc], streams, infer=True)[0]
+
+
+class TestInferenceMemo:
+    """predict's inference mode reads the char encoder's memo; every change
+    of the weights empties it, and training never touches it."""
+
+    def test_inference_equals_training_path(self, tiny_corpus):
+        model, streams, te = char_cdme_setup(tiny_corpus)
+        for _ in range(2):  # cold, then from the memo
+            for doc in te:
+                assert model.emissions([doc], streams, infer=True)[1] is None
+                e = inference_emissions(model, doc, streams)
+                assert e.tobytes() == training_emissions(model, doc, streams).tobytes()
+        assert set(model.char._memo) == {t for d in te for t in d.token_texts()}
+
+    def test_training_step_empties_the_memo(self, tiny_corpus):
+        model, streams, te = char_cdme_setup(tiny_corpus)
+        before = [predict(model, doc, streams) for doc in te]
+        assert model.char._memo
+        opt = nn.Adam(model.params, lr=0.05)
+        model.zero_grads()
+        model.batch_loss(te, streams, train=True)
+        opt.step(model.params, model.grads)
+        for doc in te:
+            e = inference_emissions(model, doc, streams)
+            assert e.tobytes() == training_emissions(model, doc, streams).tobytes()
+        assert [predict(model, doc, streams) for doc in te] != before
+
+    def test_edit_by_hand_empties_the_memo(self, tiny_corpus):
+        model, streams, te = char_cdme_setup(tiny_corpus)
+        doc = te[0]
+        before = inference_emissions(model, doc, streams)
+        model.params["char.rnn_f_U"][...] *= 3.0
+        after = inference_emissions(model, doc, streams)
+        assert after.tobytes() == training_emissions(model, doc, streams).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_batch_loss_leaves_the_memo(self, tiny_corpus):
+        model, streams, te = char_cdme_setup(tiny_corpus)
+        predict(model, te[0], streams)
+        memo, kept = model.char._memo, model.char._memo_params
+        entries = dict(memo)
+        model.zero_grads()
+        model.batch_loss(te, streams, train=True)
+        model.doc_loss(te[1], streams)
+        assert model.char._memo is memo and dict(memo) == entries
+        assert model.char._memo_params is kept
+
+    def test_restored_epoch_predicts_as_a_loaded_checkpoint(self, tiny_corpus, tmp_path):
+        # epoch 3 validates worse than epoch 2 (F1 0.112 -> 0.0), so train
+        # restores epoch 2's weights after epoch 3's validation filled the memo
+        tr, va, te = tiny_corpus
+        cfg = small_cfg(use_char=True, char_dim=4, char_hidden=4, epochs=8, patience=1)
+        model, logs = train(tr, va, None, cfg)
+        assert [log.epoch for log in logs] == [0, 1, 2, 3]
+        assert logs[2].val_f1 == max(log.val_f1 for log in logs) > logs[3].val_f1
+        assert set(model.char._memo) >= {t for d in va for t in d.token_texts()}
+        model.save(tmp_path / "m.npz")
+        loaded = SegModel.load(tmp_path / "m.npz")
+        for doc in te + va:
+            assert inference_emissions(model, doc, None).tobytes() == (
+                inference_emissions(loaded, doc, None).tobytes())
+            assert predict(model, doc) == predict(loaded, doc)
+
+
 class TestGradCheck:
+    @pytest.mark.parametrize("component", ["char", "model"])
+    def test_char_paths_pass(self, component):
+        # gradcheck runs forward/backward only; the memo is never read
+        assert gradcheck(component, trials=10, seed=2).passed
+
     def test_all_components_pass(self):
         report = gradcheck("all", trials=5, seed=0)
         assert report.passed
