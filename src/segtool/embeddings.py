@@ -100,8 +100,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a(data, seed=0):
-    h = _FNV_OFFSET ^ seed
+def fnv1a(data):
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
@@ -282,8 +282,8 @@ class ContextualStreamSet:
 
 def save_streams(streams, path):
     """Write a CSTR1 file.  Every document must have ``streams.n`` arrays of
-    one row count, stream i ``dims[i]`` wide: otherwise FormatError names
-    the document and the stream, and nothing is written."""
+    one row count, stream i ``dims[i]`` wide and finite in float32: otherwise
+    FormatError names the document and the stream, and nothing is written."""
     for doc_id, arrays in streams.vectors.items():
         if len(arrays) != streams.n:
             raise FormatError(f"doc {doc_id!r}: {len(arrays)} streams, not {streams.n}")
@@ -292,6 +292,9 @@ def save_streams(streams, path):
                 raise FormatError(
                     f"doc {doc_id!r}, stream {i}: shape {np.shape(arr)}, not {(len(arrays[0]), d)}"
                 )
+            # the file holds float32: a larger value would be read back as inf
+            if not np.all(np.abs(arr) <= np.finfo(np.float32).max):  # NaN fails too
+                raise FormatError(f"doc {doc_id!r}, stream {i}: a value is not finite in float32")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", streams.n))

@@ -22,15 +22,13 @@ class DimMismatch(EncoderError):
 
 
 class BiGruEncoder(nn.Component):
-    def __init__(self, rng, input_dim, hidden, dropout_rate=0.0,
-                 recurrent_dropout_rate=0.0, dtype=np.float64):
+    def __init__(self, rng, input_dim, hidden, dropout_rate=0.0, dtype=np.float64):
         super().__init__()
-        if not (0 <= dropout_rate < 1 and 0 <= recurrent_dropout_rate < 1):
-            raise EncoderError("dropout rates must lie in [0, 1)")
+        if not 0 <= dropout_rate < 1:
+            raise EncoderError("dropout rate must lie in [0, 1)")
         self.input_dim = input_dim
         self.hidden = hidden
         self.dropout_rate = dropout_rate
-        self.recurrent_dropout_rate = recurrent_dropout_rate
         self.rnn = nn.BiGru(rng, input_dim, hidden, dtype)
         self._add_child("", self.rnn)
 
@@ -41,31 +39,21 @@ class BiGruEncoder(nn.Component):
     def encode(self, x, rng=None, lengths=None):
         """x: (..., s, input_dim) -> (..., s, 2H).  The leading axes hold
         sequences zero-padded after their ``lengths`` (all s when None).
-        Dropout is applied only with an ``rng``, drawn from it per sequence
-        in order: its (length, input_dim) input mask, then its recurrent
-        mask, which is shared across time steps."""
+        Input dropout is applied only with an ``rng``: one draw of a row per
+        valid position, in (sequence, step) order; the padding stays zero."""
         if x.ndim < 2 or x.shape[-1] != self.input_dim:
             raise DimMismatch(f"expected (..., s, {self.input_dim}), got {x.shape}")
-        lead, s = x.shape[:-2], x.shape[-2]
-        in_mask = rec_mask = None
-        if rng is not None:
-            keep_in = 1.0 - self.dropout_rate
-            keep_rec = 1.0 - self.recurrent_dropout_rate
-            # masks in the features' dtype, so float32 stays float32
-            if self.dropout_rate > 0:
-                in_mask = np.zeros(x.shape, dtype=x.dtype)
-            if self.recurrent_dropout_rate > 0:
-                rec_mask = np.empty(lead + (self.hidden,), dtype=x.dtype)
-            n_valid = np.broadcast_to(s if lengths is None else lengths, lead)
-            for b in np.ndindex(lead):
-                if in_mask is not None:
-                    n = n_valid[b]
-                    in_mask[b][:n] = (rng.random((n, x.shape[-1])) < keep_in) / keep_in
-                if rec_mask is not None:
-                    rec_mask[b] = (rng.random(self.hidden) < keep_rec) / keep_rec
-            if in_mask is not None:
-                x = x * in_mask
-        out, cache = self.rnn.forward(x, lengths=lengths, rec_mask=rec_mask)
+        in_mask = None
+        if rng is not None and self.dropout_rate > 0:
+            keep = 1.0 - self.dropout_rate
+            s = x.shape[-2]
+            n_valid = np.broadcast_to(s if lengths is None else lengths, x.shape[:-2])
+            valid = np.arange(s) < n_valid[..., None]
+            # the mask in the features' dtype, so float32 stays float32
+            in_mask = np.zeros(x.shape, dtype=x.dtype)
+            in_mask[valid] = (rng.random((np.count_nonzero(valid), x.shape[-1])) < keep) / keep
+            x = x * in_mask
+        out, cache = self.rnn.forward(x, lengths=lengths)
         return out, (cache, in_mask)
 
     def backward(self, cache, d_out):

@@ -114,7 +114,7 @@ def _move(a, src, dst):
 class _Recurrent(Component):
     """A gated recurrent cell scanning (..., s, d_in) input: the leading
     axes are independent sequences of length s, run in lockstep.  The
-    subclasses keep only their time loops.  ``_scan(xw, hs, U, **kw)``
+    subclasses keep only their time loops.  ``_scan(xw, hs, U)``
     fills the states from the projected input and returns the rest of
     the cache, which starts with the time-major input and the states;
     ``_scan_back(cache, d_h_seq, d_pre, U_T)`` fills the gate
@@ -156,7 +156,7 @@ class _Recurrent(Component):
         lead = xt.shape[len(dirs) + 1 : -1]
         return dirs, xt.shape[len(dirs)], lead, dirs + (1,) + lead
 
-    def forward(self, x, **kw):
+    def forward(self, x):
         W, U, b = self.params["W"], self.params["U"], self.params["b"]
         xt = _move(x, -2, W.ndim - 2)
         dirs, s, lead, rows = self._layout(xt)
@@ -168,7 +168,7 @@ class _Recurrent(Component):
         )
         xw = np.ascontiguousarray(_move(xw, len(dirs), 0)).reshape((s,) + rows + (GH,))
         hs = np.zeros((s + 1,) + rows + (self.hidden,), dtype=W.dtype)
-        cache = (xt, hs) + self._scan(xw, hs, _lift(U, len(lead)), **kw)
+        cache = (xt, hs) + self._scan(xw, hs, _lift(U, len(lead)))
         return _move(hs[1:], 0, -2).reshape(x.shape[:-1] + (self.hidden,)), cache
 
     def backward(self, cache, d_h_seq):
@@ -199,16 +199,11 @@ class _Recurrent(Component):
 
 
 class Gru(_Recurrent):
-    """GRU, gate order: update z, reset r, candidate n.
-
-    An optional recurrent dropout mask, one (hidden,) row per sequence
-    (shape (..., hidden), the same mask at every step), multiplies the
-    previous hidden state on the gate inputs only.
-    """
+    """GRU, gate order: update z, reset r, candidate n."""
 
     n_gates = 3
 
-    def _scan(self, xw, hs, U, rec_mask=None):
+    def _scan(self, xw, hs, U):
         H = self.hidden
         xw_zr, xw_n = xw[..., : 2 * H], xw[..., 2 * H :]
         U_zr = np.ascontiguousarray(U[..., : 2 * H])
@@ -216,28 +211,25 @@ class Gru(_Recurrent):
         zr = np.empty(xw.shape[:-1] + (2 * H,), dtype=hs.dtype)
         z, r = zr[..., :H], zr[..., H:]
         n = np.empty_like(hs[1:])
-        # h as the gates see it: h itself, or h times the recurrent mask
-        hm = hs[:-1] if rec_mask is None else np.empty_like(n)
         # the loop walks the per-step views instead of indexing every array
-        steps = zip(xw_zr, xw_n, hs[:-1], hs[1:], hm, zr, z, r, n)
-        for xw_zr_t, xw_n_t, h, h_next, hm_t, zr_t, z_t, r_t, n_t in steps:
-            if rec_mask is not None:
-                hm_t[...] = h * rec_mask
-            zr_t[...] = _sigmoid(xw_zr_t + hm_t @ U_zr)
-            n_t[...] = np.tanh(xw_n_t + (r_t * hm_t) @ U_n)
+        steps = zip(xw_zr, xw_n, hs[:-1], hs[1:], zr, z, r, n)
+        for xw_zr_t, xw_n_t, h, h_next, zr_t, z_t, r_t, n_t in steps:
+            zr_t[...] = _sigmoid(xw_zr_t + h @ U_zr)
+            n_t[...] = np.tanh(xw_n_t + (r_t * h) @ U_n)
             h_next[...] = h + z_t * (n_t - h)
-        return z, r, n, hm, rec_mask
+        return z, r, n
 
     def _scan_back(self, cache, d_h_seq, d_pre, U_T):
-        _, hs, z, r, n, hm, rec_mask = cache
+        _, hs, z, r, n = cache
         H = self.hidden
         U_zr_T = np.ascontiguousarray(U_T[..., : 2 * H, :])
         U_n_T = np.ascontiguousarray(U_T[..., 2 * H :, :])
+        h_prev = hs[:-1]
         # Everything that does not depend on d_h, per step: d_z_pre and d_n_pre
-        # are d_h times z_scale and n_scale; d_r_pre is d_rhm times r_scale.
-        z_scale = (n - hs[:-1]) * z * (1.0 - z)
+        # are d_h times z_scale and n_scale; d_r_pre is d_rh times r_scale.
+        z_scale = (n - h_prev) * z * (1.0 - z)
         n_scale = z * (1.0 - n * n)
-        r_scale = hm * r * (1.0 - r)
+        r_scale = h_prev * r * (1.0 - r)
         one_minus_z = 1.0 - z
         d_z, d_r, d_n = (d_pre[..., k * H : (k + 1) * H] for k in range(3))
         d_zr = d_pre[..., : 2 * H]
@@ -246,15 +238,11 @@ class Gru(_Recurrent):
             d_h = d_h + d_h_seq[t]
             d_z[t] = d_h * z_scale[t]
             d_n[t] = d_h * n_scale[t]
-            # through n: inputs x W_n + (r*hm) U_n
-            d_rhm = d_n[t] @ U_n_T
-            d_r[t] = d_rhm * r_scale[t]
-            d_hm = d_rhm * r[t] + d_zr[t] @ U_zr_T
-            if rec_mask is not None:
-                # the mask multiplies h on the gate inputs only
-                d_hm *= rec_mask
-            d_h = d_h * one_minus_z[t] + d_hm
-        return [(slice(None, 2 * H), hm), (slice(2 * H, None), r * hm)]
+            # through n: inputs x W_n + (r*h) U_n
+            d_rh = d_n[t] @ U_n_T
+            d_r[t] = d_rh * r_scale[t]
+            d_h = d_h * one_minus_z[t] + (d_rh * r[t] + d_zr[t] @ U_zr_T)
+        return [(slice(None, 2 * H), h_prev), (slice(2 * H, None), r * h_prev)]
 
 
 class Lstm(_Recurrent):
@@ -343,9 +331,9 @@ class _Bi(Component):
                 self.params[prefix + name] = value[k]
                 self.grads[prefix + name] = self.cell.grads[name][k]
 
-    def forward(self, x, lengths=None, **kw):
+    def forward(self, x, lengths=None):
         rev = _reversal(x.shape[-2], lengths)
-        h, cache = self.cell.forward(np.stack([x, _reverse(x, rev)]), **kw)
+        h, cache = self.cell.forward(np.stack([x, _reverse(x, rev)]))
         return np.concatenate([h[0], _reverse(h[1], rev)], axis=-1), (cache, rev)
 
     def backward(self, cache, d_out):

@@ -49,6 +49,8 @@ INDEX_VERSION = 2
 # far above any BM25 k1 in use (about 1-2), far below where tf * (k1 + 1) overflows
 MAX_K1 = 1e6
 INDEX_COLUMNS = ("docs", "lengths", "terms", "df", "rows", "tf")
+# the (floor, ceiling) of an estimated boost weight
+BOOST_CLAMP = (0.25, 4.0)
 
 
 def terms_of(text):
@@ -236,14 +238,15 @@ def unfielded_search(index, doc, k=10):
     return _top_k(index, [(1.0, [t.text.lower() for t in doc.tokens])], k)
 
 
-def estimate_boosts(questions, gold_answers, clamp=(0.25, 4.0)):
+def estimate_boosts(questions, gold_answers):
     """Per-label boost weights from average word overlap with the correct
     answer.
 
     questions: AnnotatedDocuments with spans; gold_answers: doc id ->
     answer text.  Overlap per label is |segment terms ∩ answer terms| /
     |segment terms|, averaged over the questions where the label occurs;
-    weights are normalized to mean 1 over observed labels and clamped.
+    weights are normalized to mean 1 over observed labels and clamped to
+    ``BOOST_CLAMP``.
     Labels never observed stay at the neutral 1.
     """
     overlaps = {c: [] for c in CLASS_NAMES}
@@ -265,7 +268,7 @@ def estimate_boosts(questions, gold_answers, clamp=(0.25, 4.0)):
     means = {c: (sum(v) / len(v)) for c, v in overlaps.items() if v}
     grand = sum(means.values()) / len(means)
     weights = {c: 1.0 for c in CLASS_NAMES}
-    lo, hi = clamp
+    lo, hi = BOOST_CLAMP
     for c, m in means.items():
         if grand > 0:
             weights[c] = min(hi, max(lo, m / grand))

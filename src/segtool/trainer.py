@@ -49,7 +49,7 @@ class NonFiniteLoss(TrainerError):
         super().__init__(f"non-finite loss at epoch {epoch}, step {step}")
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # the CrfParams fields, each a "crf.<field>" array of SegModel.params
 _CRF_FIELDS = ("transitions", "start", "stop")
@@ -59,7 +59,6 @@ _CRF_FIELDS = ("transitions", "start", "stop")
 class TrainConfig:
     learning_rate: float = 1e-3
     dropout: float = 0.3
-    recurrent_dropout: float = 0.0
     epochs: int = 30
     batch_size: int = 8
     seed: int = 0
@@ -84,8 +83,8 @@ class TrainConfig:
     attention_dim: int = None
 
     def validate(self):
-        if not (0 <= self.dropout < 1 and 0 <= self.recurrent_dropout < 1):
-            raise TrainerError("dropout rates must lie in [0, 1)")
+        if not 0 <= self.dropout < 1:
+            raise TrainerError(f"dropout must lie in [0, 1), got {self.dropout}")
         for key in ("learning_rate", "clip_norm"):
             if not 0 < getattr(self, key) < float("inf"):  # nan fails too
                 raise TrainerError(f"{key} must be positive and finite, got {getattr(self, key)}")
@@ -156,9 +155,7 @@ class SegModel(nn.Component):
         if feat_dim == 0:
             raise TrainerError("no embedding provider enabled")
 
-        self.encoder = BiGruEncoder(
-            rng, feat_dim, cfg.hidden, cfg.dropout, cfg.recurrent_dropout, dtype=dt
-        )
+        self.encoder = BiGruEncoder(rng, feat_dim, cfg.hidden, cfg.dropout, dtype=dt)
         self.attention = None
         top_dim = self.encoder.out_dim
         if cfg.attention_mode != "none":
@@ -413,8 +410,8 @@ def train(train_docs, val_docs, streams, cfg):
     stopping ``cfg.patience`` epochs after it; without them, the last epoch's
     model, and logs without val_ scores.  Every document's streams are
     checked (``ContextualStreamSet.for_doc``) before the first step."""
-    if not train_docs:
-        raise TrainerError("empty training set")
+    if not any(d.tokens for d in train_docs):
+        raise TrainerError("no training document has a token")
     cfg.validate()
     if cfg.combiner_mode != "none":
         if streams is None:

@@ -273,14 +273,22 @@ def _boosts_unknown_answer(tmp_path):
     return argv, [f"{qrels}: ", "'ghost'", repr(ids[0])]
 
 
-def _config_size(line):
+def _bad_config(line, message):
     def case(tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(line + "\n")
         argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--config", str(cfg)]
-        return argv, [f"{cfg}: ", line.split("=")[0]]
+        return argv, [f"{cfg}:", message]
 
     return case
+
+
+def _train_without_tokens(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    save_corpus([AnnotatedDocument(f"e{k}", "", tokenize(""), []) for k in range(2)], path)
+    return ["train", "--corpus", str(path), "--model", str(tmp_path / "m.npz")], [
+        "no training document has a token"
+    ]
 
 
 def _bad_doc(mutate):
@@ -378,12 +386,12 @@ def _checkpoint_file(tmp_path, edit=None, data=None):
     return path
 
 
-def _bad_checkpoint(edit=None, data=None):
+def _bad_checkpoint(edit=None, data=None, message=""):
     def case(tmp_path):
         path = _checkpoint_file(tmp_path, edit, data)
         argv = ["predict", "--corpus", str(_corpus_file(tmp_path)), "--model", str(path),
                 "--out", str(tmp_path / "p.jsonl")]
-        return argv, [f"{path}: "]
+        return argv, [f"{path}: {message}"]
 
     return case
 
@@ -484,8 +492,12 @@ MALFORMED_IN_PROCESS = {
     "mrr-missing-qrel": _mrr_missing_qrel,
     "mrr-qrel-unknown-answer": _mrr_unknown_answer,
     "boosts-qrel-unknown-answer": _boosts_unknown_answer,
-    "config-batch-size-zero": _config_size("batch_size=0"),
-    "config-hidden-zero": _config_size("hidden=0"),
+    "config-batch-size-zero": _bad_config("batch_size=0", "batch_size"),
+    "config-hidden-zero": _bad_config("hidden=0", "hidden"),
+    "config-recurrent-dropout": _bad_config(
+        "recurrent_dropout = 0.2", ":1: unknown key 'recurrent_dropout'"
+    ),
+    "train-no-tokens": _train_without_tokens,
     "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
     "corpus-spans-not-list": _bad_doc(lambda o: o.update(spans="CC")),
     "corpus-id-not-str": _bad_doc(lambda o: o.update(id=5)),
@@ -509,6 +521,11 @@ MALFORMED_IN_PROCESS = {
     ),
     "checkpoint-extra-array": _bad_checkpoint(lambda m, a: a.update(extra=np.zeros(1))),
     "checkpoint-reordered-tags": _bad_checkpoint(lambda m, a: m["tag_order"].reverse()),
+    # a version-1 checkpoint's config holds recurrent_dropout, a field since removed
+    "checkpoint-version-1": _bad_checkpoint(
+        lambda m, a: m.update(version=1) or m["config"].update(recurrent_dropout=0.0),
+        message="unsupported checkpoint version 1",
+    ),
     "predict-fewer-streams-than-model": _predict_fewer_streams,
     "eval-missing-prediction": _eval_missing_prediction,
     "eval-prediction-tokenized-differently": _eval_prediction_tokenized_differently,

@@ -24,6 +24,19 @@ def fd_check(params_grads, loss, rng, step=1e-6, samples=4, tol=1e-4):
             assert abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])) < tol, name
 
 
+def per_sequence_mask(rng, x, lengths, rate):
+    """The input-dropout mask for ``x`` drawn one sequence at a time, its
+    valid rows only: the oracle for BiGruEncoder.encode's one draw."""
+    keep = 1.0 - rate
+    mask = np.zeros(x.shape, dtype=x.dtype)
+    lead, s = x.shape[:-2], x.shape[-2]
+    n_valid = np.broadcast_to(s if lengths is None else lengths, lead)
+    for b in np.ndindex(lead):
+        n = n_valid[b]
+        mask[b][:n] = (rng.random((n, x.shape[-1])) < keep) / keep
+    return mask
+
+
 class TestBiGruEncoder:
     def test_output_shape(self):
         rng = np.random.default_rng(0)
@@ -84,7 +97,7 @@ class TestBiGruEncoder:
 
     def test_dropout_off_at_inference(self):
         rng = np.random.default_rng(5)
-        enc = BiGruEncoder(rng, 4, 3, dropout_rate=0.5, recurrent_dropout_rate=0.5)
+        enc = BiGruEncoder(rng, 4, 3, dropout_rate=0.5)
         x = rng.standard_normal((5, 4))
         a, _ = enc.encode(x)
         b, _ = enc.encode(x)
@@ -109,26 +122,47 @@ class TestBiGruEncoder:
         checks = [("x", x, d_x)] + [(k, enc.params[k], enc.grads[k]) for k in enc.params]
         fd_check(checks, loss, rng)
 
-    def test_finite_difference_recurrent_dropout(self):
-        # the same recurrent mask on every loss call: reseed the dropout rng
+    def test_finite_difference_input_dropout(self):
+        # a ragged batch under the same input mask on every loss call:
+        # reseed the dropout rng
         rng = np.random.default_rng(7)
-        enc = BiGruEncoder(rng, 3, 4, recurrent_dropout_rate=0.5)
-        x = rng.standard_normal((6, 3))
-        w = rng.standard_normal((6, 8))
+        enc = BiGruEncoder(rng, 3, 4, dropout_rate=0.5)
+        lengths = np.array([2, 6, 4])
+        padded = np.arange(6) >= lengths[:, None]
+        x = rng.standard_normal((3, 6, 3))
+        w = rng.standard_normal((3, 6, 8))
+        x[padded] = 0.0
+        w[padded] = 0.0
 
         def encode():
-            return enc.encode(x, rng=np.random.default_rng(11))
+            return enc.encode(x, rng=np.random.default_rng(11), lengths=lengths)
 
         def loss():
             return float((encode()[0] * w).sum())
 
         out, cache = encode()
-        rec_mask = cache[0][0][-1]
-        assert rec_mask is not None and np.any(rec_mask == 0) and np.any(rec_mask != 0)
+        in_mask = cache[1]
+        assert np.any(in_mask[~padded] == 0) and np.any(in_mask[~padded] != 0)
+        assert not in_mask[padded].any()
         enc.zero_grads()
         d_x = enc.backward(cache, w)
         checks = [("x", x, d_x)] + [(k, enc.params[k], enc.grads[k]) for k in enc.params]
         fd_check(checks, loss, rng, samples=8)
+
+    @pytest.mark.parametrize("lead, lengths", [
+        ((), None), ((4,), None), ((4,), [3, 1, 5, 2]), ((3, 2), [[1, 5], [4, 4], [2, 3]]),
+    ], ids=["one", "batch", "ragged", "two-axes"])
+    def test_one_draw_equals_per_sequence_masks(self, lead, lengths):
+        # the mask is drawn in one call, in (sequence, step) order: it equals
+        # one draw per sequence of its valid rows, and leaves the rng where
+        # those draws leave it
+        enc = BiGruEncoder(np.random.default_rng(8), 3, 2, dropout_rate=0.4)
+        x = np.ones(lead + (5, 3), dtype=np.float32)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        _, (_, mask) = enc.encode(x, rng=rng, lengths=lengths)
+        ref = per_sequence_mask(ref_rng, x, lengths, 0.4)
+        assert mask.dtype == np.float32 and np.array_equal(mask, ref)
+        assert rng.random() == ref_rng.random()
 
 
 def attention_oracle(q, k, v):

@@ -29,10 +29,10 @@ class TwoCellBi(Component):
         self._add_child("f_", self.f)
         self._add_child("b_", self.b)
 
-    def forward(self, x, lengths=None, **kw):
+    def forward(self, x, lengths=None):
         rev = _reversal(x.shape[-2], lengths)
-        hf, cf = self.f.forward(x, **kw)
-        hb_rev, cb = self.b.forward(_reverse(x, rev), **kw)
+        hf, cf = self.f.forward(x)
+        hb_rev, cb = self.b.forward(_reverse(x, rev))
         out = np.concatenate([hf, _reverse(hb_rev, rev)], axis=-1)
         return out, (cf, cb, rev)
 
@@ -49,18 +49,18 @@ class TwoCellBi(Component):
 
 def gru_backward_oracle(cell, cache, d_h_seq):
     """Returns (d_x, grads) without touching ``cell.grads``."""
-    x, hs, zs, rs, ns, hms, rec_mask = cache
+    x, hs, zs, rs, ns = cache
     H = cell.hidden
     s = x.shape[0]
     # the cached states of one sequence are (steps, 1, H): drop the row axis
-    hs, zs, rs, ns, hms = (a.reshape(len(a), H) for a in (hs, zs, rs, ns, hms))
+    hs, zs, rs, ns = (a.reshape(len(a), H) for a in (hs, zs, rs, ns))
     U = cell.params["U"]
     grads = {k: np.zeros_like(v) for k, v in cell.params.items()}
     d_x = np.zeros_like(x)
     d_h = np.zeros(H, dtype=x.dtype)
     for t in range(s - 1, -1, -1):
         d_h = d_h + d_h_seq[t]
-        h_prev, hm = hs[t], hms[t]
+        h_prev = hs[t]
         z, r, n = zs[t], rs[t], ns[t]
         d_z = d_h * (n - h_prev)
         d_n = d_h * z
@@ -68,9 +68,9 @@ def gru_backward_oracle(cell, cache, d_h_seq):
 
         d_n_pre = d_n * (1.0 - n * n)
         d_z_pre = d_z * z * (1.0 - z)
-        d_rhm = d_n_pre @ U[:, 2 * H :].T
-        d_r = d_rhm * hm
-        d_hm = d_rhm * r
+        d_rh = d_n_pre @ U[:, 2 * H :].T
+        d_r = d_rh * h_prev
+        d_h_gates = d_rh * r
         d_r_pre = d_r * r * (1.0 - r)
 
         d_pre = np.concatenate([d_z_pre, d_r_pre, d_n_pre])
@@ -78,15 +78,11 @@ def gru_backward_oracle(cell, cache, d_h_seq):
         grads["b"] += d_pre
         d_x[t] = d_pre @ cell.params["W"].T
 
-        grads["U"][:, :H] += np.outer(hm, d_z_pre)
-        grads["U"][:, H : 2 * H] += np.outer(hm, d_r_pre)
-        grads["U"][:, 2 * H :] += np.outer(r * hm, d_n_pre)
-        d_hm = d_hm + d_z_pre @ U[:, :H].T + d_r_pre @ U[:, H : 2 * H].T
-        if rec_mask is not None:
-            d_hprev = d_hprev + d_hm * rec_mask
-        else:
-            d_hprev = d_hprev + d_hm
-        d_h = d_hprev
+        grads["U"][:, :H] += np.outer(h_prev, d_z_pre)
+        grads["U"][:, H : 2 * H] += np.outer(h_prev, d_r_pre)
+        grads["U"][:, 2 * H :] += np.outer(r * h_prev, d_n_pre)
+        d_h_gates = d_h_gates + d_z_pre @ U[:, :H].T + d_r_pre @ U[:, H : 2 * H].T
+        d_h = d_hprev + d_h_gates
     return d_x, grads
 
 
@@ -138,14 +134,19 @@ def _assert_matches(cell, cache, d_h_seq, oracle):
         np.testing.assert_allclose(cell.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
 
 
-@pytest.mark.parametrize("masked", [False, True])
+def _input_dropout(rng, x, dropped):
+    """``x`` as input dropout at rate 0.5 leaves it when ``dropped``: each
+    entry zeroed or doubled, as the GRU sees its input in training."""
+    return x * ((rng.random(x.shape) < 0.5) / 0.5).astype(x.dtype) if dropped else x
+
+
+@pytest.mark.parametrize("dropped", [False, True])
 @pytest.mark.parametrize("s", [0, 1, 5, 80])
-def test_gru_backward_matches_oracle(s, masked):
+def test_gru_backward_matches_oracle(s, dropped):
     rng = np.random.default_rng(10 + s)
     cell = Gru(rng, 6, 5)
-    x = rng.standard_normal((s, 6))
-    rec_mask = (rng.random(5) < 0.5) / 0.5 if masked else None
-    _, cache = cell.forward(x, rec_mask=rec_mask)
+    x = _input_dropout(rng, rng.standard_normal((s, 6)), dropped)
+    _, cache = cell.forward(x)
     _assert_matches(cell, cache, rng.standard_normal((s, 5)), gru_backward_oracle)
 
 
@@ -174,26 +175,20 @@ def test_backward_accumulates(cls):
         np.testing.assert_allclose(g, 2 * once[k], rtol=1e-12, err_msg=k)
 
 
-def _mask_kw(rec_mask, b=Ellipsis):
-    """Keyword arguments passing sequence b's row of a recurrent mask (all
-    rows by default), or none without a mask."""
-    return {} if rec_mask is None else {"rec_mask": rec_mask[b]}
-
-
-def _assert_batch_matches_loop(cell, x, d_h_seq, rec_mask=None):
+def _assert_batch_matches_loop(cell, x, d_h_seq):
     """(B, s, d) input runs B independent sequences in lockstep: outputs,
     input gradients and summed parameter gradients equal a per-sequence
-    loop (with that sequence's row of ``rec_mask``)."""
+    loop."""
     outs, d_xs = [], []
     cell.zero_grads()
     for b in range(len(x)):
-        h, cache = cell.forward(x[b], **_mask_kw(rec_mask, b))
+        h, cache = cell.forward(x[b])
         outs.append(h)
         d_xs.append(cell.backward(cache, d_h_seq[b]))
     grads_ref = {k: g.copy() for k, g in cell.grads.items()}
 
     cell.zero_grads()
-    h, cache = cell.forward(x, **_mask_kw(rec_mask))
+    h, cache = cell.forward(x)
     d_x = cell.backward(cache, d_h_seq)
     np.testing.assert_allclose(h, np.stack(outs), rtol=1e-10)
     np.testing.assert_allclose(d_x, np.stack(d_xs), rtol=1e-10)
@@ -210,24 +205,22 @@ def test_lstm_batch_matches_per_sequence(B, s):
     _assert_batch_matches_loop(cell, x, rng.standard_normal((B, s, 5)))
 
 
-@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dropped", [False, True])
 @pytest.mark.parametrize("B", [1, 3])
-def test_gru_batch_matches_per_sequence(B, masked):
-    # one recurrent-dropout row per sequence
-    rng = np.random.default_rng(60 + 10 * B + masked)
+def test_gru_batch_matches_per_sequence(B, dropped):
+    rng = np.random.default_rng(60 + 10 * B + dropped)
     cell = Gru(rng, 6, 5)
-    x = rng.standard_normal((B, 7, 6))
-    rec_mask = (rng.random((B, 5)) < 0.5) / 0.5 if masked else None
-    _assert_batch_matches_loop(cell, x, rng.standard_normal((B, 7, 5)), rec_mask)
+    x = _input_dropout(rng, rng.standard_normal((B, 7, 6)), dropped)
+    _assert_batch_matches_loop(cell, x, rng.standard_normal((B, 7, 5)))
 
 
-@pytest.mark.parametrize("cls, masked", [(BiGru, False), (BiGru, True), (BiLstm, False)])
-def test_bi_ragged_matches_per_sequence(cls, masked):
+@pytest.mark.parametrize("cls, dropped", [(BiGru, False), (BiGru, True), (BiLstm, False)])
+def test_bi_ragged_matches_per_sequence(cls, dropped):
     # zero-padded sequences of lengths 1, 7 and 4: the backward cell sees
     # each reversed within its own length, so the valid outputs and all
     # gradients equal unpadded per-sequence calls, and the padded inputs
     # get no gradient
-    rng = np.random.default_rng(70 + masked)
+    rng = np.random.default_rng(70 + dropped)
     bi = cls(rng, 6, 5)
     lengths = np.array([1, 7, 4])
     x = rng.standard_normal((3, 7, 6))
@@ -235,18 +228,18 @@ def test_bi_ragged_matches_per_sequence(cls, masked):
     for b, n in enumerate(lengths):
         x[b, n:] = 0.0
         d_out[b, n:] = 0.0
-    rec_mask = (rng.random((3, 5)) < 0.5) / 0.5 if masked else None
+    x = _input_dropout(rng, x, dropped)
 
     outs, d_xs = [], []
     bi.zero_grads()
     for b, n in enumerate(lengths):
-        h, cache = bi.forward(x[b, :n], **_mask_kw(rec_mask, b))
+        h, cache = bi.forward(x[b, :n])
         outs.append(h)
         d_xs.append(bi.backward(cache, d_out[b, :n]))
     grads_ref = {k: g.copy() for k, g in bi.grads.items()}
 
     bi.zero_grads()
-    h, cache = bi.forward(x, lengths=lengths, **_mask_kw(rec_mask))
+    h, cache = bi.forward(x, lengths=lengths)
     d_x = bi.backward(cache, d_out)
     for b, n in enumerate(lengths):
         np.testing.assert_allclose(h[b, :n], outs[b], rtol=1e-10)
@@ -282,11 +275,11 @@ def _assert_runs_equal(bi, ref, run):
     ((), False), ((1,), False), ((1,), True), ((8,), False), ((8,), True),
     ((32,), True), ((3, 2), True),
 ])
-@pytest.mark.parametrize("cls, masked", [(BiGru, False), (BiGru, True), (BiLstm, False)])
-def test_stacked_bi_equals_two_cells(cls, masked, lead, ragged, dtype):
+@pytest.mark.parametrize("cls, dropped", [(BiGru, False), (BiGru, True), (BiLstm, False)])
+def test_stacked_bi_equals_two_cells(cls, dropped, lead, ragged, dtype):
     # outputs, input gradients and every parameter gradient, exactly; the
     # ragged batches hold lengths 1 and T
-    seed = 100 + 7 * len(lead) + sum(lead) + 3 * ragged + masked
+    seed = 100 + 7 * len(lead) + sum(lead) + 3 * ragged + dropped
     bi, ref = _stacked_and_oracle(cls, seed, 6, 5, dtype)
     rng = np.random.default_rng(seed + 1)
     T = 9
@@ -299,10 +292,10 @@ def test_stacked_bi_equals_two_cells(cls, masked, lead, ragged, dtype):
         padded = np.arange(T) >= lengths[..., None]
         x[padded] = 0.0
         d_out[padded] = 0.0
-    kw = {"rec_mask": ((rng.random(lead + (5,)) < 0.5) / 0.5).astype(dtype)} if masked else {}
+    x = _input_dropout(rng, x, dropped)
 
     def run(layer):
-        h, cache = layer.forward(x, lengths=lengths, **kw)
+        h, cache = layer.forward(x, lengths=lengths)
         return [h, layer.backward(cache, d_out)]
 
     _assert_runs_equal(bi, ref, run)

@@ -12,6 +12,7 @@ from segtool.retrieval import (
     AnswerDoc,
     BoostProfile,
     EmptyCorpus,
+    BOOST_CLAMP,
     MAX_K1,
     FieldedIndex,
     MissingQrel,
@@ -487,9 +488,15 @@ class TestEstimateBoosts:
         assert boosts["ES"] == 1.0  # never observed
 
     def test_clamp_ceiling(self):
-        q = question("q1", "a b c d e f g iwconfig", [SegmentSpan(7, 8, SegmentLabel.CC)])
-        boosts = estimate_boosts([q], {"q1": "iwconfig"}, clamp=(0.25, 1.5))
-        assert boosts["CC"] == 1.5
+        # five observed labels, only CC overlapping the answer: means
+        # {CC: 1, the other four: 0}, grand 0.2 -> CC weight 5, clamped to 4
+        spans = [SegmentSpan(k, k + 1, label) for k, label in enumerate(
+            [SegmentLabel.CO, SegmentLabel.ES, SegmentLabel.FC, SegmentLabel.CC], start=1)]
+        q = question("q1", "a b c d iwconfig", spans)
+        boosts = estimate_boosts([q], {"q1": "iwconfig"})
+        assert sum(w != 1.0 for w in boosts.weights.values()) == 5
+        assert boosts["CC"] == BOOST_CLAMP[1] == 4.0
+        assert boosts["O"] == BOOST_CLAMP[0]
 
     def test_no_pairs(self):
         with pytest.raises(NoLabeledPairs):

@@ -110,6 +110,13 @@ class TestTraining:
         for key in ("val_P", "val_R", "val_F1"):
             assert key in line
 
+    @pytest.mark.parametrize("n_docs", [0, 2])
+    def test_no_tokens_rejected(self, n_docs):
+        # nothing to learn from: refused before a model is built
+        empty = [AnnotatedDocument(f"e{k}", "", tokenize(""), []) for k in range(n_docs)]
+        with pytest.raises(TrainerError, match="^no training document has a token$"):
+            train(empty, [], None, small_cfg())
+
     def test_missing_streams(self, tiny_corpus):
         tr, va, _ = tiny_corpus
         with pytest.raises(MissingStreams):
@@ -293,10 +300,9 @@ def per_document_loss(model, doc, streams, rng, scale):
 
 class TestBatchedModel:
     def test_step_matches_per_document_oracle(self):
-        # one training step on a ragged batch (85, 1, 47 and 67 tokens), with input
-        # and recurrent dropout: the dropout masks come from the rng in the
-        # per-document order, so loss and every gradient equal the sum over
-        # documents
+        # one training step on a ragged batch (85, 1, 47 and 67 tokens), with
+        # input dropout: the mask comes from the rng in the per-document order,
+        # so loss and every gradient equal the sum over documents
         docs = synth.gen_corpus(n_docs=4, seed=7)
         one = AnnotatedDocument("one", "ls", tokenize("ls"), [SegmentSpan(0, 1, SegmentLabel.CC)])
         batch = [docs[0], one, docs[1], docs[2]]
@@ -307,7 +313,7 @@ class TestBatchedModel:
         cfg = TrainConfig(
             hidden=5, lookup_dim=4, use_char=True, char_dim=3, char_hidden=3,
             combiner_mode="cdme", d_prime=4, attention_mode="weighted", attention_dim=3,
-            dropout=0.3, recurrent_dropout=0.4,
+            dropout=0.3,
         )
         batched = SegModel64(cfg, tokens, chars, streams.dims)
         oracle = SegModel64(cfg, tokens, chars, streams.dims)
@@ -452,7 +458,7 @@ class TestFloat32Model:
         docs = synth.gen_corpus(n_docs=3, seed=5)
         streams = synth.gen_streams(docs, seed=5)
         tokens = [t for d in docs for t in d.token_texts()]
-        cfg = TrainConfig(hidden=4, lookup_dim=3, recurrent_dropout=0.2, **extra)
+        cfg = TrainConfig(hidden=4, lookup_dim=3, **extra)
         model = SegModel(cfg, tokens, "".join(sorted(set("".join(tokens)))), streams.dims)
         seen = {}
         emit_forward, encoder_backward = model.emit.forward, model.encoder.backward
