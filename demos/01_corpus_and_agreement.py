@@ -22,9 +22,9 @@ from segtool.corpus import (
 
 text = "My wifi dies randomly.\niwconfig wlan0\nwlan0 IEEE 802.11 ESSID:off"
 tokens = tokenize(text)
-print("tokens with offsets and preceding breaks:")
+print("tokens with offsets:")
 for t in tokens[:6]:
-    print(f"  {t.text!r:14} [{t.start:2}:{t.end:2}] break={t.preceding_break.value}")
+    print(f"  {t.text!r:14} [{t.start:2}:{t.end:2}]")
 
 # -- annotate it with segment spans and round-trip through BIO --------------
 

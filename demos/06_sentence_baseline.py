@@ -20,7 +20,7 @@ units = sentence_segment(doc)
 print(f"document {doc.id} has {len(units)} sentence units:")
 for u, y in zip(units[:5], unit_labels(doc, units)):
     toks = " ".join(t.text for t in doc.tokens[u.start : u.end])
-    print(f"  [{u.start:2}:{u.end:2}] class {y} ({u.source.value}): {toks[:60]}")
+    print(f"  [{u.start:2}:{u.end:2}] class {y}: {toks[:60]}")
 
 tr, va, te = split_corpus(docs, seed=0)
 for context in (0, 1):

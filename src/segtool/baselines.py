@@ -9,12 +9,12 @@ units with the same predicted non-O label are merged back into spans for
 evaluation.
 """
 
+import re
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, LABELS, Break, SegmentSpan, add_run, token_labels
+from .corpus import CLASS_NAMES, LABELS, SegmentSpan, add_run, token_labels
 
 
 class BaselineError(Exception):
@@ -25,43 +25,30 @@ class DegenerateData(BaselineError):
     pass
 
 
-class BoundarySource(str, Enum):
-    NEWLINE = "newline"
-    SENTENCE_PUNCT = "sentence_punct"
-
-
 @dataclass(frozen=True)
 class SentenceUnit:
     start: int  # token index, inclusive
     end: int  # exclusive
-    source: BoundarySource
 
 
 _SENT_END = (".", "?", "!")
+_LINE_BREAK = re.compile("[\n\r]")
 
 
 def sentence_segment(doc):
     """Partition the token sequence into units.  A boundary falls before
-    any token preceded by a newline, and after a token ending in
-    sentence punctuation when the next token is capitalized."""
-    tokens = doc.tokens
-    if not tokens:
-        return []
-    units = []
-    start = 0
-    source = BoundarySource.NEWLINE
-    for i in range(1, len(tokens)):
-        if tokens[i].preceding_break == Break.NEWLINE:
-            units.append(SentenceUnit(start, i, source))
-            start, source = i, BoundarySource.NEWLINE
-        elif (
-            tokens[i - 1].text.endswith(_SENT_END)
-            and tokens[i].text[:1].isupper()
-        ):
-            units.append(SentenceUnit(start, i, source))
-            start, source = i, BoundarySource.SENTENCE_PUNCT
-    units.append(SentenceUnit(start, len(tokens), source))
-    return units
+    any token whose gap in the text from the token before it holds a
+    newline or carriage return, and after a token ending in sentence
+    punctuation when the next token is capitalized."""
+    tokens, text = doc.tokens, doc.text
+    cuts = [
+        i
+        for i, (a, b) in enumerate(zip(tokens, tokens[1:]), start=1)
+        if _LINE_BREAK.search(text, a.end, b.start)
+        or (a.text.endswith(_SENT_END) and b.text[:1].isupper())
+    ]
+    bounds = [0, *cuts, len(tokens)] if tokens else []
+    return [SentenceUnit(s, e) for s, e in zip(bounds, bounds[1:])]
 
 
 def unit_features(units, vecs, context=0):

@@ -78,7 +78,8 @@ def _load_train_config(args):
 
 def _cmd_stats(args):
     docs = corpus.load_corpus(args.corpus)
-    stats = corpus.corpus_stats(docs)
+    with corpus.reading(args.corpus, corpus.CorpusError):  # no documents
+        stats = corpus.corpus_stats(docs)
     print(f"questions {stats.question_count}")
     print(f"avg_words {float(stats.avg_words):.2f}")
     print(f"avg_spans_total {float(stats.avg_spans_total):.2f}")
@@ -115,7 +116,8 @@ def _cmd_train(args):
     train_docs = corpus.load_corpus(args.corpus)
     val_docs = corpus.load_corpus(args.val) if args.val else []
     streams = _load_streams_arg(args, train_docs + val_docs)
-    model, logs = trainer.train(train_docs, val_docs, streams, cfg)
+    with corpus.reading(args.corpus, trainer.NoTokens):
+        model, logs = trainer.train(train_docs, val_docs, streams, cfg)
     for log in logs:
         print(log.line())
     if args.model:
@@ -142,7 +144,8 @@ def _cmd_eval(args):
     pred = corpus.load_corpus(args.pred)
     with corpus.reading(args.pred, corpus.CorpusError):  # extra predictions are allowed
         pred = corpus.matching(gold, pred, args.gold)
-    report = evalmetrics.soft_pr([d.spans for d in gold], [d.spans for d in pred], args.macro)
+    with corpus.reading(args.gold, evalmetrics.MetricsError):  # no documents to average
+        report = evalmetrics.soft_pr([d.spans for d in gold], [d.spans for d in pred], args.macro)
     print(report.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -204,8 +207,8 @@ def _cmd_boosts(args):
                 raise retrieval.UnknownGoldId(
                     f"answer {qrels[q.id]!r} of question {q.id!r} is not in {args.answers}"
                 )
-    gold = {q.id: answers[qrels[q.id]] for q in questions if q.id in qrels}
-    profile = retrieval.estimate_boosts(questions, gold)
+        gold = {q.id: answers[qrels[q.id]] for q in questions if q.id in qrels}
+        profile = retrieval.estimate_boosts(questions, gold)  # or no question has a qrel
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(profile.to_json_obj(), fh, indent=2)
     print(f"wrote {args.out}")
@@ -224,6 +227,9 @@ def _cmd_mrr(args):
     except (retrieval.MissingQrel, retrieval.UnknownGoldId):
         with corpus.reading(args.qrels, retrieval.RetrievalError):
             raise  # named as the qrels file's error
+    except retrieval.RetrievalError:
+        with corpus.reading(args.corpus, retrieval.RetrievalError):
+            raise  # an empty question set
     mode = "fielded" if boosts is not None else "unfielded"
     print(f"mrr_{mode} {value:.4f}")
     return 0
@@ -311,8 +317,11 @@ def _cmd_experiment(args):
     if not test_docs:
         raise corpus.EmptyCorpus(f"{args.test or args.val}: no documents to test on")
     streams = _load_streams_arg(args, train_docs + val_docs + test_docs)
-    print(run_experiment(args.recipe, train_docs, val_docs, test_docs, streams, base, args.out),
-          end="")
+    with corpus.reading(args.corpus, trainer.NoTokens):
+        table = run_experiment(
+            args.recipe, train_docs, val_docs, test_docs, streams, base, args.out
+        )
+    print(table, end="")
     return 0
 
 
@@ -338,7 +347,7 @@ def build_parser():
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         if seed:
-            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=_bounded(int, 0), default=None)
         return sp
 
     sp = add("stats", _cmd_stats, seed=True, help="corpus statistics")

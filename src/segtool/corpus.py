@@ -55,14 +55,6 @@ class MismatchedDocuments(CorpusError):
     pass
 
 
-class Break(str, Enum):
-    """Kind of whitespace preceding a token."""
-
-    NONE = "n"
-    SPACE = "s"
-    NEWLINE = "nl"
-
-
 class SegmentLabel(str, Enum):
     CC = "CC"  # command / code
     CO = "CO"  # command output
@@ -89,7 +81,6 @@ class Token:
     text: str
     start: int  # offset into the document text (inclusive)
     end: int  # offset (exclusive)
-    preceding_break: Break = Break.NONE
 
 
 @dataclass(frozen=True)
@@ -148,20 +139,10 @@ _WORD = re.compile(r"\S+")  # for str patterns \s is str.isspace, the rule of st
 
 
 def tokenize(text):
-    """Whitespace tokenization with offsets and preceding-break kinds.
-
-    Any maximal run of non-whitespace characters becomes one token, the
-    words of ``text.split()``.  The break kind records whether the
-    whitespace gap before the token contained a newline (used by the
-    sentence baseline).
-    """
-    tokens, end = [], 0
-    for m in _WORD.finditer(text):
-        gap = text[end : m.start()]
-        brk = Break.NEWLINE if "\n" in gap or "\r" in gap else Break.SPACE if gap else Break.NONE
-        tokens.append(Token(m.group(), m.start(), m.end(), brk))
-        end = m.end()
-    return tokens
+    """Whitespace tokenization with offsets: any maximal run of
+    non-whitespace characters becomes one token, the words of
+    ``text.split()``."""
+    return [Token(m.group(), m.start(), m.end()) for m in _WORD.finditer(text)]
 
 
 def add_run(runs, start, end, label, join=True):
@@ -202,10 +183,7 @@ def doc_to_json(doc):
     return {
         "id": doc.id,
         "text": doc.text,
-        "tokens": [
-            {"t": t.text, "s": t.start, "e": t.end, "brk": t.preceding_break.value}
-            for t in doc.tokens
-        ],
+        "tokens": [{"t": t.text, "s": t.start, "e": t.end} for t in doc.tokens],
         "spans": [
             {"st": s.start_token, "et": s.end_token, "label": s.label.value}
             for s in doc.spans
@@ -214,14 +192,15 @@ def doc_to_json(doc):
 
 
 _DOC_FIELDS = (("id", str), ("text", str), ("tokens", list), ("spans", list))
-_TOKEN_FIELDS = (("t", str), ("s", int), ("e", int), ("brk", Break))
+_TOKEN_FIELDS = (("t", str), ("s", int), ("e", int))
 _SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
 
 def _values(obj, prefix, fields):
     """The values of ``fields``, (key, kind) pairs, in order, of obj, a
     JSON object: each already exactly of its kind (a bool is no int) or,
-    for an Enum kind, one of its values, made into the member."""
+    for an Enum kind, one of its values, made into the member.  Other keys
+    (an older file's token break kind) are ignored."""
     if type(obj) is not dict:
         raise SchemaError(prefix[:-1] or "document", "expected an object for")
     vals = []
@@ -244,6 +223,15 @@ def _values(obj, prefix, fields):
 def doc_from_json(obj):
     doc_id, text, tokens, spans = _values(obj, "", _DOC_FIELDS)
     tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS)) for t in tokens]
+    end = 0
+    for k, t in enumerate(tokens):
+        if not t.text:
+            raise SchemaError("tokens.t", "bad value '' for field")
+        if not end <= t.start < t.end <= len(text):
+            raise IndexOutOfRange(
+                f"token {k} offsets ({t.start}, {t.end}) are not a range within {end}..{len(text)}"
+            )
+        end = t.end
     spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS)) for s in spans]
     doc = AnnotatedDocument(doc_id, text, tokens, spans)
     doc.validate()

@@ -44,6 +44,10 @@ class TrainerError(Exception):
     pass
 
 
+class NoTokens(TrainerError):
+    pass
+
+
 class NonFiniteLoss(TrainerError):
     def __init__(self, epoch, step):
         super().__init__(f"non-finite loss at epoch {epoch}, step {step}")
@@ -92,8 +96,9 @@ class TrainConfig:
             raise TrainerError(f"bad combiner_mode {self.combiner_mode!r}")
         if self.attention_mode not in ("none", "weighted", "unweighted"):
             raise TrainerError(f"bad attention_mode {self.attention_mode!r}")
-        if self.epochs < 0:  # 0 epochs gives the untrained model
-            raise TrainerError(f"epochs must be at least 0, got {self.epochs}")
+        for key in ("epochs", "seed"):  # 0 epochs gives the untrained model
+            if getattr(self, key) < 0:
+                raise TrainerError(f"{key} must be at least 0, got {getattr(self, key)}")
         sizes = ["batch_size", "hidden", "patience"]
         sizes += ["lookup_dim"] * self.use_lookup
         sizes += ["subword_dim", "subword_buckets"] * self.use_subword
@@ -411,7 +416,7 @@ def train(train_docs, val_docs, streams, cfg):
     model, and logs without val_ scores.  Every document's streams are
     checked (``ContextualStreamSet.for_doc``) before the first step."""
     if not any(d.tokens for d in train_docs):
-        raise TrainerError("no training document has a token")
+        raise NoTokens("no training document has a token")
     cfg.validate()
     if cfg.combiner_mode != "none":
         if streams is None:

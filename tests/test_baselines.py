@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtool.baselines import (
-    BoundarySource,
     DegenerateData,
     SentenceUnit,
     classify,
@@ -24,16 +25,54 @@ def doc_of(text, spans=()):
     return AnnotatedDocument("d", text, tokenize(text), list(spans))
 
 
+def sentence_bounds_oracle(text):
+    """(start, end) word indices of the units of ``text``, found line by
+    line: the words of each piece between newlines and carriage returns,
+    cut before a line's first word and after a word ending in . ? or !
+    that a capitalized word follows."""
+    words, bounds = [], [0]
+    for line in re.split("[\n\r]", text):
+        for k, w in enumerate(line.split()):
+            if words and bounds[-1] != len(words) and (
+                k == 0 or words[-1].endswith((".", "?", "!")) and w[:1].isupper()
+            ):
+                bounds.append(len(words))
+            words.append(w)
+    return list(zip(bounds, bounds[1:] + [len(words)])) if words else []
+
+
 class TestSentenceSegment:
     def test_newline_units(self):
         units = sentence_segment(doc_of("run this\nls -la\ncat out.log"))
         assert [(u.start, u.end) for u in units] == [(0, 2), (2, 4), (4, 6)]
-        assert units[1].source == BoundarySource.NEWLINE
+
+    @pytest.mark.parametrize("gap", ["\n", "\r", "\r\n", " \n\t", "\n\n"])
+    def test_line_break_in_gap_cuts(self, gap):
+        units = sentence_segment(doc_of(f"ls -la{gap}cat out.log"))
+        assert [(u.start, u.end) for u in units] == [(0, 2), (2, 4)]
+
+    @pytest.mark.parametrize("gap", [" ", "\t", "\x0b", "\x0c", "\u2028"])
+    def test_other_whitespace_does_not_cut(self, gap):
+        assert len(sentence_segment(doc_of(f"ls -la{gap}cat out.log"))) == 1
+
+    def test_leading_and_trailing_line_breaks(self):
+        units = sentence_segment(doc_of("\nls\r\n"))
+        assert [(u.start, u.end) for u in units] == [(0, 1)]
 
     def test_sentence_punct(self):
         units = sentence_segment(doc_of("Done. Now run it"))
         assert [(u.start, u.end) for u in units] == [(0, 1), (1, 4)]
-        assert units[1].source == BoundarySource.SENTENCE_PUNCT
+
+    def test_punct_at_line_end_cuts_once(self):
+        units = sentence_segment(doc_of("Done.\nNow run it"))
+        assert [(u.start, u.end) for u in units] == [(0, 1), (1, 4)]
+
+    @given(st.text(st.sampled_from(["a", "B", ".", "?", " ", "\t", "\n", "\r", "\u2028"]),
+                   max_size=40))
+    @settings(max_examples=300)
+    def test_matches_line_oracle(self, text):
+        units = sentence_segment(doc_of(text))
+        assert [(u.start, u.end) for u in units] == sentence_bounds_oracle(text)
 
     def test_punct_without_capital_no_split(self):
         units = sentence_segment(doc_of("file.txt is fine"))
@@ -54,22 +93,22 @@ class TestSentenceSegment:
 class TestPooling:
     def test_mean(self):
         vecs = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]])
-        u = SentenceUnit(0, 2, BoundarySource.NEWLINE)
+        u = SentenceUnit(0, 2)
         assert np.array_equal(unit_features([u], vecs), [[2.0, 3.0]])
 
     def test_context_concatenates_neighbours(self):
         vecs = np.arange(8, dtype=float).reshape(4, 2)
         units = [
-            SentenceUnit(0, 1, BoundarySource.NEWLINE),
-            SentenceUnit(1, 3, BoundarySource.NEWLINE),
-            SentenceUnit(3, 4, BoundarySource.NEWLINE),
+            SentenceUnit(0, 1),
+            SentenceUnit(1, 3),
+            SentenceUnit(3, 4),
         ]
         out = unit_features(units, vecs, context=1)
         assert np.array_equal(out[1], [0.0, 1.0, 3.0, 4.0, 6.0, 7.0])
 
     def test_context_zeros_at_edges(self):
         vecs = np.ones((2, 3))
-        units = [SentenceUnit(0, 2, BoundarySource.NEWLINE)]
+        units = [SentenceUnit(0, 2)]
         out = unit_features(units, vecs, context=1)
         assert np.array_equal(out, [[0, 0, 0, 1, 1, 1, 0, 0, 0]])
 
@@ -77,12 +116,12 @@ class TestPooling:
 class TestUnitLabels:
     def test_majority(self):
         doc = doc_of("a b c d", [SegmentSpan(0, 3, SegmentLabel.CC)])
-        labels = unit_labels(doc, [SentenceUnit(0, 4, BoundarySource.NEWLINE)])
+        labels = unit_labels(doc, [SentenceUnit(0, 4)])
         assert labels == [1]  # CC is class 1
 
     def test_tie_goes_to_lower_index(self):
         doc = doc_of("a b", [SegmentSpan(1, 2, SegmentLabel.CC)])
-        labels = unit_labels(doc, [SentenceUnit(0, 2, BoundarySource.NEWLINE)])
+        labels = unit_labels(doc, [SentenceUnit(0, 2)])
         assert labels == [0]  # O vs CC tie resolves to O
 
 
@@ -133,7 +172,7 @@ class TestLogReg:
 
 class TestUnitsToSpans:
     def unit_row(self, bounds):
-        return [SentenceUnit(a, b, BoundarySource.NEWLINE) for a, b in bounds]
+        return [SentenceUnit(a, b) for a, b in bounds]
 
     def test_merges_adjacent_same_label(self):
         units = self.unit_row([(0, 2), (2, 5), (5, 6)])

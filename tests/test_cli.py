@@ -69,14 +69,6 @@ def _corpus_file(tmp_path, mutate=lambda obj: None):
     return path
 
 
-def _bad_brk(tmp_path):
-    def mutate(obj):
-        obj["tokens"][0]["brk"] = "tab"
-
-    path = _corpus_file(tmp_path, mutate)
-    return ["stats", "--corpus", str(path)], f"{path}:2: "
-
-
 def _bad_label(tmp_path):
     def mutate(obj):
         obj["spans"].append({"st": 0, "et": 1, "label": "XX"})
@@ -148,6 +140,56 @@ def _first_count_less_one(data):
     return data[:at] + struct.pack("<I", count - 1) + data[at + 4 :]
 
 
+def _empty_corpus(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    return path
+
+
+def _tokenless_corpus(tmp_path):
+    path = tmp_path / "tokenless.jsonl"
+    save_corpus([AnnotatedDocument(f"e{k}", "", tokenize(""), []) for k in range(2)], path)
+    return path
+
+
+def _stats_empty(tmp_path):
+    path = _empty_corpus(tmp_path)
+    return ["stats", "--corpus", str(path)], f"{path}: no documents"
+
+
+def _eval_macro_empty(tmp_path):
+    gold = _empty_corpus(tmp_path)
+    return ["eval", "--gold", str(gold), "--pred", str(gold), "--macro"], (
+        f"{gold}: no documents to average"
+    )
+
+
+def _mrr_empty(tmp_path):
+    path = _empty_corpus(tmp_path)
+    qrels = tmp_path / "q.tsv"
+    qrels.write_text("q0\ta0\n")
+    argv = ["mrr", "--index", str(_index_file(tmp_path)), "--corpus", str(path),
+            "--qrels", str(qrels)]
+    return argv, f"{path}: empty question set"
+
+
+def _boosts_no_known_answer(tmp_path):
+    answers = tmp_path / "a.jsonl"
+    answers.write_text(json.dumps({"id": "a0", "text": "ls -la"}) + "\n")
+    qrels = tmp_path / "q.tsv"
+    qrels.write_text("elsewhere\ta0\n")  # no question of the corpus
+    argv = ["boosts", "--corpus", str(_corpus_file(tmp_path)), "--answers", str(answers),
+            "--qrels", str(qrels), "--out", str(tmp_path / "b.json")]
+    return argv, f"{qrels}: no question has a known correct answer"
+
+
+def _experiment_without_tokens(tmp_path):
+    path = _tokenless_corpus(tmp_path)
+    argv = ["experiment", "--recipe", "table3", "--corpus", str(path),
+            "--test", str(_corpus_file(tmp_path)), "--out", str(tmp_path / "exp")]
+    return argv, f"{path}: no training document has a token"
+
+
 def _bad_streams(edit, message):
     def case(tmp_path):
         path = tmp_path / "s.bin"
@@ -161,7 +203,6 @@ def _bad_streams(edit, message):
 
 # malformed input -> (argv, where the error message must point)
 MALFORMED = {
-    "brk-not-in-enum": _bad_brk,
     "label-not-in-enum": _bad_label,
     "span-index-not-int": _bad_span_index,
     "token-offset-null": _null_token_offset,
@@ -178,6 +219,11 @@ MALFORMED = {
     ),
     "streams-token-count-mismatch": _bad_streams(_first_count_less_one, "doc "),
     "boosts-key-not-a-class": _boost_key_not_a_class,
+    "stats-empty-corpus": _stats_empty,
+    "eval-macro-empty-gold": _eval_macro_empty,
+    "mrr-empty-question-set": _mrr_empty,
+    "boosts-no-known-answer": _boosts_no_known_answer,
+    "experiment-train-without-tokens": _experiment_without_tokens,
 }
 
 
@@ -284,10 +330,9 @@ def _bad_config(line, message):
 
 
 def _train_without_tokens(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    save_corpus([AnnotatedDocument(f"e{k}", "", tokenize(""), []) for k in range(2)], path)
+    path = _tokenless_corpus(tmp_path)
     return ["train", "--corpus", str(path), "--model", str(tmp_path / "m.npz")], [
-        "no training document has a token"
+        f"{path}: no training document has a token"
     ]
 
 
@@ -494,11 +539,14 @@ MALFORMED_IN_PROCESS = {
     "boosts-qrel-unknown-answer": _boosts_unknown_answer,
     "config-batch-size-zero": _bad_config("batch_size=0", "batch_size"),
     "config-hidden-zero": _bad_config("hidden=0", "hidden"),
+    "config-seed-negative": _bad_config("seed = -3", ": seed must be at least 0, got -3"),
     "config-recurrent-dropout": _bad_config(
         "recurrent_dropout = 0.2", ":1: unknown key 'recurrent_dropout'"
     ),
     "train-no-tokens": _train_without_tokens,
     "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
+    "corpus-token-text-empty": _bad_doc(lambda o: o["tokens"][0].update(t="")),
+    "corpus-token-past-text": _bad_doc(lambda o: o["tokens"][-1].update(e=len(o["text"]) + 1)),
     "corpus-spans-not-list": _bad_doc(lambda o: o.update(spans="CC")),
     "corpus-id-not-str": _bad_doc(lambda o: o.update(id=5)),
     "corpus-nested-too-deeply": _bad_json_line("[" * 100000 + "]" * 100000),
@@ -845,6 +893,12 @@ def _bad_arguments(tmp_path):
         "synth-docs-negative": ["synth", "--out", f["o"], "--docs", "-4"],
         "synth-docs-zero": ["synth", "--out", f["o"], "--docs", "0"],
         "stats-seed-without-splits": ["stats", "--corpus", f["c"], "--seed", "5"],
+        "stats-seed-negative": ["stats", "--corpus", f["c"], "--splits", "--seed", "-1"],
+        "train-seed-negative": ["train", "--corpus", f["c"], "--seed", "-1"],
+        "gradcheck-seed-negative": ["gradcheck", "--component", "crf", "--seed", "-1"],
+        "experiment-seed-negative": ["experiment", "--recipe", "table3", "--corpus", f["c"],
+                                     "--val", f["g"], "--out", f["o"], "--seed", "-1"],
+        "synth-seed-negative": ["synth", "--out", f["o"], "--seed", "-1"],
         "experiment-no-test-set": ["experiment", "--recipe", "table3", "--corpus", f["c"],
                                    "--out", f["o"]],
         "experiment-table4-without-streams": ["experiment", "--recipe", "table4",

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -14,8 +15,8 @@ from segtool.corpus import (
     TAG_INDEX,
     AnnotatedDocument,
     BadRatios,
-    Break,
     EmptyCorpus,
+    IndexOutOfRange,
     MismatchedDocuments,
     OverlappingSpans,
     ParseError,
@@ -57,9 +58,7 @@ def tokenize_oracle(text):
         j = i
         while j < n and not text[j].isspace():
             j += 1
-        gap = text[tokens[-1].end if tokens else 0 : i]
-        brk = Break.NEWLINE if "\n" in gap or "\r" in gap else Break.SPACE if gap else Break.NONE
-        tokens.append(Token(text[i:j], i, j, brk))
+        tokens.append(Token(text[i:j], i, j))
         i = j
     return tokens
 
@@ -109,11 +108,7 @@ def token_labels_oracle(doc):
 class TestTokenize:
     def test_basic(self):
         toks = tokenize("ls -la\n/etc/fstab")
-        assert [(t.text, t.start, t.end, t.preceding_break) for t in toks] == [
-            ("ls", 0, 2, Break.NONE),
-            ("-la", 3, 6, Break.SPACE),
-            ("/etc/fstab", 7, 17, Break.NEWLINE),
-        ]
+        assert toks == [Token("ls", 0, 2), Token("-la", 3, 6), Token("/etc/fstab", 7, 17)]
 
     def test_empty(self):
         assert tokenize("") == []
@@ -256,6 +251,46 @@ class TestCorpusIO:
         save_corpus(docs, path)
         loaded = load_corpus(path)
         assert loaded == docs
+
+    def test_older_file_loads(self, tmp_path):
+        # a file written when each token record also held its break kind
+        # ("n", "s" or "nl"); the key is ignored
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"id": "b", "text": "x\\ny z", "tokens": [{"t": "x", "s": 0, "e": 1, "brk": "n"}, '
+            '{"t": "y", "s": 2, "e": 3, "brk": "nl"}, {"t": "z", "s": 4, "e": 5, "brk": "s"}], '
+            '"spans": [{"st": 1, "et": 3, "label": "CC"}]}\n'
+        )
+        spans = [SegmentSpan(1, 3, SegmentLabel.CC)]
+        assert load_corpus(path) == [AnnotatedDocument("b", "x\ny z", tokenize("x\ny z"), spans)]
+
+    def test_written_token_fields(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus([AnnotatedDocument("b", "x\ny", tokenize("x\ny"), [])], path)
+        assert json.loads(path.read_text())["tokens"] == [
+            {"t": "x", "s": 0, "e": 1}, {"t": "y", "s": 2, "e": 3}
+        ]
+
+    @pytest.mark.parametrize("tokens, error, message", [
+        ('{"t": "", "s": 0, "e": 0}', SchemaError, "bad value '' for field 'tokens.t'"),
+        ('{"t": "ab", "s": -1, "e": 1}', IndexOutOfRange, "token 0 offsets (-1, 1)"),
+        ('{"t": "ab", "s": 2, "e": 2}', IndexOutOfRange, "token 0 offsets (2, 2)"),
+        ('{"t": "ab", "s": 3, "e": 1}', IndexOutOfRange, "token 0 offsets (3, 1)"),
+        ('{"t": "cd", "s": 3, "e": 6}', IndexOutOfRange, "(3, 6) are not a range within 0..5"),
+        ('{"t": "ab", "s": 0, "e": 2}, {"t": "b", "s": 1, "e": 2}', IndexOutOfRange,
+         "token 1 offsets (1, 2) are not a range within 2..5"),
+    ], ids=["text-empty", "start-negative", "empty-range", "inverted", "past-text",
+            "before-previous-end"])
+    def test_bad_token(self, tmp_path, tokens, error, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "ok", "text": "", "tokens": [], "spans": []}\n'
+            f'{{"id": "a", "text": "ab cd", "tokens": [{tokens}], "spans": []}}\n'
+        )
+        with pytest.raises(error) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
+        assert message in str(exc.value)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"

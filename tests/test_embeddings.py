@@ -135,6 +135,31 @@ class TestSubword:
             np.add.at(expected, ids, 1.0 / len(ids))
         np.testing.assert_allclose(emb.grads["buckets"], expected, rtol=1e-12)
 
+    def test_backward_matches_finite_differences(self):
+        # eight buckets for dozens of n-grams, so a token's n-grams collide
+        # and tokens share buckets; "wlan0" comes twice
+        rng = np.random.default_rng(9)
+        emb = SubwordHashEmbedder(rng, dim=3, n_buckets=8)
+        tokens = ["wlan0", "up", "wlan0", "ifconfig"]
+        assert any(len(set(emb.bucket_indices(t))) < len(emb.bucket_indices(t)) for t in tokens)
+        d_out = rng.standard_normal((len(tokens), 3))
+
+        def loss():
+            return float(np.sum(d_out * emb.embed_sequence(tokens)[0]))
+
+        emb.zero_grads()
+        emb.backward_sequence(emb.embed_sequence(tokens)[1], d_out)
+        flat, g = emb.params["buckets"].reshape(-1), emb.grads["buckets"].reshape(-1)
+        step = 1e-6
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + step
+            lp = loss()
+            flat[i] = old - step
+            lm = loss()
+            flat[i] = old
+            assert abs((lp - lm) / (2 * step) - g[i]) < 1e-8, i
+
 
 class TestCharEncoder:
     def test_output_dim_default(self):
