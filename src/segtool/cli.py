@@ -1,8 +1,10 @@
 """Command-line surface: one subcommand per experiment step.
 
 Exit codes: 0 success, 1 usage error (a bad or missing argument), 2
-data/format error (or a failing verification).  The commands that draw
-random numbers (stats, train, gradcheck, experiment, synth) take --seed.
+data/format error (or a failing verification), 141 (128 + SIGPIPE) when
+the reader of standard output closed it early, as ``| head`` does.  The
+commands that draw random numbers (stats, train, gradcheck, experiment,
+synth) take --seed.
 """
 
 import argparse
@@ -141,11 +143,12 @@ def _cmd_predict(args):
 
 def _cmd_eval(args):
     gold = corpus.load_corpus(args.gold)
+    if not gold:  # soft_pr would score no documents as perfect
+        raise corpus.EmptyCorpus(f"{args.gold}: no documents to score")
     pred = corpus.load_corpus(args.pred)
     with corpus.reading(args.pred, corpus.CorpusError):  # extra predictions are allowed
         pred = corpus.matching(gold, pred, args.gold)
-    with corpus.reading(args.gold, evalmetrics.MetricsError):  # no documents to average
-        report = evalmetrics.soft_pr([d.spans for d in gold], [d.spans for d in pred], args.macro)
+    report = evalmetrics.soft_pr([d.spans for d in gold], [d.spans for d in pred], args.macro)
     print(report.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -460,7 +463,16 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stop silently, as a writer killed by SIGPIPE would; with stdout
+        # on devnull the flush at exit prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

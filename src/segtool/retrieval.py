@@ -9,11 +9,10 @@ ranks identically to the whole-question query.
 """
 
 import functools
-import gzip
 import json
 import math
+import struct
 import sys
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -45,10 +44,16 @@ class MissingQrel(RetrievalError):
     pass
 
 
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 # far above any BM25 k1 in use (about 1-2), far below where tf * (k1 + 1) overflows
 MAX_K1 = 1e6
+# the integer columns of the file: for "docs" and "terms" the end offset of
+# each string in its UTF-8 blob
 INDEX_COLUMNS = ("docs", "lengths", "terms", "df", "rows", "tf")
+_INDEX_MAGIC = b"SEGIX"
+# version, k1, b, counts of docs, terms and postings, byte lengths of the id
+# and term blobs, and the byte width of each column
+_INDEX_HEADER = struct.Struct("<I2d5Q6B")
 # the (floor, ceiling) of an estimated boost weight
 BOOST_CLAMP = (0.25, 4.0)
 
@@ -324,52 +329,102 @@ def _ascending(rows, df, terms, name):
     return ends
 
 
+def _uints(values):
+    """values as little-endian unsigned ints of the narrowest width, 1, 2,
+    4 or 8 bytes, that holds the largest."""
+    col = np.fromiter(values, dtype=np.uint64, count=len(values))
+    top = int(col.max()) if len(col) else 0
+    return col.astype(f"<u{next(w for w in (1, 2, 4, 8) if top < 256**w)}")
+
+
+def _blob(strings):
+    """The UTF-8 bytes of strings, one after another, and where each ends.
+    A lone surrogate, which a JSON escape can put in an answer, keeps its
+    three-byte form, so every str round-trips."""
+    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+    return b"".join(raw), _uints(np.cumsum([len(r) for r in raw], dtype=np.uint64))
+
+
 def save_index(index, path):
-    obj = {"version": INDEX_VERSION, "k1": index.k1, "b": index.b,
-           **dict(zip(INDEX_COLUMNS, _flat(index)))}
-    # one string, one gzip stream; level 1 is ~7x faster than 6, ~20% larger;
-    # no save time or file name in the header: equal indexes, equal bytes
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    """Write index in format 3: the magic, the header, the six integer
+    columns, then the UTF-8 bytes of the doc ids and of the terms.  No
+    compression and no save time: equal indexes give equal bytes."""
+    docs, lengths, terms, df, rows, tf = _flat(index)
+    id_blob, id_ends = _blob(docs)
+    term_blob, term_ends = _blob(terms)
+    cols = (id_ends, _uints(lengths), term_ends, _uints(df), _uints(rows), _uints(tf))
+    header = _INDEX_HEADER.pack(INDEX_VERSION, index.k1, index.b, len(docs), len(terms),
+                                len(rows), len(id_blob), len(term_blob),
+                                *(c.itemsize for c in cols))
     with open(path, "wb") as fh:
-        fh.write(gzip.compress(data, compresslevel=1, mtime=0))
+        fh.write(b"".join([_INDEX_MAGIC, header, *(c.tobytes() for c in cols), id_blob, term_blob]))
+
+
+def _strings(blob, ends, message):
+    """The strings of a UTF-8 blob that end at ends; RetrievalError(message)
+    when the ends fall or miss the blob's end, or a string is not UTF-8 (a
+    binary file has no line for ``reading`` to name)."""
+    cuts = ends.tolist()
+    if any(map(int.__gt__, [0] + cuts, cuts)) or (cuts[-1] if cuts else 0) != len(blob):
+        raise RetrievalError(message)
+    try:
+        return [blob[s:e].decode("utf-8", "surrogatepass") for s, e in zip([0] + cuts, cuts)]
+    except UnicodeDecodeError:
+        raise RetrievalError(message) from None
 
 
 def load_index(path):
     """The index save_index wrote to path; RetrievalError naming the file
     and the field when it is not one."""
-    with reading(path, RetrievalError):
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:  # JSON, UTF-8 errors
-            raise RetrievalError(f"not a gzipped JSON index ({exc})") from None
-        version = obj.get("version") if type(obj) is dict else None
+    with reading(path, RetrievalError), open(path, "rb") as fh:
+        data = fh.read()
+        if not data.startswith(_INDEX_MAGIC):
+            if data.startswith(b"\x1f\x8b"):  # formats 1 and 2 were gzip JSON
+                raise RetrievalError("unsupported index version (a gzip JSON index of format 1"
+                                     " or 2); rerun segtool index")
+            raise RetrievalError("not a segtool index file")
+        off = len(_INDEX_MAGIC) + _INDEX_HEADER.size
+        if len(data) < off:
+            raise RetrievalError(f"file holds {len(data)} bytes, too few for a header")
+        version, k1, b, n_docs, n_terms, n_postings, id_bytes, term_bytes, *widths = (
+            _INDEX_HEADER.unpack_from(data, len(_INDEX_MAGIC)))
         if version != INDEX_VERSION:
-            raise RetrievalError(f"unsupported index version {version!r}; rerun segtool index")
-        docs, lengths, terms, df, rows, tf = cols = [obj.get(f) for f in INDEX_COLUMNS]
-        for f, col in zip(INDEX_COLUMNS, cols):
-            if type(col) is not list:
-                raise RetrievalError(f"field {f!r} must be a list")
-        if not docs or set(map(type, docs)) != {str} or any(map(str.__ge__, docs, docs[1:])):
-            raise RetrievalError("field 'docs' must be a non-empty list of ascending str ids")
-        if not set(map(type, terms)) <= {str} or len(set(terms)) != len(terms):
-            raise RetrievalError("field 'terms' must be a list of distinct str terms")
-        # whole columns at once: a bool, float or other type shows in the set
-        # of types, a value out of range in the min or max
+            raise RetrievalError(f"unsupported index version {version}; rerun segtool index")
+        for f, w in zip(INDEX_COLUMNS, widths):
+            if w not in (1, 2, 4, 8):
+                raise RetrievalError(f"field {f!r} must be a list of ints 1, 2, 4 or 8 bytes"
+                                     f" wide, not {w}")
+        counts = (n_docs, n_docs, n_terms, n_terms, n_postings, n_postings)
+        size = off + sum(w * n for w, n in zip(widths, counts)) + id_bytes + term_bytes
+        if len(data) != size:
+            raise RetrievalError(f"file holds {len(data)} bytes, not the {size} its header gives")
+        cols = []
+        for w, n in zip(widths, counts):
+            cols.append(np.frombuffer(data, dtype=f"<u{w}", count=n, offset=off))
+            off += w * n
+        id_ends, lengths, term_ends, df, rows, tf = cols
+        message = "field 'docs' must be a non-empty list of ascending str ids"
+        docs = _strings(data[off : off + id_bytes], id_ends, message)
+        if not docs or any(map(str.__ge__, docs, docs[1:])):
+            raise RetrievalError(message)
+        message = "field 'terms' must be a list of distinct str terms"
+        terms = _strings(data[off + id_bytes :], term_ends, message)
+        if len(set(terms)) != len(terms):
+            raise RetrievalError(message)
+        # whole columns at once: a value out of range shows in the min or max
         for f, col, lo, hi in (("lengths", lengths, 1, 2**63 - 1), ("df", df, 1, 2**63 - 1),
-                               ("rows", rows, 0, len(docs) - 1), ("tf", tf, 1, 2**63 - 1)):
-            if col and not (set(map(type, col)) == {int} and lo <= min(col) and max(col) <= hi):
-                v = next(v for v in col if type(v) is not int or not lo <= v <= hi)
+                               ("rows", rows, 0, n_docs - 1), ("tf", tf, 1, 2**63 - 1)):
+            if len(col) and not (lo <= int(col.min()) and int(col.max()) <= hi):
+                v = int(col[(col < lo) | (col > hi)][0])
                 what = "which names a doc not in 'docs'" if f == "rows" else "not a positive int64"
                 raise RetrievalError(f"field {f!r} holds {v!r}, {what}")
-        for f, col, n in (("lengths", lengths, len(docs)), ("df", df, len(terms)),
-                          ("rows", rows, sum(df)), ("tf", tf, sum(df))):
-            if len(col) != n:
-                raise RetrievalError(f"field {f!r} holds {len(col)} values, not {n}")
-        ends = _ascending(np.array(rows, dtype=np.intp), df, terms, "field 'rows'")
-        pairs = list(zip(map(docs.__getitem__, rows), tf))
+        df = df.tolist()
+        if sum(df) != n_postings:
+            raise RetrievalError(f"field 'rows' holds {n_postings} values, not {sum(df)}")
+        ends = _ascending(rows.astype(np.intp), df, terms, "field 'rows'")
+        pairs = list(zip(map(docs.__getitem__, rows.tolist()), tf.tolist()))
         postings = {t: pairs[e - n : e] for t, n, e in zip(terms, df, ends.tolist())}
-        return FieldedIndex(postings, dict(zip(docs, lengths)), obj.get("k1"), obj.get("b"))
+        return FieldedIndex(postings, dict(zip(docs, lengths.tolist())), k1, b)
 
 
 def load_answers(path):

@@ -18,8 +18,11 @@ from segtool.corpus import (
     AnnotatedDocument, CorpusError, doc_to_json, load_corpus, save_corpus, tokenize,
 )
 from segtool.embeddings import EmbeddingsError, ContextualStreamSet, load_streams, save_streams
-from segtool.retrieval import RetrievalError, build_index, load_answers, load_qrels
+from segtool.retrieval import (
+    AnswerDoc, RetrievalError, build_index, load_answers, load_qrels, save_index,
+)
 from segtool.trainer import SegModel, TrainConfig, TrainerError, train
+from test_retrieval import index_bytes
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +163,7 @@ def _stats_empty(tmp_path):
 def _eval_macro_empty(tmp_path):
     gold = _empty_corpus(tmp_path)
     return ["eval", "--gold", str(gold), "--pred", str(gold), "--macro"], (
-        f"{gold}: no documents to average"
+        f"{gold}: no documents to score"
     )
 
 
@@ -227,14 +230,20 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_is_data_error(case, tmp_path):
-    argv, where = MALFORMED[case](tmp_path)
+def _cli_env():
+    """The environment of a subprocess that imports this segtool."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(segtool.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_data_error(case, tmp_path):
+    argv, where = MALFORMED[case](tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "segtool.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "segtool.cli", *argv], capture_output=True, text=True,
+        env=_cli_env(),
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -243,24 +252,50 @@ def test_malformed_input_is_data_error(case, tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_out():
     # every CLI call pays its imports; only the baseline fit needs scipy.optimize
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(segtool.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, segtool.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
+def test_closed_stdout_exits_141_silently(tmp_path):
+    # 10000 ranking lines, more than the pipe and stdout's buffer hold, so
+    # the command is still writing when the reader closes the pipe
+    index = tmp_path / "idx.bin"
+    save_index(build_index([AnswerDoc(f"a{i:03d}", "common term") for i in range(100)]), index)
+    questions = tmp_path / "q.jsonl"
+    save_corpus([AnnotatedDocument(f"q{i:03d}", "common", tokenize("common"), [])
+                 for i in range(100)], questions)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "segtool.cli", "search", "--index", str(index),
+         "--corpus", str(questions), "--k", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert proc.stdout.readline().startswith(b"q000\t1\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def _index_fields():
+    """A two-answer index (postings ls: a0; -la: a0, a1) as the fields of
+    its file (``index_fields``)."""
+    return {"version": 3, "k1": 1.2, "b": 0.75, "docs": ["a0", "a1"], "lengths": [2, 1],
+            "terms": ["ls", "-la"], "df": [1, 2], "rows": [0, 0, 1], "tf": [1, 1, 1],
+            "ends": {}, "widths": {}}
+
+
 def _index_file(tmp_path, edit=None, data=None):
-    """A two-answer index file (postings ls: a0; -la: a0, a1), its JSON
-    changed by ``edit`` or its bytes replaced by ``data``."""
-    obj = {"version": 2, "k1": 1.2, "b": 0.75, "docs": ["a0", "a1"], "lengths": [2, 1],
-           "terms": ["ls", "-la"], "df": [1, 2], "rows": [0, 0, 1], "tf": [1, 1, 1]}
+    """The file of ``_index_fields``, its fields changed by ``edit`` or its
+    bytes replaced by ``data``."""
+    fields = _index_fields()
     if edit:
-        edit(obj)
-    path = tmp_path / "idx.json.gz"
-    path.write_bytes(data if data is not None else gzip.compress(json.dumps(obj).encode()))
+        edit(fields)
+    path = tmp_path / "idx.bin"
+    path.write_bytes(data if data is not None else index_bytes(fields))
     return path
 
 
@@ -469,6 +504,16 @@ def _eval_missing_prediction(tmp_path):
     ]
 
 
+def _eval_empty_gold(*flags):
+    def case(tmp_path):
+        gold = _empty_corpus(tmp_path)
+        return ["eval", "--gold", str(gold), "--pred", str(gold), *flags], [
+            f"{gold}: no documents to score"
+        ]
+
+    return case
+
+
 def _agree_missing_document(tmp_path):
     a, b, missing = _first_line_only(tmp_path)
     return ["agree", "--corpus", str(a), "--corpus-b", str(b)], [
@@ -519,18 +564,23 @@ def _index_duplicate_answer(tmp_path):
 # above guard the process's own exit path.
 # malformed input -> (argv, what the error message must contain)
 MALFORMED_IN_PROCESS = {
-    "index-not-gzip": _bad_index(data=b"no index"),
-    "index-truncated": _bad_index(data=gzip.compress(b'{"version": 1}')[:-8]),
-    "index-no-postings": _bad_index(lambda o: o.pop("rows") and o.pop("tf")),
-    "index-one-element-posting": _bad_index(lambda o: o["tf"].pop()),
-    "index-posting-unknown-doc": _bad_index(lambda o: o["rows"].__setitem__(0, -1)),
-    "index-posting-tf-zero": _bad_index(lambda o: o["tf"].__setitem__(0, 0)),
-    "index-row-out-of-range": _bad_index(lambda o: o["rows"].__setitem__(2, 2),
+    "index-not-gzip": _bad_index(data=b"no index", message="not a segtool index file"),
+    "index-truncated": _bad_index(data=index_bytes(_index_fields())[:-8], message="file holds "),
+    "index-no-postings": _bad_index(lambda f: f.update(rows=[], tf=[]),
+                                    message="field 'rows' holds 0 values, not 3"),
+    "index-one-element-posting": _bad_index(lambda f: f["tf"].pop(), message="file holds "),
+    "index-posting-unknown-doc": _bad_index(lambda f: f["rows"].__setitem__(0, 255),
+                                            message="field 'rows' holds 255, which names"),
+    "index-posting-tf-zero": _bad_index(lambda f: f["tf"].__setitem__(0, 0),
+                                        message="field 'tf' holds 0"),
+    "index-row-out-of-range": _bad_index(lambda f: f["rows"].__setitem__(2, 2),
                                          message="field 'rows' holds 2"),
     "index-version-1": _bad_index(
-        lambda o: o.clear() or o.update(version=1, k1=1.2, b=0.75, doc_lengths={"a0": 1},
-                                        postings={"ls": [["a0", 1]]}),
-        message="unsupported index version 1; rerun segtool index",
+        data=gzip.compress(json.dumps({"version": 1, "k1": 1.2, "b": 0.75,
+                                       "doc_lengths": {"a0": 1},
+                                       "postings": {"ls": [["a0", 1]]}}).encode()),
+        message="unsupported index version (a gzip JSON index of format 1 or 2);"
+                " rerun segtool index",
     ),
     "answers-text-not-str": _bad_answers('{"id": "a1", "text": 5}'),
     "answers-not-json": _bad_answers('{"id": "a1"'),
@@ -576,6 +626,8 @@ MALFORMED_IN_PROCESS = {
     ),
     "predict-fewer-streams-than-model": _predict_fewer_streams,
     "eval-missing-prediction": _eval_missing_prediction,
+    "eval-empty-gold": _eval_empty_gold(),
+    "eval-empty-gold-macro": _eval_empty_gold("--macro"),
     "eval-prediction-tokenized-differently": _eval_prediction_tokenized_differently,
     "agree-missing-document": _agree_missing_document,
     "eval-repeated-prediction": _eval_repeated_prediction,
@@ -716,7 +768,7 @@ class TestSynthPipeline:
              "--questions-out", str(qfile), "--answers-out", str(afile),
              "--qrels-out", str(rfile), "--seed", "0"]
         ) == 0
-        idx = tmp_path / "index.json.gz"
+        idx = tmp_path / "index.bin"
         capsys.readouterr()
         assert main(["index", "--answers", str(afile), "--out", str(idx)]) == 0
         built = build_index(load_answers(afile))

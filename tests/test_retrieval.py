@@ -1,6 +1,9 @@
 import gzip
+import itertools
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -84,17 +87,46 @@ def index():
     return build_index(ANSWERS)
 
 
-def index_obj(index):
-    """The JSON object of index's file, from the layout's definition: doc
-    ids sorted, terms in postings order, a posting's doc as its row."""
+K1_AT = 9  # k1's offset in the file: after the magic and the version
+WIDTHS_AT = K1_AT + 16 + 40  # the column widths': after k1, b, the counts and blob lengths
+
+
+def index_fields(index):
+    """The fields of index's file, from the layout's definition: doc ids
+    sorted, terms in postings order, a posting's doc as its row; "ends"
+    and "widths" are empty, so index_bytes computes them."""
     docs = sorted(index.doc_lengths)
     plists = list(index.postings.values())
     return {
-        "version": 2, "k1": index.k1, "b": index.b, "docs": docs,
+        "version": 3, "k1": index.k1, "b": index.b, "docs": docs,
         "lengths": [index.doc_lengths[d] for d in docs], "terms": list(index.postings),
         "df": [len(p) for p in plists], "rows": [docs.index(d) for p in plists for d, _ in p],
-        "tf": [tf for p in plists for _, tf in p],
+        "tf": [tf for p in plists for _, tf in p], "ends": {}, "widths": {},
     }
+
+
+def index_bytes(f):
+    """The format 3 file of fields f, from the layout's definition: the
+    magic "SEGIX"; a header of the version (uint32), k1 and b (float64),
+    the counts of docs, terms and postings and the byte lengths of the id
+    and term blobs (uint64 each), and a width byte per column; the columns
+    (the doc ids' end offsets, lengths, the terms' end offsets, df, rows,
+    tf), each little-endian unsigned in the narrowest of 1, 2, 4 or 8 bytes
+    that holds its largest value; then the ids and terms as UTF-8.  An id
+    or term given as bytes is written as is; f["ends"] and f["widths"]
+    override the offsets and widths of the columns they name."""
+    blobs = {k: [s if type(s) is bytes else s.encode("utf-8") for s in f[k]]
+             for k in ("docs", "terms")}
+    cols = {k: f["ends"].get(k, list(itertools.accumulate(map(len, blobs[k])))) for k in blobs}
+    cols.update({k: f[k] for k in ("lengths", "df", "rows", "tf")})
+    names = ("docs", "lengths", "terms", "df", "rows", "tf")
+    widths = [f["widths"].get(k, next(w for w in (1, 2, 4, 8) if max(cols[k], default=0) < 256**w))
+              for k in names]
+    header = struct.pack("<I2d5Q6B", f["version"], f["k1"], f["b"], len(f["docs"]),
+                         len(f["terms"]), len(f["rows"]), sum(map(len, blobs["docs"])),
+                         sum(map(len, blobs["terms"])), *widths)
+    body = b"".join(v.to_bytes(w, "little") for k, w in zip(names, widths) for v in cols[k])
+    return b"SEGIX" + header + body + b"".join(blobs["docs"] + blobs["terms"])
 
 
 class TestTermsOf:
@@ -150,11 +182,11 @@ class TestBuildIndex:
         with pytest.raises(RetrievalError) as exc:
             build_index(answers, k1=above, b=1.0)
         assert str(exc.value) == f"bad value {above!r} for field 'k1'"
-        path = tmp_path / "i.json.gz"
+        path = tmp_path / "i.bin"
         save_index(index, path)
-        obj = json.loads(gzip.decompress(path.read_bytes()))
-        obj["k1"] = above
-        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, K1_AT, above)
+        path.write_bytes(data)
         with pytest.raises(RetrievalError) as exc:
             load_index(path)
         assert str(exc.value) == f"{path}: bad value {above!r} for field 'k1'"
@@ -373,7 +405,7 @@ class TestImpactColumns:
 
     def test_columns_built_on_first_query(self, index, tmp_path):
         assert "columns" not in vars(index)
-        path = tmp_path / "idx.json.gz"
+        path = tmp_path / "idx.bin"
         save_index(index, path)
         loaded = load_index(path)
         assert "columns" not in vars(loaded)
@@ -408,47 +440,14 @@ def random_indexes(draw):
     return FieldedIndex(postings, lengths, draw(st.floats(0, 5)), draw(st.floats(0, 1)))
 
 
-# a JSON value of every kind, ints near the valid ones most of all
-JSON_VALUES = st.one_of(
-    st.integers(-2, 8), st.integers(), st.booleans(), st.none(), st.floats(),
-    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.fixed_dictionaries({}),
-)
-
-
-@st.composite
-def edited_index_objects(draw):
-    """A valid file object with one random edit: a field dropped or
-    replaced, or one column value set, inserted or deleted, or two
-    swapped."""
-    obj = index_obj(draw(random_indexes()))
-    field = draw(st.sampled_from(sorted(obj)))
-    edit = draw(st.sampled_from(["drop", "replace", "set", "insert", "delete", "swap"]))
-    col = obj[field]
-    if edit == "drop":
-        del obj[field]
-    elif edit == "replace" or type(col) is not list or not col:
-        obj[field] = draw(JSON_VALUES)
-    else:
-        i = draw(st.integers(0, len(col) - 1))
-        if edit == "set":
-            col[i] = draw(JSON_VALUES | st.sampled_from(col))
-        elif edit == "insert":
-            col.insert(i, draw(JSON_VALUES | st.sampled_from(col)))
-        elif edit == "delete":
-            del col[i]
-        else:
-            j = draw(st.integers(0, len(col) - 1))
-            col[i], col[j] = col[j], col[i]
-    return obj
-
-
 class TestIndexFileProperties:
     @given(random_indexes())
     @example(FieldedIndex({"x": [("\u00e9", 10**6)]}, {"\u00e9": 1}, 1.2, 0.75))
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, tmp_path_factory, index):
-        path = tmp_path_factory.getbasetemp() / "round-trip.json.gz"
+        path = tmp_path_factory.getbasetemp() / "round-trip.bin"
         save_index(index, path)
+        saved = path.read_bytes()
         loaded = load_index(path)
         assert loaded.postings == index.postings
         assert loaded.doc_lengths == index.doc_lengths
@@ -457,20 +456,38 @@ class TestIndexFileProperties:
         assert ids == want_ids and list(cols) == list(want_cols)
         for t, (rows, impacts) in want_cols.items():
             assert np.array_equal(cols[t][0], rows) and np.array_equal(cols[t][1], impacts)
+        save_index(loaded, path)
+        assert path.read_bytes() == saved
 
-    @given(edited_index_objects())
+    @given(random_indexes(), st.sampled_from(["set", "insert", "delete", "truncate"]),
+           st.data())
     @settings(max_examples=300, deadline=None)
-    def test_edited_file_loads_or_is_named(self, tmp_path_factory, obj):
-        # every edit either leaves a valid index that the file describes
-        # exactly or is a RetrievalError naming the file
-        path = tmp_path_factory.getbasetemp() / "edited.json.gz"
-        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+    def test_edited_file_loads_or_is_named(self, tmp_path_factory, index, edit, data):
+        # a byte set, inserted or deleted, or the file cut short, either
+        # leaves a valid index, which re-saves and re-loads to an equal
+        # one, or is a RetrievalError naming the file
+        path = tmp_path_factory.getbasetemp() / "edited.bin"
+        save_index(index, path)
+        raw = bytearray(path.read_bytes())
+        i = data.draw(st.integers(0, len(raw) - 1))
+        if edit == "set":
+            raw[i] = data.draw(st.integers(0, 255))
+        elif edit == "insert":
+            raw.insert(i, data.draw(st.integers(0, 255)))
+        elif edit == "delete":
+            del raw[i]
+        else:
+            del raw[i:]
+        path.write_bytes(raw)
         try:
             loaded = load_index(path)
         except RetrievalError as exc:
             assert str(exc).startswith(f"{path}: ")
         else:
-            assert index_obj(loaded) == obj
+            save_index(loaded, path)
+            again = load_index(path)
+            assert again.postings == loaded.postings and again.doc_lengths == loaded.doc_lengths
+            assert (again.k1, again.b) == (loaded.k1, loaded.b)
             assert all(p[0] < q[0] for ps in loaded.postings.values() for p, q in zip(ps, ps[1:]))
             unfielded_search(loaded, question("q", " ".join(loaded.postings) or "x"))
 
@@ -539,7 +556,7 @@ class TestMrr:
 
 class TestPersistence:
     def test_index_round_trip(self, index, tmp_path):
-        path = tmp_path / "idx.json.gz"
+        path = tmp_path / "idx.bin"
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.postings == index.postings
@@ -549,17 +566,46 @@ class TestPersistence:
         assert unfielded_search(loaded, q, k=3) == unfielded_search(index, q, k=3)
 
     def test_same_index_same_bytes(self, index, tmp_path):
-        # no save time and no file name in the gzip header
-        first, second = tmp_path / "one.json.gz", tmp_path / "two.json.gz"
+        # no save time and no file name in the file
+        first, second = tmp_path / "one.bin", tmp_path / "two.bin"
         save_index(index, first)
         save_index(index, second)
         assert first.read_bytes() == second.read_bytes()
-        assert first.read_bytes()[3:8] == bytes(5)  # no FNAME flag, mtime 0
 
     def test_file_holds_the_column_layout(self, index, tmp_path):
-        path = tmp_path / "idx.json.gz"
+        path = tmp_path / "idx.bin"
         save_index(index, path)
-        assert json.loads(gzip.decompress(path.read_bytes())) == index_obj(index)
+        assert path.read_bytes() == index_bytes(index_fields(index))
+
+    @pytest.mark.parametrize("tf, width", [(255, 1), (256, 2), (65535, 2), (65536, 4),
+                                           (2**32, 8), (2**63 - 1, 8)])
+    def test_column_widths(self, tmp_path, tf, width):
+        index = FieldedIndex({"x": [("a", tf)], "y": [("a", 1), ("b", 1)]}, {"a": 2, "b": 1})
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        assert path.read_bytes()[WIDTHS_AT : WIDTHS_AT + 6] == bytes([1, 1, 1, 1, 1, width])
+        assert load_index(path).postings == index.postings
+
+    def test_tf_beyond_int64_refused(self, tmp_path):
+        path = tmp_path / "idx.bin"
+        save_index(FieldedIndex({"x": [("a", 2**63)]}, {"a": 1}), path)
+        with pytest.raises(RetrievalError) as exc:
+            load_index(path)
+        assert str(exc.value) == (
+            f"{path}: field 'tf' holds 9223372036854775808, not a positive int64"
+        )
+
+    # a lone surrogate comes from a JSON escape such as "\\ud800"
+    @pytest.mark.parametrize("ids", [["a\nb", "a\x00", "\u00e9t\u00e9", "\U0001f600"],
+                                     ["", "\n"], ["\ud800", "x\udfff"]],
+                             ids=["control-and-non-ascii", "empty", "lone-surrogates"])
+    def test_any_str_id_round_trips(self, tmp_path, ids):
+        index = FieldedIndex({"\u00fcber": [(d, 1) for d in sorted(ids)], "\x00": [(ids[0], 3)]},
+                             {d: 3 for d in ids})
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.postings == index.postings and loaded.doc_lengths == index.doc_lengths
 
     def test_v1_file_rejected(self, index, tmp_path):
         # the layout before the columns: nested [doc, tf] pairs per term
@@ -571,67 +617,77 @@ class TestPersistence:
         path.write_bytes(gzip.compress(json.dumps(obj).encode()))
         with pytest.raises(RetrievalError) as exc:
             load_index(path)
-        assert str(exc.value) == f"{path}: unsupported index version 1; rerun segtool index"
+        assert str(exc.value) == (f"{path}: unsupported index version (a gzip JSON index of"
+                                  " format 1 or 2); rerun segtool index")
 
-    def test_version_check(self, index, tmp_path):
-        import gzip, json
-
-        path = tmp_path / "idx.json.gz"
-        with gzip.open(path, "wt") as fh:
-            json.dump({"version": 42}, fh)
-        with pytest.raises(RetrievalError):
+    def test_v2_file_rejected(self, index, tmp_path):
+        # format 2: the same columns as one gzip JSON object
+        f = index_fields(index)
+        obj = {k: f[k] for k in ("k1", "b", "docs", "lengths", "terms", "df", "rows", "tf")}
+        path = tmp_path / "old.json.gz"
+        path.write_bytes(gzip.compress(json.dumps({"version": 2, **obj}).encode(), mtime=0))
+        with pytest.raises(RetrievalError, match=r"\(a gzip JSON index of format 1 or 2\)"):
             load_index(path)
 
-    # index_obj(index) of the fixture: docs a1 a2 a3; terms "restart" (a1),
-    # "the" (a1 tf 2, a2), "wireless" (a1 a2 a3), ...; 17 terms, 21 postings
+    def test_version_check(self, index, tmp_path):
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        data = bytearray(path.read_bytes())
+        for version in (2, 4, 42):
+            struct.pack_into("<I", data, len(b"SEGIX"), version)
+            path.write_bytes(data)
+            with pytest.raises(RetrievalError) as exc:
+                load_index(path)
+            assert str(exc.value) == (
+                f"{path}: unsupported index version {version}; rerun segtool index"
+            )
+
+    # index_fields(index) of the fixture: docs a1 a2 a3; terms "restart" (a1),
+    # "the" (a1 tf 2, a2), "wireless" (a1 a2 a3), ...; 17 terms, 21 postings;
+    # every column 1 byte wide
     @pytest.mark.parametrize("edit, message", [
-        (lambda o: o.pop("rows"), "field 'rows' must be a list"),
-        (lambda o: o.update(tf={}), "field 'tf' must be a list"),
-        (lambda o: o.update(df=5), "field 'df' must be a list"),
-        (lambda o: o.clear() or o.update(version=2, k1=1.2, b=0.75, doc_lengths={"a1": 1},
-                                         postings={"x": [["a1", 1]]}),
-         "field 'docs' must be a list"),
-        (lambda o: o.update(docs=[]), "field 'docs' must be a non-empty"),
-        (lambda o: o["docs"].__setitem__(1, "a1"), "'docs' must be a non-empty list of ascending"),
-        (lambda o: o["docs"].reverse(), "list of ascending str ids"),
-        (lambda o: o["docs"].__setitem__(0, 1), "ascending str ids"),
-        (lambda o: o["terms"].__setitem__(1, "restart"), "field 'terms' must be a list of distinct"),
-        (lambda o: o["terms"].__setitem__(0, ["x"]), "list of distinct str terms"),
-        (lambda o: o["lengths"].__setitem__(0, "8"), "field 'lengths' holds '8', not a positive"),
-        (lambda o: o["lengths"].__setitem__(2, 0), "field 'lengths' holds 0"),
-        (lambda o: o["lengths"].__setitem__(1, None), "field 'lengths' holds None"),
-        (lambda o: o["df"].__setitem__(3, 0), "field 'df' holds 0"),
-        (lambda o: o["df"].__setitem__(3, False), "field 'df' holds False"),
-        (lambda o: o.update(k1="1.2"), "bad value '1.2' for field 'k1'"),
-        (lambda o: o.update(k1=10**310), "0 for field 'k1'"),
-        (lambda o: o.update(k1=float("inf")), "bad value inf for field 'k1'"),
-        (lambda o: o.update(b=1.5), "bad value 1.5 for field 'b'"),
-        (lambda o: o.update(b=float("nan")), "bad value nan for field 'b'"),
-        (lambda o: o["tf"].__setitem__(0, 0), "not a positive int"),
-        (lambda o: o["tf"].__setitem__(0, True), "not a positive int"),
-        (lambda o: o["tf"].__setitem__(0, 1.0), "not a positive int"),
-        (lambda o: o["tf"].__setitem__(5, [1]), "field 'tf' holds [1]"),
-        (lambda o: o["tf"].__setitem__(5, 2**63), "holds 9223372036854775808, not a positive int"),
-        (lambda o: o["rows"].__setitem__(4, 99), "names a doc not in"),
-        (lambda o: o["rows"].__setitem__(0, -1), "field 'rows' holds -1, which names a doc not in"),
-        (lambda o: o["rows"].__setitem__(0, True), "field 'rows' holds True"),
-        (lambda o: o["rows"].__setitem__(0, "0"), "field 'rows' holds '0'"),
-        (lambda o: o["rows"].__setitem__(0, 0.0), "field 'rows' holds 0.0"),
-        (lambda o: o["lengths"].pop(), "field 'lengths' holds 2 values, not 3"),
-        (lambda o: o["df"].pop(), "field 'df' holds 16 values, not 17"),
-        (lambda o: o["df"].__setitem__(0, 2), "field 'rows' holds 21 values, not 22"),
-        (lambda o: o["tf"].pop(), "field 'tf' holds 20 values, not 21"),
-        (lambda o: o["tf"].append(1), "field 'tf' holds 22 values, not 21"),
-        (lambda o: o["rows"].__setitem__(2, 0), "field 'rows' of 'the' repeats a doc id"),
-        (lambda o: o["rows"].__setitem__(slice(1, 3), [1, 0]),
+        (lambda f: f["widths"].update(rows=3), "field 'rows' must be a list"),
+        (lambda f: f["widths"].update(tf=16), "field 'tf' must be a list"),
+        (lambda f: f["widths"].update(df=5), "field 'df' must be a list"),
+        (lambda f: f["widths"].update(docs=7), "field 'docs' must be a list"),
+        (lambda f: f.update(docs=[], lengths=[]), "field 'docs' must be a non-empty"),
+        (lambda f: f["docs"].__setitem__(1, "a1"), "'docs' must be a non-empty list of ascending"),
+        (lambda f: f["docs"].reverse(), "list of ascending str ids"),
+        (lambda f: f["docs"].__setitem__(0, b"\xff"), "ascending str ids"),  # not UTF-8
+        # a byte past the last id's end; the terms' first two ends swapped
+        (lambda f: f["docs"].__setitem__(2, "a3x") or f["ends"].update(docs=[2, 4, 6]),
+         "'docs' must be a non-empty list"),
+        (lambda f: f["ends"].update(
+            terms=[10, 7] + list(itertools.accumulate(map(len, f["terms"])))[2:]),
+         "'terms' must be a list of distinct str terms"),
+        (lambda f: f["terms"].__setitem__(1, "restart"), "field 'terms' must be a list of distinct"),
+        # "\u00e9" cut after its first byte
+        (lambda f: f["terms"].__setitem__(0, b"\xc3"), "list of distinct str terms"),
+        (lambda f: f["lengths"].__setitem__(2, 0), "field 'lengths' holds 0"),
+        (lambda f: f["df"].__setitem__(3, 0), "field 'df' holds 0"),
+        (lambda f: f.update(k1=1e7), "0 for field 'k1'"),
+        (lambda f: f.update(k1=float("inf")), "bad value inf for field 'k1'"),
+        (lambda f: f.update(b=1.5), "bad value 1.5 for field 'b'"),
+        (lambda f: f.update(b=float("nan")), "bad value nan for field 'b'"),
+        (lambda f: f["tf"].__setitem__(0, 0), "not a positive int"),
+        (lambda f: f["tf"].__setitem__(0, 2**64 - 1), "not a positive int"),
+        (lambda f: f["lengths"].__setitem__(1, 2**63), "not a positive int"),
+        (lambda f: f["tf"].__setitem__(5, 2**63), "holds 9223372036854775808, not a positive int"),
+        (lambda f: f["rows"].__setitem__(4, 99), "names a doc not in"),
+        (lambda f: f["rows"].__setitem__(0, 3), "field 'rows' holds 3, which names a doc not in"),
+        (lambda f: f["df"].__setitem__(0, 2), "field 'rows' holds 21 values, not 22"),
+        (lambda f: f["tf"].pop(), "file holds 253 bytes, not the 254 its header gives"),
+        (lambda f: f["tf"].append(1), "file holds 255 bytes, not the 254 its header gives"),
+        (lambda f: f["rows"].__setitem__(2, 0), "field 'rows' of 'the' repeats a doc id"),
+        (lambda f: f["rows"].__setitem__(slice(1, 3), [1, 0]),
          "field 'rows' of 'the' repeats a doc id or is unsorted"),
-        (lambda o: o.update(version=None) or o.pop("version"), "unsupported index version None"),
+        (lambda f: f.update(version=0), "unsupported index version 0"),
     ])
     def test_malformed_index_names_file(self, index, tmp_path, edit, message):
-        obj = index_obj(index)
-        edit(obj)
-        path = tmp_path / "idx.json.gz"
-        path.write_bytes(gzip.compress(json.dumps(obj).encode()))
+        f = index_fields(index)
+        edit(f)
+        path = tmp_path / "idx.bin"
+        path.write_bytes(index_bytes(f))
         with pytest.raises(RetrievalError) as exc:
             load_index(path)
         assert str(exc.value).startswith(f"{path}: ")
@@ -640,17 +696,28 @@ class TestPersistence:
     # gzip headers carry a timestamp, so the gzip cases get fixed ids.
     @pytest.mark.parametrize("data", [
         b"no index here", b"",
+        pytest.param(b"SEGIX", id="magic-alone"),
+        pytest.param(b"SEGIX" + bytes(65), id="header-cut-short"),
         pytest.param(gzip.compress(b"[1, 2")[:-6], id="gzip-truncated"),
         pytest.param(gzip.compress(b"{nope"), id="gzip-bad-json"),
         pytest.param(gzip.compress(b"\xff\xfe"), id="gzip-not-utf8"),
         pytest.param(gzip.compress(b"[1, 2]"), id="gzip-not-an-object"),
     ])
     def test_unreadable_index_names_file(self, tmp_path, data):
-        path = tmp_path / "idx.json.gz"
+        path = tmp_path / "idx.bin"
         path.write_bytes(data)
         with pytest.raises(RetrievalError) as exc:
             load_index(path)
         assert str(exc.value).startswith(f"{path}: ")
+
+    def test_truncated_index_names_file(self, index, tmp_path):
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        data = path.read_bytes()
+        for cut in range(len(b"SEGIX"), len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(RetrievalError, match="^" + re.escape(f"{path}: file holds ")):
+                load_index(path)
 
     @pytest.mark.parametrize("line, message", [
         ('{"id": "a1", "text": 5}', "answers need a str 'id' and 'text'"),
