@@ -172,8 +172,7 @@ def _cmd_index(args):
     with corpus.reading(args.answers, retrieval.RetrievalError):
         index = retrieval.build_index(answers, min_len=args.min_len)
     retrieval.save_index(index, args.out)
-    n_postings = sum(map(len, index.postings.values()))
-    print(f"indexed {index.n_docs} answers, {len(index.postings)} terms, {n_postings} postings"
+    print(f"indexed {index.n_docs} answers, {len(index.terms)} terms, {len(index.rows)} postings"
           f" -> {args.out} ({os.path.getsize(args.out)} bytes)")
     return 0
 

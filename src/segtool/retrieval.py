@@ -8,19 +8,21 @@ whole-document statistics, so with all boosts at 1 the fielded query
 ranks identically to the whole-question query.
 """
 
+import bisect
 import functools
+import itertools
 import json
 import math
 import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .corpus import CLASS_NAMES, EmptyCorpus, add_run, reading, token_labels
-# not called here, but perfbench's tracer patches retrieval.tokenize and
-# fails without it
+# unused here, but perfbench's tracer patches retrieval.tokenize
 from .corpus import tokenize
 
 
@@ -54,6 +56,8 @@ _INDEX_MAGIC = b"SEGIX"
 # version, k1, b, counts of docs, terms and postings, byte lengths of the id
 # and term blobs, and the byte width of each column
 _INDEX_HEADER = struct.Struct("<I2d5Q6B")
+_DOCS_RULE = "field 'docs' must be a non-empty list of ascending str ids"
+_TERMS_RULE = "field 'terms' must be a list of distinct str terms"
 # the (floor, ceiling) of an estimated boost weight
 BOOST_CLAMP = (0.25, 4.0)
 
@@ -74,92 +78,117 @@ class AnswerDoc:
         return terms_of(self.text)
 
 
-@dataclass
 class FieldedIndex:
-    postings: dict  # term -> list of (doc_id, term_freq), sorted by doc_id
-    doc_lengths: dict  # doc_id -> token count
-    k1: float = 1.2
-    b: float = 0.75
+    """A BM25 index as its file's columns (INDEX_COLUMNS), not changed once
+    built or loaded: the doc ids, sorted, and their lengths; the terms, their
+    df and (in ``at``) positions; each posting's doc row and tf, by term."""
 
-    def __post_init__(self):
+    def __init__(self, postings, doc_lengths, k1=1.2, b=0.75):
+        """The index of term -> (doc id, tf) lists sorted by doc id and doc id
+        -> length, checked as load_index checks a file, with its messages."""
+        docs = sorted(doc_lengths)
+        row = {d: i for i, d in enumerate(docs)}
+        pairs = [p for plist in postings.values() for p in plist]
+        if unknown := [d for d, _ in pairs if d not in row]:
+            raise RetrievalError(f"field 'rows' holds {unknown[0]!r}, which names a doc not in"
+                                 " 'docs'")
+        cols = [np.array(c, dtype=object) for c in (
+            [doc_lengths[d] for d in docs], [len(p) for p in postings.values()],
+            [row[d] for d, _ in pairs], [tf for _, tf in pairs])]
+        at = _checked(docs, list(postings), *cols)
+        lengths, df, rows, tf = (c.astype(np.int64) for c in cols)  # checked: each fits
+        self._hold(k1, b, docs, lengths, list(at), df, rows, tf, at=at)
+
+    @classmethod
+    def _of(cls, *columns, at=None):
+        return cls.__new__(cls)._hold(*columns, at=at)
+
+    def _hold(self, k1, b, docs, lengths, terms, df, rows, tf, at=None):
+        """self holding these columns, checked as a file's unless at is given."""
+        at = _checked(docs, terms, lengths, df, rows, tf) if at is None else at
         # no bool or nan; k1 in [0, MAX_K1] and b in [0, 1] keep impacts positive and finite
-        for name, hi in (("k1", MAX_K1), ("b", 1)):
-            v = getattr(self, name)
+        for name, v, hi in (("k1", k1, MAX_K1), ("b", b, 1)):
             if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= hi):
                 raise RetrievalError(f"bad value {v!r} for field {name!r}")
+        self.k1, self.b = k1, b
+        self.docs, self.n_docs, self.lengths = docs, len(docs), lengths
+        self.terms, self.at, self.df, self.rows, self.tf = terms, at, df, rows, tf
+        # an int sum: exact, where a uint64 sum could overflow
+        self.avg_len = sum(lengths.tolist()) / len(docs)
+        return self
 
-    @property
-    def n_docs(self):
-        return len(self.doc_lengths)
-
-    @functools.cached_property
-    def avg_len(self):
-        # computed once: an index is not changed after it is built or loaded
-        return sum(self.doc_lengths.values()) / self.n_docs
+    def __contains__(self, doc_id):
+        i = bisect.bisect_left(self.docs, doc_id)
+        return self.docs[i : i + 1] == [doc_id]
 
     @functools.cached_property
     def columns(self):
         """(doc ids in sorted order, term -> (rows, impacts)): each posting's
-        row in that order and its BM25 contribution ("impact"), computed
-        with bm25()'s expression.  Built on the first query, not with the
-        index, so building and loading stay as cheap as the dicts."""
-        ids, lengths, terms, df, rows, tf = _flat(self)
-        k1, b, avg = self.k1, self.b, self.avg_len
-        norm = np.array([k1 * (1.0 - b + b * n / avg) for n in lengths])
-        rows, tf = np.array(rows, dtype=np.intp), np.array(tf, dtype=np.float64)
-        idf = np.repeat(np.array([self.idf(t) for t in terms]), df)
+        row and its BM25 contribution ("impact"), with bm25()'s expression;
+        built on the first query, so building and loading stay cheap."""
+        k1, b, n = self.k1, self.b, self.n_docs
+        norm = k1 * (1.0 - b + b * self.lengths.astype(np.float64) / self.avg_len)
+        rows, tf, df = self.rows.astype(np.intp), self.tf.astype(np.float64), self.df.tolist()
+        idf = np.repeat([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df], df)
         impacts = idf * tf * (k1 + 1.0) / (tf + norm[rows])
-        # seg[rows] += impacts adds a row once: a doc id repeated in one
-        # posting list would score differently from bm25()
-        ends = _ascending(rows, df, terms, "posting list")
-        return ids, {t: (rows[e - n : e], impacts[e - n : e]) for t, n, e in zip(terms, df, ends)}
+        ends = np.cumsum(df, dtype=np.intp).tolist()
+        return self.docs, {t: (rows[e - d : e], impacts[e - d : e])
+                           for t, d, e in zip(self.terms, df, ends)}
 
-    def idf(self, term):
-        df = len(self.postings.get(term, ()))
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+    @property
+    def postings(self):
+        """term -> (doc id, tf) list, derived anew for tests and benchmark checks."""
+        pairs = zip(map(self.docs.__getitem__, self.rows.tolist()), self.tf.tolist())
+        return MappingProxyType({t: list(itertools.islice(pairs, d))
+                                 for t, d in zip(self.terms, self.df.tolist())})
 
-    def term_freq(self, term, doc_id):
-        for d, tf in self.postings.get(term, ()):
-            if d == doc_id:
-                return tf
-        return 0
+    @property
+    def doc_lengths(self):
+        """doc id -> token count, derived like ``postings``."""
+        return MappingProxyType(dict(zip(self.docs, self.lengths.tolist())))
 
 
 def build_index(answers, min_len=0, k1=1.2, b=0.75):
-    """Deterministic inverted index; answers shorter than min_len tokens
-    are skipped."""
-    postings = {}
-    lengths = {}
+    """Deterministic inverted index, terms in order of first use; answers
+    shorter than min_len tokens are skipped."""
+    counts = {}  # answer id -> Counter of its terms, None when skipped
     for ans in answers:
-        terms = ans.terms
-        if len(terms) < min_len or not terms:
-            continue
-        if ans.id in lengths:
+        if ans.id in counts:
             raise RetrievalError(f"duplicate answer id {ans.id!r}")
-        lengths[ans.id] = len(terms)
-        for t, tf in Counter(terms).items():
-            postings.setdefault(t, []).append((ans.id, tf))
-    if not lengths:
+        terms = ans.terms
+        counts[ans.id] = Counter(terms) if terms and len(terms) >= min_len else None
+    kept = {d: c for d, c in counts.items() if c}
+    if not kept:
         raise EmptyCorpus("no answers survived filtering")
-    for plist in postings.values():
-        plist.sort(key=lambda p: p[0])
-    return FieldedIndex(postings, lengths, k1, b)
+    at = dict(zip(dict.fromkeys(itertools.chain.from_iterable(kept.values())), itertools.count()))
+    docs = sorted(kept)
+    by_doc = [kept[d] for d in docs]
+    # postings doc by doc; a stable sort by term (radix, on narrow ints) keeps rows ascending
+    pos = np.fromiter(map(at.__getitem__, itertools.chain.from_iterable(by_doc)), np.intp)
+    tf = np.fromiter(itertools.chain.from_iterable(c.values() for c in by_doc), np.int64)
+    order = np.argsort(pos.astype(np.min_scalar_type(len(at))), kind="stable")
+    rows = np.repeat(np.arange(len(docs)), list(map(len, by_doc)))[order]
+    lengths = np.array([c.total() for c in by_doc], dtype=np.int64)
+    df = np.bincount(pos, minlength=len(at))
+    return FieldedIndex._of(k1, b, docs, lengths, list(at), df, rows, tf[order], at=at)
 
 
 def bm25(index, query_terms, doc_id):
-    """BM25 score of one document for a query term multiset (repeated
-    query terms contribute repeatedly, keeping the score additive over
-    query segments)."""
-    if doc_id not in index.doc_lengths:
+    """BM25 score of one document for a query term multiset, read from the
+    columns; a repeated query term adds again, so scores add over segments."""
+    if doc_id not in index:
         raise UnknownDoc(doc_id)
+    row = bisect.bisect_left(index.docs, doc_id)
     k1, b = index.k1, index.b
-    norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / index.avg_len)
+    norm = k1 * (1.0 - b + b * int(index.lengths[row]) / index.avg_len)
     score = 0.0
     for t in query_terms:
-        tf = index.term_freq(t, doc_id)
-        if tf == 0:
-            continue
-        score += index.idf(t) * tf * (k1 + 1.0) / (tf + norm)
+        if t in index.at:
+            df, end = int(index.df[index.at[t]]), int(index.df[: index.at[t] + 1].sum())
+            idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
+            run = slice(end - df, end)
+            for tf in index.tf[run][index.rows[run] == row].tolist():  # one or none
+                score += idf * tf * (k1 + 1.0) / (tf + norm)
     return score
 
 
@@ -251,16 +280,11 @@ def estimate_boosts(questions, gold_answers):
     answer text.  Overlap per label is |segment terms ∩ answer terms| /
     |segment terms|, averaged over the questions where the label occurs;
     weights are normalized to mean 1 over observed labels and clamped to
-    ``BOOST_CLAMP``.
-    Labels never observed stay at the neutral 1.
+    ``BOOST_CLAMP``.  Labels never observed stay at the neutral 1.
     """
     overlaps = {c: [] for c in CLASS_NAMES}
-    n_pairs = 0
-    for q in questions:
-        ans_text = gold_answers.get(q.id)
-        if ans_text is None:
-            continue
-        n_pairs += 1
+    pairs = [(q, gold_answers[q.id]) for q in questions if q.id in gold_answers]
+    for q, ans_text in pairs:
         ans_terms = set(terms_of(ans_text))
         by_label = {}
         for label, terms in question_segments(q):
@@ -268,16 +292,13 @@ def estimate_boosts(questions, gold_answers):
         for label, terms in by_label.items():
             uniq = set(terms)
             overlaps[label].append(len(uniq & ans_terms) / len(uniq))
-    if n_pairs == 0:
+    if not pairs:
         raise NoLabeledPairs("no question has a known correct answer")
     means = {c: (sum(v) / len(v)) for c, v in overlaps.items() if v}
     grand = sum(means.values()) / len(means)
-    weights = {c: 1.0 for c in CLASS_NAMES}
     lo, hi = BOOST_CLAMP
-    for c, m in means.items():
-        if grand > 0:
-            weights[c] = min(hi, max(lo, m / grand))
-    return BoostProfile(weights)
+    weights = {c: min(hi, max(lo, m / grand)) for c, m in means.items() if grand > 0}
+    return BoostProfile({c: 1.0 for c in CLASS_NAMES} | weights)
 
 
 def mrr(index, questions, gold_ids, boosts=None, k=100):
@@ -291,12 +312,10 @@ def mrr(index, questions, gold_ids, boosts=None, k=100):
         gold = gold_ids.get(q.id)
         if gold is None:
             raise MissingQrel(f"no qrel for question {q.id!r}")
-        if gold not in index.doc_lengths:
+        if gold not in index:
             raise UnknownGoldId(f"answer {gold!r} of question {q.id!r} is not in the index")
-        if boosts is None:
-            ranked = unfielded_search(index, q, k)
-        else:
-            ranked = fielded_search(index, q, boosts, k)
+        ranked = (unfielded_search(index, q, k) if boosts is None
+                  else fielded_search(index, q, boosts, k))
         for rank, (doc_id, _) in enumerate(ranked, start=1):
             if doc_id == gold:
                 total += 1.0 / rank
@@ -304,35 +323,37 @@ def mrr(index, questions, gold_ids, boosts=None, k=100):
     return total / len(questions)
 
 
-def _flat(index):
-    """The index as the columns of its file: the doc ids in sorted order and
-    their lengths, the terms in postings order and their document
-    frequencies, and each posting's doc row and term frequency."""
-    docs = sorted(index.doc_lengths)
-    row = {d: i for i, d in enumerate(docs)}
-    plists = index.postings.values()
-    pairs = [p for plist in plists for p in plist]
-    return (docs, [index.doc_lengths[d] for d in docs], list(index.postings),
-            [len(p) for p in plists], [row[d] for d, _ in pairs], [tf for _, tf in pairs])
-
-
-def _ascending(rows, df, terms, name):
-    """Where each term's run of rows ends; RetrievalError naming the term
-    whose rows do not strictly ascend."""
+def _checked(docs, terms, lengths, df, rows, tf):
+    """term -> position for an index of these columns; RetrievalError
+    naming the field that breaks the rules of the file format."""
+    if not docs or any(map(str.__ge__, docs, docs[1:])):
+        raise RetrievalError(_DOCS_RULE)
+    at = dict(zip(terms, itertools.count()))
+    if len(at) != len(terms):
+        raise RetrievalError(_TERMS_RULE)
+    # whole columns at once: a value out of range shows in the min or max
+    for f, col, lo, hi in (("lengths", lengths, 1, 2**63 - 1), ("df", df, 1, 2**63 - 1),
+                           ("rows", rows, 0, len(docs) - 1), ("tf", tf, 1, 2**63 - 1)):
+        if len(col) and not (lo <= int(col.min()) and int(col.max()) <= hi):
+            v = int(col[(col < lo) | (col > hi)][0])
+            what = "which names a doc not in 'docs'" if f == "rows" else "not a positive int64"
+            raise RetrievalError(f"field {f!r} holds {v!r}, {what}")
+    if (n := sum(df.tolist())) != len(rows):
+        raise RetrievalError(f"field 'rows' holds {len(rows)} values, not {n}")
+    # each term's rows strictly ascend: search's seg[rows] += impacts adds a repeated row once
     ends = np.cumsum(df, dtype=np.intp)
-    fall = np.diff(rows) <= 0
+    fall = np.diff(rows.astype(np.intp)) <= 0
     fall[ends[:-1] - 1] = False  # where the next term's run starts
-    bad = np.flatnonzero(fall)
-    if len(bad):
-        t = terms[np.searchsorted(ends, bad[0], side="right")]
-        raise RetrievalError(f"{name} of {t!r} repeats a doc id or is unsorted")
-    return ends
+    if fall.any():
+        t = terms[np.searchsorted(ends, fall.argmax(), side="right")]
+        raise RetrievalError(f"field 'rows' of {t!r} repeats a doc id or is unsorted")
+    return at
 
 
 def _uints(values):
     """values as little-endian unsigned ints of the narrowest width, 1, 2,
     4 or 8 bytes, that holds the largest."""
-    col = np.fromiter(values, dtype=np.uint64, count=len(values))
+    col = np.asarray(values, dtype=np.uint64)
     top = int(col.max()) if len(col) else 0
     return col.astype(f"<u{next(w for w in (1, 2, 4, 8) if top < 256**w)}")
 
@@ -349,12 +370,11 @@ def save_index(index, path):
     """Write index in format 3: the magic, the header, the six integer
     columns, then the UTF-8 bytes of the doc ids and of the terms.  No
     compression and no save time: equal indexes give equal bytes."""
-    docs, lengths, terms, df, rows, tf = _flat(index)
-    id_blob, id_ends = _blob(docs)
-    term_blob, term_ends = _blob(terms)
-    cols = (id_ends, _uints(lengths), term_ends, _uints(df), _uints(rows), _uints(tf))
-    header = _INDEX_HEADER.pack(INDEX_VERSION, index.k1, index.b, len(docs), len(terms),
-                                len(rows), len(id_blob), len(term_blob),
+    (id_blob, id_ends), (term_blob, term_ends) = _blob(index.docs), _blob(index.terms)
+    cols = (id_ends, _uints(index.lengths), term_ends, _uints(index.df), _uints(index.rows),
+            _uints(index.tf))
+    header = _INDEX_HEADER.pack(INDEX_VERSION, index.k1, index.b, index.n_docs,
+                                len(index.terms), len(index.rows), len(id_blob), len(term_blob),
                                 *(c.itemsize for c in cols))
     with open(path, "wb") as fh:
         fh.write(b"".join([_INDEX_MAGIC, header, *(c.tobytes() for c in cols), id_blob, term_blob]))
@@ -398,33 +418,13 @@ def load_index(path):
         size = off + sum(w * n for w, n in zip(widths, counts)) + id_bytes + term_bytes
         if len(data) != size:
             raise RetrievalError(f"file holds {len(data)} bytes, not the {size} its header gives")
-        cols = []
-        for w, n in zip(widths, counts):
-            cols.append(np.frombuffer(data, dtype=f"<u{w}", count=n, offset=off))
-            off += w * n
-        id_ends, lengths, term_ends, df, rows, tf = cols
-        message = "field 'docs' must be a non-empty list of ascending str ids"
-        docs = _strings(data[off : off + id_bytes], id_ends, message)
-        if not docs or any(map(str.__ge__, docs, docs[1:])):
-            raise RetrievalError(message)
-        message = "field 'terms' must be a list of distinct str terms"
-        terms = _strings(data[off + id_bytes :], term_ends, message)
-        if len(set(terms)) != len(terms):
-            raise RetrievalError(message)
-        # whole columns at once: a value out of range shows in the min or max
-        for f, col, lo, hi in (("lengths", lengths, 1, 2**63 - 1), ("df", df, 1, 2**63 - 1),
-                               ("rows", rows, 0, n_docs - 1), ("tf", tf, 1, 2**63 - 1)):
-            if len(col) and not (lo <= int(col.min()) and int(col.max()) <= hi):
-                v = int(col[(col < lo) | (col > hi)][0])
-                what = "which names a doc not in 'docs'" if f == "rows" else "not a positive int64"
-                raise RetrievalError(f"field {f!r} holds {v!r}, {what}")
-        df = df.tolist()
-        if sum(df) != n_postings:
-            raise RetrievalError(f"field 'rows' holds {n_postings} values, not {sum(df)}")
-        ends = _ascending(rows.astype(np.intp), df, terms, "field 'rows'")
-        pairs = list(zip(map(docs.__getitem__, rows.tolist()), tf.tolist()))
-        postings = {t: pairs[e - n : e] for t, n, e in zip(terms, df, ends.tolist())}
-        return FieldedIndex(postings, dict(zip(docs, lengths.tolist())), k1, b)
+        starts = itertools.accumulate([w * n for w, n in zip(widths, counts)], initial=off)
+        id_ends, lengths, term_ends, df, rows, tf = (
+            np.frombuffer(data, f"<u{w}", n, o) for w, n, o in zip(widths, counts, starts))
+        off = size - id_bytes - term_bytes
+        docs = _strings(data[off : off + id_bytes], id_ends, _DOCS_RULE)
+        terms = _strings(data[off + id_bytes :], term_ends, _TERMS_RULE)
+        return FieldedIndex._of(k1, b, docs, lengths, terms, df, rows, tf)
 
 
 def load_answers(path):

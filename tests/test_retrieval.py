@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,14 +50,15 @@ def scores_for_terms(index, query_terms):
     """doc_id -> accumulated BM25 contribution of these query terms."""
     k1, b = index.k1, index.b
     avg = index.avg_len
+    postings, doc_lengths = index.postings, index.doc_lengths
     out = {}
     for t in query_terms:
-        plist = index.postings.get(t)
+        plist = postings.get(t)
         if not plist:
             continue
-        idf = index.idf(t)
+        idf = math.log(1.0 + (index.n_docs - len(plist) + 0.5) / (len(plist) + 0.5))
         for doc_id, tf in plist:
-            norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / avg)
+            norm = k1 * (1.0 - b + b * doc_lengths[doc_id] / avg)
             out[doc_id] = out.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
     return out
 
@@ -73,6 +75,39 @@ def oracle_fielded_search(index, doc, boosts, k=10):
 def oracle_unfielded_search(index, doc, k=10):
     totals = scores_for_terms(index, [t.text.lower() for t in doc.tokens])
     return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+# -- oracle: the dict build the columnar build_index replaced -----------------
+
+def oracle_build(answers, min_len=0):
+    """(postings, doc_lengths) dicts: term -> (doc id, tf) list sorted by
+    doc id, in order of the terms' first use; doc id -> token count."""
+    postings = {}
+    lengths = {}
+    for ans in answers:
+        terms = ans.terms
+        if len(terms) < min_len or not terms:
+            continue
+        lengths[ans.id] = len(terms)
+        for t, tf in Counter(terms).items():
+            postings.setdefault(t, []).append((ans.id, tf))
+    if not lengths:
+        raise EmptyCorpus("no answers survived filtering")
+    for plist in postings.values():
+        plist.sort(key=lambda p: p[0])
+    return postings, lengths
+
+
+def oracle_flat(postings, doc_lengths):
+    """The dicts as the columns of the index file: the doc ids in sorted
+    order and their lengths, the terms in postings order and their document
+    frequencies, and each posting's doc row and term frequency."""
+    docs = sorted(doc_lengths)
+    row = {d: i for i, d in enumerate(docs)}
+    plists = postings.values()
+    pairs = [p for plist in plists for p in plist]
+    return (docs, [doc_lengths[d] for d in docs], list(postings),
+            [len(p) for p in plists], [row[d] for d, _ in pairs], [tf for _, tf in pairs])
 
 
 ANSWERS = [
@@ -149,6 +184,39 @@ class TestBuildIndex:
         idx = build_index(ANSWERS, min_len=8)
         assert set(idx.doc_lengths) == {"a1"}
 
+    @pytest.mark.parametrize("texts, min_len", [
+        (["x y z", ""], 0), (["", "x y z"], 0), (["x y z", "x"], 2), (["x", "x y z"], 2),
+        (["x", "y"], 5),
+    ], ids=["second-empty", "first-empty", "second-short", "first-short", "both-short"])
+    def test_repeated_id_refused_whatever_its_text(self, texts, min_len):
+        with pytest.raises(RetrievalError, match="duplicate answer id 'a1'"):
+            build_index([AnswerDoc("a1", t) for t in texts], min_len=min_len)
+
+    @given(st.lists(st.tuples(st.text(max_size=4), st.lists(
+        st.sampled_from(["x", "y", "\u00fcber", "\U0001f600", "-la", "the"]), max_size=7)),
+        max_size=8, unique_by=lambda a: a[0]), st.integers(0, 4))
+    @example([("b", ["x", "x"]), ("a", ["y", "x"]), ("\u00e9", ["x"])], 0)
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_the_dict_build(self, tmp_path_factory, answers, min_len):
+        # unsorted and unicode ids, repeated terms, answers min_len skips
+        answers = [AnswerDoc(i, " ".join(words)) for i, words in answers]
+        try:
+            postings, lengths = oracle_build(answers, min_len)
+        except EmptyCorpus:
+            with pytest.raises(EmptyCorpus):
+                build_index(answers, min_len)
+            return
+        index = build_index(answers, min_len)
+        docs, lens, terms, df, rows, tf = oracle_flat(postings, lengths)
+        assert (index.docs, index.lengths.tolist(), index.terms, index.df.tolist(),
+                index.rows.tolist(), index.tf.tolist()) == (docs, lens, terms, df, rows, tf)
+        assert index.at == {t: i for i, t in enumerate(terms)}
+        path = tmp_path_factory.getbasetemp() / "oracle.bin"
+        save_index(index, path)
+        assert path.read_bytes() == index_bytes({
+            "version": 3, "k1": 1.2, "b": 0.75, "docs": docs, "lengths": lens, "terms": terms,
+            "df": df, "rows": rows, "tf": tf, "ends": {}, "widths": {}})
+
     def test_empty(self):
         with pytest.raises(EmptyCorpus):
             build_index([], k1=1.2)
@@ -190,6 +258,38 @@ class TestBuildIndex:
         with pytest.raises(RetrievalError) as exc:
             load_index(path)
         assert str(exc.value) == f"{path}: bad value {above!r} for field 'k1'"
+
+
+class TestDictConstructor:
+    """FieldedIndex(postings, doc_lengths) checks the dicts as load_index
+    checks a file's columns, with its messages."""
+
+    def test_same_columns_as_the_build(self, index):
+        again = FieldedIndex(dict(index.postings), dict(index.doc_lengths), index.k1, index.b)
+        for f in ("docs", "lengths", "terms", "df", "rows", "tf"):
+            assert np.array_equal(getattr(again, f), getattr(index, f)), f
+        assert again.at == index.at
+
+    def test_views_are_read_only(self, index):
+        with pytest.raises(TypeError):
+            index.postings["x"] = [("a1", 1)]
+        with pytest.raises(TypeError):
+            index.doc_lengths["a1"] = 2
+
+    @pytest.mark.parametrize("postings, lengths, message", [
+        ({"x": [("zz", 1)]}, {"a": 1}, "field 'rows' holds 'zz', which names a doc not in 'docs'"),
+        ({"x": [("a", 0)]}, {"a": 1}, "field 'tf' holds 0, not a positive int64"),
+        ({"x": [("a", 1)]}, {"a": 1, "b": 0}, "field 'lengths' holds 0, not a positive int64"),
+        ({}, {}, "field 'docs' must be a non-empty list of ascending str ids"),
+        # a repeated doc: TestImpactColumns.test_repeated_doc_in_posting_list_rejected
+        ({"x": [("a", 1)], "y": [("b", 1), ("a", 1)]}, {"a": 1, "b": 2},
+         "field 'rows' of 'y' repeats a doc id or is unsorted"),
+    ], ids=["unknown-doc", "tf-of-zero", "length-of-zero", "no-docs", "unsorted-docs"])
+    def test_bad_dicts_refused(self, postings, lengths, message):
+        # unchecked, these gave a KeyError, a saved 0, a ZeroDivisionError or a late error
+        with pytest.raises(RetrievalError) as exc:
+            FieldedIndex(postings, lengths)
+        assert str(exc.value) == message
 
 
 class TestBm25:
@@ -418,9 +518,9 @@ class TestImpactColumns:
 
     def test_repeated_doc_in_posting_list_rejected(self):
         idx = build_index(ANSWERS)
-        idx.postings["the"] = [("a1", 2), ("a1", 2)]
+        postings = {**idx.postings, "the": [("a1", 2), ("a1", 2)]}
         with pytest.raises(RetrievalError, match="'the' repeats a doc id"):
-            unfielded_search(idx, question("q", "the"))
+            FieldedIndex(postings, idx.doc_lengths)
 
     def test_duplicate_answer_id_rejected(self):
         with pytest.raises(RetrievalError, match="duplicate answer id 'a1'"):
@@ -587,13 +687,17 @@ class TestPersistence:
         assert load_index(path).postings == index.postings
 
     def test_tf_beyond_int64_refused(self, tmp_path):
+        message = "field 'tf' holds 9223372036854775808, not a positive int64"
+        with pytest.raises(RetrievalError) as exc:
+            FieldedIndex({"x": [("a", 2**63)]}, {"a": 1})
+        assert str(exc.value) == message
         path = tmp_path / "idx.bin"
-        save_index(FieldedIndex({"x": [("a", 2**63)]}, {"a": 1}), path)
+        path.write_bytes(index_bytes({
+            "version": 3, "k1": 1.2, "b": 0.75, "docs": ["a"], "lengths": [1], "terms": ["x"],
+            "df": [1], "rows": [0], "tf": [2**63], "ends": {}, "widths": {}}))
         with pytest.raises(RetrievalError) as exc:
             load_index(path)
-        assert str(exc.value) == (
-            f"{path}: field 'tf' holds 9223372036854775808, not a positive int64"
-        )
+        assert str(exc.value) == f"{path}: {message}"
 
     # a lone surrogate comes from a JSON escape such as "\\ud800"
     @pytest.mark.parametrize("ids", [["a\nb", "a\x00", "\u00e9t\u00e9", "\U0001f600"],
@@ -611,7 +715,7 @@ class TestPersistence:
         # the layout before the columns: nested [doc, tf] pairs per term
         obj = {
             "version": 1, "k1": index.k1, "b": index.b,
-            "doc_lengths": index.doc_lengths, "postings": dict(index.postings),
+            "doc_lengths": dict(index.doc_lengths), "postings": dict(index.postings),
         }
         path = tmp_path / "old.json.gz"
         path.write_bytes(gzip.compress(json.dumps(obj).encode()))
