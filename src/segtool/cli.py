@@ -106,11 +106,21 @@ def _cmd_agree(args):
     return 0
 
 
-def _load_streams_arg(args, docs=None, dims=None):
-    if not getattr(args, "streams", None):
+def _load_streams_arg(args, docs, dims=None):
+    """The --streams set, holding each of ``docs`` with a row per token, or
+    None without --streams."""
+    if not args.streams:
         return None
-    counts = {d.id: len(d.tokens) for d in docs} if docs else None
-    return embeddings.load_streams(args.streams, counts, dims)
+    return embeddings.load_streams(args.streams, {d.id: len(d.tokens) for d in docs}, dims)
+
+
+def _check_fusion(source, cfgs, streams):
+    """Each of ``cfgs`` checked against the --streams set: one that fuses
+    streams needs the set and stream indices it holds.  The error names
+    ``source``, the --config file or checkpoint the configs come from."""
+    with corpus.reading(source, trainer.TrainerError):
+        for cfg in cfgs:
+            cfg.validate(0 if streams is None else streams.n)
 
 
 def _cmd_train(args):
@@ -118,6 +128,7 @@ def _cmd_train(args):
     train_docs = corpus.load_corpus(args.corpus)
     val_docs = corpus.load_corpus(args.val) if args.val else []
     streams = _load_streams_arg(args, train_docs + val_docs)
+    _check_fusion(args.config, [cfg], streams)
     with corpus.reading(args.corpus, trainer.NoTokens):
         model, logs = trainer.train(train_docs, val_docs, streams, cfg)
     for log in logs:
@@ -132,6 +143,7 @@ def _cmd_predict(args):
     docs = corpus.load_corpus(args.corpus)
     model = trainer.SegModel.load(args.model)
     streams = _load_streams_arg(args, docs, model.stream_dims if model.combiner else None)
+    _check_fusion(args.model, [model.cfg], streams)
     out = [
         corpus.AnnotatedDocument(d.id, d.text, d.tokens, trainer.predict(model, d, streams))
         for d in docs
@@ -263,20 +275,21 @@ def _cmd_synth(args):
 
 # -- experiment grids -------------------------------------------------------
 
-def _recipe_cells(recipe, stream_count):
+def _recipe_cells(recipe, base_cfg, stream_count):
+    """(name, config) of each cell of the recipe: base_cfg with the cell's changes."""
     if recipe == "table2":
-        return [
+        cells = [
             ("lookup", {"use_lookup": True, "use_subword": False}),
             ("subword", {"use_lookup": False, "use_subword": True}),
             ("subword+char", {"use_lookup": False, "use_subword": True, "use_char": True}),
         ]
-    if recipe == "table3":
-        return [
+    elif recipe == "table3":
+        cells = [
             ("no-attention", {"attention_mode": "none"}),
             ("weighted", {"attention_mode": "weighted"}),
             ("unweighted", {"attention_mode": "unweighted"}),
         ]
-    if recipe == "table4":
+    elif recipe == "table4":
         cells = [
             (f"single-{i}", {"combiner_mode": "dme", "stream_indices": (i,)})
             for i in range(stream_count)
@@ -287,18 +300,19 @@ def _recipe_cells(recipe, stream_count):
                 ("dme", {"combiner_mode": "dme"}),
                 ("cdme", {"combiner_mode": "cdme"}),
             ]
-        return cells
-    raise trainer.TrainerError(f"unknown recipe {recipe!r}")
+    else:
+        raise trainer.TrainerError(f"unknown recipe {recipe!r}")
+    return [(name, trainer.TrainConfig(**{**asdict(base_cfg), **changes}))
+            for name, changes in cells]
 
 
-def run_experiment(recipe, train_docs, val_docs, test_docs, streams, base_cfg, out_dir):
-    """Train and test each cell of the recipe, writing one report per cell
-    and the P/R/F1 table to ``out_dir``; returns the table's text."""
+def run_experiment(recipe, cells, train_docs, val_docs, test_docs, streams, out_dir):
+    """Train and test each (name, config) cell of the recipe, writing one
+    report per cell and the P/R/F1 table to ``out_dir``; returns the table's
+    text."""
     os.makedirs(out_dir, exist_ok=True)
-    stream_count = streams.n if streams is not None else 0
     table = f"{'cell':<16}{'P':>9}{'R':>9}{'F1':>9}\n"
-    for name, overrides in _recipe_cells(recipe, stream_count):
-        cfg = trainer.TrainConfig(**{**asdict(base_cfg), **overrides})
+    for name, cfg in cells:
         model, _ = trainer.train(train_docs, val_docs, streams, cfg)
         report = trainer.evaluate_model(model, test_docs, streams)
         path = os.path.join(out_dir, f"{recipe}_{name}.json")
@@ -319,10 +333,11 @@ def _cmd_experiment(args):
     if not test_docs:
         raise corpus.EmptyCorpus(f"{args.test or args.val}: no documents to test on")
     streams = _load_streams_arg(args, train_docs + val_docs + test_docs)
+    cells = _recipe_cells(args.recipe, base, streams.n if streams is not None else 0)
+    _check_fusion(args.config, [cfg for _, cfg in cells], streams)
     with corpus.reading(args.corpus, trainer.NoTokens):
-        table = run_experiment(
-            args.recipe, train_docs, val_docs, test_docs, streams, base, args.out
-        )
+        table = run_experiment(args.recipe, cells, train_docs, val_docs, test_docs, streams,
+                               args.out)
     print(table, end="")
     return 0
 

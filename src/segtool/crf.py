@@ -199,11 +199,12 @@ def nll_and_grads(emissions, params, gold_tags, lengths=None):
 def viterbi(emissions, params, constrain_bio=False):
     """Maximum-score tag path, ties broken toward the lower tag index at
     every backpointer.  Returns (tag index list, score); the score is the
-    left-to-right re-summation of the returned path."""
+    recursion's maximum, which equals the left-to-right sum of the returned
+    path: each step adds the same transition and emission to the same value."""
     s, n = _length(emissions), emissions.shape[1]
-    start = params.start + (_BIO_START_MASK if constrain_bio else 0.0)
+    # no mask, no + 0.0: that would make a -0.0 start +0.0, unlike the path's sum
+    start = params.start + _BIO_START_MASK if constrain_bio else params.start
     trans = params.transitions + (_BIO_TRANS_MASK if constrain_bio else 0.0)
-
     to_from = np.ascontiguousarray(trans.T)
     delta = start + emissions[0]
     backptr = []
@@ -214,17 +215,7 @@ def viterbi(emissions, params, constrain_bio=False):
     delta = delta + params.stop
 
     path = [int(delta.argmax())]
-    for row in reversed(np.array(backptr, dtype=np.intp).reshape(-1, n).tolist()):
+    for row in reversed(np.array(backptr, dtype=np.intp).reshape(s - 1, n).tolist()):
         path.append(row[path[-1]])
     path.reverse()
-
-    # the left-to-right sum: start, e0, the start mask, then each step's
-    # transition and emission, then stop
-    idx = np.array(path)
-    terms = [params.start[idx[:1]], emissions[0, idx[:1]]]
-    if constrain_bio:
-        terms.append(_BIO_START_MASK[idx[:1]])
-    steps = np.stack([trans[idx[:-1], idx[1:]], emissions[np.arange(1, s), idx[1:]]], axis=1)
-    terms += [steps.ravel(), params.stop[idx[-1:]]]
-    score = float(np.add.accumulate(np.concatenate(terms))[-1])
-    return path, score
+    return path, float(delta[path[-1]])

@@ -48,8 +48,11 @@ class StreamCountMismatch(EmbeddingsError):
 
 
 class MissingStreams(EmbeddingsError):
-    def __init__(self, doc_id):
-        super().__init__(f"no contextual streams for document {doc_id!r}")
+    """No streams for the document ``doc_id``, or (None) no stream set at all."""
+
+    def __init__(self, doc_id=None):
+        super().__init__("no contextual streams given" if doc_id is None
+                         else f"no contextual streams for document {doc_id!r}")
         self.doc_id = doc_id
 
 
@@ -259,6 +262,12 @@ class CharEncoder(nn.Component):
 _MAGIC = b"CSTR1"
 
 
+def _check_dims(dims, error=FormatError):
+    """``error`` unless dims holds at least one stream, each at least 1 wide."""
+    if not dims or min(dims) < 1:
+        raise error(f"stream dims {list(dims)}: need at least one stream, each at least 1 wide")
+
+
 @dataclass
 class ContextualStreamSet:
     dims: list  # per-stream dimensions
@@ -281,9 +290,11 @@ class ContextualStreamSet:
 
 
 def save_streams(streams, path):
-    """Write a CSTR1 file.  Every document must have ``streams.n`` arrays of
-    one row count, stream i ``dims[i]`` wide and finite in float32: otherwise
-    FormatError names the document and the stream, and nothing is written."""
+    """Write a CSTR1 file.  The set needs at least one stream, each at least
+    1 wide, and every document ``streams.n`` arrays of one row count, stream
+    i ``dims[i]`` wide and finite in float32: otherwise FormatError names the
+    dims, or the document and the stream, and nothing is written."""
+    _check_dims(streams.dims)
     for doc_id, arrays in streams.vectors.items():
         if len(arrays) != streams.n:
             raise FormatError(f"doc {doc_id!r}: {len(arrays)} streams, not {streams.n}")
@@ -303,15 +314,16 @@ def save_streams(streams, path):
             raw = doc_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<I", arrays[0].shape[0] if arrays else 0))
+            fh.write(struct.pack("<I", arrays[0].shape[0]))
             for arr in arrays:
                 fh.write(np.asarray(arr, dtype="<f4").tobytes(order="C"))
 
 
 def load_streams(path, doc_token_counts=None, dims=None):
     """Read a CSTR1 file into read-only float32 views of its bytes; optionally
-    check per-document token counts against the corpus (doc id -> expected
-    count) and the stream dims against a model's.  Errors name the file."""
+    check it against a corpus, doc id -> token count, whose every document it
+    must hold with that many rows (MissingStreams, TokenCountMismatch), and
+    its stream dims against a model's.  Errors name the file."""
     with reading(path, EmbeddingsError), open(path, "rb") as fh:
         data = fh.read()
         if data[:5] != _MAGIC:
@@ -329,6 +341,7 @@ def load_streams(path, doc_token_counts=None, dims=None):
 
         (n,) = take("<I")
         file_dims = list(take(f"<{n}I"))
+        _check_dims(file_dims)
         if dims is not None and file_dims != list(dims):
             raise StreamCountMismatch(f"stream dims {file_dims} are not the model's {list(dims)}")
         vectors = {}
@@ -358,6 +371,9 @@ def load_streams(path, doc_token_counts=None, dims=None):
                 if expected is not None and expected != count:
                     raise TokenCountMismatch(doc_id, expected, count)
             vectors[doc_id] = arrays
+        for doc_id in doc_token_counts or ():
+            if doc_id not in vectors:
+                raise MissingStreams(doc_id)
     return ContextualStreamSet(file_dims, vectors)
 
 
@@ -379,6 +395,7 @@ class MetaCombiner(nn.Component):
             raise EmbeddingsError(f"unknown combiner mode {mode!r}")
         self.mode = mode
         self.dims = list(dims)
+        _check_dims(self.dims, EmbeddingsError)
         self.d_prime = d_prime
         if mode == "concat":
             return

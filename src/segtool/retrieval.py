@@ -85,7 +85,11 @@ class FieldedIndex:
 
     def __init__(self, postings, doc_lengths, k1=1.2, b=0.75):
         """The index of term -> (doc id, tf) lists sorted by doc id and doc id
-        -> length, checked as load_index checks a file, with its messages."""
+        -> length, checked as load_index checks a file, with its messages:
+        ids and terms are str, tf and lengths int (not bool)."""
+        for keys, rule in ((doc_lengths, _DOCS_RULE), (postings, _TERMS_RULE)):
+            if not all(isinstance(k, str) for k in keys):
+                raise RetrievalError(rule)
         docs = sorted(doc_lengths)
         row = {d: i for i, d in enumerate(docs)}
         pairs = [p for plist in postings.values() for p in plist]
@@ -95,6 +99,10 @@ class FieldedIndex:
         cols = [np.array(c, dtype=object) for c in (
             [doc_lengths[d] for d in docs], [len(p) for p in postings.values()],
             [row[d] for d, _ in pairs], [tf for _, tf in pairs])]
+        for f, col in (("lengths", cols[0]), ("tf", cols[3])):
+            bad = [v for v in col if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+            if bad:
+                raise RetrievalError(f"field {f!r} holds {bad[0]!r}, not a positive int64")
         at = _checked(docs, list(postings), *cols)
         lengths, df, rows, tf = (c.astype(np.int64) for c in cols)  # checked: each fits
         self._hold(k1, b, docs, lengths, list(at), df, rows, tf, at=at)

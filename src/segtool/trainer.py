@@ -31,6 +31,7 @@ from .corpus import (
 from .embeddings import (
     CharEncoder,
     ContextualStreamSet,
+    EmbeddingsError,
     LookupTable,
     MetaCombiner,
     MissingStreams,
@@ -86,7 +87,10 @@ class TrainConfig:
     attention_mode: str = "none"  # none | weighted | unweighted
     attention_dim: int = None
 
-    def validate(self):
+    def validate(self, n_streams=None):
+        """TrainerError naming the first bad value; given the number of streams
+        a run has, also when a fusing config has none, or its stream_indices
+        are empty or one names none of them (the one check of stream_indices)."""
         if not 0 <= self.dropout < 1:
             raise TrainerError(f"dropout must lie in [0, 1), got {self.dropout}")
         for key in ("learning_rate", "clip_norm"):
@@ -108,6 +112,16 @@ class TrainConfig:
         for key in sizes:
             if getattr(self, key) < 1:
                 raise TrainerError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if n_streams is None or self.combiner_mode == "none":
+            return
+        if n_streams == 0:
+            raise TrainerError(f"combiner_mode {self.combiner_mode!r} fuses contextual streams,"
+                               " and none were given")
+        if self.stream_indices == ():
+            raise TrainerError("stream_indices names no stream")
+        for i in self.stream_indices or ():
+            if not 0 <= i < n_streams:
+                raise TrainerError(f"stream index {i} invalid for {n_streams} streams")
 
     def fingerprint(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -125,7 +139,7 @@ class SegModel(nn.Component):
 
     def __init__(self, cfg, token_vocab=(), char_vocab="", stream_dims=()):
         super().__init__()
-        cfg.validate()
+        cfg.validate(len(stream_dims))
         self.cfg = cfg
         self.stream_dims = list(stream_dims)
         rng = np.random.default_rng(cfg.seed)
@@ -149,9 +163,6 @@ class SegModel(nn.Component):
         if cfg.combiner_mode != "none":
             dims = self.stream_dims
             if cfg.stream_indices is not None:
-                for i in cfg.stream_indices:
-                    if not 0 <= i < len(dims):
-                        raise TrainerError(f"stream index {i} invalid for {len(dims)} streams")
                 dims = [dims[i] for i in cfg.stream_indices]
             self.combiner = MetaCombiner(
                 rng, cfg.combiner_mode, dims, d_prime=cfg.d_prime, dtype=dt
@@ -186,7 +197,7 @@ class SegModel(nn.Component):
 
     def _doc_streams(self, doc, streams):
         if streams is None:
-            raise MissingStreams(doc.id)
+            raise MissingStreams()
         arrs = streams.for_doc(doc)
         if self.cfg.stream_indices is not None:
             arrs = [arrs[i] for i in self.cfg.stream_indices]
@@ -345,8 +356,9 @@ class SegModel(nn.Component):
                     v[...] = saved.astype(cls.DTYPE)
             except KeyError as exc:
                 raise TrainerError(f"no {exc} entry") from None
-            except (ValueError, TypeError, EOFError, OSError, RuntimeError, NotImplementedError,
-                    zipfile.BadZipFile) as exc:  # all but the first two: zipfile on a corrupt file
+            except (EmbeddingsError, ValueError, TypeError,  # a field the model cannot take
+                    EOFError, OSError, RuntimeError, NotImplementedError,
+                    zipfile.BadZipFile) as exc:  # these: zipfile on a corrupt file
                 raise TrainerError(f"not a checkpoint of this model: {exc}") from None
         return model
 
@@ -420,7 +432,7 @@ def train(train_docs, val_docs, streams, cfg):
     cfg.validate()
     if cfg.combiner_mode != "none":
         if streams is None:
-            raise MissingStreams(train_docs[0].id)
+            raise MissingStreams()
         for d in train_docs + val_docs:
             streams.for_doc(d)
     model = SegModel(cfg, *_vocabs(train_docs), streams.dims if streams is not None else [])

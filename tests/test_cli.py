@@ -450,11 +450,13 @@ def _bad_boosts(text):
     return case
 
 
-def _checkpoint_file(tmp_path, edit=None, data=None):
-    """An untrained small model's checkpoint, its metadata and arrays
-    changed by ``edit(meta, arrays)`` or its bytes replaced by ``data``."""
+def _checkpoint_file(tmp_path, edit=None, data=None, model=None):
+    """The checkpoint of ``model()`` (by default an untrained small model),
+    its metadata and arrays changed by ``edit(meta, arrays)`` or its bytes
+    replaced by ``data``."""
     path = tmp_path / "m.npz"
-    SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"]).save(path)
+    model = model() if model else SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"])
+    model.save(path)
     if data is not None:
         path.write_bytes(data)
     if edit:
@@ -466,9 +468,9 @@ def _checkpoint_file(tmp_path, edit=None, data=None):
     return path
 
 
-def _bad_checkpoint(edit=None, data=None, message=""):
+def _bad_checkpoint(edit=None, data=None, message="", model=None):
     def case(tmp_path):
-        path = _checkpoint_file(tmp_path, edit, data)
+        path = _checkpoint_file(tmp_path, edit, data, model)
         argv = ["predict", "--corpus", str(_corpus_file(tmp_path)), "--model", str(path),
                 "--out", str(tmp_path / "p.jsonl")]
         return argv, [f"{path}: {message}"]
@@ -487,6 +489,65 @@ def _predict_fewer_streams(tmp_path):
     argv = ["predict", "--corpus", str(_corpus_file(tmp_path)), "--model", str(model),
             "--streams", str(path), "--out", str(tmp_path / "p.jsonl")]
     return argv, [f"{path}: stream dims {streams.dims[:2]} are not the model's {streams.dims}"]
+
+
+def _stream_file(path, dims, docs):
+    """A CSTR1 file of zero vectors written by hand: save_streams refuses
+    dims with no stream or a stream 0 wide."""
+    raw = b"CSTR1" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+    for doc in docs:
+        doc_id = doc.id.encode()
+        raw += struct.pack("<I", len(doc_id)) + doc_id + struct.pack("<I", len(doc.tokens))
+        raw += bytes(4 * len(doc.tokens) * sum(dims))
+    path.write_bytes(raw)
+    return path
+
+
+def _streams_without_width(dims):
+    def case(tmp_path):
+        corpus = _corpus_file(tmp_path)
+        streams = _stream_file(tmp_path / "s.bin", dims, load_corpus(corpus))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("hidden=4\nlookup_dim=3\nd_prime=4\nepochs=1\ncombiner_mode=cdme\n")
+        argv = ["train", "--corpus", str(corpus), "--streams", str(streams), "--config", str(cfg)]
+        return argv, [f"error: {streams}: stream dims {dims}: need at least one stream,"
+                      " each at least 1 wide"]
+
+    return case
+
+
+def _fusion_run(command, message, config="combiner_mode=dme", streams=True, extra_doc=False,
+                recipe="table3"):
+    """A case: ``command`` over the two-document corpus, fusing its three
+    synth streams as the ``config`` lines set (a checkpoint of that config
+    for predict), with or without --streams, and with or without a third
+    document that the stream file lacks.  ``message(source, streams)`` is
+    the error wanted, ``source`` the --config file or checkpoint."""
+    def case(tmp_path):
+        corpus = _corpus_file(tmp_path)
+        docs = load_corpus(corpus)
+        stream_set = synth.gen_streams(docs, seed=5)
+        stream_path = tmp_path / "s.bin"
+        save_streams(stream_set, stream_path)
+        if extra_doc:
+            save_corpus(docs + [AnnotatedDocument("extra", "ls -la", tokenize("ls -la"), [])],
+                        corpus)
+        source = tmp_path / "train.cfg"
+        source.write_text(f"hidden=4\nlookup_dim=3\nd_prime=4\nepochs=1\n{config}\n")
+        if command == "predict":
+            cfg = _load_train_config(argparse.Namespace(config=source, seed=None))
+            source = tmp_path / "m.npz"
+            SegModel(cfg, ["ls"], stream_dims=stream_set.dims).save(source)
+            argv = ["predict", "--model", str(source), "--out", str(tmp_path / "p.jsonl")]
+        elif command == "train":
+            argv = ["train", "--config", str(source)]
+        else:
+            argv = ["experiment", "--recipe", recipe, "--test", str(corpus), "--config",
+                    str(source), "--out", str(tmp_path / "exp")]
+        argv += ["--corpus", str(corpus)] + ["--streams", str(stream_path)] * streams
+        return argv, [message(source, stream_path)]
+
+    return case
 
 
 def _first_line_only(tmp_path):
@@ -624,6 +685,12 @@ MALFORMED_IN_PROCESS = {
         lambda m, a: m.update(version=1) or m["config"].update(recurrent_dropout=0.0),
         message="unsupported checkpoint version 1",
     ),
+    "checkpoint-stream-zero-wide": _bad_checkpoint(
+        lambda m, a: m.update(stream_dims=[0]),
+        message="not a checkpoint of this model: stream dims [0]: need at least one stream,"
+                " each at least 1 wide",
+        model=lambda: SegModel(TrainConfig(hidden=4, lookup_dim=3, combiner_mode="concat"),
+                               ["ls"], stream_dims=[2])),
     "predict-fewer-streams-than-model": _predict_fewer_streams,
     "eval-missing-prediction": _eval_missing_prediction,
     "eval-empty-gold": _eval_empty_gold(),
@@ -633,6 +700,23 @@ MALFORMED_IN_PROCESS = {
     "eval-repeated-prediction": _eval_repeated_prediction,
     "experiment-empty-test-set": _experiment_empty_test_set,
     "index-duplicate-answer-id": _index_duplicate_answer,
+    "streams-no-streams": _streams_without_width([]),
+    "streams-zero-width": _streams_without_width([0, 8]),
+    **{f"{command}-streams-missing-document": _fusion_run(
+        command, lambda _, streams: f"error: {streams}: no contextual streams for document"
+                                    " 'extra'", extra_doc=True)
+       for command in ("train", "predict", "experiment")},
+    **{f"{command}-fusing-without-streams": _fusion_run(
+        command, lambda source, _: f"error: {source}: combiner_mode 'dme' fuses contextual"
+                                   " streams, and none were given", streams=False)
+       for command in ("train", "predict", "experiment")},
+    "train-stream-index-out-of-range": _fusion_run(
+        "train", lambda source, _: f"error: {source}: stream index 5 invalid for 3 streams",
+        config="combiner_mode=dme\nstream_indices=0,5"),
+    # the concat, dme and cdme cells take the --config file's stream_indices
+    "experiment-stream-index-out-of-range": _fusion_run(
+        "experiment", lambda source, _: f"error: {source}: stream index 5 invalid for 3 streams",
+        config="stream_indices=0,5", recipe="table4"),
 }
 
 

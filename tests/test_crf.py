@@ -594,3 +594,40 @@ class TestViterbiOracle:
             p = CrfParams.random(rng)
             p.transitions[rng.random(p.transitions.shape) < 0.3] = -np.inf
             assert viterbi(e, p, constrain) == viterbi_oracle(e, p, constrain)
+
+
+# the scores of TestViterbiBits: a grid of halves (ties at almost every
+# step), signed zeros only, or normal draws at one of several scales
+_SCORE_KINDS = {
+    "halves": lambda rng, shape: rng.integers(-4, 5, size=shape) / 2.0,
+    "signed-zeros": lambda rng, shape: rng.choice([0.0, -0.0], size=shape),
+    "negative-zeros": lambda rng, shape: np.full(shape, -0.0),
+    "normal": lambda rng, shape: rng.standard_normal(shape) * rng.choice([0.1, 1.0, 100.0]),
+}
+
+
+class TestViterbiBits:
+    """``viterbi``'s score is ``viterbi_oracle``'s re-summation of the
+    returned path to the bit, the sign of a zero included."""
+
+    @given(
+        s=st.integers(1, 40),
+        constrain=st.booleans(),
+        kind=st.sampled_from(sorted(_SCORE_KINDS)),
+        minus_inf=st.sampled_from([0.0, 0.1, 0.5]),
+        float32=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_score_is_the_resummation_bit_for_bit(self, s, constrain, kind, minus_inf, float32,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        draw = _SCORE_KINDS[kind]
+        e = draw(rng, (s, N_TAGS)).astype(np.float32 if float32 else np.float64)
+        p = CrfParams(draw(rng, (N_TAGS, N_TAGS)), draw(rng, N_TAGS), draw(rng, N_TAGS))
+        p.transitions[rng.random(p.transitions.shape) < minus_inf] = -np.inf
+        path, score = viterbi(e, p, constrain)
+        want_path, want = viterbi_oracle(e, p, constrain)
+        assert path == want_path
+        assert score == want
+        assert np.float64(score).tobytes() == np.float64(want).tobytes()

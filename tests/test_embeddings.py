@@ -518,6 +518,39 @@ class TestStreamFiles:
         with pytest.raises(FormatError):
             load_streams(tmp_path / "t.bin")
 
+    @pytest.mark.parametrize("dims", [[], [0, 8], [8, 0]], ids=["no-streams", "zero-width-first",
+                                                               "zero-width-second"])
+    def test_set_without_width_not_saved(self, tmp_path, dims):
+        # a set with no streams wrote a row count of 0 for every document
+        streams = ContextualStreamSet(dims, {"a": [np.zeros((3, d)) for d in dims]})
+        path = tmp_path / "s.bin"
+        with pytest.raises(FormatError) as exc:
+            save_streams(streams, path)
+        assert str(exc.value) == (
+            f"stream dims {dims}: need at least one stream, each at least 1 wide")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dims", [[], [0, 8]], ids=["no-streams", "zero-width"])
+    def test_file_without_width_refused(self, tmp_path, dims):
+        # written by hand: save_streams refuses such a set
+        path = tmp_path / "s.bin"
+        path.write_bytes(b"CSTR1" + np.array([len(dims), *dims], "<u4").tobytes()
+                         + np.array([1], "<u4").tobytes() + b"a" + np.array([3], "<u4").tobytes()
+                         + np.zeros(3 * sum(dims), "<f4").tobytes())
+        with pytest.raises(FormatError) as exc:
+            load_streams(path, {"a": 3})
+        assert str(exc.value) == (
+            f"{path}: stream dims {dims}: need at least one stream, each at least 1 wide")
+
+    def test_every_corpus_document_required(self, tmp_path):
+        path = tmp_path / "s.bin"
+        save_streams(make_streams(np.random.default_rng(8), [4], [("a", 2), ("b", 1)]), path)
+        assert set(load_streams(path, {"b": 1}).vectors) == {"a", "b"}  # extra ones may stay
+        with pytest.raises(MissingStreams) as exc:
+            load_streams(path, {"a": 2, "extra": 3, "b": 1})
+        assert exc.value.doc_id == "extra"
+        assert str(exc.value) == f"{path}: no contextual streams for document 'extra'"
+
 
 class TestForDoc:
     def doc(self, text):
@@ -631,6 +664,15 @@ class TestCombiner:
         _, c_a, _ = cdme.forward(streams)
         _, c_perm, _ = cdme.forward([s[perm] for s in streams])
         assert not np.allclose(c_a[:, perm], c_perm)
+
+    @pytest.mark.parametrize("mode", ["concat", "dme", "cdme"])
+    @pytest.mark.parametrize("dims", [[], [0, 8], [3, -1]], ids=["none", "zero-width", "negative"])
+    def test_dims_without_width_refused(self, mode, dims):
+        # cdme over [0, 8] trained until its backward failed to reshape
+        with pytest.raises(EmbeddingsError) as exc:
+            MetaCombiner(np.random.default_rng(0), mode, dims, d_prime=4)
+        assert str(exc.value) == (
+            f"stream dims {dims}: need at least one stream, each at least 1 wide")
 
     def test_stream_count_mismatch(self):
         rng = np.random.default_rng(6)

@@ -284,9 +284,16 @@ class TestDictConstructor:
         # a repeated doc: TestImpactColumns.test_repeated_doc_in_posting_list_rejected
         ({"x": [("a", 1)], "y": [("b", 1), ("a", 1)]}, {"a": 1, "b": 2},
          "field 'rows' of 'y' repeats a doc id or is unsorted"),
-    ], ids=["unknown-doc", "tf-of-zero", "length-of-zero", "no-docs", "unsorted-docs"])
+        # by type: a float tf or bool length was held as 1, an int id failed in save_index
+        ({"x": [("a", 1.5)]}, {"a": 1}, "field 'tf' holds 1.5, not a positive int64"),
+        ({"x": [("a", 1)]}, {"a": True}, "field 'lengths' holds True, not a positive int64"),
+        ({"x": [(1, 1)]}, {1: 1}, "field 'docs' must be a non-empty list of ascending str ids"),
+        ({1: [("a", 1)]}, {"a": 1}, "field 'terms' must be a list of distinct str terms"),
+    ], ids=["unknown-doc", "tf-of-zero", "length-of-zero", "no-docs", "unsorted-docs",
+            "tf-float", "length-bool", "doc-id-int", "term-int"])
     def test_bad_dicts_refused(self, postings, lengths, message):
-        # unchecked, these gave a KeyError, a saved 0, a ZeroDivisionError or a late error
+        # unchecked, these gave a KeyError, a saved 0, a ZeroDivisionError, a late
+        # error or a silent 1
         with pytest.raises(RetrievalError) as exc:
             FieldedIndex(postings, lengths)
         assert str(exc.value) == message

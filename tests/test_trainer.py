@@ -81,6 +81,29 @@ class TestConfig:
         with pytest.raises(TrainerError):
             SegModel(small_cfg(use_lookup=False))
 
+    @pytest.mark.parametrize("kw, n_streams, message", [
+        ({"combiner_mode": "dme", "stream_indices": (0, 5)}, 3,
+         "stream index 5 invalid for 3 streams"),
+        ({"combiner_mode": "concat", "stream_indices": (-1,)}, 3,
+         "stream index -1 invalid for 3 streams"),
+        ({"combiner_mode": "cdme"}, 0,
+         "combiner_mode 'cdme' fuses contextual streams, and none were given"),
+        ({"combiner_mode": "dme", "stream_indices": ()}, 3, "stream_indices names no stream"),
+    ], ids=["index-past-the-end", "negative-index", "no-streams", "no-indices"])
+    def test_streams_checked_given_their_count(self, kw, n_streams, message):
+        cfg = small_cfg(**kw)
+        cfg.validate()  # the count unknown: nothing to check them against
+        with pytest.raises(TrainerError) as exc:
+            cfg.validate(n_streams)
+        assert str(exc.value) == message
+        with pytest.raises(TrainerError) as exc:
+            SegModel(cfg, ["ls"], stream_dims=[2] * n_streams)
+        assert str(exc.value) == message
+
+    def test_stream_indices_unchecked_without_fusion(self):
+        small_cfg(stream_indices=(5,)).validate(0)
+        SegModel(small_cfg(stream_indices=(5,)), ["ls"])
+
 
 class TestTraining:
     def test_zero_epochs(self, tiny_corpus):
@@ -121,6 +144,14 @@ class TestTraining:
         tr, va, _ = tiny_corpus
         with pytest.raises(MissingStreams):
             train(tr, va, None, small_cfg(combiner_mode="concat"))
+
+    def test_no_stream_set_names_no_document(self, tiny_corpus):
+        # no set was given at all: no one document lacks its streams
+        tr, va, _ = tiny_corpus
+        with pytest.raises(MissingStreams) as exc:
+            train(tr, va, None, small_cfg(combiner_mode="cdme"))
+        assert exc.value.doc_id is None
+        assert str(exc.value) == "no contextual streams given"
 
     def test_without_validation_the_last_epoch_is_kept(self, tiny_corpus):
         # nothing to select an epoch by: every epoch runs (patience plays no
