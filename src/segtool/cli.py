@@ -123,10 +123,24 @@ def _check_fusion(source, cfgs, streams):
             cfg.validate(0 if streams is None else streams.n)
 
 
+def _load_val(path):
+    """The --val documents, [] without --val.  A file with no documents, or
+    none with a token, would score no epoch: refused, naming the file."""
+    if not path:
+        return []
+    docs = corpus.load_corpus(path)
+    with corpus.reading(path, trainer.NoTokens):
+        if not docs:
+            raise corpus.EmptyCorpus("no documents to validate on")
+        if not any(d.tokens for d in docs):
+            raise trainer.NoTokens("no validation document has a token")
+    return docs
+
+
 def _cmd_train(args):
     cfg = _load_train_config(args)
     train_docs = corpus.load_corpus(args.corpus)
-    val_docs = corpus.load_corpus(args.val) if args.val else []
+    val_docs = _load_val(args.val)
     streams = _load_streams_arg(args, train_docs + val_docs)
     _check_fusion(args.config, [cfg], streams)
     with corpus.reading(args.corpus, trainer.NoTokens):
@@ -328,10 +342,10 @@ def run_experiment(recipe, cells, train_docs, val_docs, test_docs, streams, out_
 def _cmd_experiment(args):
     base = _load_train_config(args)
     train_docs = corpus.load_corpus(args.corpus)
-    val_docs = corpus.load_corpus(args.val) if args.val else []
+    val_docs = _load_val(args.val)
     test_docs = corpus.load_corpus(args.test) if args.test else val_docs
-    if not test_docs:
-        raise corpus.EmptyCorpus(f"{args.test or args.val}: no documents to test on")
+    if not test_docs:  # a --val with no documents is refused above
+        raise corpus.EmptyCorpus(f"{args.test}: no documents to test on")
     streams = _load_streams_arg(args, train_docs + val_docs + test_docs)
     cells = _recipe_cells(args.recipe, base, streams.n if streams is not None else 0)
     _check_fusion(args.config, [cfg for _, cfg in cells], streams)

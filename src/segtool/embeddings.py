@@ -133,7 +133,7 @@ class SubwordHashEmbedder(nn.Component):
 
     N_MIN, N_MAX = 3, 6
 
-    def __init__(self, rng, dim, n_buckets=2**21, dtype=np.float64):
+    def __init__(self, rng, dim, n_buckets, dtype=np.float64):
         super().__init__()
         if n_buckets < 1:
             raise EmbeddingsError(f"n_buckets must be at least 1, got {n_buckets}")
@@ -175,13 +175,14 @@ class SubwordHashEmbedder(nn.Component):
 
 class CharEncoder(nn.Component):
     """biLSTM over a token's code points; output is the concatenation of
-    the final forward and backward states (80-dim at the default width).
+    the last forward and last backward states (80-dim at the default width).
 
     ``forward`` takes a list of tokens, encodes each distinct token once,
-    and runs the distinct tokens of one length as one (tokens, length,
-    char_dim) batch.  ``encode`` gives the same encodings without the
-    backward cache, from a memo of each distinct token's vector that holds
-    for one state of the parameters.
+    and runs the distinct tokens of one length as one stacked-cell call on
+    (2, tokens, length, char_dim), direction 1 reading each token reversed.
+    ``encode`` gives the same encodings without the backward cache, from a
+    memo of each distinct token's vector that holds for one state of the
+    parameters.
     """
 
     def __init__(self, rng, chars, char_dim=16, hidden=40, dtype=np.float64):
@@ -231,29 +232,33 @@ class CharEncoder(nn.Component):
             raise EmptyToken("cannot encode the empty token")
         distinct = sorted(dict.fromkeys(tokens), key=len)
         row = {t: k for k, t in enumerate(distinct)}
-        vecs = np.empty((len(distinct), self.out_dim), dtype=self.table.params["matrix"].dtype)
-        groups = []  # (first row, token count, length, char rows, biLSTM cache)
-        start = 0
+        chars, idx = self.table.embed_sequence(list("".join(distinct)))
+        vecs = np.empty((len(distinct), self.out_dim), dtype=chars.dtype)
+        groups = []  # (first row, token count, length, cell cache)
+        start = at = 0  # the group's first row of vecs and of chars
         for length, group in itertools.groupby(distinct, key=len):
-            group = list(group)
-            x, idx = self.table.embed_sequence(list("".join(group)))
-            out, cache = self.rnn.forward(x.reshape(len(group), length, -1))
-            vecs[start : start + len(group)] = self.rnn.final_states(out)
-            groups.append((start, len(group), length, idx, cache))
-            start += len(group)
+            n = len(list(group))
+            x = chars[at : at + n * length].reshape(n, length, -1)
+            h, cache = self.rnn.cell.forward(np.stack([x, x[:, ::-1]]))
+            vecs[start : start + n] = np.concatenate(h[:, :, -1], axis=-1)
+            groups.append((start, n, length, cache))
+            start, at = start + n, at + n * length
         where = np.array([row[t] for t in tokens], dtype=np.int64)
-        return vecs[where], (where, len(distinct), groups)
+        return vecs[where], (where, len(distinct), idx, groups)
 
     def backward(self, cache, d_vecs):
-        where, n_distinct, groups = cache
+        where, n_distinct, idx, groups = cache
         # a repeated token's gradients add up before its one LSTM backward
         d_distinct = np.zeros((n_distinct, self.out_dim), dtype=d_vecs.dtype)
         np.add.at(d_distinct, where, d_vecs)
-        for start, count, length, idx, rnn_cache in groups:
-            d_x = self.rnn.backward_from_final(
-                rnn_cache, d_distinct[start : start + count], length
-            )
-            self.table.backward_sequence(idx, d_x.reshape(count * length, -1))
+        d_chars = []
+        for start, n, length, cell_cache in groups:
+            d_h = np.zeros((2, n, length, self.rnn.hidden), dtype=d_vecs.dtype)
+            d_h[:, :, -1] = np.split(d_distinct[start : start + n], 2, axis=-1)
+            d_x = self.rnn.cell.backward(cell_cache, d_h)
+            d_chars.append((d_x[0] + d_x[1][:, ::-1]).reshape(n * length, -1))
+        if groups:
+            self.table.backward_sequence(idx, np.concatenate(d_chars))
 
 
 # ---------------------------------------------------------------------------

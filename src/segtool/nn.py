@@ -342,19 +342,6 @@ class _Bi(Component):
         d_x = self.cell.backward(cache, np.stack([d_out[..., :H], _reverse(d_out[..., H:], rev)]))
         return d_x[0] + _reverse(d_x[1], rev)
 
-    def final_states(self, out):
-        """Concatenated last forward and last backward states (the
-        backward direction's last state sits at position 0 of its block)."""
-        H = self.hidden
-        return np.concatenate([out[..., -1, :H], out[..., 0, H:]], axis=-1)
-
-    def backward_from_final(self, cache, d_final, seq_len):
-        H = self.hidden
-        d_out = np.zeros(d_final.shape[:-1] + (seq_len, 2 * H), dtype=d_final.dtype)
-        d_out[..., -1, :H] = d_final[..., :H]
-        d_out[..., 0, H:] = d_final[..., H:]
-        return self.backward(cache, d_out)
-
 
 class BiLstm(_Bi):
     cell_cls = Lstm

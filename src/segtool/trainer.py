@@ -304,6 +304,11 @@ class SegModel(nn.Component):
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
+        """Write the checkpoint ``load`` reads.  A parameter with a value
+        not finite in float32 is a TrainerError, and nothing is written."""
+        for k, v in self.params.items():
+            if not _finite32(v):
+                raise TrainerError(f"array {k} has a value not finite in float32; not saved")
         meta = {
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.cfg),
@@ -323,8 +328,9 @@ class SegModel(nn.Component):
     @classmethod
     def load(cls, path):
         """The model a ``save`` file holds.  A file that is not a checkpoint,
-        or whose metadata or arrays do not match the model its config
-        builds, is a TrainerError naming the file."""
+        whose metadata or arrays do not match the model its config builds,
+        or with a value not finite in float32, is a TrainerError naming the
+        file."""
         with reading(path, TrainerError), open(path, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":
                 raise TrainerError("not an npz checkpoint")
@@ -353,6 +359,8 @@ class SegModel(nn.Component):
                     saved = arrays[name]
                     if saved.shape != v.shape:
                         raise TrainerError(f"array {name} has shape {saved.shape}, not {v.shape}")
+                    if not _finite32(saved):
+                        raise TrainerError(f"array {name} has a value not finite in float32")
                     v[...] = saved.astype(cls.DTYPE)
             except KeyError as exc:
                 raise TrainerError(f"no {exc} entry") from None
@@ -361,6 +369,12 @@ class SegModel(nn.Component):
                     zipfile.BadZipFile) as exc:  # these: zipfile on a corrupt file
                 raise TrainerError(f"not a checkpoint of this model: {exc}") from None
         return model
+
+
+def _finite32(a):
+    """Whether every value of ``a`` is finite in float32 (a larger one
+    would become inf there; NaN fails too)."""
+    return np.all(np.abs(a) <= np.finfo(np.float32).max)
 
 
 def _pad(rows, valid):
@@ -425,10 +439,14 @@ def train(train_docs, val_docs, streams, cfg):
     """Train a SegModel; returns (model, epoch logs).  With validation
     documents, the model of the epoch with the best micro soft F1 on them,
     stopping ``cfg.patience`` epochs after it; without them, the last epoch's
-    model, and logs without val_ scores.  Every document's streams are
-    checked (``ContextualStreamSet.for_doc``) before the first step."""
+    model, and logs without val_ scores.  NoTokens when no training
+    document has a token, or when ``val_docs`` is not empty and none of
+    them has one.  Every document's streams are checked
+    (``ContextualStreamSet.for_doc``) before the first step."""
     if not any(d.tokens for d in train_docs):
         raise NoTokens("no training document has a token")
+    if val_docs and not any(d.tokens for d in val_docs):  # every epoch would score F1 1.0
+        raise NoTokens("no validation document has a token")
     cfg.validate()
     if cfg.combiner_mode != "none":
         if streams is None:

@@ -2,9 +2,11 @@ import argparse
 import gzip
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import segtool
 from segtool import synth, trainer
-from segtool.cli import _load_boosts_arg, _load_train_config, main
+from segtool.cli import _check_args, _load_boosts_arg, _load_train_config, build_parser, main
 from segtool.corpus import (
     AnnotatedDocument, CorpusError, doc_to_json, load_corpus, save_corpus, tokenize,
 )
@@ -30,6 +32,18 @@ def corpus_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "corpus.jsonl"
     save_corpus(synth.gen_corpus(n_docs=20, seed=3), path)
     return path
+
+
+def test_readme_quick_start_parses():
+    # each segtool command of the README's Quick start, "\" continuations
+    # joined, parses as main would parse it: a renamed flag fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("segtool ")]
+    assert len(lines) == 10
+    for line in lines:
+        _check_args(build_parser().parse_args(shlex.split(line)[1:]))
 
 
 class TestExitCodes:
@@ -371,6 +385,19 @@ def _train_without_tokens(tmp_path):
     ]
 
 
+def _val_scoring_nothing(command, make_val, message):
+    """A case: ``command`` with a --val file from ``make_val(tmp_path)``,
+    which holds no document or none with a token."""
+    def case(tmp_path):
+        corpus, val = _corpus_file(tmp_path), make_val(tmp_path)
+        argv = [command, "--corpus", str(corpus), "--val", str(val)]
+        if command == "experiment":
+            argv += ["--recipe", "table3", "--test", str(corpus), "--out", str(tmp_path / "exp")]
+        return argv, [f"error: {val}: {message}"]
+
+    return case
+
+
 def _bad_doc(mutate):
     def case(tmp_path):
         path = _corpus_file(tmp_path, mutate)
@@ -655,6 +682,11 @@ MALFORMED_IN_PROCESS = {
         "recurrent_dropout = 0.2", ":1: unknown key 'recurrent_dropout'"
     ),
     "train-no-tokens": _train_without_tokens,
+    **{f"{command}-val-{kind}": _val_scoring_nothing(command, make_val, message)
+       for command in ("train", "experiment")
+       for kind, make_val, message in (
+           ("empty", _empty_corpus, "no documents to validate on"),
+           ("no-tokens", _tokenless_corpus, "no validation document has a token"))},
     "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
     "corpus-token-text-empty": _bad_doc(lambda o: o["tokens"][0].update(t="")),
     "corpus-token-past-text": _bad_doc(lambda o: o["tokens"][-1].update(e=len(o["text"]) + 1)),
@@ -684,6 +716,15 @@ MALFORMED_IN_PROCESS = {
     "checkpoint-version-1": _bad_checkpoint(
         lambda m, a: m.update(version=1) or m["config"].update(recurrent_dropout=0.0),
         message="unsupported checkpoint version 1",
+    ),
+    "checkpoint-nan": _bad_checkpoint(
+        lambda m, a: a["emit__W"].__setitem__((0, 0), np.nan),
+        message="array emit__W has a value not finite in float32",
+    ),
+    # float64 in the file: the float32 cast would read it as inf
+    "checkpoint-beyond-float32": _bad_checkpoint(
+        lambda m, a: a.update(emit__W=np.full(a["emit__W"].shape, 1e300)),
+        message="array emit__W has a value not finite in float32",
     ),
     "checkpoint-stream-zero-wide": _bad_checkpoint(
         lambda m, a: m.update(stream_dims=[0]),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from segtool.embeddings import (
     save_streams,
     token_ngrams,
 )
-from segtool.trainer import SegModel, TrainConfig
+from segtool.trainer import SegModel, TrainConfig, predict, train
 
 
 def cosine(a, b):
@@ -212,16 +214,20 @@ class TestCharEncoder:
 
 
 def char_forward_oracle(enc, token):
-    """One biLSTM call per token (the encoder before it batched tokens)."""
+    """One biLSTM call per token (the encoder before it batched tokens);
+    the backward direction's last state sits at position 0 of its block."""
+    H = enc.rnn.hidden
     x, idx = enc.table.embed_sequence(list(token))
     out, cache = enc.rnn.forward(x)
-    return enc.rnn.final_states(out), (idx, cache, len(token))
+    return np.concatenate([out[-1, :H], out[0, H:]]), (idx, cache, len(token))
 
 
 def char_backward_oracle(enc, cache, d_vec):
     idx, rnn_cache, s = cache
-    d_x = enc.rnn.backward_from_final(rnn_cache, d_vec, s)
-    enc.table.backward_sequence(idx, d_x)
+    H = enc.rnn.hidden
+    d_out = np.zeros((s, 2 * H), dtype=d_vec.dtype)
+    d_out[-1, :H], d_out[0, H:] = d_vec[:H], d_vec[H:]
+    enc.table.backward_sequence(idx, enc.rnn.backward(rnn_cache, d_out))
 
 
 class PerTokenCharEncoder(CharEncoder):
@@ -234,6 +240,46 @@ class PerTokenCharEncoder(CharEncoder):
     def backward(self, caches, d_vecs):
         for c, d in zip(caches, d_vecs):
             char_backward_oracle(self, c, d)
+
+
+class GroupedBiCharEncoder(CharEncoder):
+    """The encoder before it read the stacked cell itself: per token length,
+    one call of the bidirectional wrapper, the last states picked from its
+    concatenated (tokens, length, 2H) output, and the gradient fed back
+    through a zero (tokens, length, 2H) array set at those two positions.
+    It runs the encoder's products and sums in the encoder's order, so the
+    two must agree bit for bit."""
+
+    def forward(self, tokens):
+        distinct = sorted(dict.fromkeys(tokens), key=len)
+        row = {t: k for k, t in enumerate(distinct)}
+        H = self.rnn.hidden
+        vecs = np.empty((len(distinct), self.out_dim), dtype=self.table.params["matrix"].dtype)
+        groups = []
+        start = 0
+        for length, group in itertools.groupby(distinct, key=len):
+            group = list(group)
+            x, idx = self.table.embed_sequence(list("".join(group)))
+            out, cache = self.rnn.forward(x.reshape(len(group), length, -1))
+            vecs[start : start + len(group)] = np.concatenate(
+                [out[:, -1, :H], out[:, 0, H:]], axis=-1
+            )
+            groups.append((start, len(group), length, idx, cache))
+            start += len(group)
+        where = np.array([row[t] for t in tokens], dtype=np.int64)
+        return vecs[where], (where, len(distinct), groups)
+
+    def backward(self, cache, d_vecs):
+        where, n_distinct, groups = cache
+        H = self.rnn.hidden
+        d_distinct = np.zeros((n_distinct, self.out_dim), dtype=d_vecs.dtype)
+        np.add.at(d_distinct, where, d_vecs)
+        for start, count, length, idx, rnn_cache in groups:
+            d_out = np.zeros((count, length, 2 * H), dtype=d_vecs.dtype)
+            d_out[:, -1, :H] = d_distinct[start : start + count, :H]
+            d_out[:, 0, H:] = d_distinct[start : start + count, H:]
+            d_x = self.rnn.backward(rnn_cache, d_out)
+            self.table.backward_sequence(idx, d_x.reshape(count * length, -1))
 
 
 class PerStreamContext:
@@ -259,6 +305,17 @@ class PerStreamContext:
 TOKENS = ["ab", "a", "abcde", "ab", "qz", "a", "xbcqa", "abcde", "q"]
 
 
+# "q" is not in the vocabulary
+GROUPED_CASES = {
+    "many-lengths": TOKENS + ["abcde" * 6, "eqd" * 7],
+    "one-char": ["a", "q", "e", "a"],
+    "single": ["cab"],
+    "one-length": ["abc", "cqa", "eee", "abc"],
+    "repeated": ["de", "de", "de"],
+    "unknown-only": ["qq", "q"],
+}
+
+
 class TestBatchedCharEncoder:
     def test_matches_per_token_oracle(self):
         batched = CharEncoder(np.random.default_rng(9), "abcde", char_dim=4, hidden=3)
@@ -273,6 +330,25 @@ class TestBatchedCharEncoder:
         np.testing.assert_allclose(out[0], out[1], rtol=1e-10)
         for k in batched.params:
             np.testing.assert_allclose(batched.grads[k], oracle.grads[k], rtol=1e-10, err_msg=k)
+
+    @pytest.mark.parametrize("dtype, widths", [
+        (np.float32, {}), (np.float64, dict(char_dim=4, hidden=3)),
+    ], ids=["float32-default-widths", "float64-small"])
+    @pytest.mark.parametrize("tokens", GROUPED_CASES.values(), ids=GROUPED_CASES.keys())
+    def test_equals_grouped_bi_oracle(self, tokens, dtype, widths):
+        # outputs and every gradient, exactly
+        encs = [cls(np.random.default_rng(9), "abcde", dtype=dtype, **widths)
+                for cls in (CharEncoder, GroupedBiCharEncoder)]
+        d_vecs = np.random.default_rng(10).standard_normal((len(tokens), encs[0].out_dim))
+        results = []
+        for enc in encs:
+            vecs, cache = enc.forward(tokens)
+            enc.zero_grads()
+            enc.backward(cache, d_vecs.astype(dtype))
+            results.append([vecs] + [enc.grads[k] for k in enc.params])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
 
     def test_empty_token(self):
         enc = CharEncoder(np.random.default_rng(0), "ab")
@@ -401,6 +477,28 @@ def test_model_matches_per_token_per_stream_oracle():
             assert abs(g) < 1e-14 and abs(expected[k]) < 1e-14
             continue
         np.testing.assert_allclose(g, expected[k], rtol=1e-10, err_msg=k)
+
+
+def test_training_matches_grouped_bi_oracle(monkeypatch):
+    # float32 char + cdme + weighted attention, with validation: the same
+    # epoch lines, parameter bytes and predicted spans as the grouped path
+    docs = synth.gen_corpus(n_docs=16, seed=4)
+    streams = synth.gen_streams(docs, seed=4)
+    tr, va = docs[:12], docs[12:]
+    cfg = TrainConfig(
+        hidden=6, lookup_dim=4, use_char=True, combiner_mode="cdme", d_prime=5,
+        attention_mode="weighted", attention_dim=4, epochs=2, batch_size=4, seed=3,
+    )
+    runs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(CharEncoder, "forward", GroupedBiCharEncoder.forward)
+            monkeypatch.setattr(CharEncoder, "backward", GroupedBiCharEncoder.backward)
+        model, logs = train(tr, va, streams, cfg)
+        runs.append(([log.line() for log in logs],
+                     {k: v.tobytes() for k, v in model.params.items()},
+                     [predict(model, d, streams) for d in docs]))
+    assert runs[0] == runs[1]
 
 
 def make_streams(rng, dims, docs):

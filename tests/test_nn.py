@@ -43,9 +43,6 @@ class TwoCellBi(Component):
         d_x = d_x + _reverse(self.b.backward(cb, _reverse(d_out[..., H:], rev)), rev)
         return d_x
 
-    final_states = BiLstm.final_states
-    backward_from_final = BiLstm.backward_from_final
-
 
 def gru_backward_oracle(cell, cache, d_h_seq):
     """Returns (d_x, grads) without touching ``cell.grads``."""
@@ -299,24 +296,6 @@ def test_stacked_bi_equals_two_cells(cls, dropped, lead, ragged, dtype):
         return [h, layer.backward(cache, d_out)]
 
     _assert_runs_equal(bi, ref, run)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("cls", [BiGru, BiLstm])
-def test_stacked_bi_final_states_equal_two_cells(cls, dtype):
-    # the char encoder's path: unpadded (tokens, length, d) groups, and the
-    # gradient entering through the final states only
-    bi, ref = _stacked_and_oracle(cls, 11, 4, 3, dtype)
-    rng = np.random.default_rng(12)
-    for n, s in [(1, 1), (5, 1), (7, 4)]:
-        x = rng.standard_normal((n, s, 4)).astype(dtype)
-        d_final = rng.standard_normal((n, 6)).astype(dtype)
-
-        def run(layer):
-            out, cache = layer.forward(x)
-            return [layer.final_states(out), layer.backward_from_final(cache, d_final, s)]
-
-        _assert_runs_equal(bi, ref, run)
 
 
 def test_stacked_bi_names_views_of_the_pair():

@@ -13,6 +13,7 @@ from segtool.corpus import (
 from segtool.embeddings import CharEncoder, MetaCombiner, TokenCountMismatch
 from segtool.trainer import (
     MissingStreams,
+    NoTokens,
     SegModel,
     TrainConfig,
     TrainerError,
@@ -140,6 +141,13 @@ class TestTraining:
         with pytest.raises(TrainerError, match="^no training document has a token$"):
             train(empty, [], None, small_cfg())
 
+    def test_val_without_tokens_rejected(self, tiny_corpus):
+        # every epoch would score F1 1.0 and the first would be kept
+        tr, _, _ = tiny_corpus
+        empty = [AnnotatedDocument(f"e{k}", "", tokenize(""), []) for k in range(2)]
+        with pytest.raises(NoTokens, match="^no validation document has a token$"):
+            train(tr, empty, None, small_cfg())
+
     def test_missing_streams(self, tiny_corpus):
         tr, va, _ = tiny_corpus
         with pytest.raises(MissingStreams):
@@ -262,6 +270,33 @@ class TestPredictAndCheckpoint:
         assert str(exc.value) == (
             f"{bad}: config does not match its fingerprint {cfg.fingerprint()!r}"
         )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_a_non_finite_parameter(self, tmp_path, value):
+        model = SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"])
+        model.params["emit.W"][0, 0] = value
+        path = tmp_path / "m.npz"
+        with pytest.raises(TrainerError, match="^array emit.W has a value not finite in float32"):
+            model.save(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.nan, np.float32), (np.inf, np.float32), (1e300, np.float64), (-1e39, np.float64),
+    ], ids=["nan", "inf", "1e300", "-1e39"])
+    def test_load_refuses_a_value_not_finite_in_float32(self, tmp_path, value, dtype):
+        import json
+
+        path = tmp_path / "m.npz"
+        SegModel(TrainConfig(hidden=4, lookup_dim=3), ["ls", "-la"]).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            meta = json.loads(str(data["__meta__"]))
+        arrays["emit__W"] = arrays["emit__W"].astype(dtype)
+        arrays["emit__W"][0, 0] = value
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(TrainerError) as exc:
+            SegModel.load(path)
+        assert str(exc.value) == f"{path}: array emit__W has a value not finite in float32"
 
     def test_evaluate_model_shape(self, tiny_corpus):
         tr, va, te = tiny_corpus
