@@ -123,24 +123,23 @@ def _check_fusion(source, cfgs, streams):
             cfg.validate(0 if streams is None else streams.n)
 
 
-def _load_val(path):
-    """The --val documents, [] without --val.  A file with no documents, or
-    none with a token, would score no epoch: refused, naming the file."""
-    if not path:
-        return []
+def _load_scored(path, kind, verb):
+    """The documents of a set that is scored: --val, --gold or --test.  A
+    file with no documents, or none with a token, would score as perfect
+    (or score no epoch): refused, naming the file."""
     docs = corpus.load_corpus(path)
     with corpus.reading(path, trainer.NoTokens):
         if not docs:
-            raise corpus.EmptyCorpus("no documents to validate on")
+            raise corpus.EmptyCorpus(f"no documents to {verb}")
         if not any(d.tokens for d in docs):
-            raise trainer.NoTokens("no validation document has a token")
+            raise trainer.NoTokens(f"no {kind} document has a token")
     return docs
 
 
 def _cmd_train(args):
     cfg = _load_train_config(args)
     train_docs = corpus.load_corpus(args.corpus)
-    val_docs = _load_val(args.val)
+    val_docs = _load_scored(args.val, "validation", "validate on") if args.val else []
     streams = _load_streams_arg(args, train_docs + val_docs)
     _check_fusion(args.config, [cfg], streams)
     with corpus.reading(args.corpus, trainer.NoTokens):
@@ -168,9 +167,7 @@ def _cmd_predict(args):
 
 
 def _cmd_eval(args):
-    gold = corpus.load_corpus(args.gold)
-    if not gold:  # soft_pr would score no documents as perfect
-        raise corpus.EmptyCorpus(f"{args.gold}: no documents to score")
+    gold = _load_scored(args.gold, "gold", "score")
     pred = corpus.load_corpus(args.pred)
     with corpus.reading(args.pred, corpus.CorpusError):  # extra predictions are allowed
         pred = corpus.matching(gold, pred, args.gold)
@@ -342,10 +339,8 @@ def run_experiment(recipe, cells, train_docs, val_docs, test_docs, streams, out_
 def _cmd_experiment(args):
     base = _load_train_config(args)
     train_docs = corpus.load_corpus(args.corpus)
-    val_docs = _load_val(args.val)
-    test_docs = corpus.load_corpus(args.test) if args.test else val_docs
-    if not test_docs:  # a --val with no documents is refused above
-        raise corpus.EmptyCorpus(f"{args.test}: no documents to test on")
+    val_docs = _load_scored(args.val, "validation", "validate on") if args.val else []
+    test_docs = _load_scored(args.test, "test", "test on") if args.test else val_docs
     streams = _load_streams_arg(args, train_docs + val_docs + test_docs)
     cells = _recipe_cells(args.recipe, base, streams.n if streams is not None else 0)
     _check_fusion(args.config, [cfg for _, cfg in cells], streams)
@@ -371,11 +366,11 @@ def _bounded(kind, low, above=False):
 
 
 def build_parser():
-    p = _Parser(prog="segtool", description=__doc__)
+    p = _Parser(prog="segtool", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, seed=False, **kw):
-        sp = sub.add_parser(name, **kw)
+        sp = sub.add_parser(name, allow_abbrev=False, **kw)
         sp.set_defaults(fn=fn)
         if seed:
             sp.add_argument("--seed", type=_bounded(int, 0), default=None)

@@ -26,6 +26,8 @@ the names of two separate cells (``f_W``, ``b_W``, ...), and every time
 step makes one stacked matrix product for both directions.
 """
 
+import math
+
 import numpy as np
 
 
@@ -97,12 +99,6 @@ class Linear(Component):
         return d_out @ self.params["W"].T
 
 
-def _lift(w, n):
-    """A (dirs..., a, b) weight with n unit axes before its matrix axes, so
-    that it multiplies (dirs..., n axes..., rows, a) arrays slice by slice."""
-    return w.reshape(w.shape[:-2] + (1,) * n + w.shape[-2:])
-
-
 def _move(a, src, dst):
     """``np.moveaxis`` of one axis without its argument checks, which cost
     several times the transpose itself on a recurrent layer's small arrays."""
@@ -128,11 +124,11 @@ class _Recurrent(Component):
     call.  Each direction's matrix products keep the shapes of a lone
     cell's, so its results are bit-identical to that cell's.
 
-    Every per-step array is time-major, (s, rows..., ·) with rows =
-    (dirs..., 1, lead...), so each step reads and writes contiguous rows;
-    the unit axis makes one sequence, too, a (1, H) row in each
-    direction's slice of the recurrent product.  The states are
-    (s + 1, rows..., H), the zero initial state first.
+    Every per-step array is time-major, (s, dirs..., n, ·), where the one
+    row axis n flattens the call's leading axes (n = 1 for a lone
+    sequence), so each step reads and writes contiguous rows and makes one
+    (n, H) recurrent product per direction.  The states are
+    (s + 1, dirs..., n, H), the zero initial state first.
     """
 
     n_gates = None
@@ -150,51 +146,43 @@ class _Recurrent(Component):
         )
         self._add_param("b", np.zeros(G * hidden, dtype=dtype))
 
-    def _layout(self, xt):
-        """(dirs, s, lead, rows) of a time-major input (dirs..., s, lead..., d)."""
-        dirs = self.params["W"].shape[:-2]
-        lead = xt.shape[len(dirs) + 1 : -1]
-        return dirs, xt.shape[len(dirs)], lead, dirs + (1,) + lead
-
     def forward(self, x):
         W, U, b = self.params["W"], self.params["U"], self.params["b"]
-        xt = _move(x, -2, W.ndim - 2)
-        dirs, s, lead, rows = self._layout(xt)
+        dirs, s, n = W.shape[:-2], x.shape[-2], math.prod(x.shape[W.ndim - 2 : -2])
+        xt = _move(x, -2, len(dirs))
         # the input projection: one stacked product over the directions and
         # all the steps, stored time-major for the loop's per-step slices
         GH = W.shape[-1]
         xw = (xt.reshape(dirs + (-1, xt.shape[-1])) @ W + b[..., None, :]).reshape(
-            dirs + (s,) + lead + (GH,)
+            dirs + (s, n, GH)
         )
-        xw = np.ascontiguousarray(_move(xw, len(dirs), 0)).reshape((s,) + rows + (GH,))
-        hs = np.zeros((s + 1,) + rows + (self.hidden,), dtype=W.dtype)
-        cache = (xt, hs) + self._scan(xw, hs, _lift(U, len(lead)))
+        xw = np.ascontiguousarray(_move(xw, len(dirs), 0))
+        hs = np.zeros((s + 1,) + dirs + (n, self.hidden), dtype=W.dtype)
+        cache = (xt, hs) + self._scan(xw, hs, U)
         return _move(hs[1:], 0, -2).reshape(x.shape[:-1] + (self.hidden,)), cache
 
     def backward(self, cache, d_h_seq):
-        xt = cache[0]
+        xt, hs = cache[:2]
         W, U = self.params["W"], self.params["U"]
         H, GH = self.hidden, W.shape[-1]
-        dirs, s, lead, rows = self._layout(xt)
-        d_h_seq = _move(d_h_seq, -2, 0).reshape((s,) + rows + (H,))
+        dirs, s, n = W.shape[:-2], hs.shape[0] - 1, hs.shape[-2]
+        d_h_seq = _move(d_h_seq, -2, 0).reshape((s,) + dirs + (n, H))
         # The gate pre-activation grads, stored direction-major, so that each
         # direction's steps are one block for the products after the loop;
         # the loop indexes them by step through the view d_pre.
-        d_blocks = np.empty(dirs + (s,) + rows[len(dirs) :] + (GH,), dtype=xt.dtype)
+        d_blocks = np.empty(dirs + (s, n, GH), dtype=xt.dtype)
         d_pre = _move(d_blocks, len(dirs), 0)
-        U_T = _lift(np.swapaxes(U, -1, -2), len(lead))
-        u_inputs = self._scan_back(cache, d_h_seq, d_pre, U_T)
+        u_inputs = self._scan_back(cache, d_h_seq, d_pre, np.swapaxes(U, -1, -2))
 
         # the weight gradients, one product per direction over all the steps;
         # U's from each (gate columns, recurrent input) pair of the cell
-        for k in np.ndindex(dirs):
-            d_k = d_blocks[k].reshape(-1, GH)
-            g_W, g_U, g_b = (self.grads[name][k] for name in ("W", "U", "b"))
-            g_W += xt[k].reshape(-1, xt.shape[-1]).T @ d_k
-            g_b += d_k.sum(axis=0)
-            for cols, h_in in u_inputs:
-                g_U[:, cols] += h_in[(slice(None),) + k].reshape(-1, H).T @ d_k[:, cols]
-        d_x = d_blocks.reshape(dirs + (-1, GH)) @ np.swapaxes(W, -1, -2)
+        d_rows = d_blocks.reshape(dirs + (-1, GH))
+        self.grads["W"] += np.swapaxes(xt.reshape(dirs + (-1, xt.shape[-1])), -1, -2) @ d_rows
+        self.grads["b"] += d_rows.sum(axis=-2)
+        for cols, h_in in u_inputs:
+            h_rows = _move(h_in, 0, len(dirs)).reshape(dirs + (-1, H))
+            self.grads["U"][..., cols] += np.swapaxes(h_rows, -1, -2) @ d_rows[..., cols]
+        d_x = d_rows @ np.swapaxes(W, -1, -2)
         return _move(d_x.reshape(xt.shape), len(dirs), -2)
 
 
@@ -247,7 +235,7 @@ class Gru(_Recurrent):
 
 class Lstm(_Recurrent):
     """LSTM, gate order: input i, forget f, cell g, output o.  The gates
-    are cached as (s, rows..., 4, H)."""
+    are cached as (s, dirs..., n, 4, H)."""
 
     n_gates = 4
 

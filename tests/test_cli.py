@@ -592,11 +592,13 @@ def _eval_missing_prediction(tmp_path):
     ]
 
 
-def _eval_empty_gold(*flags):
+def _eval_gold_scoring_nothing(make_gold, message, *flags):
+    """A case: eval of a --gold file from ``make_gold(tmp_path)``, which
+    holds no document or none with a token, against itself."""
     def case(tmp_path):
-        gold = _empty_corpus(tmp_path)
+        gold = make_gold(tmp_path)
         return ["eval", "--gold", str(gold), "--pred", str(gold), *flags], [
-            f"{gold}: no documents to score"
+            f"error: {gold}: {message}"
         ]
 
     return case
@@ -632,12 +634,16 @@ def _eval_repeated_prediction(tmp_path):
     ]
 
 
-def _experiment_empty_test_set(tmp_path):
-    test = tmp_path / "empty.jsonl"
-    test.write_text("")
-    argv = ["experiment", "--recipe", "table3", "--corpus", str(_corpus_file(tmp_path)),
-            "--test", str(test), "--out", str(tmp_path / "exp")]
-    return argv, [f"{test}: no documents to test on"]
+def _experiment_test_scoring_nothing(make_test, message):
+    """A case: experiment with a --test file from ``make_test(tmp_path)``,
+    which holds no document or none with a token."""
+    def case(tmp_path):
+        test = make_test(tmp_path)
+        argv = ["experiment", "--recipe", "table3", "--corpus", str(_corpus_file(tmp_path)),
+                "--test", str(test), "--out", str(tmp_path / "exp")]
+        return argv, [f"error: {test}: {message}"]
+
+    return case
 
 
 def _index_duplicate_answer(tmp_path):
@@ -734,12 +740,22 @@ MALFORMED_IN_PROCESS = {
                                ["ls"], stream_dims=[2])),
     "predict-fewer-streams-than-model": _predict_fewer_streams,
     "eval-missing-prediction": _eval_missing_prediction,
-    "eval-empty-gold": _eval_empty_gold(),
-    "eval-empty-gold-macro": _eval_empty_gold("--macro"),
+    "eval-empty-gold": _eval_gold_scoring_nothing(_empty_corpus, "no documents to score"),
+    "eval-empty-gold-macro": _eval_gold_scoring_nothing(
+        _empty_corpus, "no documents to score", "--macro"
+    ),
+    "eval-tokenless-gold": _eval_gold_scoring_nothing(
+        _tokenless_corpus, "no gold document has a token"
+    ),
     "eval-prediction-tokenized-differently": _eval_prediction_tokenized_differently,
     "agree-missing-document": _agree_missing_document,
     "eval-repeated-prediction": _eval_repeated_prediction,
-    "experiment-empty-test-set": _experiment_empty_test_set,
+    "experiment-empty-test-set": _experiment_test_scoring_nothing(
+        _empty_corpus, "no documents to test on"
+    ),
+    "experiment-tokenless-test-set": _experiment_test_scoring_nothing(
+        _tokenless_corpus, "no test document has a token"
+    ),
     "index-duplicate-answer-id": _index_duplicate_answer,
     "streams-no-streams": _streams_without_width([]),
     "streams-zero-width": _streams_without_width([0, 8]),
@@ -1076,6 +1092,9 @@ def _bad_arguments(tmp_path):
         "experiment-seed-negative": ["experiment", "--recipe", "table3", "--corpus", f["c"],
                                      "--val", f["g"], "--out", f["o"], "--seed", "-1"],
         "synth-seed-negative": ["synth", "--out", f["o"], "--seed", "-1"],
+        # a prefix of --model and of --qrels-out
+        "train-abbreviated-flag": ["train", "--corpus", f["c"], "--mod", f["m"]],
+        "synth-abbreviated-flag": ["synth", "--out", f["o"], "--qrels", f["q"]],
         "experiment-no-test-set": ["experiment", "--recipe", "table3", "--corpus", f["c"],
                                    "--out", f["o"]],
         "experiment-table4-without-streams": ["experiment", "--recipe", "table4",

@@ -10,6 +10,8 @@ to float64 round-off.  The bidirectional layers must equal their
 two-cell oracle exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -173,9 +175,9 @@ def test_backward_accumulates(cls):
 
 
 def _assert_batch_matches_loop(cell, x, d_h_seq):
-    """(B, s, d) input runs B independent sequences in lockstep: outputs,
-    input gradients and summed parameter gradients equal a per-sequence
-    loop."""
+    """(B, ..., s, d) input runs its sequences in lockstep: outputs, input
+    gradients and summed parameter gradients equal a loop over the first
+    axis."""
     outs, d_xs = [], []
     cell.zero_grads()
     for b in range(len(x)):
@@ -193,22 +195,24 @@ def _assert_batch_matches_loop(cell, x, d_h_seq):
         np.testing.assert_allclose(cell.grads[k], grads_ref[k], rtol=1e-10, err_msg=k)
 
 
-@pytest.mark.parametrize("B", [1, 3])
+# the (3, 2) lead flattens into the recurrent core's one row axis: one
+# (3, 2, s, d) call against three (2, s, d) calls
+@pytest.mark.parametrize("lead", [(1,), (3,), (3, 2)], ids=["1", "3", "3x2"])
 @pytest.mark.parametrize("s", [1, 5])
-def test_lstm_batch_matches_per_sequence(B, s):
-    rng = np.random.default_rng(40 + 10 * B + s)
+def test_lstm_batch_matches_per_sequence(lead, s):
+    rng = np.random.default_rng(40 + 10 * math.prod(lead) + s)
     cell = Lstm(rng, 6, 5)
-    x = rng.standard_normal((B, s, 6))
-    _assert_batch_matches_loop(cell, x, rng.standard_normal((B, s, 5)))
+    x = rng.standard_normal(lead + (s, 6))
+    _assert_batch_matches_loop(cell, x, rng.standard_normal(lead + (s, 5)))
 
 
 @pytest.mark.parametrize("dropped", [False, True])
-@pytest.mark.parametrize("B", [1, 3])
-def test_gru_batch_matches_per_sequence(B, dropped):
-    rng = np.random.default_rng(60 + 10 * B + dropped)
+@pytest.mark.parametrize("lead", [(1,), (3,), (3, 2)], ids=["1", "3", "3x2"])
+def test_gru_batch_matches_per_sequence(lead, dropped):
+    rng = np.random.default_rng(60 + 10 * math.prod(lead) + dropped)
     cell = Gru(rng, 6, 5)
-    x = _input_dropout(rng, rng.standard_normal((B, 7, 6)), dropped)
-    _assert_batch_matches_loop(cell, x, rng.standard_normal((B, 7, 5)))
+    x = _input_dropout(rng, rng.standard_normal(lead + (7, 6)), dropped)
+    _assert_batch_matches_loop(cell, x, rng.standard_normal(lead + (7, 5)))
 
 
 @pytest.mark.parametrize("cls, dropped", [(BiGru, False), (BiGru, True), (BiLstm, False)])
