@@ -27,7 +27,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_config_file(path):
     """key=value file mirroring TrainConfig; '#' starts a comment.
-    Unknown keys are rejected."""
+    Unknown keys are rejected; a field whose default is None takes 'none'
+    (or nothing) as None."""
     by_name = {f.name: f for f in fields(trainer.TrainConfig)}
     values = {}
     with corpus.reading(path, trainer.TrainerError) as at, open(path, encoding="utf-8") as fh:
@@ -40,6 +41,9 @@ def _parse_config_file(path):
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in by_name:
                 raise trainer.TrainerError(f"unknown key {key!r}")
+            if by_name[key].default is None and val.lower() in ("none", ""):
+                values[key] = None
+                continue
             try:
                 values[key] = _coerce(val, by_name[key].type)
             except ValueError:
@@ -58,8 +62,6 @@ def _coerce(val, typ):
     if typ in (int, float):
         return typ(val)
     if typ is tuple:
-        if val.lower() in ("none", ""):
-            return None
         return tuple(int(v) for v in val.split(","))
     return val
 

@@ -125,16 +125,17 @@ def _expectations(e, params, lengths):
     eT, t_top = _factors(params.transitions, "transition")
     f_start, start_top = _factors(params.start, "start")
     f_stop, stop_top = _factors(params.stop, "stop")
-    # each position's source in the forward frame and the reversed one
-    last = lengths[:, None] - 1
-    fwd = np.minimum(np.arange(s), last)[..., None]
-    rev = np.maximum(last - np.arange(s), 0)[..., None]
+    # each position's source in the forward frame and the reversed one, and
+    # its row in a (B, s, n) array or the (s, 2, B, n) states, flattened
+    last, pos, b = lengths[:, None] - 1, np.arange(s), np.arange(len(e))[:, None]
+    fwd, rev = np.minimum(pos, last), np.maximum(last - pos, 0)
+    rev_rows, fwd_rows = rev + s * b, fwd * 2 * len(e) + b
     M = np.stack([eT, eT.T])
     # a 0/0 on junk in the padding must not warn; elsewhere it raises below
     with np.errstate(divide="ignore", invalid="ignore"):
         e_top = e.max(axis=-1)
         f = np.exp(e - e_top[..., None])
-        x = np.stack([f, np.take_along_axis(f, rev, axis=1)]).transpose(2, 0, 1, 3).copy()
+        x = np.stack([f, f.reshape(-1, n).take(rev_rows, axis=0)]).transpose(2, 0, 1, 3).copy()
         x[0] *= np.stack([f_start, f_stop])[:, None]
         c = np.empty(x.shape[:-1])  # (s, 2, B)
         for t in range(s):
@@ -142,15 +143,15 @@ def _expectations(e, params, lengths):
                 x[t] *= x[t - 1] @ M
             c[t] = x[t].sum(axis=-1)
             x[t] /= c[t][..., None]
-        alphas = np.take_along_axis(x[:, 0].transpose(1, 0, 2), fwd, axis=1)
+        alphas = x.reshape(-1, n).take(fwd_rows, axis=0)
         g_next = np.zeros_like(alphas)  # g_{j+1} at j, 0 from the last position on
         g_next[:, 1:] = x[:-1, 1].transpose(1, 0, 2)
-        g_next = np.take_along_axis(g_next, rev, axis=1)
-        betas = g_next @ eT.T + (rev == 0) * f_stop
+        g_next = g_next.reshape(-1, n).take(rev_rows, axis=0)
+        betas = g_next @ eT.T + (rev == 0)[..., None] * f_stop
         norm = (alphas * betas).sum(axis=-1)
         if not (norm > 0).all():
             raise CrfError("no tag path has a finite nonzero probability in float64")
-        log_c = np.where(fwd[..., 0] == np.arange(s), np.log(c[:, 0].T) + e_top, 0.0)
+        log_c = np.where(fwd == pos, np.log(c[:, 0].T) + e_top, 0.0)
     log_z = log_c.sum(axis=-1) + (last[:, 0] * t_top + start_top + stop_top) + np.log(norm[:, -1])
     alphas /= norm[..., None]
     return log_z, alphas * betas, eT * (alphas.reshape(-1, n).T @ g_next.reshape(-1, n))
@@ -207,15 +208,16 @@ def viterbi(emissions, params, constrain_bio=False):
     trans = params.transitions + (_BIO_TRANS_MASK if constrain_bio else 0.0)
     to_from = np.ascontiguousarray(trans.T)
     delta = start + emissions[0]
-    backptr = []
-    for e in emissions[1:]:
-        cand = to_from + delta  # [cur, prev]
-        backptr.append(cand.argmax(1))  # argmax picks the lowest index on ties
-        delta = cand.max(1) + e  # the element argmax picks
+    cand = np.empty((n, n), dtype=np.result_type(to_from, delta, emissions))  # [cur, prev]
+    backptr, rows = np.empty((s - 1, n), dtype=np.intp), np.arange(n)
+    for e, bp in zip(emissions[1:], backptr):
+        np.add(to_from, delta, out=cand)
+        cand.argmax(1, out=bp)  # argmax picks the lowest index on ties
+        delta = cand[rows, bp] + e  # the maximum: the element argmax picks
     delta = delta + params.stop
 
     path = [int(delta.argmax())]
-    for row in reversed(np.array(backptr, dtype=np.intp).reshape(s - 1, n).tolist()):
+    for row in reversed(backptr.tolist()):
         path.append(row[path[-1]])
     path.reverse()
     return path, float(delta[path[-1]])

@@ -24,6 +24,11 @@ one recurrence over a leading direction axis of 2: it stores each
 parameter of the pair as one stacked array, lists its [0]/[1] views under
 the names of two separate cells (``f_W``, ``b_W``, ...), and every time
 step makes one stacked matrix product for both directions.
+
+The forward time loops allocate nothing per step, since on these small
+arrays each numpy call costs about as much as its arithmetic: work that
+does not depend on the step happens before the loop (Appleyard et al.
+2016), and each call writes with ``out=`` into the cache or a buffer.
 """
 
 import math
@@ -44,10 +49,6 @@ def orthogonal(rng, shape, dtype=np.float64):
     if shape[0] < shape[1]:
         q = q.T
     return q[: shape[0], : shape[1]].astype(dtype)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax(x, axis=-1):
@@ -193,18 +194,26 @@ class Gru(_Recurrent):
 
     def _scan(self, xw, hs, U):
         H = self.hidden
-        xw_zr, xw_n = xw[..., : 2 * H], xw[..., 2 * H :]
+        # sigmoid(a + b) = 1 / (1 + exp((-a) - b)): the z/r input is negated
+        # once, into a contiguous copy like the n input's, which ufuncs take
+        # faster than a strided view; only a zero's sign differs from -(a + b)
+        xw_zr, xw_n = np.negative(xw[..., : 2 * H]), np.ascontiguousarray(xw[..., 2 * H :])
         U_zr = np.ascontiguousarray(U[..., : 2 * H])
         U_n = np.ascontiguousarray(U[..., 2 * H :])
         zr = np.empty(xw.shape[:-1] + (2 * H,), dtype=hs.dtype)
         z, r = zr[..., :H], zr[..., H:]
         n = np.empty_like(hs[1:])
-        # the loop walks the per-step views instead of indexing every array
+        rh, one = np.empty_like(hs[0]), np.ones((), dtype=hs.dtype)  # 0-d: no float conversion
+        # The loop walks the per-step views instead of indexing every array;
+        # its lines form z and r, n, then h + z * (n - h), each call (read
+        # inside out) writing into the cache or rh.
         steps = zip(xw_zr, xw_n, hs[:-1], hs[1:], zr, z, r, n)
         for xw_zr_t, xw_n_t, h, h_next, zr_t, z_t, r_t, n_t in steps:
-            zr_t[...] = _sigmoid(xw_zr_t + h @ U_zr)
-            n_t[...] = np.tanh(xw_n_t + (r_t * h) @ U_n)
-            h_next[...] = h + z_t * (n_t - h)
+            np.subtract(xw_zr_t, np.matmul(h, U_zr, out=zr_t), out=zr_t)
+            np.reciprocal(np.add(np.exp(zr_t, out=zr_t), one, out=zr_t), out=zr_t)
+            np.matmul(np.multiply(r_t, h, out=rh), U_n, out=n_t)
+            np.tanh(np.add(xw_n_t, n_t, out=n_t), out=n_t)
+            np.add(h, np.multiply(z_t, np.subtract(n_t, h, out=h_next), out=h_next), out=h_next)
         return z, r, n
 
     def _scan_back(self, cache, d_h_seq, d_pre, U_T):
@@ -243,13 +252,18 @@ class Lstm(_Recurrent):
         cs = np.zeros_like(hs)
         gates = np.empty(xw.shape[:-1] + (4, self.hidden), dtype=hs.dtype)
         i, f, g, o = (gates[..., k, :] for k in range(4))
-        steps = zip(xw, hs[:-1], hs[1:], cs[:-1], cs[1:], gates, i, f, g, o)
-        for xw_t, h, h_next, c, c_next, gates_t, i_t, f_t, g_t, o_t in steps:
-            pre = (xw_t + h @ U).reshape(gates_t.shape)
-            gates_t[...] = _sigmoid(pre)
-            g_t[...] = np.tanh(pre[..., 2, :])
-            c_next[...] = f_t * c + i_t * g_t
-            h_next[...] = o_t * np.tanh(c_next)
+        # as in the GRU, the input is negated once for the sigmoids, and g's
+        # pre-activation h U_g - (-x W_g) is x W_g + h U_g bit for bit
+        xw_g = np.negative(xw, out=xw).reshape(gates.shape)[..., 2, :]
+        hu, ig, one = np.empty(xw.shape[1:], hs.dtype), np.empty_like(hs[0]), np.ones((), hs.dtype)
+        hu_g = hu.reshape(gates.shape[1:])[..., 2, :]
+        steps = zip(xw, xw_g, hs[:-1], hs[1:], cs[:-1], cs[1:], gates.reshape(xw.shape), i, f, g, o)
+        for xw_t, xw_g_t, h, h_next, c, c_next, pre, i_t, f_t, g_t, o_t in steps:
+            np.subtract(xw_t, np.matmul(h, U, out=hu), out=pre)
+            np.reciprocal(np.add(np.exp(pre, out=pre), one, out=pre), out=pre)
+            np.tanh(np.subtract(hu_g, xw_g_t, out=g_t), out=g_t)
+            np.add(np.multiply(f_t, c, out=c_next), np.multiply(i_t, g_t, out=ig), out=c_next)
+            np.multiply(o_t, np.tanh(c_next, out=h_next), out=h_next)
         return cs, gates
 
     def _scan_back(self, cache, d_h_seq, d_pre, U_T):
@@ -276,20 +290,21 @@ class Lstm(_Recurrent):
 
 
 def _reversal(s, lengths):
-    """Per sequence, the index that reverses its first lengths[b] positions
-    and keeps the padding after them in place; None without lengths (a
-    plain reversal)."""
+    """The rows of a (..., s, d) array flattened to (-1, d) in the order
+    that reverses each sequence's first lengths[...] positions and keeps
+    the padding after them in place; None without lengths (a plain
+    reversal)."""
     if lengths is None:
         return None
-    t = np.arange(s)
-    lengths = np.asarray(lengths)[..., None]
-    return np.where(t < lengths, lengths - 1 - t, t)
+    t, lengths = np.arange(s), np.asarray(lengths).reshape(-1, 1)
+    starts = s * np.arange(len(lengths))[:, None]
+    return (np.where(t < lengths, lengths - 1 - t, t) + starts).ravel()
 
 
-def _reverse(a, rev):
-    if rev is None:
+def _reverse(a, rows):
+    if rows is None:
         return a[..., ::-1, :]
-    return np.take_along_axis(a, rev[..., None], axis=-2)
+    return a.reshape(-1, a.shape[-1]).take(rows, axis=0).reshape(a.shape)
 
 
 class _Bi(Component):

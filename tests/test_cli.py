@@ -6,6 +6,7 @@ import shlex
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -1031,6 +1032,16 @@ class TestTrainPredictEval:
                                            trainer.predict(warm[0][0], d, streams))
                          for d in corpus], tmp_path / f"{name}-warm.jsonl")
             assert pred.read_bytes() == (tmp_path / f"{name}-warm.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig) if f.default is None])
+    def test_config_none_is_the_default(self, tmp_path, key):
+        # a field whose default is None takes `none` back to it
+        cfile, cfg, model = tmp_path / "c.jsonl", tmp_path / "cfg.ini", tmp_path / "m.npz"
+        save_corpus(synth.gen_corpus(n_docs=4, seed=1), cfile)
+        cfg.write_text(f"hidden = 4\nlookup_dim = 4\nepochs = 1\n{key} = none\n")
+        assert main(["train", "--corpus", str(cfile), "--config", str(cfg),
+                     "--model", str(model)]) == 0
+        assert getattr(SegModel.load(model).cfg, key) is None
 
     def test_config_unknown_key(self, tmp_path):
         cfile = tmp_path / "c.jsonl"

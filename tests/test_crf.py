@@ -201,6 +201,30 @@ def viterbi_oracle(emissions, params, constrain_bio=False):
     return path, score
 
 
+def viterbi_max_oracle(emissions, params, constrain_bio=False):
+    """``viterbi`` with each step's maximum taken by a second reduction,
+    ``max(1)``, beside the argmax, and the backpointers gathered in a list:
+    the oracle of the step that takes the element its argmax picks."""
+    s, n = emissions.shape
+    start_mask, trans_mask = bio_transition_mask()
+    start = params.start + start_mask if constrain_bio else params.start
+    trans = params.transitions + (trans_mask if constrain_bio else 0.0)
+    to_from = np.ascontiguousarray(trans.T)
+    delta = start + emissions[0]
+    backptr = []
+    for e in emissions[1:]:
+        cand = to_from + delta
+        backptr.append(cand.argmax(1))
+        delta = cand.max(1) + e
+    delta = delta + params.stop
+
+    path = [int(delta.argmax())]
+    for row in reversed(np.array(backptr, dtype=np.intp).reshape(s - 1, n).tolist()):
+        path.append(row[path[-1]])
+    path.reverse()
+    return path, float(delta[path[-1]])
+
+
 class TestPathScore:
     def test_single_token_zero_params(self):
         e = np.arange(N_TAGS, dtype=float).reshape(1, -1)
@@ -631,3 +655,24 @@ class TestViterbiBits:
         assert path == want_path
         assert score == want
         assert np.float64(score).tobytes() == np.float64(want).tobytes()
+
+
+class TestViterbiStep:
+    """``viterbi`` equals ``viterbi_max_oracle``: path, and score to the bit."""
+
+    @pytest.mark.parametrize("float32", [False, True])
+    @pytest.mark.parametrize("s", [1, 2, 5, 80])
+    @pytest.mark.parametrize("kind", sorted(_SCORE_KINDS))
+    def test_equals_the_max_oracle(self, kind, s, float32):
+        kinds = sorted(_SCORE_KINDS)
+        rng = np.random.default_rng(600 + s + 100 * float32 + 1000 * kinds.index(kind))
+        draw = _SCORE_KINDS[kind]
+        for constrain in (False, True):
+            for minus_inf in (0.0, 0.3):
+                e = draw(rng, (s, N_TAGS)).astype(np.float32 if float32 else np.float64)
+                p = CrfParams(draw(rng, (N_TAGS, N_TAGS)), draw(rng, N_TAGS), draw(rng, N_TAGS))
+                p.transitions[rng.random(p.transitions.shape) < minus_inf] = -np.inf
+                path, score = viterbi(e, p, constrain)
+                want_path, want = viterbi_max_oracle(e, p, constrain)
+                assert path == want_path
+                assert np.float64(score).tobytes() == np.float64(want).tobytes()

@@ -1,13 +1,16 @@
-"""The GRU and LSTM backward passes against per-step oracles, the
-batched (..., s, d) paths against per-sequence loops, and the stacked
-bidirectional recurrence against two separate cells.
+"""The GRU and LSTM forward and backward passes against per-step
+oracles, the batched (..., s, d) paths against per-sequence loops, and
+the stacked bidirectional recurrence against two separate cells.
 
-The oracles are the straightforward backward loops: every parameter
-gradient is accumulated as an outer product inside the time loop.  The
-library versions keep only the recurrent products in the loop and form
-the parameter gradients as matrix products afterwards, so the two agree
-to float64 round-off.  The bidirectional layers must equal their
-two-cell oracle exactly.
+The backward oracles are the straightforward backward loops: every
+parameter gradient is accumulated as an outer product inside the time
+loop.  The library versions keep only the recurrent products in the loop
+and form the parameter gradients as matrix products afterwards, so the
+two agree to float64 round-off.  The forward oracles are the scans that
+allocate a fresh array for each step's result and apply the sigmoid as
+written; the library's scans, which write every step into preallocated
+buffers, must equal them bit for bit, as the bidirectional layers must
+equal their two-cell oracle.
 """
 
 import math
@@ -44,6 +47,46 @@ class TwoCellBi(Component):
         d_x = self.f.backward(cf, d_out[..., :H])
         d_x = d_x + _reverse(self.b.backward(cb, _reverse(d_out[..., H:], rev)), rev)
         return d_x
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_scan_oracle(self, xw, hs, U):
+    """``Gru._scan`` with a fresh array for every step's result: the
+    oracle of the buffered forward scan."""
+    H = self.hidden
+    xw_zr, xw_n = xw[..., : 2 * H], xw[..., 2 * H :]
+    U_zr = np.ascontiguousarray(U[..., : 2 * H])
+    U_n = np.ascontiguousarray(U[..., 2 * H :])
+    zr = np.empty(xw.shape[:-1] + (2 * H,), dtype=hs.dtype)
+    z, r = zr[..., :H], zr[..., H:]
+    n = np.empty_like(hs[1:])
+    steps = zip(xw_zr, xw_n, hs[:-1], hs[1:], zr, z, r, n)
+    for xw_zr_t, xw_n_t, h, h_next, zr_t, z_t, r_t, n_t in steps:
+        zr_t[...] = _sigmoid(xw_zr_t + h @ U_zr)
+        n_t[...] = np.tanh(xw_n_t + (r_t * h) @ U_n)
+        h_next[...] = h + z_t * (n_t - h)
+    return z, r, n
+
+
+def lstm_scan_oracle(self, xw, hs, U):
+    """``Lstm._scan`` with a fresh array for every step's result."""
+    cs = np.zeros_like(hs)
+    gates = np.empty(xw.shape[:-1] + (4, self.hidden), dtype=hs.dtype)
+    i, f, g, o = (gates[..., k, :] for k in range(4))
+    steps = zip(xw, hs[:-1], hs[1:], cs[:-1], cs[1:], gates, i, f, g, o)
+    for xw_t, h, h_next, c, c_next, gates_t, i_t, f_t, g_t, o_t in steps:
+        pre = (xw_t + h @ U).reshape(gates_t.shape)
+        gates_t[...] = _sigmoid(pre)
+        g_t[...] = np.tanh(pre[..., 2, :])
+        c_next[...] = f_t * c + i_t * g_t
+        h_next[...] = o_t * np.tanh(c_next)
+    return cs, gates
+
+
+SCAN_ORACLES = {Gru: gru_scan_oracle, Lstm: lstm_scan_oracle}
 
 
 def gru_backward_oracle(cell, cache, d_h_seq):
@@ -300,6 +343,45 @@ def test_stacked_bi_equals_two_cells(cls, dropped, lead, ragged, dtype):
         return [h, layer.backward(cache, d_out)]
 
     _assert_runs_equal(bi, ref, run)
+
+
+def _arrays(cache):
+    """The arrays of a nested (cell cache, reversal) tuple, in order."""
+    if isinstance(cache, tuple):
+        return [a for part in cache for a in _arrays(part)]
+    return [] if cache is None else [cache]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("s", [0, 1, 5, 80])
+@pytest.mark.parametrize("cls, lead", [
+    (Gru, ()), (Lstm, ()), (Gru, (3, 2)), (Lstm, (3, 2)),
+    (BiGru, (3,)), (BiLstm, (3,)), (BiGru, (3, 2)), (BiLstm, (3, 2)),
+], ids=lambda v: getattr(v, "__name__", None) or "x".join(map(str, v)) or "lone")
+def test_forward_scan_equals_oracle(monkeypatch, cls, lead, s, dtype):
+    # the output and every cache array, bit for bit; the stacked pairs run
+    # ragged sequences of lengths 1 to s
+    seed = 200 + s + 10 * len(lead) + 7 * (dtype == np.float32)
+    layer = cls(np.random.default_rng(seed), 6, 5, dtype)
+    rng = np.random.default_rng(seed + 1)
+    x = (rng.standard_normal(lead + (s, 6)) * 3).astype(dtype)
+    kw = {}
+    if cls in (BiGru, BiLstm) and s:
+        lengths = rng.integers(1, s + 1, size=lead)
+        lengths.flat[0], lengths.flat[-1] = 1, s
+        x[np.arange(s) >= lengths[..., None]] = 0.0
+        kw = dict(lengths=lengths)
+    runs = []
+    for oracle in (False, True):
+        if oracle:
+            cell = getattr(cls, "cell_cls", cls)
+            monkeypatch.setattr(cell, "_scan", SCAN_ORACLES[cell])
+        h, cache = layer.forward(x, **kw)
+        runs.append([h] + _arrays(cache))
+    assert len(runs[0]) == len(runs[1])
+    for got, want in zip(*runs):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_bi_names_views_of_the_pair():

@@ -22,7 +22,9 @@ from segtool.trainer import (
     predict,
     train,
 )
+from test_crf import viterbi_max_oracle
 from test_embeddings import SegModel64
+from test_nn import SCAN_ORACLES
 
 
 def small_cfg(**kw):
@@ -628,6 +630,33 @@ class TestInferenceMemo:
             assert inference_emissions(model, doc, None).tobytes() == (
                 inference_emissions(loaded, doc, None).tobytes())
             assert predict(model, doc) == predict(loaded, doc)
+
+
+@pytest.mark.parametrize("kind", ["char-cdme-attention", "lookup"])
+def test_model_matches_unbuffered_oracles(monkeypatch, kind):
+    # float32 training with validation, then inference: the same epoch
+    # records, parameter bytes, emission bytes and predicted spans as the
+    # forward scans that allocate every step and Viterbi's max reduction
+    docs = synth.gen_corpus(n_docs=16, seed=4)
+    tr, va = docs[:12], docs[12:]
+    streams, extra = None, {}
+    if kind != "lookup":
+        streams = synth.gen_streams(docs, seed=4)
+        extra = dict(use_char=True, combiner_mode="cdme", d_prime=5,
+                     attention_mode="weighted", attention_dim=4)
+    cfg = TrainConfig(hidden=6, lookup_dim=4, epochs=2, batch_size=4, seed=3, **extra)
+    runs = []
+    for patched in (False, True):
+        if patched:
+            for cls, oracle in SCAN_ORACLES.items():
+                monkeypatch.setattr(cls, "_scan", oracle)
+            monkeypatch.setattr(crf, "viterbi", viterbi_max_oracle)
+        model, logs = train(tr, va, streams, cfg)
+        runs.append(([log.line() for log in logs], logs,
+                     {k: v.tobytes() for k, v in model.params.items()},
+                     [model.emissions([d], streams, infer=True)[0].tobytes() for d in docs],
+                     [predict(model, d, streams) for d in docs]))
+    assert runs[0] == runs[1]
 
 
 class TestGradCheck:
