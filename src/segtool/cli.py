@@ -465,6 +465,7 @@ _DATA_ERRORS = (
     baselines.BaselineError,
     retrieval.RetrievalError,
     OSError,
+    MemoryError,  # e.g. a config whose model is too large to allocate
 )
 
 

@@ -2,12 +2,13 @@
 
 Questions are whitespace-tokenized, and non-natural-language regions are
 stored as half-open token spans with one of six labels (CC, CO, ES, FC,
-SS, PU).  Everything outside a span is implicitly "O".  This module owns
-the BIO codec, JSONL corpus I/O, corpus statistics, deterministic
-splitting, and word-level inter-annotator agreement.
+SS, PU); everything else is "O".  A corpus line holds id, text and spans;
+tokens come from the text.  This module owns the BIO codec, JSONL corpus
+I/O, statistics, deterministic splitting and word-level agreement.
 """
 
 import contextlib
+import itertools
 import json
 import random
 import re
@@ -98,6 +99,7 @@ class SegmentSpan:
 
 @dataclass
 class AnnotatedDocument:
+    """A question and its spans; its tokens are always ``tokenize(text)``."""
     id: str
     text: str
     tokens: list = field(default_factory=list)
@@ -183,7 +185,6 @@ def doc_to_json(doc):
     return {
         "id": doc.id,
         "text": doc.text,
-        "tokens": [{"t": t.text, "s": t.start, "e": t.end} for t in doc.tokens],
         "spans": [
             {"st": s.start_token, "et": s.end_token, "label": s.label.value}
             for s in doc.spans
@@ -191,16 +192,14 @@ def doc_to_json(doc):
     }
 
 
-_DOC_FIELDS = (("id", str), ("text", str), ("tokens", list), ("spans", list))
-_TOKEN_FIELDS = (("t", str), ("s", int), ("e", int))
+_DOC_FIELDS = (("id", str), ("text", str), ("spans", list))
 _SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
 
 def _values(obj, prefix, fields):
-    """The values of ``fields``, (key, kind) pairs, in order, of obj, a
-    JSON object: each already exactly of its kind (a bool is no int) or,
-    for an Enum kind, one of its values, made into the member.  Other keys
-    (an older file's token break kind) are ignored."""
+    """The values of ``fields``, (key, kind) pairs, in order, of obj, a JSON
+    object: each already exactly of its kind (a bool is no int) or, for an
+    Enum kind, one of its values, made into the member; other keys ignored."""
     if type(obj) is not dict:
         raise SchemaError(prefix[:-1] or "document", "expected an object for")
     vals = []
@@ -221,17 +220,17 @@ def _values(obj, prefix, fields):
 
 
 def doc_from_json(obj):
-    doc_id, text, tokens, spans = _values(obj, "", _DOC_FIELDS)
-    tokens = [Token(*_values(t, "tokens.", _TOKEN_FIELDS)) for t in tokens]
-    end = 0
-    for k, t in enumerate(tokens):
-        if not t.text:
-            raise SchemaError("tokens.t", "bad value '' for field")
-        if not end <= t.start < t.end <= len(text):
-            raise IndexOutOfRange(
-                f"token {k} offsets ({t.start}, {t.end}) are not a range within {end}..{len(text)}"
-            )
-        end = t.end
+    doc_id, text, spans = _values(obj, "", _DOC_FIELDS)
+    tokens = tokenize(text)
+    if "tokens" in obj:  # an older version's line: compared with the text's words, never read
+        (recorded,) = _values(obj, "", (("tokens", list),))
+        for k, (rec, tok) in enumerate(itertools.zip_longest(recorded, tokens)):
+            word = tok and (tok.text, tok.start, tok.end)
+            if not (word and type(rec) is dict and type(rec.get("s")) is type(rec.get("e")) is int
+                    and (rec.get("t"), rec["s"], rec["e"]) == word):
+                got = repr(rec) if k < len(recorded) else "missing"
+                raise SchemaError("tokens", f"token {k} is {got} where the text has"
+                                            f" {word or 'no word'}, in field")
     spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS)) for s in spans]
     doc = AnnotatedDocument(doc_id, text, tokens, spans)
     doc.validate()

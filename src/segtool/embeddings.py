@@ -308,8 +308,7 @@ def save_streams(streams, path):
                 raise FormatError(
                     f"doc {doc_id!r}, stream {i}: shape {np.shape(arr)}, not {(len(arrays[0]), d)}"
                 )
-            # the file holds float32: a larger value would be read back as inf
-            if not np.all(np.abs(arr) <= np.finfo(np.float32).max):  # NaN fails too
+            if not nn.finite32(arr):  # the file holds float32
                 raise FormatError(f"doc {doc_id!r}, stream {i}: a value is not finite in float32")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -51,6 +51,12 @@ def orthogonal(rng, shape, dtype=np.float64):
     return q[: shape[0], : shape[1]].astype(dtype)
 
 
+def finite32(a):
+    """Whether every value of ``a`` is finite in float32 (a larger one
+    would become inf there; NaN fails too)."""
+    return np.all(np.abs(a) <= np.finfo(np.float32).max)
+
+
 def softmax(x, axis=-1):
     z = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(z)

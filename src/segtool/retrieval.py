@@ -436,8 +436,8 @@ def load_index(path):
 
 
 def load_answers(path):
-    """Answers JSONL: {"id": str, "text": str} per line."""
-    out = []
+    """Answers JSONL: {"id": str, "text": str} per line, ids unique."""
+    out = {}
     with reading(path, RetrievalError) as at, open(path, encoding="utf-8") as fh:
         for at.line, line in enumerate(fh, start=1):
             if not line.strip():
@@ -445,8 +445,10 @@ def load_answers(path):
             obj = json.loads(line)
             if type(obj) is not dict or not all(type(obj.get(f)) is str for f in ("id", "text")):
                 raise RetrievalError("answers need a str 'id' and 'text'")
-            out.append(AnswerDoc(obj["id"], obj["text"]))
-    return out
+            if obj["id"] in out:
+                raise RetrievalError(f"duplicate answer id {obj['id']!r}")
+            out[obj["id"]] = AnswerDoc(obj["id"], obj["text"])
+    return list(out.values())
 
 
 def load_qrels(path):

@@ -307,7 +307,7 @@ class SegModel(nn.Component):
         """Write the checkpoint ``load`` reads.  A parameter with a value
         not finite in float32 is a TrainerError, and nothing is written."""
         for k, v in self.params.items():
-            if not _finite32(v):
+            if not nn.finite32(v):
                 raise TrainerError(f"array {k} has a value not finite in float32; not saved")
         meta = {
             "version": CHECKPOINT_VERSION,
@@ -359,22 +359,17 @@ class SegModel(nn.Component):
                     saved = arrays[name]
                     if saved.shape != v.shape:
                         raise TrainerError(f"array {name} has shape {saved.shape}, not {v.shape}")
-                    if not _finite32(saved):
+                    if not nn.finite32(saved):
                         raise TrainerError(f"array {name} has a value not finite in float32")
                     v[...] = saved.astype(cls.DTYPE)
             except KeyError as exc:
                 raise TrainerError(f"no {exc} entry") from None
             except (EmbeddingsError, ValueError, TypeError,  # a field the model cannot take
+                    MemoryError,  # a model too large to allocate
                     EOFError, OSError, RuntimeError, NotImplementedError,
                     zipfile.BadZipFile) as exc:  # these: zipfile on a corrupt file
                 raise TrainerError(f"not a checkpoint of this model: {exc}") from None
         return model
-
-
-def _finite32(a):
-    """Whether every value of ``a`` is finite in float32 (a larger one
-    would become inf there; NaN fails too)."""
-    return np.all(np.abs(a) <= np.finfo(np.float32).max)
 
 
 def _pad(rows, valid):

@@ -87,6 +87,12 @@ def _corpus_file(tmp_path, mutate=lambda obj: None):
     return path
 
 
+def _with_tokens(obj):
+    """``obj`` with the "tokens" an older version wrote: its text's words."""
+    obj["tokens"] = [{"t": t.text, "s": t.start, "e": t.end} for t in tokenize(obj["text"])]
+    return obj
+
+
 def _bad_label(tmp_path):
     def mutate(obj):
         obj["spans"].append({"st": 0, "et": 1, "label": "XX"})
@@ -105,7 +111,7 @@ def _bad_span_index(tmp_path):
 
 def _null_token_offset(tmp_path):
     def mutate(obj):
-        obj["tokens"][0]["s"] = None
+        _with_tokens(obj)["tokens"][0]["s"] = None
 
     path = _corpus_file(tmp_path, mutate)
     return ["stats", "--corpus", str(path)], f"{path}:2: "
@@ -369,12 +375,12 @@ def _boosts_unknown_answer(tmp_path):
     return argv, [f"{qrels}: ", "'ghost'", repr(ids[0])]
 
 
-def _bad_config(line, message):
+def _bad_config(line, message, names_config=True):
     def case(tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(line + "\n")
         argv = ["train", "--corpus", str(_corpus_file(tmp_path)), "--config", str(cfg)]
-        return argv, [f"{cfg}:", message]
+        return argv, [f"{cfg}:" if names_config else "error: ", message]
 
     return case
 
@@ -399,12 +405,23 @@ def _val_scoring_nothing(command, make_val, message):
     return case
 
 
-def _bad_doc(mutate):
+def _bad_doc(mutate, message=""):
     def case(tmp_path):
         path = _corpus_file(tmp_path, mutate)
-        return ["stats", "--corpus", str(path)], [f"{path}:2: "]
+        return ["stats", "--corpus", str(path)], [f"{path}:2: {message}"]
 
     return case
+
+
+def _token_over_other_word(tmp_path):
+    """An older line whose first token record, 'zz', covers the word 'ab'."""
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "text": "ab cd", "tokens": [{"t": "zz", "s": 0, "e": 2},'
+                    ' {"t": "cd", "s": 3, "e": 5}], "spans": []}\n')
+    return ["stats", "--corpus", str(path)], [
+        f"error: {path}:1: token 0 is {{'t': 'zz', 's': 0, 'e': 2}} where the text has"
+        " ('ab', 0, 2), in field 'tokens'\n"
+    ]
 
 
 def _bad_json_line(line):
@@ -650,8 +667,27 @@ def _experiment_test_scoring_nothing(make_test, message):
 def _index_duplicate_answer(tmp_path):
     path = _answers_file(tmp_path, json.dumps({"id": "a0", "text": "cd /"}))
     return ["index", "--answers", str(path), "--out", str(tmp_path / "i.gz")], [
-        f"{path}: duplicate answer id 'a0'"
+        f"{path}:2: duplicate answer id 'a0'"
     ]
+
+
+def _boosts_duplicate_answer(tmp_path):
+    cfile, qrels, _ = _qrels_for_corpus(tmp_path)
+    answers = _answers_file(tmp_path, json.dumps({"id": "a0", "text": "cd /"}))
+    argv = ["boosts", "--corpus", str(cfile), "--answers", str(answers),
+            "--qrels", str(qrels), "--out", str(tmp_path / "b.json")]
+    return argv, [f"{answers}:2: duplicate answer id 'a0'"]
+
+
+# a hidden size whose first weight array (455 PiB) no address space holds,
+# so allocating it fails at once whatever the host's overcommit policy
+HUGE_HIDDEN = 10**15
+
+
+def _huge_hidden(meta, arrays):
+    """A checkpoint whose config asks for a model too large to allocate."""
+    meta["config"]["hidden"] = HUGE_HIDDEN
+    meta["fingerprint"] = TrainConfig(**meta["config"]).fingerprint()
 
 
 # Run in-process through cli.main: an exception main does not turn into
@@ -684,6 +720,8 @@ MALFORMED_IN_PROCESS = {
     "boosts-qrel-unknown-answer": _boosts_unknown_answer,
     "config-batch-size-zero": _bad_config("batch_size=0", "batch_size"),
     "config-hidden-zero": _bad_config("hidden=0", "hidden"),
+    "config-hidden-too-large-to-allocate": _bad_config(
+        f"hidden = {HUGE_HIDDEN}", "Unable to allocate", names_config=False),
     "config-seed-negative": _bad_config("seed = -3", ": seed must be at least 0, got -3"),
     "config-recurrent-dropout": _bad_config(
         "recurrent_dropout = 0.2", ":1: unknown key 'recurrent_dropout'"
@@ -694,9 +732,13 @@ MALFORMED_IN_PROCESS = {
        for kind, make_val, message in (
            ("empty", _empty_corpus, "no documents to validate on"),
            ("no-tokens", _tokenless_corpus, "no validation document has a token"))},
-    "corpus-token-not-object": _bad_doc(lambda o: o["tokens"].__setitem__(0, 1)),
-    "corpus-token-text-empty": _bad_doc(lambda o: o["tokens"][0].update(t="")),
-    "corpus-token-past-text": _bad_doc(lambda o: o["tokens"][-1].update(e=len(o["text"]) + 1)),
+    "corpus-token-not-object": _bad_doc(lambda o: _with_tokens(o)["tokens"].__setitem__(0, 1),
+                                        "token 0 is 1 where the text has"),
+    "corpus-token-text-empty": _bad_doc(lambda o: _with_tokens(o)["tokens"][0].update(t=""),
+                                        "token 0 is {'t': '', "),
+    "corpus-token-past-text": _bad_doc(
+        lambda o: _with_tokens(o)["tokens"][0].update(e=len(o["text"]) + 1), "token 0 is {"),
+    "corpus-token-over-other-word": _token_over_other_word,
     "corpus-spans-not-list": _bad_doc(lambda o: o.update(spans="CC")),
     "corpus-id-not-str": _bad_doc(lambda o: o.update(id=5)),
     "corpus-nested-too-deeply": _bad_json_line("[" * 100000 + "]" * 100000),
@@ -733,6 +775,8 @@ MALFORMED_IN_PROCESS = {
         lambda m, a: a.update(emit__W=np.full(a["emit__W"].shape, 1e300)),
         message="array emit__W has a value not finite in float32",
     ),
+    "checkpoint-model-too-large-to-allocate": _bad_checkpoint(
+        _huge_hidden, message="not a checkpoint of this model: Unable to allocate"),
     "checkpoint-stream-zero-wide": _bad_checkpoint(
         lambda m, a: m.update(stream_dims=[0]),
         message="not a checkpoint of this model: stream dims [0]: need at least one stream,"
@@ -758,6 +802,7 @@ MALFORMED_IN_PROCESS = {
         _tokenless_corpus, "no test document has a token"
     ),
     "index-duplicate-answer-id": _index_duplicate_answer,
+    "boosts-duplicate-answer-id": _boosts_duplicate_answer,
     "streams-no-streams": _streams_without_width([]),
     "streams-zero-width": _streams_without_width([0, 8]),
     **{f"{command}-streams-missing-document": _fusion_run(

@@ -16,7 +16,6 @@ from segtool.corpus import (
     AnnotatedDocument,
     BadRatios,
     EmptyCorpus,
-    IndexOutOfRange,
     MismatchedDocuments,
     OverlappingSpans,
     ParseError,
@@ -27,6 +26,7 @@ from segtool.corpus import (
     agreement,
     bio_to_spans,
     corpus_stats,
+    doc_to_json,
     kappa_from_confusion,
     load_corpus,
     save_corpus,
@@ -241,6 +241,17 @@ class TestIndexCodecMatchesNames:
         assert bio_to_spans(tag_indices(*names)) == bio_to_spans_oracle(names)
 
 
+def doc_to_json_with_tokens(doc):
+    """The line an older version wrote: each token's text and offsets too."""
+    return {**doc_to_json(doc), "tokens": [{"t": t.text, "s": t.start, "e": t.end}
+                                           for t in doc.tokens]}
+
+
+# documents over texts that use every str.isspace character, with spans
+SPACE_DOCS = SPACE_AND_CASE_TEXT.flatmap(lambda text: span_sets(len(tokenize(text))).map(
+    lambda spans: AnnotatedDocument("d", text, tokenize(text), spans)))
+
+
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         docs = [
@@ -251,6 +262,21 @@ class TestCorpusIO:
         save_corpus(docs, path)
         loaded = load_corpus(path)
         assert loaded == docs
+
+    @given(SPACE_DOCS)
+    def test_round_trip_any_whitespace(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("c") / "c.jsonl"
+        save_corpus([doc], path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[1:] == [""]  # one line: no space of the text breaks it
+        assert list(json.loads(lines[0])) == ["id", "text", "spans"]
+        assert load_corpus(path) == [doc]
+
+    @given(SPACE_DOCS)
+    def test_older_lines_with_tokens_load(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("c") / "old.jsonl"
+        path.write_text(json.dumps(doc_to_json_with_tokens(doc)) + "\n")
+        assert load_corpus(path) == [doc]
 
     def test_older_file_loads(self, tmp_path):
         # a file written when each token record also held its break kind
@@ -265,54 +291,72 @@ class TestCorpusIO:
         assert load_corpus(path) == [AnnotatedDocument("b", "x\ny z", tokenize("x\ny z"), spans)]
 
     def test_written_token_fields(self, tmp_path):
+        # the tokens are the text's words: a line holds none
         path = tmp_path / "c.jsonl"
         save_corpus([AnnotatedDocument("b", "x\ny", tokenize("x\ny"), [])], path)
-        assert json.loads(path.read_text())["tokens"] == [
-            {"t": "x", "s": 0, "e": 1}, {"t": "y", "s": 2, "e": 3}
-        ]
+        assert json.loads(path.read_text()) == {"id": "b", "text": "x\ny", "spans": []}
 
-    @pytest.mark.parametrize("tokens, error, message", [
-        ('{"t": "", "s": 0, "e": 0}', SchemaError, "bad value '' for field 'tokens.t'"),
-        ('{"t": "ab", "s": -1, "e": 1}', IndexOutOfRange, "token 0 offsets (-1, 1)"),
-        ('{"t": "ab", "s": 2, "e": 2}', IndexOutOfRange, "token 0 offsets (2, 2)"),
-        ('{"t": "ab", "s": 3, "e": 1}', IndexOutOfRange, "token 0 offsets (3, 1)"),
-        ('{"t": "cd", "s": 3, "e": 6}', IndexOutOfRange, "(3, 6) are not a range within 0..5"),
-        ('{"t": "ab", "s": 0, "e": 2}, {"t": "b", "s": 1, "e": 2}', IndexOutOfRange,
-         "token 1 offsets (1, 2) are not a range within 2..5"),
+    # a line written by an older version holds "tokens", which must be the
+    # words of its text "ab cd": ("ab", 0, 2) and ("cd", 3, 5)
+    @pytest.mark.parametrize("tokens, message", [
+        ('{"t": "", "s": 0, "e": 0}', "token 0 is {'t': '', 's': 0, 'e': 0} where"),
+        ('{"t": "ab", "s": -1, "e": 1}', "token 0 is {'t': 'ab', 's': -1, 'e': 1} where"),
+        ('{"t": "ab", "s": 2, "e": 2}', "token 0 is {'t': 'ab', 's': 2, 'e': 2} where"),
+        ('{"t": "ab", "s": 3, "e": 1}', "token 0 is {'t': 'ab', 's': 3, 'e': 1} where"),
+        ('{"t": "ab", "s": 0, "e": 2}, {"t": "cd", "s": 3, "e": 6}',
+         "token 1 is {'t': 'cd', 's': 3, 'e': 6} where the text has ('cd', 3, 5)"),
+        ('{"t": "ab", "s": 0, "e": 2}, {"t": "b", "s": 1, "e": 2}',
+         "token 1 is {'t': 'b', 's': 1, 'e': 2} where the text has ('cd', 3, 5)"),
+        ('{"t": "zz", "s": 0, "e": 2}, {"t": "cd", "s": 3, "e": 5}',
+         "token 0 is {'t': 'zz', 's': 0, 'e': 2} where the text has ('ab', 0, 2)"),
+        ('{"t": "ab", "s": 0, "e": 2}', "token 1 is missing where the text has ('cd', 3, 5)"),
+        ('{"t": "a", "s": 0, "e": 1}, {"t": "b", "s": 1, "e": 2}, {"t": "cd", "s": 3, "e": 5}',
+         "token 0 is {'t': 'a', 's': 0, 'e': 1} where the text has ('ab', 0, 2)"),
+        ('{"t": "ab", "s": 0, "e": 2}, {"t": "cd", "s": 3, "e": 5}, {"t": "cd", "s": 3, "e": 5}',
+         "token 2 is {'t': 'cd', 's': 3, 'e': 5} where the text has no word"),
+        ('{"t": "ab", "s": 0.0, "e": 2}, {"t": "cd", "s": 3, "e": 5}', "token 0 is "),
+        ('{"t": "ab", "s": 0, "e": 2}, {"t": "cd", "s": 3, "e": true}', "token 1 is "),
+        ('{"s": 0, "e": 2}, {"t": "cd", "s": 3, "e": 5}', "token 0 is {'s': 0, 'e': 2} where"),
+        ('{"t": "ab", "s": 0, "e": 2}, null', "token 1 is None where"),
     ], ids=["text-empty", "start-negative", "empty-range", "inverted", "past-text",
-            "before-previous-end"])
-    def test_bad_token(self, tmp_path, tokens, error, message):
+            "before-previous-end", "other-word", "one-short", "splits-word", "one-extra",
+            "offset-float", "offset-bool", "text-missing", "record-null"])
+    def test_bad_token(self, tmp_path, tokens, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(
             '{"id": "ok", "text": "", "tokens": [], "spans": []}\n'
             f'{{"id": "a", "text": "ab cd", "tokens": [{tokens}], "spans": []}}\n'
         )
-        with pytest.raises(error) as exc:
-            load_corpus(path)
-        assert str(exc.value).startswith(f"{path}:2: ")
-        assert message in str(exc.value)
-
-    def test_missing_field(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "a", "text": "x", "spans": []}\n')
         with pytest.raises(SchemaError) as exc:
             load_corpus(path)
         assert exc.value.missing_field == "tokens"
-        assert exc.value.line_no == 1
+        assert str(exc.value).startswith(f"{path}:2: {message}")
+        assert str(exc.value).endswith(", in field 'tokens'")
+
+    def test_missing_field(self, tmp_path):
+        # a line needs no "tokens", but needs its spans
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "text": "x", "spans": []}\n{"id": "b", "text": "x"}\n')
+        with pytest.raises(SchemaError) as exc:
+            load_corpus(path)
+        assert exc.value.missing_field == "spans"
+        assert exc.value.line_no == 2
+        path.write_text('{"id": "a", "text": "x", "spans": []}\n')
+        assert load_corpus(path) == [AnnotatedDocument("a", "x", tokenize("x"), [])]
 
     @pytest.mark.parametrize("line, field", [
         ('[1, 2]', "document"),
-        ('{"id": 5, "text": "x", "tokens": [], "spans": []}', "id"),
-        ('{"id": "a", "text": null, "tokens": [], "spans": []}', "text"),
+        ('{"id": 5, "text": "x", "spans": []}', "id"),
+        ('{"id": "a", "text": null, "spans": []}', "text"),
         ('{"id": "a", "text": "x", "tokens": "x", "spans": []}', "tokens"),
         ('{"id": "a", "text": "x", "tokens": [1], "spans": []}', "tokens"),
-        ('{"id": "a", "text": "x", "tokens": [], "spans": {}}', "spans"),
-        ('{"id": "a", "text": "x", "tokens": [], "spans": [[0, 1, "CC"]]}', "spans"),
+        ('{"id": "a", "text": "x", "spans": {}}', "spans"),
+        ('{"id": "a", "text": "x", "spans": [[0, 1, "CC"]]}', "spans"),
     ], ids=["doc-list", "id-int", "text-null", "tokens-str", "token-int", "spans-object",
             "span-list"])
     def test_bad_container_or_doc_field(self, tmp_path, line, field):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "ok", "text": "", "tokens": [], "spans": []}\n' + line + "\n")
+        path.write_text('{"id": "ok", "text": "", "spans": []}\n' + line + "\n")
         with pytest.raises(SchemaError) as exc:
             load_corpus(path)
         assert (exc.value.missing_field, exc.value.line_no) == (field, 2)

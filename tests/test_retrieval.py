@@ -835,6 +835,7 @@ class TestPersistence:
         ('{"id": 1, "text": "x"}', "answers need a str 'id' and 'text'"),
         ('["a1", "x"]', "answers need a str 'id' and 'text'"),
         ('{"id": "a1"', "Expecting"),
+        ('{"id": "a0", "text": "again"}', "duplicate answer id 'a0'"),
     ])
     def test_bad_answers_name_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "ans.jsonl"
