@@ -16,6 +16,7 @@ import types
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +78,7 @@ TAG_INDEX = {t: i for i, t in enumerate(BIO_TAGS)}
 N_TAGS = len(BIO_TAGS)  # 13
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int  # offset into the document text (inclusive)
     end: int  # offset (exclusive)
@@ -143,8 +143,9 @@ _WORD = re.compile(r"\S+")  # for str patterns \s is str.isspace, the rule of st
 def tokenize(text):
     """Whitespace tokenization with offsets: any maximal run of
     non-whitespace characters becomes one token, the words of
-    ``text.split()``."""
-    return [Token(m.group(), m.start(), m.end()) for m in _WORD.finditer(text)]
+    ``text.split()``.  ``tuple.__new__`` makes each Token in one C call,
+    without the Python-level ``__new__`` that ``Token(...)`` runs."""
+    return [tuple.__new__(Token, (m.group(), m.start(), m.end())) for m in _WORD.finditer(text)]
 
 
 def add_run(runs, start, end, label, join=True):
@@ -192,6 +193,9 @@ def doc_to_json(doc):
     }
 
 
+# a JSON escape such as "\\ud800" puts one in a str; UTF-8 cannot encode it
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 _DOC_FIELDS = (("id", str), ("text", str), ("spans", list))
 _SPAN_FIELDS = (("st", int), ("et", int), ("label", SegmentLabel))
 
@@ -221,16 +225,18 @@ def _values(obj, prefix, fields):
 
 def doc_from_json(obj):
     doc_id, text, spans = _values(obj, "", _DOC_FIELDS)
+    for key, val in (("id", doc_id), ("text", text)):
+        if LONE_SURROGATE.search(val):
+            raise SchemaError(key, "a lone surrogate, which UTF-8 cannot encode, in field")
     tokens = tokenize(text)
     if "tokens" in obj:  # an older version's line: compared with the text's words, never read
         (recorded,) = _values(obj, "", (("tokens", list),))
         for k, (rec, tok) in enumerate(itertools.zip_longest(recorded, tokens)):
-            word = tok and (tok.text, tok.start, tok.end)
-            if not (word and type(rec) is dict and type(rec.get("s")) is type(rec.get("e")) is int
-                    and (rec.get("t"), rec["s"], rec["e"]) == word):
+            if not (tok and type(rec) is dict and type(rec.get("s")) is type(rec.get("e")) is int
+                    and (rec.get("t"), rec["s"], rec["e"]) == tok):
                 got = repr(rec) if k < len(recorded) else "missing"
                 raise SchemaError("tokens", f"token {k} is {got} where the text has"
-                                            f" {word or 'no word'}, in field")
+                                            f" {tuple(tok) if tok else 'no word'}, in field")
     spans = [SegmentSpan(*_values(s, "spans.", _SPAN_FIELDS)) for s in spans]
     doc = AnnotatedDocument(doc_id, text, tokens, spans)
     doc.validate()

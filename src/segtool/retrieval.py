@@ -15,13 +15,12 @@ import json
 import math
 import struct
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import CLASS_NAMES, EmptyCorpus, add_run, reading, token_labels
+from .corpus import CLASS_NAMES, LONE_SURROGATE, EmptyCorpus, add_run, reading, token_labels
 # unused here, but perfbench's tracer patches retrieval.tokenize
 from .corpus import tokenize
 
@@ -159,26 +158,30 @@ class FieldedIndex:
 def build_index(answers, min_len=0, k1=1.2, b=0.75):
     """Deterministic inverted index, terms in order of first use; answers
     shorter than min_len tokens are skipped."""
-    counts = {}  # answer id -> Counter of its terms, None when skipped
+    by_id = {}  # answer id -> its term list, None when skipped
     for ans in answers:
-        if ans.id in counts:
+        if ans.id in by_id:
             raise RetrievalError(f"duplicate answer id {ans.id!r}")
         terms = ans.terms
-        counts[ans.id] = Counter(terms) if terms and len(terms) >= min_len else None
-    kept = {d: c for d, c in counts.items() if c}
+        by_id[ans.id] = terms if terms and len(terms) >= min_len else None
+    kept = {d: t for d, t in by_id.items() if t}
     if not kept:
         raise EmptyCorpus("no answers survived filtering")
     at = dict(zip(dict.fromkeys(itertools.chain.from_iterable(kept.values())), itertools.count()))
     docs = sorted(kept)
     by_doc = [kept[d] for d in docs]
-    # postings doc by doc; a stable sort by term (radix, on narrow ints) keeps rows ascending
-    pos = np.fromiter(map(at.__getitem__, itertools.chain.from_iterable(by_doc)), np.intp)
-    tf = np.fromiter(itertools.chain.from_iterable(c.values() for c in by_doc), np.int64)
+    lengths = np.array(list(map(len, by_doc)), dtype=np.int64)
+    # one key, row * n_terms + position, per term occurrence: np.unique gives
+    # each (row, term) pair once, rows ascending, with its count, the tf
+    occurrences = np.fromiter(map(at.__getitem__, itertools.chain.from_iterable(by_doc)),
+                              np.int64)
+    keys, tf = np.unique(np.repeat(np.arange(len(docs)), lengths) * len(at) + occurrences,
+                         return_counts=True)
+    rows, pos = np.divmod(keys, len(at))
+    # a stable sort by term (radix, on narrow ints) keeps rows ascending
     order = np.argsort(pos.astype(np.min_scalar_type(len(at))), kind="stable")
-    rows = np.repeat(np.arange(len(docs)), list(map(len, by_doc)))[order]
-    lengths = np.array([c.total() for c in by_doc], dtype=np.int64)
     df = np.bincount(pos, minlength=len(at))
-    return FieldedIndex._of(k1, b, docs, lengths, list(at), df, rows, tf[order], at=at)
+    return FieldedIndex._of(k1, b, docs, lengths, list(at), df, rows[order], tf[order], at=at)
 
 
 def bm25(index, query_terms, doc_id):
@@ -445,6 +448,8 @@ def load_answers(path):
             obj = json.loads(line)
             if type(obj) is not dict or not all(type(obj.get(f)) is str for f in ("id", "text")):
                 raise RetrievalError("answers need a str 'id' and 'text'")
+            if LONE_SURROGATE.search(obj["id"]):  # the text may hold one: its terms round-trip
+                raise RetrievalError("a lone surrogate, which UTF-8 cannot encode, in field 'id'")
             if obj["id"] in out:
                 raise RetrievalError(f"duplicate answer id {obj['id']!r}")
             out[obj["id"]] = AnswerDoc(obj["id"], obj["text"])

@@ -72,8 +72,10 @@ def _assemble(doc_id, parts):
 
 
 def _draw(rng, pool, lo, hi):
+    """n words of pool, n drawn in [lo, hi] first; the words come from one
+    call, which fills its array draw by draw, as n scalar calls would."""
     n = int(rng.integers(lo, hi + 1))
-    return [pool[int(rng.integers(len(pool)))] for _ in range(n)]
+    return [pool[i] for i in rng.integers(len(pool), size=n).tolist()]
 
 
 def gen_corpus(n_docs=250, seed=0, shared_vocab=False):

@@ -113,6 +113,21 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
 
+    @given(st.text(max_size=60))
+    def test_tokens_are_named_tuples(self, text):
+        for t in tokenize(text):
+            assert type(t) is Token
+            same = Token(t.text, t.start, t.end)
+            assert t == same and hash(t) == hash(same)
+            assert repr(t) == f"Token(text={t.text!r}, start={t.start}, end={t.end})"
+
+    def test_token_is_immutable(self):
+        (t,) = tokenize("ls")
+        with pytest.raises(AttributeError):
+            t.text = "cd"
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
     def test_double_space(self):
         toks = tokenize("a  b")
         assert [(t.start, t.end) for t in toks] == [(0, 1), (3, 4)]
