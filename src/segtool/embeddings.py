@@ -5,9 +5,11 @@ hashed subword n-gram embedder that composes vectors for unseen tokens
 from character n-grams, a character-level biLSTM encoder, and contextual
 embedding streams read from a binary file.
 Each token provider takes a list of tokens and returns one row per token.
-What depends only on a token, the subword bucket ids and (for one state
-of its parameters) the char encoding, is kept per distinct token in a
-memo of at most MEMO_CAP tokens.
+The lookup table's and the subword embedder's row is the mean of a bag
+of rows of one table (``_Bag``): a bag's rows add in order from its first,
+so a bag of one row is that row's bytes.  What depends only on a token,
+the subword bucket ids and (for one state of its parameters) the char
+encoding, is kept per distinct token in a memo of at most MEMO_CAP tokens.
 
 Multiple contextual streams are fused by the MetaCombiner: naive
 concatenation, or a softmax-weighted sum of linear projections with
@@ -69,9 +71,28 @@ def _token_list(tokens):
     return tokens
 
 
-class LookupTable(nn.Component):
+class _Bag(nn.Component):
+    """Forward and backward of a provider whose one parameter is its table and
+    whose ``_bags(tokens)`` gives every bag's row ids, in token order, and their sizes."""
+
+    def embed_sequence(self, tokens):
+        ids, counts = self._bags(_token_list(tokens))
+        (table,) = self.params.values()
+        starts = np.cumsum(counts) - counts
+        out = table.take(ids[starts], axis=0)
+        for k in range(1, counts.max(initial=1)):  # one pass per bag position
+            has = counts > k
+            out[has] += table.take(ids[starts[has] + k], axis=0)
+        return out / counts.astype(table.dtype)[:, None], (ids, counts)
+
+    def backward_sequence(self, cache, d_out):
+        (ids, counts), (grad,) = cache, self.grads.values()
+        np.add.at(grad, ids, np.repeat(d_out / counts.astype(d_out.dtype)[:, None], counts, axis=0))
+
+
+class LookupTable(_Bag):
     """token -> trainable row, with the shared row 0 for
-    out-of-vocabulary tokens."""
+    out-of-vocabulary tokens: a bag of one row."""
 
     def __init__(self, vocab, matrix):
         super().__init__()
@@ -88,15 +109,9 @@ class LookupTable(nn.Component):
         matrix = (rng.standard_normal((len(vocab) + 1, dim)) * 0.1).astype(dtype)
         return cls(vocab, matrix)
 
-    def row_index(self, token):
-        return self.vocab.get(token, 0)
-
-    def embed_sequence(self, tokens):
-        idx = np.array([self.row_index(t) for t in _token_list(tokens)], dtype=np.int64)
-        return self.params["matrix"][idx], idx
-
-    def backward_sequence(self, idx, d_out):
-        np.add.at(self.grads["matrix"], idx, d_out)
+    def _bags(self, tokens):
+        ids = np.fromiter(map(self.vocab.get, tokens, itertools.repeat(0)), np.intp, len(tokens))
+        return ids, np.ones(len(ids), np.intp)
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -124,12 +139,11 @@ def token_ngrams(token, n_min, n_max):
     return grams
 
 
-class SubwordHashEmbedder(nn.Component):
+class SubwordHashEmbedder(_Bag):
     """A token's vector: the mean of the hashed bucket rows of its 3- to
     6-grams and of its whole padded form (token_ngrams).  The bucket ids
-    depend only on the token and ``n_buckets``: ``embed_sequence`` takes
-    them from a memo of read-only arrays, so ``bucket_indices`` runs once
-    per distinct token."""
+    depend only on the token and ``n_buckets``: a token's bag is its
+    ``bucket_indices``, memoized, so they run once per distinct token."""
 
     N_MIN, N_MAX = 3, 6
 
@@ -141,7 +155,7 @@ class SubwordHashEmbedder(nn.Component):
         self._add_param(
             "buckets", (rng.standard_normal((n_buckets, dim)) * 0.1).astype(dtype)
         )
-        self._ids = {}  # token -> its read-only bucket_indices
+        self._ids = {}  # token -> its bucket_indices
 
     def bucket_indices(self, token):
         if not token:
@@ -158,19 +172,14 @@ class SubwordHashEmbedder(nn.Component):
         ids = self._ids.get(token)
         if ids is None:
             ids = self.bucket_indices(token)
-            ids.flags.writeable = False  # backward_sequence reads the stored arrays
             if len(self._ids) < MEMO_CAP:
                 self._ids[token] = ids
         return ids
 
-    def embed_sequence(self, tokens):
-        idx = [self._token_ids(t) for t in _token_list(tokens)]
-        out = np.stack([self.params["buckets"][i].mean(axis=0) for i in idx])
-        return out, idx
-
-    def backward_sequence(self, idx, d_out):
-        for ids, d in zip(idx, d_out):
-            np.add.at(self.grads["buckets"], ids, d / len(ids))
+    def _bags(self, tokens):
+        bags = [self._token_ids(t) for t in tokens]
+        counts = np.fromiter(map(len, bags), np.intp, len(bags))
+        return np.concatenate([np.empty(0, np.intp), *bags]), counts  # no tokens: no ids
 
 
 class CharEncoder(nn.Component):

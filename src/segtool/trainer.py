@@ -207,11 +207,7 @@ class SegModel(nn.Component):
         """(forward, backward) of each per-token provider, in column order;
         with ``infer``, the char encoder's forward is its memo (``encode``),
         which keeps no cache."""
-        parts = []
-        if self.lookup is not None:
-            parts.append((self.lookup.embed_sequence, self.lookup.backward_sequence))
-        if self.subword is not None:
-            parts.append((self.subword.embed_sequence, self.subword.backward_sequence))
+        parts = [(p.embed_sequence, p.backward_sequence) for p in (self.lookup, self.subword) if p]
         if self.char is not None:
             forward = (lambda toks: (self.char.encode(toks), None)) if infer else self.char.forward
             parts.append((forward, self.char.backward))

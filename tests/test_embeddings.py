@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segtool import embeddings, synth
 from segtool.corpus import AnnotatedDocument, tokenize
@@ -39,9 +41,9 @@ class TestLookup:
     def test_sequence(self):
         mat = np.array([[0.0], [5.0]])
         t = LookupTable({"a": 1}, mat)
-        out, idx = t.embed_sequence(["a", "b", "a"])
+        out, (ids, counts) = t.embed_sequence(["a", "b", "a"])
         assert np.array_equal(out[:, 0], [5.0, 0.0, 5.0])
-        assert list(idx) == [1, 0, 1]
+        assert list(ids) == [1, 0, 1] and list(counts) == [1, 1, 1]
 
     def test_bare_str_rejected(self):
         t = LookupTable({"a": 1}, np.array([[0.0], [5.0]]))
@@ -117,20 +119,23 @@ class TestSubword:
         bucket_indices = emb.bucket_indices
         monkeypatch.setattr(emb, "bucket_indices", lambda t: calls.append(t) or bucket_indices(t))
         tokens = ["wlan0", "up", "wlan0", "ifconfig", "up"]
-        out, idx = emb.embed_sequence(tokens)
+        out, cache = emb.embed_sequence(tokens)
         out2, _ = emb.embed_sequence(tokens + ["down"])
         assert calls == ["wlan0", "up", "ifconfig", "down"]
-        # the memo's ids and vectors are those the hash gives, and read-only
+        # the cache's bags and the vectors are those the hash gives; the
+        # bags are a copy, not the memo's arrays
+        ids, counts = cache
+        bags = np.split(ids, np.cumsum(counts)[:-1])
+        assert len(bags) == len(tokens) and not np.shares_memory(ids, emb._ids["wlan0"])
         buckets = emb.params["buckets"]
-        for t, ids, row, row2 in zip(tokens, idx, out, out2):
-            assert np.array_equal(ids, bucket_indices(t))
-            assert not ids.flags.writeable
+        for t, bag, row, row2 in zip(tokens, bags, out, out2):
+            assert np.array_equal(bag, bucket_indices(t))
             assert np.array_equal(row, buckets[bucket_indices(t)].mean(axis=0))
             assert np.array_equal(row2, row)
-        # backward reads the stored ids: a repeated token's rows add up
+        # backward reads the cached ids: a repeated token's rows add up
         d_out = np.ones((len(tokens), 4))
         emb.zero_grads()
-        emb.backward_sequence(idx, d_out)
+        emb.backward_sequence(cache, d_out)
         expected = np.zeros_like(buckets)
         for t in tokens:
             ids = bucket_indices(t)
@@ -161,6 +166,165 @@ class TestSubword:
             lm = loss()
             flat[i] = old
             assert abs((lp - lm) / (2 * step) - g[i]) < 1e-8, i
+
+
+def lookup_embed_oracle(self, tokens):
+    """LookupTable.embed_sequence before the shared bag: one vocabulary
+    lookup per token, the rows by fancy indexing."""
+    idx = np.array([self.vocab.get(t, 0) for t in embeddings._token_list(tokens)], dtype=np.int64)
+    return self.params["matrix"][idx], idx
+
+
+def lookup_backward_oracle(self, idx, d_out):
+    np.add.at(self.grads["matrix"], idx, d_out)
+
+
+def subword_embed_oracle(self, tokens):
+    """SubwordHashEmbedder.embed_sequence before the shared bag: one
+    ``mean(axis=0)`` per token (and, unlike it, (0, dim) for no tokens)."""
+    idx = [self._token_ids(t) for t in embeddings._token_list(tokens)]
+    buckets = self.params["buckets"]
+    return (np.stack([buckets[i].mean(axis=0) for i in idx]) if idx else buckets[:0]), idx
+
+
+def subword_backward_oracle(self, idx, d_out):
+    for ids, d in zip(idx, d_out):
+        np.add.at(self.grads["buckets"], ids, d / len(ids))
+
+
+ORACLES = {
+    LookupTable: (lookup_embed_oracle, lookup_backward_oracle),
+    SubwordHashEmbedder: (subword_embed_oracle, subword_backward_oracle),
+}
+
+
+def bag_and_oracle(provider, tokens, d_out, grad_start):
+    """(rows, grads) of the bag's forward and backward, then the oracle's,
+    each from the same gradient ``grad_start`` (an array or a scalar)."""
+    (grad,) = provider.grads.values()
+    results = []
+    for embed, backward in ((type(provider).embed_sequence, type(provider).backward_sequence),
+                            ORACLES[type(provider)]):
+        grad[...] = grad_start
+        out, cache = embed(provider, tokens)
+        backward(provider, cache, d_out)
+        results.append((out, grad.copy()))
+    return results
+
+
+def assert_same_bytes(a, b):
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# 1- to 13-character tokens, bags of 2 to 47 bucket ids; the small alphabet
+# repeats short tokens and n-grams
+TOKEN = st.text(alphabet="ab/.-0\u00e9", min_size=1, max_size=13)
+
+
+@st.composite
+def bag_cases(draw):
+    """Tokens drawn from a small pool (so some repeat, some not at all),
+    the pool, a dtype, and a seed for the table, d_out and grads."""
+    pool = draw(st.lists(TOKEN, min_size=1, max_size=6, unique=True))
+    tokens = draw(st.lists(st.sampled_from(pool), max_size=10))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return tokens, pool, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+def random_start(provider, n_tokens, seed):
+    """Fill the table with rows of magnitudes 1e-3 to 1e3 (so rounding
+    depends on the order of additions); return d_out and a gradient start."""
+    rng = np.random.default_rng(seed)
+    (table,) = provider.params.values()
+    table[...] = rng.standard_normal(table.shape) * 10.0 ** rng.integers(-3, 4, (len(table), 1))
+    d_out = rng.standard_normal((n_tokens, table.shape[1])).astype(table.dtype)
+    return d_out, rng.standard_normal(table.shape).astype(table.dtype)
+
+
+class TestBagMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=bag_cases(), dim=st.integers(2, 6), n_buckets=st.integers(1, 64))
+    def test_subword_bytes(self, case, dim, n_buckets):
+        tokens, _, dtype, seed = case
+        emb = SubwordHashEmbedder(np.random.default_rng(0), dim, n_buckets, dtype)
+        start = random_start(emb, len(tokens), seed)
+        (out, grad), (want_out, want_grad) = bag_and_oracle(emb, tokens, *start)
+        assert_same_bytes(out, want_out)
+        assert_same_bytes(grad, want_grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=bag_cases(), dim=st.integers(1, 6))
+    def test_lookup_bytes(self, case, dim):
+        # every other token of the pool is out of the vocabulary
+        tokens, pool, dtype, seed = case
+        t = LookupTable.from_tokens(pool[::2], dim, np.random.default_rng(0), dtype)
+        start = random_start(t, len(tokens), seed)
+        (out, grad), (want_out, want_grad) = bag_and_oracle(t, tokens, *start)
+        assert_same_bytes(out, want_out)
+        assert_same_bytes(grad, want_grad)
+
+    def test_width_one_adds_in_order(self):
+        # at width 1 mean(axis=0) sums pairwise; the bag still adds its rows
+        # one after another from the first
+        emb = SubwordHashEmbedder(np.random.default_rng(1), 1, 4096, np.float32)
+        token = "wireless/setup"
+        random_start(emb, 1, 2)
+        rows = emb.params["buckets"][emb.bucket_indices(token)]
+        total = rows[0].copy()
+        for r in rows[1:]:
+            total += r
+        out = emb.embed_sequence([token])[0][0]
+        assert_same_bytes(out, total / np.float32(len(rows)))
+        np.testing.assert_allclose(out, rows.mean(axis=0), rtol=0, atol=1e-6 * np.abs(rows).mean())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_in_a_bag(self, dtype):
+        # a column that is -0.0 in every row of a bag stays -0.0, where
+        # mean(axis=0) gives +0.0; with a +0.0 among them both give +0.0
+        emb = SubwordHashEmbedder(np.random.default_rng(3), 2, 2**16, dtype)
+        buckets = emb.params["buckets"]
+        buckets[emb.bucket_indices("a"), 0] = -0.0
+        buckets[emb.bucket_indices("ab"), 0] = -0.0
+        buckets[emb.bucket_indices("ab")[-1], 0] = 0.0
+        out, _ = emb.embed_sequence(["a", "ab"])
+        want, _ = subword_embed_oracle(emb, ["a", "ab"])
+        assert np.signbit(out[0, 0]) and not np.signbit(want[0, 0])
+        assert not np.signbit(out[1, 0]) and not np.signbit(want[1, 0])
+        out[0, 0] = want[0, 0]
+        assert_same_bytes(out, want)
+
+    def test_signed_zero_lookup_rows(self):
+        # a looked-up row is the table row's bytes, -0.0 included (row 0 is unk)
+        mat = np.array([[-0.0, 1.0], [2.0, -0.0], [-0.0, -0.0]], dtype=np.float32)
+        t = LookupTable({"a": 1, "b": 2}, mat)
+        out, _ = t.embed_sequence(["b", "zz", "a", "b"])
+        assert_same_bytes(out, mat[[2, 0, 1, 2]])
+
+    @pytest.mark.parametrize("provider", [
+        LookupTable({"a": 1}, np.zeros((2, 3), np.float32)),
+        SubwordHashEmbedder(np.random.default_rng(4), 3, 16, np.float32),
+    ], ids=["lookup", "subword"])
+    def test_signed_zero_backward(self, provider):
+        # -0.0 gradients into a -0.0 start stay -0.0, as in the per-token loop
+        tokens = ["a", "b", "a"]
+        d_out = np.full((3, 3), -0.0, np.float32)
+        (_, grad), (_, want) = bag_and_oracle(provider, tokens, d_out, -0.0)
+        assert np.signbit(grad).all()
+        assert_same_bytes(grad, want)
+
+
+@pytest.mark.parametrize("provider", [
+    LookupTable({"a": 1}, np.ones((2, 3), np.float32)),
+    SubwordHashEmbedder(np.random.default_rng(5), 3, 16, np.float32),
+], ids=["lookup", "subword"])
+def test_empty_token_list(provider):
+    # (0, dim) rows in the table's dtype, and a backward that adds nothing
+    out, cache = provider.embed_sequence([])
+    assert out.shape == (0, 3) and out.dtype == np.float32
+    (grad,) = provider.grads.values()
+    grad[...] = 1.0
+    provider.backward_sequence(cache, out)
+    assert (grad == 1.0).all()
 
 
 class TestCharEncoder:
@@ -498,6 +662,29 @@ def test_training_matches_grouped_bi_oracle(monkeypatch):
         runs.append(([log.line() for log in logs],
                      {k: v.tobytes() for k, v in model.params.items()},
                      [predict(model, d, streams) for d in docs]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(use_lookup=False, use_subword=True, subword_dim=4, subword_buckets=256),
+], ids=["lookup", "subword"])
+def test_training_matches_per_token_oracles(monkeypatch, kw):
+    # float32 training with validation: the bag gives the same epoch lines,
+    # parameter bytes and predicted spans as the per-token providers
+    docs = synth.gen_corpus(n_docs=16, seed=4)
+    tr, va = docs[:12], docs[12:]
+    cfg = TrainConfig(hidden=6, lookup_dim=4, epochs=2, batch_size=4, seed=3, **kw)
+    runs = []
+    for patched in (False, True):
+        if patched:
+            for cls, (embed, backward) in ORACLES.items():
+                monkeypatch.setattr(cls, "embed_sequence", embed)
+                monkeypatch.setattr(cls, "backward_sequence", backward)
+        model, logs = train(tr, va, None, cfg)
+        runs.append(([log.line() for log in logs],
+                     {k: v.tobytes() for k, v in model.params.items()},
+                     [predict(model, d) for d in docs]))
     assert runs[0] == runs[1]
 
 
